@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _exact
 from .model import ParastabError, ProblemSpec, ValidatedProblem, validate_spec, linearized_coefficient
-from .spectral import Spectrum, compute_spectrum, laplacian_spectrum, project
+from .spectral import Spectrum, compute_spectrum, project
 from .synthesis import (
     ContinuousGainSet,
     GainSet,
@@ -287,7 +287,6 @@ def sweep_sampling_period(
         raise ValueError("periods must be a non-empty list of positive values")
     c = linearized_coefficient(problem)
     spectrum = compute_spectrum(problem, c, problem.spec.target_rate)
-    lap = laplacian_spectrum(problem)
     gam = gammas if gammas is not None else problem.spec.gammas
     continuous = continuous_limit(spectrum, gam)
     y0 = seeded_initial_state(spectrum, seed)
@@ -315,7 +314,6 @@ def sweep_sampling_period(
                 horizon,
                 substeps=sub,
                 snapshot_stride=stride,
-                laplacian=lap,
             )
             rate = fit_decay_rate(traj).rate
             histories.append((f"T={period:g}", traj.times, traj.l2_norms))
@@ -363,7 +361,6 @@ def sweep_gammas(
         raise ValueError("need at least one placement list")
     c = linearized_coefficient(problem)
     spectrum = compute_spectrum(problem, c, problem.spec.target_rate)
-    lap = laplacian_spectrum(problem)
     y0 = seeded_initial_state(spectrum, seed)
     period = problem.period
     horizon = max(int(np.ceil(total_time / period)), 3)
@@ -383,7 +380,6 @@ def sweep_gammas(
                 y0,
                 horizon,
                 snapshot_stride=stride,
-                laplacian=lap,
             )
             rate = fit_decay_rate(traj).rate
             histories.append((f"gammas={','.join(f'{g:g}' for g in gam)}", traj.times, traj.l2_norms))
@@ -431,7 +427,6 @@ def _basin_probe(
     problem: ValidatedProblem,
     spectrum: Spectrum,
     gains: GainSet,
-    lap: Spectrum,
     amplitude: float,
     horizon: int,
     seed: int,
@@ -440,15 +435,9 @@ def _basin_probe(
     if amplitude == 0.0:
         return BasinRow(0.0, True, None, None)
     y0 = seeded_initial_state(
-        spectrum,
-        seed,
-        amplitude=amplitude,
-        norm="sobolev",
-        laplacian=lap,
+        spectrum, seed, amplitude=amplitude, norm="sobolev"
     ) + problem.equilibrium_values[1:-1]
-    traj = run_semilinear_closed_loop(
-        problem, spectrum, gains, y0, horizon, laplacian=lap
-    )
+    traj = run_semilinear_closed_loop(problem, spectrum, gains, y0, horizon)
     if histories is not None and traj.times.size > 1:
         histories.append((f"amp={amplitude:g}", traj.times, traj.sobolev_norms))
     if traj.blowup_time is not None:
@@ -469,7 +458,6 @@ def estimate_basin(
     horizon: int = 50,
     seed: int = 7,
     bisect_iters: int = 0,
-    laplacian: Spectrum | None = None,
 ) -> BasinReport:
     """Probe the semilinear loop over initial amplitudes (surrogate norm).
 
@@ -479,10 +467,9 @@ def estimate_basin(
     decaying and smallest diverging amplitude is refined by bisection.
     The decayed-flag pattern need not be monotone and is reported as is.
     """
-    lap = laplacian if laplacian is not None else laplacian_spectrum(problem)
     histories: list[NormHistory] = []
     rows = [
-        _basin_probe(problem, spectrum, gains, lap, float(a), horizon, seed, histories)
+        _basin_probe(problem, spectrum, gains, float(a), horizon, seed, histories)
         for a in amplitudes
     ]
     decayed = [r.amplitude for r in rows if r.decayed]
@@ -499,7 +486,7 @@ def estimate_basin(
         lo, hi = largest_decaying, smallest_diverging
         for _ in range(bisect_iters):
             mid = 0.5 * (lo + hi)
-            row = _basin_probe(problem, spectrum, gains, lap, mid, horizon, seed)
+            row = _basin_probe(problem, spectrum, gains, mid, horizon, seed)
             if row.decayed:
                 lo = mid
             else:
@@ -655,17 +642,11 @@ def run_verification(
         details={"coarse": lift_a, "fine": lift_b},
     )
 
-    lap_a = laplacian_spectrum(prob_a)
-    lap_b = laplacian_spectrum(prob_b)
     y0_a = seeded_initial_state(spec_a, seed)
     y0_b = seeded_initial_state(spec_b, seed)
     try:
-        traj_a = run_linear_closed_loop(
-            prob_a, spec_a, gains_a, y0_a, horizon, laplacian=lap_a
-        )
-        traj_b = run_linear_closed_loop(
-            prob_b, spec_b, gains_b, y0_b, horizon, laplacian=lap_b
-        )
+        traj_a = run_linear_closed_loop(prob_a, spec_a, gains_a, y0_a, horizon)
+        traj_b = run_linear_closed_loop(prob_b, spec_b, gains_b, y0_b, horizon)
         rec_a = check_modal_recursion(gains_a, spec_a, traj_a).trajectory_residual
         rec_b = check_modal_recursion(gains_b, spec_b, traj_b).trajectory_residual
         report.add(

@@ -36,7 +36,6 @@ from .spectral import (
     Spectrum,
     compute_spectrum,
     l2_norm,
-    laplacian_spectrum,
     modes_to_csv,
     sobolev_norm,
     spectrum_to_csv,
@@ -113,7 +112,6 @@ _SCHEMA = {
         "amplitude",
         "total_time",
         "seed",
-        "horizon",
         "bisect_iters",
     },
 }
@@ -212,9 +210,9 @@ def _build_nonlinearity(kind: str, parameters: tuple[float, ...]) -> Nonlinearit
         a = parameters[0] if parameters else 0.0
         return linear_reaction(a)
     if kind == "fisher":
-        if len(parameters) != 1:
-            raise ConfigError("fisher nonlinearity takes exactly one parameter")
-        return fisher_reaction(parameters[0])
+        if len(parameters) > 1:
+            raise ConfigError("fisher nonlinearity takes at most one parameter")
+        return fisher_reaction(parameters[0] if parameters else 15.0)
     if kind == "cubic":
         return cubic_reaction()
     if kind in ("polynomial", "custom-polynomial"):
@@ -304,11 +302,7 @@ def load_config(path: str | Path) -> RunConfig:
     )
 
 
-def _initial_state(
-    config: RunConfig,
-    spectrum: Spectrum,
-    laplacian: Spectrum,
-) -> np.ndarray:
+def _initial_state(config: RunConfig, spectrum: Spectrum) -> np.ndarray:
     """Deviation-from-equilibrium initial state per the config."""
     raw = config.initial
     kind, _, arg = raw.partition(":")
@@ -321,7 +315,7 @@ def _initial_state(
         scale = (
             l2_norm(y, spectrum.h)
             if config.norm == "l2"
-            else sobolev_norm(y, config.sobolev_order, laplacian)
+            else sobolev_norm(y, config.sobolev_order, spectrum.h)
         )
         return y * (config.amplitude / scale)
     if kind == "random":
@@ -331,7 +325,6 @@ def _initial_state(
             amplitude=config.amplitude,
             norm=config.norm,
             sobolev_order=config.sobolev_order,
-            laplacian=laplacian,
         )
     if kind == "file":
         y = np.loadtxt(arg, dtype=float)
@@ -402,8 +395,7 @@ def cmd_simulate(
     config: RunConfig, out_dir: Path, *, open_loop: bool, expect_decay: bool
 ) -> int:
     problem, spectrum = _setup(config)
-    lap = laplacian_spectrum(problem)
-    y0 = _initial_state(config, spectrum, lap)
+    y0 = _initial_state(config, spectrum)
     stride = config.snapshot_stride or None
     blowup: float | None = None
     metadata: dict = {"config": config.echo()}
@@ -418,21 +410,18 @@ def cmd_simulate(
                 # zero feedback: the closed loop degenerates to the baseline
                 trajectory = run_open_loop(
                     problem, spectrum, y0, config.horizon,
-                    snapshot_stride=stride, laplacian=lap,
-                    sobolev_order=config.sobolev_order,
+                    snapshot_stride=stride, sobolev_order=config.sobolev_order,
                 )
             else:
                 trajectory = run_linear_closed_loop(
                     problem, spectrum, gains, y0, config.horizon,
-                    snapshot_stride=stride, laplacian=lap,
-                    sobolev_order=config.sobolev_order,
+                    snapshot_stride=stride, sobolev_order=config.sobolev_order,
                 )
         else:
             ye = problem.equilibrium_values[1:-1]
             trajectory = run_semilinear_closed_loop(
                 problem, spectrum, gains, y0 + ye, config.horizon,
-                snapshot_stride=stride, laplacian=lap,
-                sobolev_order=config.sobolev_order,
+                snapshot_stride=stride, sobolev_order=config.sobolev_order,
             )
     except UnstableStep as exc:
         trajectory = exc.trajectory
@@ -461,7 +450,7 @@ def cmd_simulate(
             baseline = run_open_loop(
                 problem, spectrum, y0, config.open_loop_horizon,
                 snapshot_stride=max(problem.spec.substeps_per_hold // 8, 1),
-                laplacian=lap, sobolev_order=config.sobolev_order,
+                sobolev_order=config.sobolev_order,
             )
         except UnstableStep as exc:
             baseline = exc.trajectory

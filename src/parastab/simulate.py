@@ -22,13 +22,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .model import ParastabError, ValidatedProblem, linearized_coefficient
-from .spectral import (
-    Spectrum,
-    l2_norm,
-    laplacian_spectrum,
-    project,
-    sobolev_norm,
-)
+from .spectral import Spectrum, l2_norm, project, sobolev_norm
 from .synthesis import DimensionMismatch, GainSet, apply_feedback
 from .lifting import hold_profiles
 
@@ -165,7 +159,6 @@ def seeded_initial_state(
     amplitude: float = 1.0,
     norm: str = "l2",
     sobolev_order: float = DEFAULT_SOBOLEV_ORDER,
-    laplacian: Spectrum | None = None,
 ) -> np.ndarray:
     """Reproducible modal initial state, normalized in the requested norm.
 
@@ -180,9 +173,7 @@ def seeded_initial_state(
     if norm == "l2":
         scale = l2_norm(y, spectrum.h)
     elif norm == "sobolev":
-        if laplacian is None:
-            raise ValueError("sobolev normalization needs the Laplacian spectrum")
-        scale = sobolev_norm(y, sobolev_order, laplacian)
+        scale = sobolev_norm(y, sobolev_order, spectrum.h)
     else:
         raise ValueError(f"unknown norm {norm!r}")
     if scale == 0.0:
@@ -204,7 +195,6 @@ def _advance(
     kind: str,
     physical_offset: np.ndarray | None,
     boundary_offset: float,
-    laplacian: Spectrum | None,
     sobolev_order: float,
     problem_hash: str,
     gains_hash: str,
@@ -217,8 +207,6 @@ def _advance(
     w = np.asarray(w0, dtype=float).copy()
     if w.shape != (m,):
         raise ValueError(f"initial state must have shape ({m},), got {w.shape}")
-    if laplacian is None:
-        laplacian = laplacian_spectrum(problem)
 
     period = problem.period
     dt = period / substeps
@@ -274,7 +262,7 @@ def _advance(
     for j in range(n_snap):
         dev = snaps[j]
         l2[j] = l2_norm(dev, spectrum.h)
-        sob[j] = sobolev_norm(dev, sobolev_order, laplacian)
+        sob[j] = sobolev_norm(dev, sobolev_order, spectrum.h)
         row = dev if physical_offset is None else dev + physical_offset[1:-1]
         states[j, 1:-1] = row
         states[j, 0] = left_value + (
@@ -325,7 +313,6 @@ def run_linear_closed_loop(
     *,
     substeps: int | None = None,
     snapshot_stride: int | None = None,
-    laplacian: Spectrum | None = None,
     sobolev_order: float = DEFAULT_SOBOLEV_ORDER,
 ) -> Trajectory:
     """Linearized dynamics under the sampled feedback.
@@ -348,7 +335,6 @@ def run_linear_closed_loop(
         kind="linear-closed-loop",
         physical_offset=None,
         boundary_offset=0.0,
-        laplacian=laplacian,
         sobolev_order=sobolev_order,
         problem_hash=problem_fingerprint(problem),
         gains_hash=gains_fingerprint(gains),
@@ -364,7 +350,6 @@ def run_open_loop(
     *,
     substeps: int | None = None,
     snapshot_stride: int | None = None,
-    laplacian: Spectrum | None = None,
     sobolev_order: float = DEFAULT_SOBOLEV_ORDER,
 ) -> Trajectory:
     """Uncontrolled baseline (u = 0); grows whenever unstable modes exist."""
@@ -382,7 +367,6 @@ def run_open_loop(
         kind="open-loop",
         physical_offset=None,
         boundary_offset=0.0,
-        laplacian=laplacian,
         sobolev_order=sobolev_order,
         problem_hash=problem_fingerprint(problem),
         gains_hash=gains_fingerprint(None),
@@ -399,7 +383,6 @@ def run_semilinear_closed_loop(
     *,
     substeps: int | None = None,
     snapshot_stride: int | None = None,
-    laplacian: Spectrum | None = None,
     sobolev_order: float = DEFAULT_SOBOLEV_ORDER,
 ) -> Trajectory:
     """Full nonlinear dynamics; the held control is feedback-of-deviation
@@ -441,7 +424,6 @@ def run_semilinear_closed_loop(
         kind="semilinear-closed-loop",
         physical_offset=ye,
         boundary_offset=float(ye[-1]),
-        laplacian=laplacian,
         sobolev_order=sobolev_order,
         problem_hash=problem_fingerprint(problem),
         gains_hash=gains_fingerprint(gains),

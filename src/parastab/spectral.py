@@ -171,8 +171,7 @@ def compute_spectrum(
 def laplacian_spectrum(problem: ValidatedProblem) -> Spectrum:
     """Spectrum of the pure -Laplacian (c = 0); all eigenvalues positive.
 
-    Used as the weight basis of the fractional Sobolev surrogate norm,
-    since the shifted operator may have negative eigenvalues.
+    The eigensolver reference for the closed-form weights of sobolev_norm.
     """
     op = assemble_operator(problem, np.zeros(problem.m))
     lam, vec = eigendecompose(op)
@@ -185,10 +184,6 @@ def laplacian_spectrum(problem: ValidatedProblem) -> Spectrum:
         rho=0.0,
         operator=op,
     )
-
-
-def inner_h(u: np.ndarray, v: np.ndarray, h: float) -> float:
-    return float(h * np.dot(u, v))
 
 
 def l2_norm(y: np.ndarray, h: float) -> float:
@@ -208,16 +203,23 @@ def embed(coords: np.ndarray, spectrum: Spectrum) -> np.ndarray:
     return spectrum.modes[:, : coords.shape[0]] @ coords
 
 
-def sobolev_norm(y: np.ndarray, s: float, laplacian: Spectrum) -> float:
-    """Fractional norm sqrt(sum_i mu_i^s <y, e_i>_h^2) over all M modes.
+def sobolev_norm(y: np.ndarray, s: float, h: float) -> float:
+    """Fractional norm sqrt(sum_j mu_j^s <y, e_j>_h^2) over all M modes.
 
-    ``laplacian`` must be the spectrum of the pure -Laplacian so that every
-    weight mu_i^s is real and positive; s = 0 recovers the discrete L2 norm.
+    mu_j = (4/h^2) sin^2(j pi / (2(M+1))) and e_j are the eigenvalues and
+    h-orthonormal sine modes of the pure -Laplacian on the uniform grid, so
+    every weight mu_j^s is real and positive; s = 0 recovers the discrete
+    L2 norm.  The coordinates come from a DST-I, taken as the FFT of the
+    odd extension of y.
     """
     if not 0.0 <= s < 1.0:
         raise ValueError(f"s must lie in [0, 1), got {s}")
-    coords = project(y, laplacian, n=laplacian.m)
-    return float(np.sqrt(np.sum(laplacian.lambdas**s * coords**2)))
+    m = y.shape[0]
+    mu = (4.0 / h**2) * np.sin(np.arange(1, m + 1) * (np.pi / (2 * (m + 1)))) ** 2
+    # the FFT of (0, y, 0, -reversed y) has imaginary part
+    # -2 sum_i y_i sin(j pi i / (M+1)), and <y, e_j>_h^2 is h/(2(M+1)) times its square
+    sines = np.fft.rfft(np.concatenate(([0.0], y, [0.0], -y[::-1])))[1 : m + 1].imag
+    return float(np.sqrt(h / (2.0 * (m + 1)) * np.dot(mu**s, sines * sines)))
 
 
 def spectrum_to_csv(spectrum: Spectrum) -> str:

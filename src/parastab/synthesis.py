@@ -100,7 +100,6 @@ class GainSet:
     lambdas: np.ndarray
     flux: np.ndarray
     lambda_diags: np.ndarray
-    lambda_sumdiag: np.ndarray
     integral_diag: np.ndarray
     gram_boundary: np.ndarray
     gram_terms: np.ndarray
@@ -191,7 +190,6 @@ def build_gains(
         lambdas=lam,
         flux=flux,
         lambda_diags=lam_diags,
-        lambda_sumdiag=lam_diags.sum(axis=1),
         integral_diag=_exact.to_float_vector(exact.integral_diag),
         gram_boundary=np.outer(flux, flux),
         gram_terms=gram_terms,

@@ -37,18 +37,16 @@ def report(number, passed, detail):
 def stack15():
     problem = make_problem(a=15.0, grid_points=200, period=0.2, gammas=(2.0,))
     spectrum = make_spectrum(problem)
-    lap = ps.laplacian_spectrum(problem)
     gains = ps.build_gains(spectrum, (2.0,), 0.2)
-    return problem, spectrum, lap, gains
+    return problem, spectrum, gains
 
 
 @pytest.fixture(scope="module")
 def stack15_fine():
     problem = make_problem(a=15.0, grid_points=400, period=0.2, gammas=(2.0,), substeps=128)
     spectrum = make_spectrum(problem)
-    lap = ps.laplacian_spectrum(problem)
     gains = ps.build_gains(spectrum, (2.0,), 0.2)
-    return problem, spectrum, lap, gains
+    return problem, spectrum, gains
 
 
 @pytest.fixture(scope="module")
@@ -56,19 +54,17 @@ def recursion_runs(stack15, stack15_fine):
     """Seeded closed-loop runs at M=200/64 substeps and M=400/128 substeps."""
     runs = {}
     for key, stack in (("coarse", stack15), ("fine", stack15_fine)):
-        problem, spectrum, lap, gains = stack
+        problem, spectrum, gains = stack
         y0 = ps.seeded_initial_state(spectrum, 42)
-        runs[key] = ps.run_linear_closed_loop(
-            problem, spectrum, gains, y0, 10, laplacian=lap
-        )
+        runs[key] = ps.run_linear_closed_loop(problem, spectrum, gains, y0, 10)
     return runs
 
 
 @pytest.fixture(scope="module")
 def decay_run(stack15):
-    problem, spectrum, lap, gains = stack15
+    problem, spectrum, gains = stack15
     y0 = ps.seeded_initial_state(spectrum, 42)
-    return ps.run_linear_closed_loop(problem, spectrum, gains, y0, 50, laplacian=lap)
+    return ps.run_linear_closed_loop(problem, spectrum, gains, y0, 50)
 
 
 @pytest.fixture(scope="module")
@@ -78,11 +74,10 @@ def long_hold_stack():
     # that discretization artifact below the designed contraction
     problem = make_problem(a=15.0, grid_points=1000, period=2.0, gammas=(2.0,), substeps=1024)
     spectrum = make_spectrum(problem)
-    lap = ps.laplacian_spectrum(problem)
     gains = ps.build_gains(spectrum, (2.0,), 2.0)
     y0 = ps.seeded_initial_state(spectrum, 42)
     traj = ps.run_linear_closed_loop(
-        problem, spectrum, gains, y0, 8, snapshot_stride=64, laplacian=lap
+        problem, spectrum, gains, y0, 8, snapshot_stride=64
     )
     return problem, spectrum, gains, traj
 
@@ -123,8 +118,8 @@ def test_criterion_2_contraction_bound():
 
 
 def test_criterion_3_sampled_recursion_on_trajectory(stack15, stack15_fine, recursion_runs):
-    _, spectrum, _, gains = stack15
-    _, spectrum_f, _, gains_f = stack15_fine
+    _, spectrum, gains = stack15
+    _, spectrum_f, gains_f = stack15_fine
     coarse = ps.check_modal_recursion(gains, spectrum, recursion_runs["coarse"]).trajectory_residual
     fine = ps.check_modal_recursion(gains_f, spectrum_f, recursion_runs["fine"]).trajectory_residual
     ratio = coarse / fine
@@ -138,12 +133,12 @@ def test_criterion_3_sampled_recursion_on_trajectory(stack15, stack15_fine, recu
 
 
 def test_criterion_4_decay_and_open_loop_growth(stack15, decay_run):
-    problem, spectrum, lap, _ = stack15
+    problem, spectrum, _ = stack15
     fit = ps.fit_decay_rate(decay_run, t_start=0.4)
     growth_oracle = 15.0 - np.pi**2
     baseline = ps.run_open_loop(
         problem, spectrum, spectrum.modes[:, 0].copy(), 5,
-        snapshot_stride=8, laplacian=lap,
+        snapshot_stride=8,
     )
     growth = -ps.fit_decay_rate(baseline, t_start=0.4).rate
     ok = fit.rate >= 0.9 * RHO and abs(growth - growth_oracle) <= 0.05 * growth_oracle
@@ -179,8 +174,8 @@ def test_criterion_5_lift_trace_identity():
 def test_criterion_6_half_identity_on_all_runs(
     stack15, stack15_fine, recursion_runs, decay_run, long_hold_stack
 ):
-    _, spectrum, _, gains = stack15
-    _, spectrum_f, _, gains_f = stack15_fine
+    _, spectrum, gains = stack15
+    _, spectrum_f, gains_f = stack15_fine
     _, spectrum_l, gains_l, traj_l = long_hold_stack
     worst = max(
         ps.check_half_identity(recursion_runs["coarse"], gains, spectrum),
@@ -199,7 +194,7 @@ def test_criterion_6_half_identity_on_all_runs(
 
 
 def test_criterion_7_small_period_limit(stack15):
-    _, spectrum, _, _ = stack15
+    _, spectrum, _ = stack15
     dist_tiny = ps.gain_limit_distance(spectrum, (2.0,), 1e-6)
     d_coarse = ps.gain_limit_distance(spectrum, (2.0,), 1e-2)
     d_fine = ps.gain_limit_distance(spectrum, (2.0,), 5e-3)
@@ -224,20 +219,12 @@ def test_criterion_8_large_sampling_period(long_hold_stack):
 
 
 def test_criterion_9_semilinear_local_stabilization(stack15):
-    problem, spectrum, lap, gains = stack15
-    y0 = ps.seeded_initial_state(
-        spectrum, 42, amplitude=0.01, norm="sobolev", laplacian=lap
-    )
-    traj = ps.run_semilinear_closed_loop(
-        problem, spectrum, gains, y0, 50, laplacian=lap
-    )
+    problem, spectrum, gains = stack15
+    y0 = ps.seeded_initial_state(spectrum, 42, amplitude=0.01, norm="sobolev")
+    traj = ps.run_semilinear_closed_loop(problem, spectrum, gains, y0, 50)
     fit = ps.fit_decay_rate(traj, norm_kind="sobolev")
-    big = ps.seeded_initial_state(
-        spectrum, 42, amplitude=50.0, norm="sobolev", laplacian=lap
-    )
-    traj_big = ps.run_semilinear_closed_loop(
-        problem, spectrum, gains, big, 50, laplacian=lap
-    )
+    big = ps.seeded_initial_state(spectrum, 42, amplitude=50.0, norm="sobolev")
+    traj_big = ps.run_semilinear_closed_loop(problem, spectrum, gains, big, 50)
     ok = (
         traj.blowup_time is None
         and fit.rate >= 0.9 * RHO

@@ -71,10 +71,10 @@ def test_fit_rejects_nonpositive_norms():
         ps.fit_decay_rate(traj, t_start=0.0)
 
 
-def test_recursion_check_along_trajectory(problem15, spectrum15, gains15, laplacian15):
+def test_recursion_check_along_trajectory(problem15, spectrum15, gains15):
     y0 = ps.seeded_initial_state(spectrum15, 13)
     traj = ps.run_linear_closed_loop(
-        problem15, spectrum15, gains15, y0, 15, laplacian=laplacian15
+        problem15, spectrum15, gains15, y0, 15
     )
     check = ps.check_modal_recursion(gains15, spectrum15, traj)
     assert check.matrix_residual <= 1e-10
@@ -82,10 +82,10 @@ def test_recursion_check_along_trajectory(problem15, spectrum15, gains15, laplac
     assert check.per_sample.shape == (15,)
 
 
-def test_half_identity_check(problem15, spectrum15, gains15, laplacian15):
+def test_half_identity_check(problem15, spectrum15, gains15):
     y0 = ps.seeded_initial_state(spectrum15, 14)
     traj = ps.run_linear_closed_loop(
-        problem15, spectrum15, gains15, y0, 10, laplacian=laplacian15
+        problem15, spectrum15, gains15, y0, 10
     )
     assert ps.check_half_identity(traj, gains15, spectrum15) <= 1e-2
 
@@ -139,7 +139,7 @@ def test_sweep_gammas(problem15):
     assert text.startswith("gammas,gain_row,contraction_bound")
 
 
-def test_estimate_basin_reports_rows(problem15, spectrum15, gains15, laplacian15):
+def test_estimate_basin_reports_rows(problem15, spectrum15, gains15):
     report = ps.estimate_basin(
         problem15,
         spectrum15,
@@ -147,7 +147,6 @@ def test_estimate_basin_reports_rows(problem15, spectrum15, gains15, laplacian15
         (0.0, 0.01, 50.0),
         horizon=30,
         seed=42,
-        laplacian=laplacian15,
     )
     by_amp = {row.amplitude: row for row in report.rows}
     assert by_amp[0.0].decayed
@@ -161,7 +160,7 @@ def test_estimate_basin_reports_rows(problem15, spectrum15, gains15, laplacian15
     assert "empirical_basin_edge" in csv_text
 
 
-def test_estimate_basin_bisection_refines(problem15, spectrum15, gains15, laplacian15):
+def test_estimate_basin_bisection_refines(problem15, spectrum15, gains15):
     report = ps.estimate_basin(
         problem15,
         spectrum15,
@@ -170,7 +169,6 @@ def test_estimate_basin_bisection_refines(problem15, spectrum15, gains15, laplac
         horizon=20,
         seed=42,
         bisect_iters=4,
-        laplacian=laplacian15,
     )
     assert report.refined_edge is not None
     assert 0.01 <= report.refined_edge <= 50.0
@@ -234,10 +232,10 @@ def test_run_verification_no_unstable_modes_reduces():
     assert "note" in report.metadata
 
 
-def test_lognorm_svg_renders(problem15, spectrum15, gains15, laplacian15):
+def test_lognorm_svg_renders(problem15, spectrum15, gains15):
     y0 = ps.seeded_initial_state(spectrum15, 2)
     traj = ps.run_linear_closed_loop(
-        problem15, spectrum15, gains15, y0, 5, laplacian=laplacian15
+        problem15, spectrum15, gains15, y0, 5
     )
     svg = ps.lognorm_svg([("run", traj.times, traj.l2_norms)])
     assert svg.startswith("<svg")

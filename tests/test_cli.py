@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +90,40 @@ def test_synthesize_writes_artifacts(tmp_path):
     assert (out / "spectrum.csv").read_text().startswith("index,lambda,boundary_flux")
     verification = json.loads((out / "verification.json").read_text())
     assert verification["passed"] is True
+
+
+def test_fisher_parameter_defaults_to_15(tmp_path):
+    explicit = write_config(tmp_path, name="explicit.ini")
+    implicit = tmp_path / "implicit.ini"
+    implicit.write_text(Path(explicit).read_text().replace("parameters = 15.0\n", ""))
+    assert load_config(implicit).spec.nonlinearity.parameters == (15.0,)
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["synthesize", "--config", explicit, "--out", str(out1)]) == EXIT_OK
+    assert main(["synthesize", "--config", str(implicit), "--out", str(out2)]) == EXIT_OK
+    for name in ("gains.json", "spectrum.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    two = tmp_path / "two.ini"
+    two.write_text(Path(explicit).read_text().replace("= 15.0\n", "= 15.0,2.0\n"))
+    assert main(["synthesize", "--config", str(two)]) == EXIT_CONFIG
+
+
+def test_readme_config_block_is_the_defaults(tmp_path):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    documented = tmp_path / "readme.ini"
+    documented.write_text(block)
+    empty = tmp_path / "empty.ini"
+    empty.write_text("")
+    cfg = load_config(documented)
+    assert cfg.sweep_periods == (0.05, 0.2, 1.0, 2.0)
+    assert cfg.sweep_gammas == ((2.0,), (4.0,))
+    assert cfg.sweep_amplitudes == (0.0, 0.01, 1.0, 50.0)
+    # every other value shown is the default; the sweep axis lists have none
+    echo, defaults = cfg.echo(), load_config(empty).echo()
+    for key in ("T", "gamma", "amplitude"):
+        assert defaults["sweep"].pop(key) == []
+        echo["sweep"].pop(key)
+    assert echo == defaults
 
 
 def test_synthesize_deterministic_outputs(tmp_path):
@@ -203,7 +238,9 @@ def test_gamma_arity_mismatch_exits_2(tmp_path):
         "[problem]\ngrid_points = 64\nnonlinearity = fisher\nparameters = 95.0\n"
         "[synthesis]\ntarget_rate = 1.0\ngammas = 2.0\nsampling_period = 0.2\n"
     )
-    assert main(["synthesize", "--config", str(path)]) == EXIT_CONFIG
+    # spectrum.csv is written before the arity check fails
+    out = tmp_path / "out"
+    assert main(["synthesize", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
 
 
 def test_rho_on_eigenvalue_exits_2(tmp_path):
@@ -233,14 +270,15 @@ def test_sweep_T_axis(tmp_path):
 
 def test_sweep_gamma_axis(tmp_path):
     cfg = write_config(
-        tmp_path, extra="[sweep]\ngamma = 2.0 ; 4.0\ntotal_time = 4.0\n"
+        tmp_path, extra="[sweep]\ngamma = 2.0;4.0\ntotal_time = 4.0\n"
     )
     out = tmp_path / "swg"
     assert (
         main(["sweep", "--config", cfg, "--out", str(out), "--axis", "gamma"])
         == EXIT_OK
     )
-    assert (out / "sweep_gamma.csv").exists()
+    lines = (out / "sweep_gamma.csv").read_text().strip().split("\n")
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [2.0, 4.0]
 
 
 def test_sweep_amplitude_axis(tmp_path):

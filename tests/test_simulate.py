@@ -9,29 +9,29 @@ from parastab.simulate import _advance, problem_fingerprint
 from conftest import make_problem, make_spectrum
 
 
-def test_zero_initial_state_stays_zero(problem15, spectrum15, gains15, laplacian15):
+def test_zero_initial_state_stays_zero(problem15, spectrum15, gains15):
     traj = ps.run_linear_closed_loop(
-        problem15, spectrum15, gains15, np.zeros(problem15.m), 5, laplacian=laplacian15
+        problem15, spectrum15, gains15, np.zeros(problem15.m), 5
     )
     assert np.all(traj.states == 0.0)
     assert np.all(traj.schedule.held_values == 0.0)
     assert np.all(traj.l2_norms == 0.0)
 
 
-def test_initial_snapshot_is_initial_condition(problem15, spectrum15, gains15, laplacian15):
+def test_initial_snapshot_is_initial_condition(problem15, spectrum15, gains15):
     y0 = ps.seeded_initial_state(spectrum15, 9)
     traj = ps.run_linear_closed_loop(
-        problem15, spectrum15, gains15, y0, 3, laplacian=laplacian15
+        problem15, spectrum15, gains15, y0, 3
     )
     assert traj.times[0] == 0.0
     assert np.array_equal(traj.interior[0], y0)
 
 
-def test_stable_mode_decays_at_its_own_rate(problem15, spectrum15, gains15, laplacian15):
+def test_stable_mode_decays_at_its_own_rate(problem15, spectrum15, gains15):
     # feedback annihilates the stable mode, so the run is pure modal decay
     y0 = spectrum15.modes[:, 1].copy()
     traj = ps.run_linear_closed_loop(
-        problem15, spectrum15, gains15, y0, 3, laplacian=laplacian15
+        problem15, spectrum15, gains15, y0, 3
     )
     assert np.max(np.abs(traj.schedule.held_values)) < 1e-10
     lam2 = spectrum15.lambdas[1]
@@ -41,10 +41,10 @@ def test_stable_mode_decays_at_its_own_rate(problem15, spectrum15, gains15, lapl
     assert np.allclose(ratios, np.exp(-lam2 * 0.2), rtol=5e-3)
 
 
-def test_unstable_mode_contracts_at_placed_rate(problem15, spectrum15, gains15, laplacian15):
+def test_unstable_mode_contracts_at_placed_rate(problem15, spectrum15, gains15):
     y0 = spectrum15.modes[:, 0].copy()
     traj = ps.run_linear_closed_loop(
-        problem15, spectrum15, gains15, y0, 10, laplacian=laplacian15
+        problem15, spectrum15, gains15, y0, 10
     )
     coords = np.array(
         [ps.project(y, spectrum15, 1)[0] for y in traj.sample_states()]
@@ -68,7 +68,7 @@ def test_zoh_modal_update_matches_oracle_and_converges():
             substeps=substeps, snapshot_stride=None,
             left_value=0.0, kind="linear-closed-loop",
             physical_offset=None, boundary_offset=0.0,
-            laplacian=None, sobolev_order=0.25,
+            sobolev_order=0.25,
             problem_hash="", gains_hash="", raise_on_blowup=True,
         )
         n = spectrum.unstable_count + 2
@@ -83,11 +83,11 @@ def test_zoh_modal_update_matches_oracle_and_converges():
     assert errors[200] / errors[400] > 3.0
 
 
-def test_hold_semantics_right_open(problem15, spectrum15, gains15, laplacian15):
+def test_hold_semantics_right_open(problem15, spectrum15, gains15):
     y0 = ps.seeded_initial_state(spectrum15, 21)
     traj = ps.run_linear_closed_loop(
         problem15, spectrum15, gains15, y0, 3,
-        snapshot_stride=16, laplacian=laplacian15,
+        snapshot_stride=16,
     )
     held = traj.schedule.held_values
     assert held.shape == (3,)
@@ -106,13 +106,13 @@ def test_hold_semantics_right_open(problem15, spectrum15, gains15, laplacian15):
         assert (idx + 1) in traj.sample_indices
 
 
-def test_bit_identical_reruns(problem15, spectrum15, gains15, laplacian15):
+def test_bit_identical_reruns(problem15, spectrum15, gains15):
     y0 = ps.seeded_initial_state(spectrum15, 33)
     a = ps.run_linear_closed_loop(
-        problem15, spectrum15, gains15, y0, 8, laplacian=laplacian15
+        problem15, spectrum15, gains15, y0, 8
     )
     b = ps.run_linear_closed_loop(
-        problem15, spectrum15, gains15, y0, 8, laplacian=laplacian15
+        problem15, spectrum15, gains15, y0, 8
     )
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.l2_norms, b.l2_norms)
@@ -120,57 +120,57 @@ def test_bit_identical_reruns(problem15, spectrum15, gains15, laplacian15):
     assert a.gains_hash == b.gains_hash
 
 
-def test_linear_superposition(problem15, spectrum15, gains15, laplacian15):
+def test_linear_superposition(problem15, spectrum15, gains15):
     ya = ps.seeded_initial_state(spectrum15, 1)
     yb = ps.seeded_initial_state(spectrum15, 2)
-    ta = ps.run_linear_closed_loop(problem15, spectrum15, gains15, ya, 5, laplacian=laplacian15)
-    tb = ps.run_linear_closed_loop(problem15, spectrum15, gains15, yb, 5, laplacian=laplacian15)
+    ta = ps.run_linear_closed_loop(problem15, spectrum15, gains15, ya, 5)
+    tb = ps.run_linear_closed_loop(problem15, spectrum15, gains15, yb, 5)
     tab = ps.run_linear_closed_loop(
-        problem15, spectrum15, gains15, ya + yb, 5, laplacian=laplacian15
+        problem15, spectrum15, gains15, ya + yb, 5
     )
     scale = np.abs(tab.interior).max()
     assert np.abs(tab.interior - (ta.interior + tb.interior)).max() <= 1e-12 * max(scale, 1.0)
 
 
-def test_open_loop_growth_and_decay(problem15, spectrum15, laplacian15):
+def test_open_loop_growth_and_decay(problem15, spectrum15):
     y0 = spectrum15.modes[:, 0].copy()
     traj = ps.run_open_loop(
-        problem15, spectrum15, y0, 5, snapshot_stride=8, laplacian=laplacian15
+        problem15, spectrum15, y0, 5, snapshot_stride=8
     )
     fit = ps.fit_decay_rate(traj)
     assert -fit.rate == pytest.approx(-spectrum15.lambdas[0], rel=0.05)
     y1 = spectrum15.modes[:, 1].copy()
     traj2 = ps.run_open_loop(
-        problem15, spectrum15, y1, 5, snapshot_stride=8, laplacian=laplacian15
+        problem15, spectrum15, y1, 5, snapshot_stride=8
     )
     fit2 = ps.fit_decay_rate(traj2)
     assert fit2.rate == pytest.approx(spectrum15.lambdas[1], rel=0.05)
 
 
-def test_open_loop_zero_state(problem15, spectrum15, laplacian15):
+def test_open_loop_zero_state(problem15, spectrum15):
     traj = ps.run_open_loop(
-        problem15, spectrum15, np.zeros(problem15.m), 3, laplacian=laplacian15
+        problem15, spectrum15, np.zeros(problem15.m), 3
     )
     assert np.all(traj.states == 0.0)
 
 
-def test_open_loop_guard_raises_with_partial_trajectory(problem15, spectrum15, laplacian15):
+def test_open_loop_guard_raises_with_partial_trajectory(problem15, spectrum15):
     y0 = 1e6 * spectrum15.modes[:, 0]
     with pytest.raises(ps.UnstableStep) as info:
-        ps.run_open_loop(problem15, spectrum15, y0, 40, laplacian=laplacian15)
+        ps.run_open_loop(problem15, spectrum15, y0, 40)
     partial = info.value.trajectory
     assert partial is not None
     assert partial.blowup_time is not None
     assert partial.l2_norms[-1] < np.inf
 
 
-def test_semilinear_equilibrium_is_fixed_point(laplacian15):
+def test_semilinear_equilibrium_is_fixed_point():
     prob = make_problem()
     spectrum = make_spectrum(prob)
     gains = ps.build_gains(spectrum, (2.0,), 0.2)
     ye = prob.equilibrium_values[1:-1]
     traj = ps.run_semilinear_closed_loop(
-        prob, spectrum, gains, ye.copy(), 4, laplacian=laplacian15
+        prob, spectrum, gains, ye.copy(), 4
     )
     assert np.max(traj.l2_norms) == 0.0
     assert np.allclose(traj.schedule.held_values, prob.equilibrium_values[-1])
@@ -197,24 +197,24 @@ def test_semilinear_nonzero_equilibrium_boundary_offset():
     assert np.max(traj.l2_norms) == 0.0
 
 
-def test_semilinear_small_data_decays(problem15, spectrum15, gains15, laplacian15):
+def test_semilinear_small_data_decays(problem15, spectrum15, gains15):
     y0 = ps.seeded_initial_state(
-        spectrum15, 42, amplitude=0.01, norm="sobolev", laplacian=laplacian15
+        spectrum15, 42, amplitude=0.01, norm="sobolev"
     )
     traj = ps.run_semilinear_closed_loop(
-        problem15, spectrum15, gains15, y0, 50, laplacian=laplacian15
+        problem15, spectrum15, gains15, y0, 50
     )
     assert traj.blowup_time is None
     fit = ps.fit_decay_rate(traj, norm_kind="sobolev")
     assert fit.rate > 0.9
 
 
-def test_semilinear_blowup_reported_not_raised(problem15, spectrum15, gains15, laplacian15):
+def test_semilinear_blowup_reported_not_raised(problem15, spectrum15, gains15):
     y0 = ps.seeded_initial_state(
-        spectrum15, 42, amplitude=50.0, norm="sobolev", laplacian=laplacian15
+        spectrum15, 42, amplitude=50.0, norm="sobolev"
     )
     traj = ps.run_semilinear_closed_loop(
-        problem15, spectrum15, gains15, y0, 50, laplacian=laplacian15
+        problem15, spectrum15, gains15, y0, 50
     )
     assert traj.blowup_time is not None
     assert traj.blowup_time < 10.0
@@ -231,20 +231,20 @@ def test_mismatched_period_rejected(problem15, spectrum15, gains15):
         )
 
 
-def test_seeded_initial_state_normalization(spectrum15, laplacian15):
+def test_seeded_initial_state_normalization(spectrum15):
     y = ps.seeded_initial_state(spectrum15, 5, amplitude=2.5, norm="l2")
     assert ps.l2_norm(y, spectrum15.h) == pytest.approx(2.5, rel=1e-12)
     ys = ps.seeded_initial_state(
-        spectrum15, 5, amplitude=0.01, norm="sobolev", laplacian=laplacian15
+        spectrum15, 5, amplitude=0.01, norm="sobolev"
     )
-    assert ps.sobolev_norm(ys, 0.25, laplacian15) == pytest.approx(0.01, rel=1e-12)
+    assert ps.sobolev_norm(ys, 0.25, spectrum15.h) == pytest.approx(0.01, rel=1e-12)
     again = ps.seeded_initial_state(spectrum15, 5, amplitude=2.5, norm="l2")
     assert np.array_equal(y, again)
 
 
-def test_decompose_zero_trajectory(problem15, spectrum15, gains15, laplacian15):
+def test_decompose_zero_trajectory(problem15, spectrum15, gains15):
     traj = ps.run_linear_closed_loop(
-        problem15, spectrum15, gains15, np.zeros(problem15.m), 4, laplacian=laplacian15
+        problem15, spectrum15, gains15, np.zeros(problem15.m), 4
     )
     dec = ps.decompose_z(traj, gains15, spectrum15)
     assert np.all(dec.z_samples == 0.0)
@@ -252,10 +252,10 @@ def test_decompose_zero_trajectory(problem15, spectrum15, gains15, laplacian15):
     assert np.all(dec.half_identity_residuals == 0.0)
 
 
-def test_decompose_identities_on_random_run(problem15, spectrum15, gains15, laplacian15):
+def test_decompose_identities_on_random_run(problem15, spectrum15, gains15):
     y0 = ps.seeded_initial_state(spectrum15, 17)
     traj = ps.run_linear_closed_loop(
-        problem15, spectrum15, gains15, y0, 20, laplacian=laplacian15
+        problem15, spectrum15, gains15, y0, 20
     )
     dec = ps.decompose_z(traj, gains15, spectrum15)
     assert dec.half_identity_residuals.max() <= 1e-2
@@ -264,17 +264,17 @@ def test_decompose_identities_on_random_run(problem15, spectrum15, gains15, lapl
     assert dec.jump_residuals.max() <= 1e-8
 
 
-def test_decompose_requires_linear_closed_loop(problem15, spectrum15, gains15, laplacian15):
+def test_decompose_requires_linear_closed_loop(problem15, spectrum15, gains15):
     y0 = ps.seeded_initial_state(spectrum15, 3)
-    traj = ps.run_open_loop(problem15, spectrum15, y0, 3, laplacian=laplacian15)
+    traj = ps.run_open_loop(problem15, spectrum15, y0, 3)
     with pytest.raises(ps.ParastabError):
         ps.decompose_z(traj, gains15, spectrum15)
 
 
-def test_trajectory_csv_schema(problem15, spectrum15, gains15, laplacian15):
+def test_trajectory_csv_schema(problem15, spectrum15, gains15):
     y0 = ps.seeded_initial_state(spectrum15, 8)
     traj = ps.run_linear_closed_loop(
-        problem15, spectrum15, gains15, y0, 2, laplacian=laplacian15
+        problem15, spectrum15, gains15, y0, 2
     )
     lines = ps.trajectory_to_csv(traj).strip().split("\n")
     assert lines[0] == "t,l2_norm,sob_norm,u_held"

@@ -170,17 +170,41 @@ def test_embed_project_is_idempotent_projection(spectrum15):
     assert np.max(np.abs(pp - p)) < 1e-10
 
 
-def test_sobolev_norm_zero_order_is_l2(problem15, laplacian15):
+def test_sobolev_norm_zero_order_is_l2(problem15):
     rng = np.random.default_rng(5)
     y = rng.standard_normal(problem15.m)
-    assert ps.sobolev_norm(y, 0.0, laplacian15) == pytest.approx(
+    assert ps.sobolev_norm(y, 0.0, problem15.h) == pytest.approx(
         ps.l2_norm(y, problem15.h), rel=1e-12
     )
 
 
+@pytest.mark.parametrize("m", [16, 200, 1000])
+def test_sobolev_norm_matches_eigenbasis_sum(m):
+    # the eigensolver basis of the pure -Laplacian is the reference
+    prob = make_problem(a=0.0, grid_points=m, gammas=None)
+    lap = ps.laplacian_spectrum(prob)
+    rng = np.random.default_rng(m)
+    for y in rng.standard_normal((3, m)):
+        coords = prob.h * (lap.modes.T @ y)
+        for s in (0.0, 0.25, 0.5, 0.9):
+            expected = np.sqrt(np.sum(lap.lambdas**s * coords**2))
+            assert ps.sobolev_norm(y, s, prob.h) == pytest.approx(expected, rel=1e-12)
+
+
+def test_sobolev_norm_sine_mode_closed_form(problem15):
+    # independent oracle: exact discrete second-difference eigenvalues
+    mu = discrete_laplacian_eigs(problem15.m, problem15.h)
+    x = problem15.interior_nodes
+    for j in (1, 7, problem15.m):
+        mode = np.sqrt(2.0) * np.sin(j * np.pi * x)
+        for s in (0.0, 0.25, 0.5, 0.9):
+            got = ps.sobolev_norm(mode, s, problem15.h)
+            assert got == pytest.approx(mu[j - 1] ** (s / 2.0), rel=1e-12)
+
+
 def test_sobolev_norm_single_mode(laplacian15):
     for s in (0.1, 0.25, 0.49):
-        got = ps.sobolev_norm(laplacian15.modes[:, 0], s, laplacian15)
+        got = ps.sobolev_norm(laplacian15.modes[:, 0], s, laplacian15.h)
         assert got == pytest.approx(laplacian15.lambdas[0] ** (s / 2.0), rel=1e-10)
 
 
@@ -189,15 +213,15 @@ def test_sobolev_norm_two_modes_closed_form(problem15, laplacian15):
     mu = discrete_laplacian_eigs(problem15.m, problem15.h)
     y = laplacian15.modes[:, 0] + laplacian15.modes[:, 1]
     expected = np.sqrt(mu[0] ** 0.25 + mu[1] ** 0.25)
-    assert ps.sobolev_norm(y, 0.25, laplacian15) == pytest.approx(expected, rel=1e-10)
+    assert ps.sobolev_norm(y, 0.25, problem15.h) == pytest.approx(expected, rel=1e-10)
     # and the continuum i^2 pi^2 weights agree loosely
     loose = np.sqrt((np.pi**2) ** 0.25 + (4 * np.pi**2) ** 0.25)
-    assert ps.sobolev_norm(y, 0.25, laplacian15) == pytest.approx(loose, rel=1e-3)
+    assert ps.sobolev_norm(y, 0.25, problem15.h) == pytest.approx(loose, rel=1e-3)
 
 
-def test_sobolev_norm_rejects_bad_order(laplacian15):
+def test_sobolev_norm_rejects_bad_order(problem15):
     with pytest.raises(ValueError):
-        ps.sobolev_norm(np.zeros(laplacian15.m), 1.0, laplacian15)
+        ps.sobolev_norm(np.zeros(problem15.m), 1.0, problem15.h)
 
 
 def test_spectrum_csv_schema(spectrum15):
