@@ -301,7 +301,7 @@ def sweep_sampling_period(
         )
         bound = float(np.exp(-gains.gammas[0] * period))
         horizon = max(int(np.ceil(total_time / period)), 3)
-        sub = substeps or problem.spec.substeps_per_hold
+        sub = problem.spec.substeps_per_hold if substeps is None else substeps
         stride = max(sub // 8, 1)
         rate: float | None = None
         note = ""

@@ -2,11 +2,44 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 import parastab as ps
 from parastab.simulate import _advance, problem_fingerprint
 
-from conftest import make_problem, make_spectrum
+from conftest import make_problem, make_spectrum, quiet_gains
+
+
+def _banded_step(spectrum, dt, w, forcing, remainder=None):
+    """Reference CN substep: (I + dt/2 A) rebuilt in band layout and solved
+    by solve_banded on every call, with the engine's right-hand-side order
+    ((I - dt/2 A) w + dt*forcing) + dt*remainder(w)."""
+    op = spectrum.operator
+    ab = np.zeros((3, op.m))
+    ab[0, 1:] = 0.5 * dt * op.offdiag
+    ab[1, :] = 1.0 + 0.5 * dt * op.diag
+    ab[2, :-1] = 0.5 * dt * op.offdiag
+    rhs = (1.0 - 0.5 * dt * op.diag) * w
+    rhs[:-1] -= 0.5 * dt * op.offdiag * w[1:]
+    rhs[1:] -= 0.5 * dt * op.offdiag * w[:-1]
+    rhs = rhs + dt * forcing
+    if remainder is not None:
+        rhs += dt * remainder(w)
+    return solve_banded((1, 1), ab, rhs)
+
+
+def _banded_run(problem, spectrum, w, horizon, control, remainder=None):
+    """Every substep state of a zero-order-hold run stepped by _banded_step."""
+    substeps = problem.spec.substeps_per_hold
+    dt = problem.period / substeps
+    states = [w]
+    for _ in range(horizon):
+        bc = np.zeros(spectrum.m)
+        bc[-1] = control(w) / spectrum.h**2
+        for _ in range(substeps):
+            w = _banded_step(spectrum, dt, w, bc, remainder)
+            states.append(w)
+    return np.array(states)
 
 
 def test_zero_initial_state_stays_zero(problem15, spectrum15, gains15):
@@ -66,7 +99,7 @@ def test_zoh_modal_update_matches_oracle_and_converges():
             prob, spectrum, y0, 1,
             control=lambda w: u, remainder=None,
             substeps=substeps, snapshot_stride=None,
-            left_value=0.0, kind="linear-closed-loop",
+            kind="linear-closed-loop",
             physical_offset=None, boundary_offset=0.0,
             sobolev_order=0.25,
             problem_hash="", gains_hash="", raise_on_blowup=True,
@@ -81,6 +114,105 @@ def test_zoh_modal_update_matches_oracle_and_converges():
         errors[m] = np.linalg.norm(got - oracle) / np.linalg.norm(oracle)
     assert errors[200] < 5e-3
     assert errors[200] / errors[400] > 3.0
+
+
+# the last case takes one substep per hold at T = 2.0, so dt*c/2 = 15 > 1:
+# I + dt/2 A is not diagonally dominant and its LU factorization pivots
+@pytest.mark.parametrize(
+    "grid_points, period, substeps, horizon",
+    [(16, 0.2, 64, 4), (200, 0.2, 64, 4), (200, 2.0, 1, 200)],
+    ids=["M16", "M200", "coarse-T2-one-substep"],
+)
+def test_linear_step_matches_banded_oracle(grid_points, period, substeps, horizon):
+    prob = make_problem(grid_points=grid_points, period=period, substeps=substeps)
+    spectrum = make_spectrum(prob)
+    gains = quiet_gains(spectrum, (2.0,), period)
+    y0 = ps.seeded_initial_state(spectrum, 11)
+    traj = ps.run_linear_closed_loop(
+        prob, spectrum, gains, y0, horizon, snapshot_stride=1
+    )
+    oracle = _banded_run(
+        prob, spectrum, y0, horizon, lambda w: ps.apply_feedback(gains, w, spectrum)
+    )
+    assert oracle.shape[0] - 1 >= 200
+    assert np.array_equal(traj.interior, oracle)
+
+
+def test_semilinear_step_matches_banded_oracle(problem15, spectrum15, gains15):
+    ye = problem15.equilibrium_values[1:-1]
+    x = problem15.interior_nodes
+    c = ps.linearized_coefficient(problem15)
+    f = problem15.spec.nonlinearity.f
+    f_base = np.asarray(f(x, ye), dtype=float)
+
+    def remainder(w):
+        return np.asarray(f(x, w + ye), dtype=float) - f_base - c * w
+
+    y0 = ps.seeded_initial_state(spectrum15, 19, amplitude=0.3)
+    traj = ps.run_semilinear_closed_loop(
+        problem15, spectrum15, gains15, y0 + ye, 4, snapshot_stride=1
+    )
+    oracle = _banded_run(
+        problem15, spectrum15, y0, 4,
+        lambda w: ps.apply_feedback(gains15, w, spectrum15), remainder,
+    )
+    assert oracle.shape[0] - 1 >= 200
+    assert traj.blowup_time is None
+    # the remainder is not negligible over the run
+    assert np.abs(remainder(oracle[-1])).max() > 1e-3 * np.abs(c * oracle[-1]).max()
+    assert np.array_equal(traj.interior, oracle + ye)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_guard_trips_on_nonfinite_state(problem15, spectrum15, bad):
+    substeps = problem15.spec.substeps_per_hold
+    poisoned = substeps + 6  # hold 1, substep 6
+    calls = []
+
+    def remainder(w):
+        calls.append(None)
+        out = np.zeros_like(w)
+        if len(calls) == poisoned:
+            out[5] = bad
+        return out
+
+    traj = _advance(
+        problem15, spectrum15, ps.seeded_initial_state(spectrum15, 2), 4,
+        control=lambda w: 0.0, remainder=remainder,
+        substeps=substeps, snapshot_stride=1,
+        kind="semilinear-closed-loop",
+        physical_offset=None, boundary_offset=0.0,
+        sobolev_order=0.25,
+        problem_hash="", gains_hash="", raise_on_blowup=False,
+    )
+    dt = problem15.period / substeps
+    assert len(calls) == poisoned
+    assert traj.blowup_time == 1 * problem15.period + 6 * dt
+    # snapshots stop at the last finite substep before the poisoned one
+    assert traj.times.size == poisoned
+    assert traj.states.shape[0] == traj.l2_norms.size == poisoned
+    assert traj.times[-1] == 1 * problem15.period + 5 * dt
+    assert traj.schedule.held_values.shape == (2,)
+    assert np.all(np.isfinite(traj.states))
+    assert np.all(np.isfinite(traj.l2_norms))
+
+
+@pytest.mark.parametrize("substeps", [0, -4])
+def test_nonpositive_substeps_rejected(problem15, spectrum15, gains15, substeps):
+    y0 = ps.seeded_initial_state(spectrum15, 4)
+    runs = [
+        lambda: ps.run_linear_closed_loop(
+            problem15, spectrum15, gains15, y0, 3, substeps=substeps
+        ),
+        lambda: ps.run_open_loop(problem15, spectrum15, y0, 3, substeps=substeps),
+        lambda: ps.run_semilinear_closed_loop(
+            problem15, spectrum15, gains15, y0, 3, substeps=substeps
+        ),
+        lambda: ps.sweep_sampling_period(problem15, [0.2], substeps=substeps),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="substeps must be at least 1"):
+            run()
 
 
 def test_hold_semantics_right_open(problem15, spectrum15, gains15):
