@@ -56,7 +56,6 @@ class ExactGains:
     dps: int
     lam_table: mp.matrix  # (N, N): entry (i, k) of the k-th diagonal weight
     integral_diag: mp.matrix  # (N,) hold integrals (identity weights at T -> 0)
-    gram_boundary: mp.matrix  # (N, N) flux Gram matrix
     gram_sum: mp.matrix  # (N, N) sum of weighted Gram terms
     gram_inverse: mp.matrix  # (N, N)
     gain_row: mp.matrix  # (N,)
@@ -98,11 +97,6 @@ def _assemble(lambdas, flux, gammas, T, dps: int) -> ExactGains:
         else:
             integral = mp.matrix([_hold_integral(lam[i], period) for i in range(n)])
 
-        gram0 = mp.zeros(n, n)
-        for i in range(n):
-            for j in range(n):
-                gram0[i, j] = b[i] * b[j]
-
         gram_sum = mp.zeros(n, n)
         vs = []
         for k in range(n):
@@ -138,7 +132,6 @@ def _assemble(lambdas, flux, gammas, T, dps: int) -> ExactGains:
             dps=dps,
             lam_table=table,
             integral_diag=integral,
-            gram_boundary=gram0,
             gram_sum=gram_sum,
             gram_inverse=gram_inv,
             gain_row=gain,

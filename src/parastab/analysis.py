@@ -127,6 +127,14 @@ def check_modal_recursion(
         return RecursionCheck(matrix_residual, None, None)
     if spectrum is None:
         raise ValueError("trajectory check needs the spectrum")
+    return RecursionCheck(matrix_residual, *_trajectory_recursion(gains, spectrum, trajectory))
+
+
+def _trajectory_recursion(
+    gains: GainSet, spectrum: Spectrum, trajectory: Trajectory
+) -> tuple[float, np.ndarray]:
+    """(worst, per-sample) relative residual of the stepped unstable
+    coordinates against the closed-loop matrix, sample to sample."""
     samples = trajectory.sample_states()
     coords = np.array([project(y, spectrum, gains.n) for y in samples])
     cmat = gains.closed_loop_matrix
@@ -137,8 +145,7 @@ def check_modal_recursion(
             continue
         res.append(np.linalg.norm(coords[i + 1] - cmat @ coords[i]) / scale)
     per_sample = np.array(res)
-    traj_res = float(per_sample.max()) if per_sample.size else 0.0
-    return RecursionCheck(matrix_residual, traj_res, per_sample)
+    return (float(per_sample.max()) if per_sample.size else 0.0), per_sample
 
 
 def check_contraction(gains: GainSet) -> tuple[float, float]:
@@ -149,6 +156,38 @@ def check_contraction(gains: GainSet) -> tuple[float, float]:
 def check_resolution(gains: GainSet) -> float:
     """Frobenius residual of (Gram sum)(inverse) - I, adaptive precision."""
     return _exact.resolution_residual(exact_system(gains))
+
+
+def add_algebraic_checks(
+    report: VerificationReport, gains: GainSet, tolerances: dict
+) -> None:
+    """Add the resolution, recursion-matrix and contraction records.
+
+    All three are evaluated on one adaptive-precision rebuild of the gains;
+    ``tolerances`` override DEFAULT_VERIFY_TOLERANCES.
+    """
+    tol = {**DEFAULT_VERIFY_TOLERANCES, **tolerances}
+    exact = exact_system(gains)
+    report.add(
+        "resolution-identity",
+        "gram-sum-times-inverse",
+        _exact.resolution_residual(exact),
+        tol["resolution_identity"],
+    )
+    report.add(
+        "recursion-identity",
+        "sampled-modal-recursion-matrix",
+        _exact.identity_residual(exact),
+        tol["recursion_identity"],
+    )
+    radius, bound = _exact.contraction_bound(exact)
+    report.add(
+        "contraction-bound",
+        "symmetrized-update-spectral-radius",
+        radius / bound - 1.0,
+        tol["contraction_slack"],
+        details={"spectral_radius": radius, "bound": bound},
+    )
 
 
 def check_lift_identity(
@@ -265,6 +304,51 @@ class SweepResult:
     histories: tuple[NormHistory, ...]
 
 
+def _sweep_runs(
+    problem: ValidatedProblem,
+    spectrum: Spectrum,
+    cases: Iterable[tuple[float, Sequence[float] | None, str]],
+    *,
+    total_time: float,
+    seed: int,
+    substeps: int | None = None,
+    note_synthesis_errors: bool,
+):
+    """Synthesize, run and fit one (period, gammas, label) case at a time.
+
+    Each seeded closed loop covers ``total_time`` (at least three holds) and
+    keeps every eighth substep.  Returns (gains, e^{-gamma_1 T}, fitted rate,
+    note) per case and the histories of the fitted runs.  A failed run or fit
+    becomes the note; so does a failed synthesis if ``note_synthesis_errors``,
+    otherwise it propagates.
+    """
+    y0 = seeded_initial_state(spectrum, seed)
+    sub = problem.spec.substeps_per_hold if substeps is None else substeps
+    outcomes = []
+    histories: list[NormHistory] = []
+    for period, gam, label in cases:
+        prob = validate_spec(dc_replace(problem.spec, sampling_period=period))
+        gains = rate = None
+        note = ""
+        try:
+            gains = build_gains(spectrum, gam, period)
+            horizon = max(int(np.ceil(total_time / period)), 3)
+            traj = run_linear_closed_loop(
+                prob, spectrum, gains, y0, horizon,
+                substeps=sub, snapshot_stride=max(sub // 8, 1),
+            )
+            rate = fit_decay_rate(traj).rate
+            histories.append((label, traj.times, traj.l2_norms))
+        except ParastabError as exc:
+            if gains is None and not note_synthesis_errors:
+                raise
+            note = f"{type(exc).__name__}: {exc}"
+        placed = gam if gains is None else gains.gammas
+        bound = float(np.exp(-placed[0] * period)) if placed else np.nan
+        outcomes.append((gains, bound, rate, note))
+    return outcomes, tuple(histories)
+
+
 def sweep_sampling_period(
     problem: ValidatedProblem,
     periods: Iterable[float],
@@ -279,8 +363,8 @@ def sweep_sampling_period(
     The spectrum (hence the continuous-time limit) is period-independent
     and computed once; each row synthesizes, runs a seeded closed loop
     covering ``total_time``, and fits the decay rate.  Rows with failed
-    runs carry a note instead of a rate.  Norm histories of the runs come
-    back alongside the table for plotting.
+    runs carry a note instead of a rate; a failed synthesis raises.  Norm
+    histories of the runs come back alongside the table for plotting.
     """
     periods = [float(p) for p in periods]
     if not periods or any(p <= 0 for p in periods):
@@ -289,48 +373,25 @@ def sweep_sampling_period(
     spectrum = compute_spectrum(problem, c, problem.spec.target_rate)
     gam = gammas if gammas is not None else problem.spec.gammas
     continuous = continuous_limit(spectrum, gam)
-    y0 = seeded_initial_state(spectrum, seed)
-    rows: list[SweepRow] = []
-    histories: list[NormHistory] = []
-    for period in periods:
-        prob_t = validate_spec(dc_replace(problem.spec, sampling_period=period))
-        gains = build_gains(spectrum, gam, period)
-        distance = float(
-            np.linalg.norm(gains.gain_row - continuous.gain_row)
-            / np.linalg.norm(continuous.gain_row)
+    outcomes, histories = _sweep_runs(
+        problem, spectrum, [(p, gam, f"T={p:g}") for p in periods],
+        total_time=total_time, seed=seed, substeps=substeps,
+        note_synthesis_errors=False,
+    )
+    scale = np.linalg.norm(continuous.gain_row)
+    rows = tuple(
+        SweepRow(
+            period=period,
+            gain_row=tuple(float(x) for x in gains.gain_row),
+            gain_distance=float(np.linalg.norm(gains.gain_row - continuous.gain_row) / scale),
+            contraction_bound=bound,
+            fitted_rate=rate,
+            condition_number=gains.condition_number,
+            note=note,
         )
-        bound = float(np.exp(-gains.gammas[0] * period))
-        horizon = max(int(np.ceil(total_time / period)), 3)
-        sub = problem.spec.substeps_per_hold if substeps is None else substeps
-        stride = max(sub // 8, 1)
-        rate: float | None = None
-        note = ""
-        try:
-            traj = run_linear_closed_loop(
-                prob_t,
-                spectrum,
-                gains,
-                y0,
-                horizon,
-                substeps=sub,
-                snapshot_stride=stride,
-            )
-            rate = fit_decay_rate(traj).rate
-            histories.append((f"T={period:g}", traj.times, traj.l2_norms))
-        except ParastabError as exc:
-            note = f"{type(exc).__name__}: {exc}"
-        rows.append(
-            SweepRow(
-                period=period,
-                gain_row=tuple(float(x) for x in gains.gain_row),
-                gain_distance=distance,
-                contraction_bound=bound,
-                fitted_rate=rate,
-                condition_number=gains.condition_number,
-                note=note,
-            )
-        )
-    return SweepResult(rows=tuple(rows), histories=tuple(histories))
+        for period, (gains, bound, rate, note) in zip(periods, outcomes)
+    )
+    return SweepResult(rows=rows, histories=histories)
 
 
 @dataclass(frozen=True)
@@ -356,54 +417,36 @@ def sweep_gammas(
     total_time: float = 10.0,
     seed: int = 7,
 ) -> GammaSweepResult:
-    """Closed-loop behavior across placement-rate choices at the configured T."""
+    """Closed-loop behavior across placement-rate choices at the configured T.
+
+    A list that fails to synthesize, run or fit gives a row with a note and
+    no gain row.
+    """
     if not gamma_lists:
         raise ValueError("need at least one placement list")
     c = linearized_coefficient(problem)
     spectrum = compute_spectrum(problem, c, problem.spec.target_rate)
-    y0 = seeded_initial_state(spectrum, seed)
-    period = problem.period
-    horizon = max(int(np.ceil(total_time / period)), 3)
-    stride = max(problem.spec.substeps_per_hold // 8, 1)
-    rows: list[GammaSweepRow] = []
-    histories: list[NormHistory] = []
-    for gam in gamma_lists:
-        gam = tuple(float(g) for g in gam)
-        rate: float | None = None
-        note = ""
-        try:
-            gains = build_gains(spectrum, gam, period)
-            traj = run_linear_closed_loop(
-                problem,
-                spectrum,
-                gains,
-                y0,
-                horizon,
-                snapshot_stride=stride,
-            )
-            rate = fit_decay_rate(traj).rate
-            histories.append((f"gammas={','.join(f'{g:g}' for g in gam)}", traj.times, traj.l2_norms))
-            rows.append(
-                GammaSweepRow(
-                    gammas=gam,
-                    gain_row=tuple(float(x) for x in gains.gain_row),
-                    contraction_bound=float(np.exp(-gam[0] * period)),
-                    fitted_rate=rate,
-                    condition_number=gains.condition_number,
-                )
-            )
-        except ParastabError as exc:
-            rows.append(
-                GammaSweepRow(
-                    gammas=gam,
-                    gain_row=(),
-                    contraction_bound=float(np.exp(-gam[0] * period)) if gam else np.nan,
-                    fitted_rate=None,
-                    condition_number=np.nan,
-                    note=f"{type(exc).__name__}: {exc}",
-                )
-            )
-    return GammaSweepResult(rows=tuple(rows), histories=tuple(histories))
+    gamma_lists = [tuple(float(g) for g in gam) for gam in gamma_lists]
+    cases = [
+        (problem.period, gam, f"gammas={','.join(f'{g:g}' for g in gam)}")
+        for gam in gamma_lists
+    ]
+    outcomes, histories = _sweep_runs(
+        problem, spectrum, cases, total_time=total_time, seed=seed,
+        note_synthesis_errors=True,
+    )
+    rows = tuple(
+        GammaSweepRow(
+            gammas=gam,
+            gain_row=() if note else tuple(float(x) for x in gains.gain_row),
+            contraction_bound=bound,
+            fitted_rate=rate,
+            condition_number=np.nan if note else gains.condition_number,
+            note=note,
+        )
+        for gam, (gains, bound, rate, note) in zip(gamma_lists, outcomes)
+    )
+    return GammaSweepResult(rows=rows, histories=histories)
 
 
 @dataclass(frozen=True)
@@ -592,6 +635,18 @@ def run_verification(
         spectrum = compute_spectrum(prob, c, spec.target_rate)
         return prob, spectrum
 
+    def add_refined(name, law, order_law, coarse, fine, tol_key, ratio_key):
+        """A grid-dependent residual at M and its convergence ratio to 2M."""
+        report.add(name, law, coarse, tol[tol_key])
+        report.add(
+            f"{name}-convergence",
+            order_law,
+            coarse / fine if fine > 0 else np.inf,
+            tol[ratio_key],
+            larger_is_worse=False,
+            details={"coarse": coarse, "fine": fine},
+        )
+
     prob_a, spec_a = grid_stage(spec.grid_points, spec.substeps_per_hold)
     report.metadata["unstable_count"] = spec_a.unstable_count
     report.add(
@@ -608,38 +663,13 @@ def run_verification(
     gains_a = build_gains(spec_a, spec.gammas, spec.sampling_period)
     gains_b = build_gains(spec_b, spec.gammas, spec.sampling_period)
     report.metadata["condition_number"] = gains_a.condition_number
-
-    report.add(
-        "resolution-identity",
-        "gram-sum-times-inverse",
-        check_resolution(gains_a),
-        tol["resolution_identity"],
-    )
-    report.add(
-        "recursion-identity",
-        "sampled-modal-recursion-matrix",
-        check_modal_recursion(gains_a).matrix_residual,
-        tol["recursion_identity"],
-    )
-    radius, bound = check_contraction(gains_a)
-    report.add(
-        "contraction-bound",
-        "symmetrized-update-spectral-radius",
-        radius / bound - 1.0,
-        tol["contraction_slack"],
-        details={"spectral_radius": radius, "bound": bound},
-    )
+    add_algebraic_checks(report, gains_a, tol)
 
     lift_a, _ = check_lift_identity(spec_a, gains_a)
     lift_b, _ = check_lift_identity(spec_b, gains_b)
-    report.add("lift-identity", "lift-trace-identity", lift_a, tol["lift_identity"])
-    report.add(
-        "lift-identity-convergence",
-        "lift-trace-identity-order",
-        lift_a / lift_b if lift_b > 0 else np.inf,
-        tol["lift_ratio"],
-        larger_is_worse=False,
-        details={"coarse": lift_a, "fine": lift_b},
+    add_refined(
+        "lift-identity", "lift-trace-identity", "lift-trace-identity-order",
+        lift_a, lift_b, "lift_identity", "lift_ratio",
     )
 
     y0_a = seeded_initial_state(spec_a, seed)
@@ -647,34 +677,18 @@ def run_verification(
     try:
         traj_a = run_linear_closed_loop(prob_a, spec_a, gains_a, y0_a, horizon)
         traj_b = run_linear_closed_loop(prob_b, spec_b, gains_b, y0_b, horizon)
-        rec_a = check_modal_recursion(gains_a, spec_a, traj_a).trajectory_residual
-        rec_b = check_modal_recursion(gains_b, spec_b, traj_b).trajectory_residual
-        report.add(
-            "trajectory-recursion",
-            "sampled-modal-recursion-trajectory",
-            rec_a,
-            tol["trajectory_recursion"],
-        )
-        report.add(
-            "trajectory-recursion-convergence",
-            "sampled-modal-recursion-order",
-            rec_a / rec_b if rec_b > 0 else np.inf,
-            tol["trajectory_ratio"],
-            larger_is_worse=False,
-            details={"coarse": rec_a, "fine": rec_b},
+        rec_a, _ = _trajectory_recursion(gains_a, spec_a, traj_a)
+        rec_b, _ = _trajectory_recursion(gains_b, spec_b, traj_b)
+        add_refined(
+            "trajectory-recursion", "sampled-modal-recursion-trajectory",
+            "sampled-modal-recursion-order", rec_a, rec_b,
+            "trajectory_recursion", "trajectory_ratio",
         )
         half_a = check_half_identity(traj_a, gains_a, spec_a)
         half_b = check_half_identity(traj_b, gains_b, spec_b)
-        report.add(
-            "half-identity", "sampled-state-doubling", half_a, tol["half_identity"]
-        )
-        report.add(
-            "half-identity-convergence",
-            "sampled-state-doubling-order",
-            half_a / half_b if half_b > 0 else np.inf,
-            tol["half_ratio"],
-            larger_is_worse=False,
-            details={"coarse": half_a, "fine": half_b},
+        add_refined(
+            "half-identity", "sampled-state-doubling", "sampled-state-doubling-order",
+            half_a, half_b, "half_identity", "half_ratio",
         )
     except ParastabError as exc:
         report.add(

@@ -2,7 +2,8 @@
 
 Subcommands: synthesize | simulate | verify | sweep.  A single INI-style
 config file (sections and key=value pairs, parsed by configparser) drives
-every run; unknown sections or keys are rejected so typos fail loudly.
+every run; unknown sections, keys, norms and output formats are rejected
+so typos fail loudly.
 All defaults are echoed into the emitted metadata for reproducibility, and
 every float in CSV output carries 17 significant digits.
 
@@ -59,9 +60,7 @@ from .simulate import (
 from .analysis import (
     DegenerateFit,
     VerificationReport,
-    check_contraction,
-    check_modal_recursion,
-    check_resolution,
+    add_algebraic_checks,
     estimate_basin,
     basin_to_csv,
     fit_decay_rate,
@@ -115,6 +114,8 @@ _SCHEMA = {
         "bisect_iters",
     },
 }
+
+_FORMATS = {"csv", "json", "svg", "modes", "matrices", "states"}
 
 
 @dataclasses.dataclass
@@ -268,6 +269,19 @@ def load_config(path: str | Path) -> RunConfig:
     if dynamics not in ("linear", "semilinear"):
         raise ConfigError(f"dynamics must be linear or semilinear, got {dynamics!r}")
 
+    norm = get("simulation", "norm", "l2")
+    if norm not in ("l2", "sobolev"):
+        raise ConfigError(f"norm must be l2 or sobolev, got {norm!r}")
+    formats = tuple(
+        tok.strip() for tok in get("output", "formats", "csv,json").split(",") if tok.strip()
+    )
+    unknown = set(formats) - _FORMATS
+    if unknown:
+        raise ConfigError(
+            f"unknown output format(s) {', '.join(sorted(unknown))}; "
+            f"choose from {', '.join(sorted(_FORMATS))}"
+        )
+
     tolerances = {}
     if parser.has_section("verify"):
         for key in parser["verify"]:
@@ -279,16 +293,12 @@ def load_config(path: str | Path) -> RunConfig:
         horizon=int(get("simulation", "horizon", "50")),
         initial=get("simulation", "initial", "random:7"),
         amplitude=float(get("simulation", "amplitude", "1.0")),
-        norm=get("simulation", "norm", "l2"),
+        norm=norm,
         sobolev_order=float(get("simulation", "sobolev_order", "0.25")),
         dynamics=dynamics,
         open_loop_horizon=int(get("simulation", "open_loop_horizon", "5")),
         out_dir=get("output", "directory", "out"),
-        formats=tuple(
-            tok.strip()
-            for tok in get("output", "formats", "csv,json").split(",")
-            if tok.strip()
-        ),
+        formats=formats,
         snapshot_stride=int(get("output", "snapshot_stride", "0")),
         verify_horizon=int(get("verify", "horizon", "10")),
         verify_seed=int(get("verify", "seed", "7")),
@@ -341,6 +351,17 @@ def _write(out_dir: Path, name: str, text: str) -> None:
     (out_dir / name).write_text(text)
 
 
+def _report_checks(report: VerificationReport) -> int:
+    """Print one PASS/FAIL line per check and return the exit code."""
+    for check in report.checks:
+        print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.residual:.3e}")
+    if not report.passed:
+        names = ", ".join(c.name for c in report.failures())
+        print(f"failed checks: {names}", file=sys.stderr)
+        return EXIT_VERIFY
+    return EXIT_OK
+
+
 def _setup(config: RunConfig):
     problem = validate_spec(config.spec)
     c = linearized_coefficient(problem)
@@ -365,30 +386,9 @@ def cmd_synthesize(config: RunConfig, out_dir: Path) -> int:
     _write(out_dir, "gains.json", gains_to_json(gains, continuous))
     if "matrices" in config.formats:
         _write(out_dir, "gain_matrices.csv", gain_matrices_to_csv(gains))
-    report.add(
-        "resolution-identity",
-        "gram-sum-times-inverse",
-        check_resolution(gains),
-        config.verify_tolerances.get("resolution_identity", 1e-10),
-    )
-    report.add(
-        "recursion-identity",
-        "sampled-modal-recursion-matrix",
-        check_modal_recursion(gains).matrix_residual,
-        config.verify_tolerances.get("recursion_identity", 1e-10),
-    )
-    radius, bound = check_contraction(gains)
-    report.add(
-        "contraction-bound",
-        "symmetrized-update-spectral-radius",
-        radius / bound - 1.0,
-        config.verify_tolerances.get("contraction_slack", 1e-8),
-        details={"spectral_radius": radius, "bound": bound},
-    )
+    add_algebraic_checks(report, gains, config.verify_tolerances)
     _write(out_dir, "verification.json", report.to_json())
-    for check in report.checks:
-        print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.residual:.3e}")
-    return EXIT_OK if report.passed else EXIT_VERIFY
+    return _report_checks(report)
 
 
 def cmd_simulate(
@@ -397,38 +397,29 @@ def cmd_simulate(
     problem, spectrum = _setup(config)
     y0 = _initial_state(config, spectrum)
     stride = config.snapshot_stride or None
-    blowup: float | None = None
     metadata: dict = {"config": config.echo()}
 
     gains = None
     if spectrum.unstable_count > 0:
         gains = build_gains(spectrum, config.spec.gammas, config.spec.sampling_period)
 
+    options = {"snapshot_stride": stride, "sobolev_order": config.sobolev_order}
     try:
-        if config.dynamics == "linear":
-            if gains is None:
-                # zero feedback: the closed loop degenerates to the baseline
-                trajectory = run_open_loop(
-                    problem, spectrum, y0, config.horizon,
-                    snapshot_stride=stride, sobolev_order=config.sobolev_order,
-                )
-            else:
-                trajectory = run_linear_closed_loop(
-                    problem, spectrum, gains, y0, config.horizon,
-                    snapshot_stride=stride, sobolev_order=config.sobolev_order,
-                )
-        else:
+        if config.dynamics == "semilinear":
             ye = problem.equilibrium_values[1:-1]
             trajectory = run_semilinear_closed_loop(
-                problem, spectrum, gains, y0 + ye, config.horizon,
-                snapshot_stride=stride, sobolev_order=config.sobolev_order,
+                problem, spectrum, gains, y0 + ye, config.horizon, **options
+            )
+        elif gains is None:
+            # zero feedback: the closed loop degenerates to the baseline
+            trajectory = run_open_loop(problem, spectrum, y0, config.horizon, **options)
+        else:
+            trajectory = run_linear_closed_loop(
+                problem, spectrum, gains, y0, config.horizon, **options
             )
     except UnstableStep as exc:
-        trajectory = exc.trajectory
-        blowup = trajectory.blowup_time if trajectory is not None else None
-    if trajectory is None:
-        raise ParastabError("run produced no snapshots")
-    blowup = trajectory.blowup_time if blowup is None else blowup
+        trajectory = exc.trajectory  # the run up to the blow-up
+    blowup = trajectory.blowup_time
 
     _write(out_dir, "trajectory.csv", trajectory_to_csv(trajectory))
     if "states" in config.formats:
@@ -454,10 +445,9 @@ def cmd_simulate(
             )
         except UnstableStep as exc:
             baseline = exc.trajectory
-        if baseline is not None:
-            _write(out_dir, "open_loop.csv", trajectory_to_csv(baseline))
-            metadata["open_loop_blowup_time"] = baseline.blowup_time
-            series.append(("open-loop", baseline.times, baseline.l2_norms))
+        _write(out_dir, "open_loop.csv", trajectory_to_csv(baseline))
+        metadata["open_loop_blowup_time"] = baseline.blowup_time
+        series.append(("open-loop", baseline.times, baseline.l2_norms))
 
     if "json" in config.formats:
         _write(out_dir, "run.json", json.dumps(metadata, indent=2, sort_keys=True, default=str))
@@ -483,20 +473,21 @@ def cmd_verify(config: RunConfig, out_dir: Path) -> int:
     )
     report.metadata["config"] = config.echo()
     _write(out_dir, "verification.json", report.to_json())
-    for check in report.checks:
-        print(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.residual:.3e}")
-    if not report.passed:
-        names = ", ".join(c.name for c in report.failures())
-        print(f"failed checks: {names}", file=sys.stderr)
-        return EXIT_VERIFY
-    return EXIT_OK
+    return _report_checks(report)
 
 
 def cmd_sweep(config: RunConfig, out_dir: Path, axis: str) -> int:
-    problem, spectrum = _setup(config)
+    values = {
+        "T": config.sweep_periods,
+        "gamma": config.sweep_gammas,
+        "amplitude": config.sweep_amplitudes,
+    }
+    if axis not in values:
+        raise ConfigError(f"unknown sweep axis {axis!r}")
+    problem = validate_spec(config.spec)
+    if not values[axis]:
+        raise ConfigError(f"sweep axis {axis} needs a non-empty [sweep] {axis} list")
     if axis == "T":
-        if not config.sweep_periods:
-            raise ConfigError("sweep axis T needs a non-empty [sweep] T list")
         result = sweep_sampling_period(
             problem,
             config.sweep_periods,
@@ -504,28 +495,21 @@ def cmd_sweep(config: RunConfig, out_dir: Path, axis: str) -> int:
             total_time=config.sweep_total_time,
             seed=config.sweep_seed,
         )
-        _write(out_dir, "sweep_T.csv", sweep_to_csv(result.rows))
-        if "svg" in config.formats and result.histories:
-            _write(out_dir, "sweep_T.svg", lognorm_svg(result.histories))
+        table = sweep_to_csv(result.rows)
     elif axis == "gamma":
-        if not config.sweep_gammas:
-            raise ConfigError("sweep axis gamma needs a non-empty [sweep] gamma list")
         result = sweep_gammas(
             problem,
             config.sweep_gammas,
             total_time=config.sweep_total_time,
             seed=config.sweep_seed,
         )
-        _write(out_dir, "sweep_gamma.csv", gamma_sweep_to_csv(result.rows))
-        if "svg" in config.formats and result.histories:
-            _write(out_dir, "sweep_gamma.svg", lognorm_svg(result.histories))
-    elif axis == "amplitude":
-        if not config.sweep_amplitudes:
-            raise ConfigError(
-                "sweep axis amplitude needs a non-empty [sweep] amplitude list"
-            )
+        table = gamma_sweep_to_csv(result.rows)
+    else:
+        # the T and gamma sweeps compute their own spectrum; the basin needs one here
+        c = linearized_coefficient(problem)
+        spectrum = compute_spectrum(problem, c, config.spec.target_rate)
         gains = build_gains(spectrum, config.spec.gammas, config.spec.sampling_period)
-        report = estimate_basin(
+        result = estimate_basin(
             problem,
             spectrum,
             gains,
@@ -534,11 +518,10 @@ def cmd_sweep(config: RunConfig, out_dir: Path, axis: str) -> int:
             seed=config.sweep_seed,
             bisect_iters=config.sweep_bisect_iters,
         )
-        _write(out_dir, "sweep_amplitude.csv", basin_to_csv(report))
-        if "svg" in config.formats and report.histories:
-            _write(out_dir, "sweep_amplitude.svg", lognorm_svg(report.histories))
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r}")
+        table = basin_to_csv(result)
+    _write(out_dir, f"sweep_{axis}.csv", table)
+    if "svg" in config.formats and result.histories:
+        _write(out_dir, f"sweep_{axis}.svg", lognorm_svg(result.histories))
     return EXIT_OK
 
 

@@ -170,6 +170,14 @@ class ValidatedProblem:
         return self.spec.sampling_period
 
 
+def gamma_ordering_error(gammas: Sequence[float], rho: float) -> str | None:
+    """Why ``gammas`` break rho < gamma_1 < gamma_2 < ... strictly, or None."""
+    g = tuple(gammas)
+    if any(b <= a for a, b in zip(g, g[1:])) or (g and g[0] <= rho):
+        return f"need target_rate < gamma_1 < gamma_2 < ...; got rho = {rho}, gammas = {g}"
+    return None
+
+
 def spec_violations(spec: ProblemSpec) -> list[str]:
     """Collect every constraint violation in ``spec`` as human-readable text."""
     errors: list[str] = []
@@ -186,13 +194,9 @@ def spec_violations(spec: ProblemSpec) -> list[str]:
     if spec.substeps_per_hold < 1:
         errors.append(f"substeps_per_hold must be >= 1, got {spec.substeps_per_hold}")
     if spec.gammas is not None:
-        g = tuple(spec.gammas)
-        if any(b <= a for a, b in zip(g, g[1:])):
-            errors.append(f"gammas must be strictly ascending, got {g}")
-        elif g and g[0] <= spec.target_rate:
-            errors.append(
-                f"gammas must exceed target_rate {spec.target_rate}, got gamma_1 = {g[0]}"
-            )
+        gamma_error = gamma_ordering_error(spec.gammas, spec.target_rate)
+        if gamma_error:
+            errors.append(gamma_error)
     return errors
 
 
@@ -228,11 +232,9 @@ def validate_spec(spec: ProblemSpec | ValidatedProblem) -> ValidatedProblem:
         raise GridTooCoarse(f"grid_points = {spec.grid_points} < {MIN_GRID_POINTS}")
     if spec.gammas is not None:
         g = tuple(float(x) for x in spec.gammas)
-        if any(b <= a for a, b in zip(g, g[1:])) or (g and g[0] <= spec.target_rate):
-            raise GammaOrderingViolation(
-                f"need target_rate < gamma_1 < gamma_2 < ...; "
-                f"got rho = {spec.target_rate}, gammas = {g}"
-            )
+        gamma_error = gamma_ordering_error(g, spec.target_rate)
+        if gamma_error:
+            raise GammaOrderingViolation(gamma_error)
         spec = replace(spec, gammas=g)
     remaining = spec_violations(spec)
     if remaining:

@@ -188,30 +188,51 @@ def seeded_initial_state(
 def _advance(
     problem: ValidatedProblem,
     spectrum: Spectrum,
-    w0: np.ndarray,
+    gains: GainSet | None,
+    y0: np.ndarray,
     horizon: int,
     control: Callable[[np.ndarray], float],
-    remainder: Callable[[np.ndarray], np.ndarray] | None,
+    remainder: Callable[[np.ndarray], np.ndarray] | None = None,
+    offset: np.ndarray | None = None,
     *,
-    substeps: int,
-    snapshot_stride: int | None,
     kind: str,
-    physical_offset: np.ndarray | None,
-    boundary_offset: float,
-    sobolev_order: float,
-    problem_hash: str,
-    gains_hash: str,
-    raise_on_blowup: bool,
+    substeps: int | None = None,
+    snapshot_stride: int | None = None,
+    sobolev_order: float = DEFAULT_SOBOLEV_ORDER,
 ) -> Trajectory:
-    """Shared hold-interval stepping engine (deviation variables)."""
+    """Shared hold-interval stepping engine.
+
+    The callers vary three arguments: ``control`` maps the sampled
+    deviation to the held value (the feedback in run_linear_closed_loop and
+    run_semilinear_closed_loop, zero in run_open_loop); ``remainder`` is the
+    explicit nonlinear term (run_semilinear_closed_loop only) and
+    ``offset`` the equilibrium on all M+2 nodes (likewise; None means zero).
+    The deviation y0 - offset is stepped, states are recorded as deviation
+    plus offset and held values are shifted by offset[-1].  ``gains`` only
+    enters the setup check and the fingerprint.  A blow-up raises
+    UnstableStep when there is no remainder (a linear loop only escapes when
+    the setup is inconsistent) and is reported through ``blowup_time``
+    otherwise.
+    """
+    if spectrum.m != problem.m:
+        raise DimensionMismatch("spectrum grid does not match the problem grid")
+    if gains is not None and abs(gains.sampling_period - problem.period) > 1e-12:
+        raise DimensionMismatch(
+            f"gains were built for T = {gains.sampling_period}, "
+            f"problem has T = {problem.period}"
+        )
     if horizon < 1:
         raise ValueError("horizon must be at least one hold interval")
+    if substeps is None:
+        substeps = problem.spec.substeps_per_hold
     if substeps < 1:
         raise ValueError(f"substeps must be at least 1, got {substeps}")
     m = problem.m
-    w = np.asarray(w0, dtype=float).copy()
+    w = np.asarray(y0, dtype=float).copy()
     if w.shape != (m,):
         raise ValueError(f"initial state must have shape ({m},), got {w.shape}")
+    if offset is not None:
+        w -= offset[1:-1]
 
     period = problem.period
     dt = period / substeps
@@ -255,20 +276,19 @@ def _advance(
             if blowup_time is not None:
                 break
 
-    held_arr = np.array(held) + boundary_offset
+    held_arr = np.array(held) + (0.0 if offset is None else float(offset[-1]))
     schedule = HoldSchedule(period=period, held_values=held_arr)
 
     n_snap = len(times)
     states = np.empty((n_snap, m + 2))
     l2 = np.empty(n_snap)
     sob = np.empty(n_snap)
-    states[:, 0] = 0.0 if physical_offset is None else physical_offset[0]
+    states[:, 0] = 0.0 if offset is None else offset[0]
     for j in range(n_snap):
         dev = snaps[j]
         l2[j] = l2_norm(dev, spectrum.h)
         sob[j] = sobolev_norm(dev, sobolev_order, spectrum.h)
-        row = dev if physical_offset is None else dev + physical_offset[1:-1]
-        states[j, 1:-1] = row
+        states[j, 1:-1] = dev if offset is None else dev + offset[1:-1]
         idx = min(snap_interval[j], len(held) - 1)
         states[j, -1] = held_arr[idx]
 
@@ -282,27 +302,15 @@ def _advance(
         sobolev_order=sobolev_order,
         sample_indices=np.array(sample_idx, dtype=int),
         substeps=substeps,
-        problem_hash=problem_hash,
-        gains_hash=gains_hash,
+        problem_hash=problem_fingerprint(problem),
+        gains_hash=gains_fingerprint(gains),
         blowup_time=blowup_time,
     )
-    if blowup_time is not None and raise_on_blowup:
+    if blowup_time is not None and remainder is None:
         raise UnstableStep(
             f"norm exceeded {BLOWUP_GUARD:.0e} at t = {blowup_time:.6g}", trajectory
         )
     return trajectory
-
-
-def _check_setup(
-    problem: ValidatedProblem, spectrum: Spectrum, gains: GainSet | None
-) -> None:
-    if spectrum.m != problem.m:
-        raise DimensionMismatch("spectrum grid does not match the problem grid")
-    if gains is not None and abs(gains.sampling_period - problem.period) > 1e-12:
-        raise DimensionMismatch(
-            f"gains were built for T = {gains.sampling_period}, "
-            f"problem has T = {problem.period}"
-        )
 
 
 def run_linear_closed_loop(
@@ -322,23 +330,11 @@ def run_linear_closed_loop(
     overflow guard trips, which for a synthesized gain indicates an
     inconsistent setup rather than expected behavior.
     """
-    _check_setup(problem, spectrum, gains)
     return _advance(
-        problem,
-        spectrum,
-        y0,
-        horizon,
-        control=lambda w: apply_feedback(gains, w, spectrum),
-        remainder=None,
-        substeps=problem.spec.substeps_per_hold if substeps is None else substeps,
-        snapshot_stride=snapshot_stride,
-        kind="linear-closed-loop",
-        physical_offset=None,
-        boundary_offset=0.0,
-        sobolev_order=sobolev_order,
-        problem_hash=problem_fingerprint(problem),
-        gains_hash=gains_fingerprint(gains),
-        raise_on_blowup=True,
+        problem, spectrum, gains, y0, horizon,
+        lambda w: apply_feedback(gains, w, spectrum),
+        kind="linear-closed-loop", substeps=substeps,
+        snapshot_stride=snapshot_stride, sobolev_order=sobolev_order,
     )
 
 
@@ -353,23 +349,10 @@ def run_open_loop(
     sobolev_order: float = DEFAULT_SOBOLEV_ORDER,
 ) -> Trajectory:
     """Uncontrolled baseline (u = 0); grows whenever unstable modes exist."""
-    _check_setup(problem, spectrum, None)
     return _advance(
-        problem,
-        spectrum,
-        y0,
-        horizon,
-        control=lambda w: 0.0,
-        remainder=None,
-        substeps=problem.spec.substeps_per_hold if substeps is None else substeps,
-        snapshot_stride=snapshot_stride,
-        kind="open-loop",
-        physical_offset=None,
-        boundary_offset=0.0,
-        sobolev_order=sobolev_order,
-        problem_hash=problem_fingerprint(problem),
-        gains_hash=gains_fingerprint(None),
-        raise_on_blowup=True,
+        problem, spectrum, None, y0, horizon, lambda w: 0.0,
+        kind="open-loop", substeps=substeps,
+        snapshot_stride=snapshot_stride, sobolev_order=sobolev_order,
     )
 
 
@@ -393,7 +376,6 @@ def run_semilinear_closed_loop(
     ``blowup_time`` instead of raising.  gains may be None when there is
     nothing to control (the feedback is then identically zero).
     """
-    _check_setup(problem, spectrum, gains)
     ye = problem.equilibrium_values
     x = problem.interior_nodes
     ye_int = ye[1:-1]
@@ -404,28 +386,13 @@ def run_semilinear_closed_loop(
     def remainder(w: np.ndarray) -> np.ndarray:
         return np.asarray(f(x, w + ye_int), dtype=float) - f_base - c * w
 
-    if gains is None:
-        control = lambda w: 0.0  # noqa: E731 - zero feedback, nothing unstable
-    else:
-        control = lambda w: apply_feedback(gains, w, spectrum)  # noqa: E731
+    def control(w: np.ndarray) -> float:
+        return 0.0 if gains is None else apply_feedback(gains, w, spectrum)
 
-    y0 = np.asarray(y0, dtype=float)
     return _advance(
-        problem,
-        spectrum,
-        y0 - ye_int,
-        horizon,
-        control=control,
-        remainder=remainder,
-        substeps=problem.spec.substeps_per_hold if substeps is None else substeps,
-        snapshot_stride=snapshot_stride,
-        kind="semilinear-closed-loop",
-        physical_offset=ye,
-        boundary_offset=float(ye[-1]),
-        sobolev_order=sobolev_order,
-        problem_hash=problem_fingerprint(problem),
-        gains_hash=gains_fingerprint(gains),
-        raise_on_blowup=False,
+        problem, spectrum, gains, y0, horizon, control, remainder, ye,
+        kind="semilinear-closed-loop", substeps=substeps,
+        snapshot_stride=snapshot_stride, sobolev_order=sobolev_order,
     )
 
 
@@ -470,7 +437,7 @@ def decompose_z(
     z_samples = np.empty((n_samp, m))
     half_res = np.empty(n_samp)
     image_res = np.empty(n_samp)
-    bkb = np.array([gains.gram_terms[k] @ gains.gram_inverse for k in range(n)])
+    bkb = np.array([term @ gains.gram_inverse for term in gains.gram_terms])
 
     for j in range(n_samp):
         y = samples[j]

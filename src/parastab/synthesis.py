@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _exact
-from .model import ParastabError
+from .model import GammaOrderingViolation, ParastabError, gamma_ordering_error
 from .spectral import Spectrum, project
 
 CONDITION_WARN_THRESHOLD = 1e12
@@ -86,13 +86,14 @@ class GainSet:
     """Everything the sampled feedback needs, rounded to float64.
 
     lambda_diags[i, k] is the (i, i) entry of the k-th diagonal weight
-    matrix; gram_terms[k] the k-th weighted Gram matrix; gram_inverse their
-    inverted sum.  gain_row realizes the full feedback, gain_rows_k[:, k]
-    its k-th component (the boundary datum fed to the k-th lift), and
-    closed_loop_matrix maps the unstable coordinates from one sample to the
-    next.  condition_number reports the conditioning of the inverted sum;
-    float64 consumers of gram_inverse should distrust it beyond ~1e12 even
-    though the stored entries are correctly rounded.
+    matrix; gram_terms[k] the k-th weighted Gram matrix (derived on access,
+    as is gram_boundary); gram_inverse their inverted sum.  gain_row
+    realizes the full feedback, gain_rows_k[:, k] its k-th component (the
+    boundary datum fed to the k-th lift), and closed_loop_matrix maps the
+    unstable coordinates from one sample to the next.  condition_number
+    reports the conditioning of the inverted sum; float64 consumers of
+    gram_inverse should distrust it beyond ~1e12 even though the stored
+    entries are correctly rounded.
     """
 
     sampling_period: float
@@ -101,8 +102,6 @@ class GainSet:
     flux: np.ndarray
     lambda_diags: np.ndarray
     integral_diag: np.ndarray
-    gram_boundary: np.ndarray
-    gram_terms: np.ndarray
     gram_inverse: np.ndarray
     gain_row: np.ndarray
     gain_rows_k: np.ndarray
@@ -113,6 +112,15 @@ class GainSet:
     def n(self) -> int:
         return self.gain_row.shape[0]
 
+    @property
+    def gram_boundary(self) -> np.ndarray:
+        return np.outer(self.flux, self.flux)
+
+    @property
+    def gram_terms(self) -> np.ndarray:
+        v = (self.lambda_diags * self.flux[:, None]).T  # row k: lambda_diags[:, k] * flux
+        return v[:, :, None] * v[:, None, :]
+
 
 @dataclass(frozen=True)
 class ContinuousGainSet:
@@ -122,7 +130,6 @@ class ContinuousGainSet:
     lambdas: np.ndarray
     flux: np.ndarray
     lambda0_diags: np.ndarray
-    gram_boundary: np.ndarray
     gram_inverse: np.ndarray
     gain_row: np.ndarray
     condition_number: float
@@ -130,6 +137,10 @@ class ContinuousGainSet:
     @property
     def n(self) -> int:
         return self.gain_row.shape[0]
+
+    @property
+    def gram_boundary(self) -> np.ndarray:
+        return np.outer(self.flux, self.flux)
 
 
 def default_gammas(rho: float, n: int) -> tuple[float, ...]:
@@ -150,8 +161,9 @@ def _check_gammas(gammas, rho: float, n: int) -> tuple[float, ...]:
     g = tuple(float(x) for x in gammas)
     if len(g) != n:
         raise ParastabError(f"need {n} placement rates, got {len(g)}")
-    if any(b <= a for a, b in zip(g, g[1:])) or g[0] <= rho:
-        raise ParastabError(f"need rho < gamma_1 < ... strictly, got {g}")
+    gamma_error = gamma_ordering_error(g, rho)
+    if gamma_error:
+        raise GammaOrderingViolation(gamma_error)
     return g
 
 
@@ -178,21 +190,13 @@ def build_gains(
     except _exact.ExactAlgebraError as exc:
         raise SingularBSum(str(exc)) from exc
 
-    n = lam.shape[0]
-    lam_diags = _exact.to_float_matrix(exact.lam_table)
-    gram_terms = np.empty((n, n, n))
-    for k in range(n):
-        v = lam_diags[:, k] * flux
-        gram_terms[k] = np.outer(v, v)
     gains = GainSet(
         sampling_period=float(period),
         gammas=g,
         lambdas=lam,
         flux=flux,
-        lambda_diags=lam_diags,
+        lambda_diags=_exact.to_float_matrix(exact.lam_table),
         integral_diag=_exact.to_float_vector(exact.integral_diag),
-        gram_boundary=np.outer(flux, flux),
-        gram_terms=gram_terms,
         gram_inverse=_exact.to_float_matrix(exact.gram_inverse),
         gain_row=_exact.to_float_vector(exact.gain_row),
         gain_rows_k=_exact.to_float_matrix(exact.gain_rows_k),
@@ -228,7 +232,6 @@ def continuous_limit(spectrum: Spectrum, gammas=None) -> ContinuousGainSet:
         lambdas=lam,
         flux=flux,
         lambda0_diags=_exact.to_float_matrix(exact.lam_table),
-        gram_boundary=np.outer(flux, flux),
         gram_inverse=_exact.to_float_matrix(exact.gram_inverse),
         gain_row=_exact.to_float_vector(exact.gain_row),
         condition_number=float(exact.condition),

@@ -139,6 +139,28 @@ def test_sweep_gammas(problem15):
     assert text.startswith("gammas,gain_row,contraction_bound")
 
 
+def test_sweep_synthesis_error_policies(problem15):
+    # two rates for one unstable mode cannot be synthesized: a noted row in
+    # the gamma sweep, an exception in the T sweep
+    result = ps.sweep_gammas(problem15, [(2.0,), (2.0, 3.0)], total_time=2.0)
+    ok, bad = result.rows
+    assert ok.note == "" and len(ok.gain_row) == 1
+    assert bad.note == "ParastabError: need 1 placement rates, got 2"
+    assert bad.gain_row == () and bad.fitted_rate is None
+    assert np.isnan(bad.condition_number)
+    assert bad.contraction_bound == float(np.exp(-2.0 * 0.2))
+    assert [label for label, _, _ in result.histories] == ["gammas=2"]
+    # lambda_1 = pi^2 - 5 > 0, so at T = 200 e^{-lambda_1 T} underflows and the
+    # float64 weight denominator degenerates while the continuous limit exists:
+    # the failure is met inside the row loop of both sweeps
+    fast = make_problem(a=5.0, rho=6.0, gammas=(7.0,))
+    with pytest.raises(ps.DegenerateDenominator):
+        ps.sweep_sampling_period(fast, (0.2, 200.0), total_time=2.0)
+    slow = make_problem(a=5.0, rho=6.0, gammas=(7.0,), period=200.0)
+    (row,) = ps.sweep_gammas(slow, [(7.0,)], total_time=2.0).rows
+    assert row.note.startswith("DegenerateDenominator: ")
+
+
 def test_estimate_basin_reports_rows(problem15, spectrum15, gains15):
     report = ps.estimate_basin(
         problem15,

@@ -80,6 +80,40 @@ def test_missing_file_exits_2(tmp_path):
     assert main(["synthesize", "--config", str(tmp_path / "nope.ini")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "line, typo, bad",
+    [
+        ("norm = sobolev", "norm = L2", "L2"),
+        ("formats = csv,json,svg", "formats = csv,jsno,svg", "jsno"),
+    ],
+    ids=["norm", "formats"],
+)
+def test_bad_norm_or_format_exits_2_before_any_output(tmp_path, line, typo, bad):
+    out = tmp_path / "out"
+    text = Path(write_config(tmp_path)).read_text()
+    text = text.replace("initial = random:42", "initial = mode:1").replace(line, typo)
+    (tmp_path / "run.ini").write_text(text)
+    with pytest.raises(ConfigError, match=bad):
+        load_config(tmp_path / "run.ini")
+    assert main(["simulate", "--config", str(tmp_path / "run.ini")]) == EXIT_CONFIG
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_synthesize_and_verify_share_the_algebraic_checks(tmp_path):
+    cfg = write_config(tmp_path, extra="[verify]\ncontraction_slack = 1e-6\n")
+    records = {}
+    for command in ("synthesize", "verify"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+        checks = json.loads((out / "verification.json").read_text())["checks"]
+        records[command] = {check["name"]: check for check in checks}
+    names = ["resolution-identity", "recursion-identity", "contraction-bound"]
+    assert list(records["synthesize"]) == names
+    assert records["synthesize"]["contraction-bound"]["tolerance"] == 1e-6
+    for name in names:
+        assert records["synthesize"][name] == records["verify"][name]
+
+
 def test_synthesize_writes_artifacts(tmp_path):
     out = tmp_path / "syn"
     code = main(["synthesize", "--config", write_config(tmp_path), "--out", str(out)])

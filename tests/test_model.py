@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import parastab as ps
-from parastab.model import MIN_GRID_POINTS
+from parastab.model import MIN_GRID_POINTS, gamma_ordering_error
 
 
 def test_validate_derives_grid_spacing():
@@ -56,6 +56,25 @@ def test_coarse_grid_rejected():
                 nonlinearity=ps.cubic_reaction(), grid_points=MIN_GRID_POINTS - 1
             )
         )
+
+
+@pytest.mark.parametrize(
+    "gammas", [(2.0, 1.5), (2.0, 2.0), (1.0,), (0.5,)],
+    ids=["descending", "repeated", "at-rho", "below-rho"],
+)
+def test_gamma_ordering_is_one_rule(spectrum15, gammas):
+    message = gamma_ordering_error(gammas, 1.0)
+    assert message is not None
+    spec = ps.ProblemSpec(nonlinearity=ps.cubic_reaction(), gammas=gammas)
+    assert message in ps.spec_violations(spec)
+    with pytest.raises(ps.GammaOrderingViolation) as validated:
+        ps.validate_spec(spec)
+    assert str(validated.value) == message
+    if len(gammas) == spectrum15.unstable_count:
+        with pytest.raises(ps.GammaOrderingViolation) as synthesized:
+            ps.build_gains(spectrum15, gammas, 0.2)
+        assert str(synthesized.value) == message
+    assert gamma_ordering_error((2.0, 3.0), 1.0) is None
 
 
 def test_spec_violations_lists_everything():

@@ -96,13 +96,9 @@ def test_zoh_modal_update_matches_oracle_and_converges():
         y0 = rng.standard_normal(m)
         u = 0.7
         traj = _advance(
-            prob, spectrum, y0, 1,
-            control=lambda w: u, remainder=None,
-            substeps=substeps, snapshot_stride=None,
-            kind="linear-closed-loop",
-            physical_offset=None, boundary_offset=0.0,
-            sobolev_order=0.25,
-            problem_hash="", gains_hash="", raise_on_blowup=True,
+            prob, spectrum, None, y0, 1,
+            control=lambda w: u,
+            kind="linear-closed-loop", substeps=substeps,
         )
         n = spectrum.unstable_count + 2
         lam = spectrum.lambdas[:n]
@@ -177,13 +173,9 @@ def test_guard_trips_on_nonfinite_state(problem15, spectrum15, bad):
         return out
 
     traj = _advance(
-        problem15, spectrum15, ps.seeded_initial_state(spectrum15, 2), 4,
+        problem15, spectrum15, None, ps.seeded_initial_state(spectrum15, 2), 4,
         control=lambda w: 0.0, remainder=remainder,
-        substeps=substeps, snapshot_stride=1,
-        kind="semilinear-closed-loop",
-        physical_offset=None, boundary_offset=0.0,
-        sobolev_order=0.25,
-        problem_hash="", gains_hash="", raise_on_blowup=False,
+        kind="semilinear-closed-loop", substeps=substeps, snapshot_stride=1,
     )
     dt = problem15.period / substeps
     assert len(calls) == poisoned

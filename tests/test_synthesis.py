@@ -85,6 +85,15 @@ def test_gain_row_flux_scaling_homogeneity(spectrum15, gains15):
     )
 
 
+def test_derived_gram_fields_match_their_definition(spectrum15, gains95):
+    for k in range(gains95.n):
+        v = gains95.lambda_diags[:, k] * gains95.flux
+        assert np.array_equal(gains95.gram_terms[k], np.outer(v, v))
+    assert np.array_equal(gains95.gram_boundary, np.outer(gains95.flux, gains95.flux))
+    continuous = ps.continuous_limit(spectrum15)
+    assert np.array_equal(continuous.gram_boundary, np.outer(continuous.flux, continuous.flux))
+
+
 def test_build_gains_three_modes_reports_conditioning(gains95):
     assert gains95.n == 3
     assert gains95.condition_number > 1.0
