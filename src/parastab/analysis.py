@@ -163,8 +163,8 @@ def add_algebraic_checks(
 ) -> None:
     """Add the resolution, recursion-matrix and contraction records.
 
-    All three are evaluated on one adaptive-precision rebuild of the gains;
-    ``tolerances`` override DEFAULT_VERIFY_TOLERANCES.
+    All three are evaluated on the adaptive-precision system the gains
+    were rounded from; ``tolerances`` override DEFAULT_VERIFY_TOLERANCES.
     """
     tol = {**DEFAULT_VERIFY_TOLERANCES, **tolerances}
     exact = exact_system(gains)

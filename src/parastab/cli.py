@@ -3,7 +3,8 @@
 Subcommands: synthesize | simulate | verify | sweep.  A single INI-style
 config file (sections and key=value pairs, parsed by configparser) drives
 every run; unknown sections, keys, norms and output formats are rejected
-so typos fail loudly.
+so typos fail loudly, and so are an open-loop horizon below 1 and a
+negative snapshot stride.
 All defaults are echoed into the emitted metadata for reproducibility, and
 every float in CSV output carries 17 significant digits.
 
@@ -282,6 +283,13 @@ def load_config(path: str | Path) -> RunConfig:
             f"choose from {', '.join(sorted(_FORMATS))}"
         )
 
+    open_loop_horizon = int(get("simulation", "open_loop_horizon", "5"))
+    if open_loop_horizon < 1:
+        raise ConfigError(f"open_loop_horizon must be at least 1, got {open_loop_horizon}")
+    snapshot_stride = int(get("output", "snapshot_stride", "0"))
+    if snapshot_stride < 0:
+        raise ConfigError(f"snapshot_stride must be 0 or positive, got {snapshot_stride}")
+
     tolerances = {}
     if parser.has_section("verify"):
         for key in parser["verify"]:
@@ -296,10 +304,10 @@ def load_config(path: str | Path) -> RunConfig:
         norm=norm,
         sobolev_order=float(get("simulation", "sobolev_order", "0.25")),
         dynamics=dynamics,
-        open_loop_horizon=int(get("simulation", "open_loop_horizon", "5")),
+        open_loop_horizon=open_loop_horizon,
         out_dir=get("output", "directory", "out"),
         formats=formats,
-        snapshot_stride=int(get("output", "snapshot_stride", "0")),
+        snapshot_stride=snapshot_stride,
         verify_horizon=int(get("verify", "horizon", "10")),
         verify_seed=int(get("verify", "seed", "7")),
         verify_tolerances=tolerances,

@@ -34,22 +34,24 @@ class LiftProfile:
     profile: np.ndarray  # values on the interior nodes
 
 
-def _shift_coefficients(gains: GainSet, k: int) -> np.ndarray:
-    """Per-mode correction 1/weight_{ik} - lambda_i for placement index k."""
-    if not 1 <= k <= gains.n:
-        raise ValueError(f"k must be in 1..{gains.n}, got {k}")
-    col = gains.lambda_diags[:, k - 1]
-    return 1.0 / col - gains.lambdas
+def _shift_coefficients(gains: GainSet) -> np.ndarray:
+    """Per-mode corrections 1/weight_{ik} - lambda_i; column k - 1 serves
+    placement index k."""
+    return 1.0 / gains.lambda_diags - gains.lambdas[:, None]
 
 
 def lift_matrix(spectrum: Spectrum, gains: GainSet, k: int) -> np.ndarray:
     """Dense M x M matrix of the corrected elliptic operator.
 
     Dense is deliberate: the correction is rank N on top of a tridiagonal
-    matrix, and M stays desk-sized here.
+    matrix, and the lift is linear in its boundary datum, so decompose_z
+    makes one dense solve per placement per decomposition (unit datum) and
+    scales it by every sample's datum.
     """
+    if not 1 <= k <= gains.n:
+        raise ValueError(f"k must be in 1..{gains.n}, got {k}")
     a = spectrum.operator.to_dense()
-    shifts = _shift_coefficients(gains, k)
+    shifts = _shift_coefficients(gains)[:, k - 1]
     modes = spectrum.modes[:, : gains.n]
     # <phi_i, .>_h carries a factor h, hence h * phi phi^T per mode
     a += (modes * (shifts * spectrum.h)) @ modes.T

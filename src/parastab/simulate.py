@@ -25,8 +25,8 @@ from scipy.linalg import get_lapack_funcs
 
 from .model import ParastabError, ValidatedProblem, linearized_coefficient
 from .spectral import Spectrum, l2_norm, project, sobolev_norm
-from .synthesis import DimensionMismatch, GainSet, apply_feedback
-from .lifting import hold_profiles
+from .synthesis import DimensionMismatch, GainSet, apply_feedback, component_feedback
+from .lifting import _shift_coefficients, dirichlet_lift
 
 BLOWUP_GUARD = 1e12
 DEFAULT_SOBOLEV_ORDER = 0.25
@@ -429,54 +429,42 @@ def decompose_z(
         raise MissingSampleSnapshots("sample snapshots are not T-spaced")
 
     n = gains.n
-    m = spectrum.m
     samples = trajectory.sample_states()
-    n_samp = samples.shape[0]
+    # the lift is linear in its datum: one unit-datum solve per placement,
+    # scaled by each sample's held datum (row j, column k)
+    data = component_feedback(gains, samples.T, spectrum).T
+    units = np.array(
+        [dirichlet_lift(spectrum, gains, k, 1.0).profile for k in range(1, n + 1)]
+    )
+    unit_coords = project(units.T, spectrum, n)  # column k: modal image of lift k
+    lift_samples = data[:, :, None] * units
+    z_samples = samples - lift_samples.sum(axis=1)
 
-    lift_samples = np.empty((n_samp, n, m))
-    z_samples = np.empty((n_samp, m))
-    half_res = np.empty(n_samp)
-    image_res = np.empty(n_samp)
+    yn = project(samples.T, spectrum, n).T
+    zn = project(z_samples.T, spectrum, n).T
+    scale = np.linalg.norm(yn, axis=1)
+    half_res = np.divide(
+        np.linalg.norm(yn - 0.5 * zn, axis=1), scale,
+        out=np.zeros_like(scale), where=scale > 0,
+    )
     bkb = np.array([term @ gains.gram_inverse for term in gains.gram_terms])
-
-    for j in range(n_samp):
-        y = samples[j]
-        profiles = hold_profiles(gains, spectrum, y)
-        for k in range(n):
-            lift_samples[j, k] = profiles[k].profile
-        z = y - lift_samples[j].sum(axis=0)
-        z_samples[j] = z
-        yn = project(y, spectrum, n)
-        zn = project(z, spectrum, n)
-        scale = np.linalg.norm(yn)
-        half_res[j] = (
-            np.linalg.norm(yn - 0.5 * zn) / scale if scale > 0 else 0.0
-        )
-        worst = 0.0
-        for k in range(n):
-            target = -bkb[k] @ yn
-            got = project(lift_samples[j, k], spectrum, n)
-            denom = np.linalg.norm(target)
-            if denom > 0:
-                worst = max(worst, np.linalg.norm(got - target) / denom)
-        image_res[j] = worst
+    targets = -np.einsum("kil,jl->jki", bkb, yn)
+    denom = np.linalg.norm(targets, axis=2)
+    image_err = np.linalg.norm(data[:, :, None] * unit_coords.T - targets, axis=2)
+    image_res = np.divide(
+        image_err, denom, out=np.zeros_like(denom), where=denom > 0
+    ).max(axis=1)
 
     # re-step z through its impulse evolution and compare at the samples
     dt = period / trajectory.substeps
     cn_rhs, solve = _cn_halves(spectrum, dt)
-    shifts = np.array(
-        [1.0 / gains.lambda_diags[:, k] - gains.lambdas for k in range(n)]
-    )
-    jump_res = np.empty(n_samp - 1)
-    for j in range(n_samp - 1):
-        source = np.zeros(m)
-        for k in range(n):
-            coords = project(lift_samples[j, k], spectrum, n)
-            source += spectrum.modes[:, :n] @ (shifts[k] * coords)
-        dt_source = dt * source
+    unit_sources = spectrum.modes[:, :n] @ (_shift_coefficients(gains) * unit_coords)
+    dt_sources = dt * (data @ unit_sources.T)
+    jump_res = np.empty(samples.shape[0] - 1)
+    for j in range(jump_res.size):
         z = z_samples[j]
         for _ in range(trajectory.substeps):
-            z = solve(cn_rhs(z, dt_source))
+            z = solve(cn_rhs(z, dt_sources[j]))
         jumped = z + lift_samples[j].sum(axis=0) - lift_samples[j + 1].sum(axis=0)
         scale = np.linalg.norm(z_samples[j + 1])
         jump_res[j] = (

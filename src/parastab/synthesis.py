@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,7 +93,8 @@ class GainSet:
     unstable coordinates from one sample to the next.  condition_number
     reports the conditioning of the inverted sum; float64 consumers of
     gram_inverse should distrust it beyond ~1e12 even though the stored
-    entries are correctly rounded.
+    entries are correctly rounded.  exact is the adaptive-precision system
+    all of them were rounded from.
     """
 
     sampling_period: float
@@ -107,6 +108,7 @@ class GainSet:
     gain_rows_k: np.ndarray
     closed_loop_matrix: np.ndarray
     condition_number: float
+    exact: _exact.ExactGains = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -202,6 +204,7 @@ def build_gains(
         gain_rows_k=_exact.to_float_matrix(exact.gain_rows_k),
         closed_loop_matrix=_exact.to_float_matrix(exact.closed_loop),
         condition_number=float(exact.condition),
+        exact=exact,
     )
     if gains.condition_number > CONDITION_WARN_THRESHOLD:
         warnings.warn(
@@ -213,10 +216,8 @@ def build_gains(
 
 
 def exact_system(gains: GainSet) -> _exact.ExactGains:
-    """Rebuild the adaptive-precision algebra from the gains' defining data."""
-    return _exact.gain_system(
-        gains.lambdas, gains.flux, gains.gammas, gains.sampling_period
-    )
+    """The adaptive-precision algebra the gains were rounded from."""
+    return gains.exact
 
 
 def continuous_limit(spectrum: Spectrum, gammas=None) -> ContinuousGainSet:
@@ -282,20 +283,16 @@ def gain_matrices_to_csv(gains: GainSet) -> str:
 
 
 def gains_to_json(gains: GainSet, continuous: ContinuousGainSet | None = None) -> str:
-    """Gain export with the documented schema, floats at 17 significant digits."""
-
-    def f(x: float) -> float:
-        return float(f"{x:.17g}")
-
+    """Gain export with the documented schema; floats round-trip exactly."""
     payload = {
-        "T": f(gains.sampling_period),
-        "gammas": [f(x) for x in gains.gammas],
-        "lambdas": [f(x) for x in gains.lambdas],
-        "boundary_flux": [f(x) for x in gains.flux],
-        "gain_row": [f(x) for x in gains.gain_row],
-        "condition_number": f(gains.condition_number),
+        "T": gains.sampling_period,
+        "gammas": list(gains.gammas),
+        "lambdas": gains.lambdas.tolist(),
+        "boundary_flux": gains.flux.tolist(),
+        "gain_row": gains.gain_row.tolist(),
+        "condition_number": gains.condition_number,
         "continuous_gain_row": (
-            None if continuous is None else [f(x) for x in continuous.gain_row]
+            None if continuous is None else continuous.gain_row.tolist()
         ),
     }
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -224,6 +224,21 @@ def test_verification_report_json_and_failures():
     assert len(payload["checks"]) == 2
 
 
+def test_algebraic_checks_reuse_the_synthesized_system(monkeypatch, gains95):
+    from parastab import _exact
+    from parastab.analysis import add_algebraic_checks
+
+    rebuilds = []
+    real = _exact.gain_system
+    monkeypatch.setattr(
+        _exact, "gain_system", lambda *args: rebuilds.append(args) or real(*args)
+    )
+    report = ps.VerificationReport()
+    add_algebraic_checks(report, gains95, {})
+    assert rebuilds == []
+    assert len(report.checks) == 3 and report.passed
+
+
 def test_run_verification_baseline_passes():
     spec = ps.ProblemSpec(
         nonlinearity=ps.fisher_reaction(15.0),

@@ -85,8 +85,10 @@ def test_missing_file_exits_2(tmp_path):
     [
         ("norm = sobolev", "norm = L2", "L2"),
         ("formats = csv,json,svg", "formats = csv,jsno,svg", "jsno"),
+        ("norm = sobolev", "norm = sobolev\nopen_loop_horizon = 0", "open_loop_horizon"),
+        ("formats = csv,json,svg", "formats = csv\nsnapshot_stride = -3", "snapshot_stride"),
     ],
-    ids=["norm", "formats"],
+    ids=["norm", "formats", "open-loop-horizon", "snapshot-stride"],
 )
 def test_bad_norm_or_format_exits_2_before_any_output(tmp_path, line, typo, bad):
     out = tmp_path / "out"
@@ -95,7 +97,8 @@ def test_bad_norm_or_format_exits_2_before_any_output(tmp_path, line, typo, bad)
     (tmp_path / "run.ini").write_text(text)
     with pytest.raises(ConfigError, match=bad):
         load_config(tmp_path / "run.ini")
-    assert main(["simulate", "--config", str(tmp_path / "run.ini")]) == EXIT_CONFIG
+    command = ["simulate", "--config", str(tmp_path / "run.ini"), "--open-loop"]
+    assert main(command) == EXIT_CONFIG
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -158,6 +161,17 @@ def test_readme_config_block_is_the_defaults(tmp_path):
         assert defaults["sweep"].pop(key) == []
         echo["sweep"].pop(key)
     assert echo == defaults
+
+
+def test_readme_python_block_runs_as_documented(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(block, namespace)
+    rate, matrix_residual = (float(v) for v in capsys.readouterr().out.split())
+    assert rate == pytest.approx(2.0, rel=1e-2)
+    assert matrix_residual <= 1e-10
+    assert namespace["radius"] <= namespace["bound"]
 
 
 def test_synthesize_deterministic_outputs(tmp_path):

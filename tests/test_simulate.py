@@ -388,6 +388,90 @@ def test_decompose_identities_on_random_run(problem15, spectrum15, gains15):
     assert dec.jump_residuals.max() <= 1e-8
 
 
+@pytest.fixture(
+    scope="module",
+    params=[(15.0, 0.2, (2.0,)), (95.0, 0.05, (2.0, 3.0, 4.0))],
+    ids=["gains15", "a95-T0.05"],
+)
+def sampled_run(request):
+    """(spectrum, gains, trajectory): six holds of a linear closed loop."""
+    a, period, gammas = request.param
+    problem = make_problem(a=a, period=period, gammas=gammas)
+    spectrum = make_spectrum(problem)
+    gains = quiet_gains(spectrum, gammas, period)
+    y0 = ps.seeded_initial_state(spectrum, 17)
+    return spectrum, gains, ps.run_linear_closed_loop(problem, spectrum, gains, y0, 6)
+
+
+def _per_sample_decomposition(traj, gains, spectrum):
+    """Reference z-decomposition: hold_profiles solves every lift at every
+    sample, and every modal coordinate is projected per sample and lift."""
+    n = gains.n
+    samples = traj.sample_states()
+    lifts = np.array(
+        [[p.profile for p in ps.hold_profiles(gains, spectrum, y)] for y in samples]
+    )
+    z = samples - lifts.sum(axis=1)
+    bkb = [term @ gains.gram_inverse for term in gains.gram_terms]
+    half, image = [], []
+    for y, zj, lj in zip(samples, z, lifts):
+        yn, zn = ps.project(y, spectrum, n), ps.project(zj, spectrum, n)
+        half.append(np.linalg.norm(yn - 0.5 * zn) / np.linalg.norm(yn))
+        image.append(max(
+            np.linalg.norm(ps.project(lj[k], spectrum, n) + bkb[k] @ yn)
+            / np.linalg.norm(bkb[k] @ yn)
+            for k in range(n)
+        ))
+    dt = traj.schedule.period / traj.substeps
+    jumps = []
+    for j in range(samples.shape[0] - 1):
+        source = np.zeros(spectrum.m)
+        for k in range(n):
+            shift = 1.0 / gains.lambda_diags[:, k] - gains.lambdas
+            coords = ps.project(lifts[j, k], spectrum, n)
+            source += spectrum.modes[:, :n] @ (shift * coords)
+        w = z[j]
+        for _ in range(traj.substeps):
+            w = _banded_step(spectrum, dt, w, source)
+        jumped = w + lifts[j].sum(axis=0) - lifts[j + 1].sum(axis=0)
+        jumps.append(np.linalg.norm(jumped - z[j + 1]) / np.linalg.norm(z[j + 1]))
+    return lifts, z, np.array(half), np.array(image), np.array(jumps)
+
+
+def test_decompose_matches_per_sample_lifts(sampled_run):
+    spectrum, gains, traj = sampled_run
+    dec = ps.decompose_z(traj, gains, spectrum)
+    lifts, z, half, image, jumps = _per_sample_decomposition(traj, gains, spectrum)
+    assert dec.lift_samples.shape == lifts.shape == (7, gains.n, spectrum.m)
+    np.testing.assert_allclose(dec.lift_samples, lifts, rtol=1e-10)
+    # relative to the largest entry: z crosses zero and, at N = 3, is the
+    # small difference of lifts some 40x larger, so single entries of z
+    # carry the lifts' last-digit differences at up to 6e-9 relative
+    assert np.abs(dec.z_samples - z).max() <= 1e-10 * np.abs(z).max()
+    np.testing.assert_allclose(dec.half_identity_residuals, half, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(dec.modal_image_residuals, image, rtol=0, atol=1e-9)
+    assert dec.jump_residuals.max() <= 1e-8
+    assert jumps.max() <= 1e-8
+
+
+def test_decompose_solves_one_unit_lift_per_placement(monkeypatch, sampled_run):
+    from parastab import lifting, simulate
+
+    spectrum, gains, traj = sampled_run
+    solved = []
+    real = lifting.dirichlet_lift
+
+    def counting(spectrum, gains, k, v):
+        solved.append((k, v))
+        return real(spectrum, gains, k, v)
+
+    # every namespace that may bind the solver
+    for module in (lifting, simulate):
+        monkeypatch.setattr(module, "dirichlet_lift", counting, raising=False)
+    ps.decompose_z(traj, gains, spectrum)
+    assert solved == [(k, 1.0) for k in range(1, gains.n + 1)]
+
+
 def test_decompose_requires_linear_closed_loop(problem15, spectrum15, gains15):
     y0 = ps.seeded_initial_state(spectrum15, 3)
     traj = ps.run_open_loop(problem15, spectrum15, y0, 3)
