@@ -68,6 +68,7 @@ from .simulate import (
     UnstableStep,
     ZDecomposition,
     decompose_z,
+    jump_residuals,
     run_linear_closed_loop,
     run_open_loop,
     run_semilinear_closed_loop,

@@ -26,7 +26,7 @@ class ExactAlgebraError(ArithmeticError):
 
 
 class _PrecisionExhausted(Exception):
-    """Internal: the Gram sum looked indefinite at the current precision."""
+    """Internal: the Gram sum looked indefinite or singular at the current precision."""
 
     def __init__(self, dps: int) -> None:
         super().__init__(f"indefinite at {dps} digits")
@@ -110,7 +110,12 @@ def _assemble(lambdas, flux, gammas, T, dps: int) -> ExactGains:
             raise _PrecisionExhausted(dps)
         condition = eigvals[-1] / eigvals[0]
 
-        gram_inv = gram_sum**-1
+        try:
+            gram_inv = gram_sum**-1
+        except ZeroDivisionError:
+            # the smallest eigenvalue can round positive and the elimination
+            # still meet a zero pivot; both mean too few digits
+            raise _PrecisionExhausted(dps) from None
         lam_total = mp.matrix(
             [sum(table[i, k] for k in range(n)) * b[i] for i in range(n)]
         )

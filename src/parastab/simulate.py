@@ -401,10 +401,8 @@ class ZDecomposition:
     """Sampled split of a linear closed-loop run into z plus lift profiles.
 
     z(t) = y(t) - sum_k psi_k(t) has homogeneous boundary values; its
-    unstable coordinates double those of y at every sample.  The jump
-    residual measures how well re-stepping z through its impulse evolution
-    (interior source from the frozen profiles, jump at each sample) matches
-    the direct decomposition.
+    unstable coordinates double those of y at every sample.  jump_residuals
+    re-steps z between the samples to check it against the stepper.
     """
 
     sample_times: np.ndarray
@@ -412,7 +410,6 @@ class ZDecomposition:
     lift_samples: np.ndarray  # (H+1, N, M)
     half_identity_residuals: np.ndarray  # (H+1,)
     modal_image_residuals: np.ndarray  # (H+1,)
-    jump_residuals: np.ndarray  # (H,)
 
 
 def decompose_z(
@@ -455,30 +452,42 @@ def decompose_z(
         image_err, denom, out=np.zeros_like(denom), where=denom > 0
     ).max(axis=1)
 
-    # re-step z through its impulse evolution and compare at the samples
-    dt = period / trajectory.substeps
-    cn_rhs, solve = _cn_halves(spectrum, dt)
-    unit_sources = spectrum.modes[:, :n] @ (_shift_coefficients(gains) * unit_coords)
-    dt_sources = dt * (data @ unit_sources.T)
-    jump_res = np.empty(samples.shape[0] - 1)
-    for j in range(jump_res.size):
-        z = z_samples[j]
-        for _ in range(trajectory.substeps):
-            z = solve(cn_rhs(z, dt_sources[j]))
-        jumped = z + lift_samples[j].sum(axis=0) - lift_samples[j + 1].sum(axis=0)
-        scale = np.linalg.norm(z_samples[j + 1])
-        jump_res[j] = (
-            np.linalg.norm(jumped - z_samples[j + 1]) / scale if scale > 0 else 0.0
-        )
-
     return ZDecomposition(
         sample_times=t_samples,
         z_samples=z_samples,
         lift_samples=lift_samples,
         half_identity_residuals=half_res,
         modal_image_residuals=image_res,
-        jump_residuals=jump_res,
     )
+
+
+def jump_residuals(
+    trajectory: Trajectory, gains: GainSet, spectrum: Spectrum, dec: ZDecomposition
+) -> np.ndarray:
+    """Re-step z through its impulse evolution and compare at the samples.
+
+    Between samples z is stepped with the interior source of the frozen lift
+    profiles, then jumps by the change of the lifts; entry j is the relative
+    distance of the result from dec.z_samples[j + 1].  Roundoff-small when
+    the decomposition is consistent with the stepper.
+    """
+    n = gains.n
+    modes = spectrum.modes[:, :n]
+    lift_coords = spectrum.h * (dec.lift_samples @ modes)  # (H+1, N lifts, n modes)
+    source_coords = np.einsum("jki,ik->ji", lift_coords, _shift_coefficients(gains))
+    dt = trajectory.schedule.period / trajectory.substeps
+    cn_rhs, solve = _cn_halves(spectrum, dt)
+    dt_sources = dt * (source_coords @ modes.T)
+    lifted = dec.lift_samples.sum(axis=1)
+    res = np.empty(dec.z_samples.shape[0] - 1)
+    for j in range(res.size):
+        z = dec.z_samples[j]
+        for _ in range(trajectory.substeps):
+            z = solve(cn_rhs(z, dt_sources[j]))
+        scale = np.linalg.norm(dec.z_samples[j + 1])
+        jumped = z + lifted[j] - lifted[j + 1]
+        res[j] = np.linalg.norm(jumped - dec.z_samples[j + 1]) / scale if scale > 0 else 0.0
+    return res
 
 
 def trajectory_to_csv(trajectory: Trajectory) -> str:

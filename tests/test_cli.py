@@ -243,11 +243,21 @@ def test_verify_passes_and_fails_on_tight_override(tmp_path):
     assert main(["verify", "--config", cfg, "--out", str(out)]) == EXIT_OK
     report = json.loads((out / "verification.json").read_text())
     assert report["passed"] is True
-    # an override below the exact-arithmetic floor must fail and exit 5
+    # the mpmath recursion residual may round to exactly 0.0, so 1e-60 can
+    # pass; a float64 Gram residual at M = 64 never gets below ~1e-17, so an
+    # orthonormality tolerance of 1e-30 fails for every correct spectrum
     cfg_tight = write_config(
-        tmp_path, name="tight.ini", extra="[verify]\nrecursion_identity = 1e-60\n"
+        tmp_path, name="tight.ini",
+        extra="[verify]\nrecursion_identity = 1e-60\northonormality = 1e-30\n",
     )
     assert main(["verify", "--config", cfg_tight, "--out", str(out)]) == EXIT_VERIFY
+    checks = {
+        c["name"]: c
+        for c in json.loads((out / "verification.json").read_text())["checks"]
+    }
+    assert checks["recursion-identity"]["tolerance"] == 1e-60
+    assert checks["orthonormality"]["tolerance"] == 1e-30
+    assert checks["orthonormality"]["passed"] is False
 
 
 def test_verify_no_unstable_modes_passes_with_warning(tmp_path):

@@ -94,6 +94,24 @@ def test_orthonormality_in_h_inner_product(spectrum15):
     assert ps.orthonormality_residual(spectrum15) <= 1e-12
 
 
+def test_fine_grid_spectrum_matches_closed_form():
+    # constant c = 15 at M = 1000: eigenpairs are the shifted discrete sine
+    # modes; a backward-stable solver is within p(M) eps ||T|| of each
+    # eigenvalue and p(M) eps ||T|| / gap of each mode, taking p(M) = sqrt(M)
+    spectrum = make_spectrum(make_problem(a=15.0, grid_points=1000))
+    m, h = spectrum.m, spectrum.h
+    assert np.all(spectrum.operator.diag == 2.0 / h**2 - 15.0)
+    assert ps.orthonormality_residual(spectrum) <= 1e-12
+    lam = discrete_laplacian_eigs(m, h) - 15.0
+    err = np.sqrt(m) * np.finfo(float).eps * (4.0 / h**2)
+    assert np.max(np.abs(spectrum.lambdas - lam)) <= err
+    gaps = np.minimum(np.diff(lam)[:10], np.diff(lam, prepend=-np.inf)[:10])
+    x = np.arange(1, m + 1) * h
+    for j in range(10):
+        sine = np.sqrt(2.0) * np.sin((j + 1) * np.pi * x)
+        assert ps.l2_norm(spectrum.modes[:, j] - sine, h) <= err / gaps[j]
+
+
 def test_sign_convention_first_component_positive(spectrum15):
     assert np.all(spectrum15.modes[0, :] > 0.0)
 
@@ -131,6 +149,14 @@ def test_boundary_flux_analytic_values():
     b2 = ps.boundary_flux(modes[:, 1], prob.h)
     assert b1 == pytest.approx(-np.sqrt(2.0) * np.pi, rel=1e-3)
     assert b2 == pytest.approx(2.0 * np.sqrt(2.0) * np.pi, rel=1e-3)
+
+
+def test_boundary_flux_of_a_mode_matrix(spectrum15):
+    # one entry per column, each equal to the single-mode value
+    fluxes = ps.boundary_flux(spectrum15.modes, spectrum15.h)
+    per_mode = [ps.boundary_flux(v, spectrum15.h) for v in spectrum15.modes.T]
+    assert np.array_equal(fluxes, per_mode)
+    assert np.array_equal(spectrum15.boundary_flux, per_mode)
 
 
 def test_boundary_flux_zero_mode():

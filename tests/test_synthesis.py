@@ -106,6 +106,15 @@ def test_build_gains_warns_on_extreme_conditioning(spectrum95):
         ps.build_gains(spectrum95, (2.0, 3.0, 4.0), 0.2)
 
 
+def test_gain_system_adds_digits_past_a_singular_gram_sum(spectrum95):
+    # T = 2.0: condition ~1e120, so at the base 50 digits the smallest Gram
+    # eigenvalue can round positive while the inverse meets a zero pivot
+    gains = quiet_gains(spectrum95, (2.0, 3.0, 4.0), 2.0)
+    assert gains.exact.dps > 120
+    assert ps.check_resolution(gains) <= 1e-10
+    assert ps.check_modal_recursion(gains).matrix_residual <= 1e-10
+
+
 def test_resolution_of_identity(gains15, gains95):
     assert ps.check_resolution(gains15) <= 1e-10
     assert ps.check_resolution(gains95) <= 1e-10
@@ -153,12 +162,27 @@ def test_apply_feedback_on_unstable_mode(spectrum15, gains15):
 
 
 def test_component_feedback_sums_to_feedback(spectrum95, gains95):
-    rng = np.random.default_rng(11)
-    y = rng.standard_normal(spectrum95.m)
+    y = np.random.default_rng(11).standard_normal(spectrum95.m)
+    eps = np.finfo(float).eps
+    # well conditioned (T = 0.05): the roundoff bound sum|parts| eps/|total| is 1.5e-12
+    gains_short = quiet_gains(spectrum95, (2.0, 3.0, 4.0), 0.05)
+    parts = ps.component_feedback(gains_short, y, spectrum95)
+    assert parts.shape == (3,)
+    total = ps.apply_feedback(gains_short, y, spectrum95)
+    assert np.sum(parts) == pytest.approx(total, rel=1e-9)
+    # T = 0.2 (condition 1.6e18): parts of ~1e7 cancel to ~-0.88, so float64
+    # can only promise the sum to within a few eps of sum|parts|
     parts = ps.component_feedback(gains95, y, spectrum95)
     total = ps.apply_feedback(gains95, y, spectrum95)
-    assert parts.shape == (3,)
-    assert np.sum(parts) == pytest.approx(total, rel=1e-9)
+    bound = 1e-9 * abs(total) + 4 * eps * np.abs(parts).sum()
+    assert abs(np.sum(parts) - total) <= bound
+    # in exact arithmetic the component rows sum to the gain row; the
+    # adaptive precision keeps condition * 10^-dps below 10^-35
+    for exact in (gains_short.exact, gains95.exact):
+        with mp.workdps(exact.dps):
+            for i in range(exact.n):
+                row_sum = mp.fsum(exact.gain_rows_k[i, k] for k in range(exact.n))
+                assert abs(row_sum - exact.gain_row[i]) <= 1e-30 * abs(exact.gain_row[i])
 
 
 def test_feedback_dimension_mismatch(spectrum15, gains95):
