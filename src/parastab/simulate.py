@@ -4,9 +4,9 @@ The boundary value is recomputed from the sampled state at t = iT and held
 constant on the right-open interval [iT, (i+1)T).  The interior is advanced
 by Crank-Nicolson (unconditionally stable, second order); the semilinear
 run treats the diffusion plus linearized reaction implicitly and the
-nonlinear remainder explicitly, so every solve stays tridiagonal.  The
-tridiagonal CN matrix is constant, so it is LU-factored once per run
-(LAPACK gttrf) and each substep costs one gttrs solve.
+nonlinear remainder explicitly, so every solve stays tridiagonal.  The CN
+matrix I + dt/2 A is factored once per run: LDL^T (LAPACK pttrf) when it is
+positive definite, 1 + dt lambda_1 / 2 > 0, else pivoted LU (gttrf).
 
 Runs operate on the deviation from the equilibrium: for the linearized
 loops the deviation *is* the state, for the semilinear loop the recorded
@@ -136,14 +136,11 @@ def gains_fingerprint(gains: GainSet | None) -> str:
 def _cn_halves(spectrum: Spectrum, dt: float):
     """Crank-Nicolson step dt as (rhs, solve): rhs(w, forcing) is a fresh
     (I - dt/2 A) w + forcing; solve(b) overwrites b with (I + dt/2 A)^-1 b,
-    from one LAPACK gttrf factorization made here."""
+    factored here once: LDL^T (pttrf), or LU (gttrf) if not positive definite."""
     op = spectrum.operator
     off = 0.5 * dt * op.offdiag
+    left_diag = 1.0 + 0.5 * dt * op.diag
     right_diag = 1.0 - 0.5 * dt * op.diag
-    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (op.diag,))
-    *lu, info = gttrf(off, 1.0 + 0.5 * dt * op.diag, off)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
 
     def rhs(w: np.ndarray, forcing: np.ndarray) -> np.ndarray:
         out = right_diag * w
@@ -152,6 +149,14 @@ def _cn_halves(spectrum: Spectrum, dt: float):
         out += forcing
         return out
 
+    pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), (op.diag,))
+    d, e, info = pttrf(left_diag, off)
+    if info == 0:
+        return rhs, lambda b: pttrs(d, e, b, overwrite_b=True)[0]
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (op.diag,))
+    *lu, info = gttrf(off, left_diag, off)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
     return rhs, lambda b: gttrs(*lu, b, overwrite_b=True)[0]
 
 
@@ -238,6 +243,7 @@ def _advance(
     dt = period / substeps
     cn_rhs, solve = _cn_halves(spectrum, dt)
     h2 = spectrum.h**2
+    guard_sq = BLOWUP_GUARD**2 / spectrum.h  # l2_norm(w) <= guard  <=>  w.w <= guard_sq
 
     times: list[float] = []
     snaps: list[np.ndarray] = []
@@ -266,8 +272,8 @@ def _advance(
                     rhs += dt * remainder(w)
                 w = solve(rhs)
                 t = i * period + n_sub * dt
-                # a NaN or inf state has a NaN or inf norm, so one test covers both
-                if not l2_norm(w, spectrum.h) <= BLOWUP_GUARD:
+                # a NaN or inf state has a NaN or inf w.w, so one test covers both
+                if not np.dot(w, w) <= guard_sq:
                     blowup_time = t
                     break
                 at_sample = n_sub == substeps

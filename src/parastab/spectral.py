@@ -10,6 +10,7 @@ component is positive.
 
 from __future__ import annotations
 
+import functools
 import io
 import warnings
 from dataclasses import dataclass
@@ -51,12 +52,6 @@ class TridiagonalOperator:
         a += np.diag(self.offdiag, 1)
         a += np.diag(self.offdiag, -1)
         return a
-
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        out = self.diag * y
-        out[:-1] += self.offdiag * y[1:]
-        out[1:] += self.offdiag * y[:-1]
-        return out
 
 
 @dataclass(frozen=True)
@@ -220,11 +215,20 @@ def sobolev_norm(y: np.ndarray, s: float, h: float) -> float:
     if not 0.0 <= s < 1.0:
         raise ValueError(f"s must lie in [0, 1), got {s}")
     m = y.shape[0]
-    mu = (4.0 / h**2) * np.sin(np.arange(1, m + 1) * (np.pi / (2 * (m + 1)))) ** 2
+    mu_s = _sobolev_weights(m, h, s)
     # the FFT of (0, y, 0, -reversed y) has imaginary part
     # -2 sum_i y_i sin(j pi i / (M+1)), and <y, e_j>_h^2 is h/(2(M+1)) times its square
     sines = np.fft.rfft(np.concatenate(([0.0], y, [0.0], -y[::-1])))[1 : m + 1].imag
-    return float(np.sqrt(h / (2.0 * (m + 1)) * np.dot(mu**s, sines * sines)))
+    return float(np.sqrt(h / (2.0 * (m + 1)) * np.dot(mu_s, sines * sines)))
+
+
+@functools.lru_cache(maxsize=32)
+def _sobolev_weights(m: int, h: float, s: float) -> np.ndarray:
+    """Read-only mu_j^s of sobolev_norm, built once per (M, h, s)."""
+    mu = (4.0 / h**2) * np.sin(np.arange(1, m + 1) * (np.pi / (2 * (m + 1)))) ** 2
+    mu **= s
+    mu.flags.writeable = False
+    return mu
 
 
 def spectrum_to_csv(spectrum: Spectrum) -> str:

@@ -2,33 +2,41 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs, solve_banded
 
 import parastab as ps
-from parastab.simulate import _advance, problem_fingerprint
+from parastab.simulate import BLOWUP_GUARD, _advance, problem_fingerprint
 
 from conftest import make_problem, make_spectrum, quiet_gains
 
 
-def _banded_step(spectrum, dt, w, forcing, remainder=None):
-    """Reference CN substep: (I + dt/2 A) rebuilt in band layout and solved
-    by solve_banded on every call, with the engine's right-hand-side order
-    ((I - dt/2 A) w + dt*forcing) + dt*remainder(w)."""
+def _banded_step(spectrum, dt, w, forcing, remainder=None, pivoting=False):
+    """Reference CN substep: (I + dt/2 A) rebuilt and solved on every call,
+    with the engine's right-hand-side order
+    ((I - dt/2 A) w + dt*forcing) + dt*remainder(w).  The solve is LAPACK
+    ptsv (LDL^T) when 1 + dt lambda_1 / 2 > 0 makes the matrix positive
+    definite, and solve_banded (pivoted LU) otherwise or with ``pivoting``."""
     op = spectrum.operator
-    ab = np.zeros((3, op.m))
-    ab[0, 1:] = 0.5 * dt * op.offdiag
-    ab[1, :] = 1.0 + 0.5 * dt * op.diag
-    ab[2, :-1] = 0.5 * dt * op.offdiag
+    diag = 1.0 + 0.5 * dt * op.diag
+    off = 0.5 * dt * op.offdiag
     rhs = (1.0 - 0.5 * dt * op.diag) * w
-    rhs[:-1] -= 0.5 * dt * op.offdiag * w[1:]
-    rhs[1:] -= 0.5 * dt * op.offdiag * w[:-1]
+    rhs[:-1] -= off * w[1:]
+    rhs[1:] -= off * w[:-1]
     rhs = rhs + dt * forcing
     if remainder is not None:
         rhs += dt * remainder(w)
+    if not pivoting and 1.0 + 0.5 * dt * spectrum.lambdas[0] > 0:
+        *_, x, info = get_lapack_funcs("ptsv", (diag,))(diag, off, rhs)
+        assert info == 0
+        return x
+    ab = np.zeros((3, op.m))
+    ab[0, 1:] = off
+    ab[1, :] = diag
+    ab[2, :-1] = off
     return solve_banded((1, 1), ab, rhs)
 
 
-def _banded_run(problem, spectrum, w, horizon, control, remainder=None):
+def _banded_run(problem, spectrum, w, horizon, control, remainder=None, pivoting=False):
     """Every substep state of a zero-order-hold run stepped by _banded_step."""
     substeps = problem.spec.substeps_per_hold
     dt = problem.period / substeps
@@ -37,7 +45,7 @@ def _banded_run(problem, spectrum, w, horizon, control, remainder=None):
         bc = np.zeros(spectrum.m)
         bc[-1] = control(w) / spectrum.h**2
         for _ in range(substeps):
-            w = _banded_step(spectrum, dt, w, bc, remainder)
+            w = _banded_step(spectrum, dt, w, bc, remainder, pivoting)
             states.append(w)
     return np.array(states)
 
@@ -113,7 +121,8 @@ def test_zoh_modal_update_matches_oracle_and_converges():
 
 
 # the last case takes one substep per hold at T = 2.0, so dt*c/2 = 15 > 1:
-# I + dt/2 A is not diagonally dominant and its LU factorization pivots
+# 1 + dt lambda_1 / 2 < 0, so I + dt/2 A is indefinite and the engine and
+# the oracle both take pivoted LU, which pivots; the others take LDL^T
 @pytest.mark.parametrize(
     "grid_points, period, substeps, horizon",
     [(16, 0.2, 64, 4), (200, 0.2, 64, 4), (200, 2.0, 1, 200)],
@@ -132,6 +141,20 @@ def test_linear_step_matches_banded_oracle(grid_points, period, substeps, horizo
     )
     assert oracle.shape[0] - 1 >= 200
     assert np.array_equal(traj.interior, oracle)
+    dt = period / substeps
+    if 1.0 + 0.5 * dt * spectrum.lambdas[0] > 0:
+        # LDL^T and pivoted LU are both backward stable, so their states part
+        # by at most about eps * cond(I + dt/2 A) per substep, summed over the
+        # run (measured 5e-15 at M = 16 and 1.9e-14 at M = 200)
+        pivoted = _banded_run(
+            prob, spectrum, y0, horizon,
+            lambda w: ps.apply_feedback(gains, w, spectrum), pivoting=True,
+        )
+        lam = spectrum.lambdas
+        cond = (1.0 + 0.5 * dt * lam[-1]) / (1.0 + 0.5 * dt * lam[0])
+        bound = (oracle.shape[0] - 1) * np.finfo(float).eps * cond
+        apart = np.linalg.norm(oracle - pivoted, axis=1) / np.linalg.norm(pivoted, axis=1)
+        assert apart.max() <= bound
 
 
 def test_semilinear_step_matches_banded_oracle(problem15, spectrum15, gains15):
@@ -286,6 +309,18 @@ def test_open_loop_guard_raises_with_partial_trajectory(problem15, spectrum15):
     assert partial is not None
     assert partial.blowup_time is not None
     assert partial.l2_norms[-1] < np.inf
+
+
+def test_guard_trips_at_the_first_state_past_it(problem15, spectrum15):
+    y0 = 1e6 * spectrum15.modes[:, 0]
+    with pytest.raises(ps.UnstableStep) as info:
+        ps.run_open_loop(problem15, spectrum15, y0, 40, snapshot_stride=1)
+    partial = info.value.trajectory
+    dt = problem15.period / problem15.spec.substeps_per_hold
+    assert partial.blowup_time == pytest.approx(partial.times[-1] + dt, abs=1e-12)
+    assert partial.l2_norms.max() <= BLOWUP_GUARD
+    tripped = _banded_step(spectrum15, dt, partial.interior[-1], np.zeros(problem15.m))
+    assert ps.l2_norm(tripped, problem15.h) > BLOWUP_GUARD
 
 
 def test_semilinear_equilibrium_is_fixed_point():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import parastab as ps
-from parastab.spectral import TridiagonalOperator
+from parastab.spectral import TridiagonalOperator, _sobolev_weights
 
 from conftest import make_problem, make_spectrum
 
@@ -243,6 +243,15 @@ def test_sobolev_norm_two_modes_closed_form(problem15, laplacian15):
     # and the continuum i^2 pi^2 weights agree loosely
     loose = np.sqrt((np.pi**2) ** 0.25 + (4 * np.pi**2) ** 0.25)
     assert ps.sobolev_norm(y, 0.25, problem15.h) == pytest.approx(loose, rel=1e-3)
+
+
+def test_sobolev_weights_are_cached_read_only(problem15):
+    m, h = problem15.m, problem15.h
+    weights = _sobolev_weights(m, h, 0.25)
+    assert _sobolev_weights(m, h, 0.25) is weights
+    assert not weights.flags.writeable
+    mu = (4.0 / h**2) * np.sin(np.arange(1, m + 1) * (np.pi / (2 * (m + 1)))) ** 2
+    assert np.array_equal(weights, mu**0.25)
 
 
 def test_sobolev_norm_rejects_bad_order(problem15):
