@@ -31,7 +31,6 @@ from .spectral import (
     boundary_flux,
     compute_spectrum,
     eigendecompose,
-    embed,
     l2_norm,
     laplacian_spectrum,
     project,
@@ -39,7 +38,6 @@ from .spectral import (
     sobolev_norm,
 )
 from .synthesis import (
-    ContinuousGainSet,
     DegenerateDenominator,
     DimensionMismatch,
     GainSet,
@@ -55,11 +53,8 @@ from .synthesis import (
     lambda_entry,
 )
 from .lifting import (
-    LiftProfile,
     SingularLiftSystem,
-    coercivity_check,
     dirichlet_lift,
-    hold_profiles,
 )
 from .simulate import (
     HoldSchedule,
@@ -68,7 +63,6 @@ from .simulate import (
     UnstableStep,
     ZDecomposition,
     decompose_z,
-    jump_residuals,
     run_linear_closed_loop,
     run_open_loop,
     run_semilinear_closed_loop,

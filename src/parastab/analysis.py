@@ -20,13 +20,7 @@ import numpy as np
 from . import _exact
 from .model import ParastabError, ProblemSpec, ValidatedProblem, validate_spec, linearized_coefficient
 from .spectral import Spectrum, compute_spectrum, project
-from .synthesis import (
-    ContinuousGainSet,
-    GainSet,
-    build_gains,
-    continuous_limit,
-    exact_system,
-)
+from .synthesis import GainSet, build_gains, continuous_limit, exact_system
 from .lifting import dirichlet_lift
 from .simulate import (
     Trajectory,
@@ -190,10 +184,8 @@ def add_algebraic_checks(
     )
 
 
-def check_lift_identity(
-    spectrum: Spectrum, gains: GainSet, v: float = 1.0
-) -> tuple[float, np.ndarray]:
-    """Trace identity of the lifts: <psi_k, phi_i>_h = -weight_{ik} v flux_i.
+def check_lift_identity(spectrum: Spectrum, gains: GainSet) -> tuple[float, np.ndarray]:
+    """Trace identity of the unit lifts: <psi_k, phi_i>_h = -weight_{ik} flux_i.
 
     Returns the worst relative residual over all mode/placement pairs and
     the full residual matrix (rows: modes, columns: placements).
@@ -201,10 +193,9 @@ def check_lift_identity(
     n = gains.n
     res = np.empty((n, n))
     for k in range(1, n + 1):
-        psi = dirichlet_lift(spectrum, gains, k, v).profile
-        coords = project(psi, spectrum, n)
+        coords = project(dirichlet_lift(spectrum, gains, k), spectrum, n)
         for i in range(n):
-            target = -gains.lambda_diags[i, k - 1] * v * gains.flux[i]
+            target = -gains.lambda_diags[i, k - 1] * gains.flux[i]
             res[i, k - 1] = abs(coords[i] - target) / abs(target)
     return float(res.max()), res
 
@@ -221,14 +212,14 @@ def gain_limit_distance(
     spectrum: Spectrum,
     gammas: Sequence[float] | None,
     period: float,
-    continuous: ContinuousGainSet | None = None,
+    continuous: np.ndarray | None = None,
 ) -> float:
-    """Relative distance between the sampled gain row at ``period`` and its limit."""
+    """Relative distance between the sampled gain row at ``period`` and its
+    limit, the continuous_limit row."""
     if continuous is None:
         continuous = continuous_limit(spectrum, gammas)
     gains = build_gains(spectrum, gammas, period)
-    scale = np.linalg.norm(continuous.gain_row)
-    return float(np.linalg.norm(gains.gain_row - continuous.gain_row) / scale)
+    return float(np.linalg.norm(gains.gain_row - continuous) / np.linalg.norm(continuous))
 
 
 @dataclass(frozen=True)
@@ -378,12 +369,12 @@ def sweep_sampling_period(
         total_time=total_time, seed=seed, substeps=substeps,
         note_synthesis_errors=False,
     )
-    scale = np.linalg.norm(continuous.gain_row)
+    scale = np.linalg.norm(continuous)
     rows = tuple(
         SweepRow(
             period=period,
             gain_row=tuple(float(x) for x in gains.gain_row),
-            gain_distance=float(np.linalg.norm(gains.gain_row - continuous.gain_row) / scale),
+            gain_distance=float(np.linalg.norm(gains.gain_row - continuous) / scale),
             contraction_bound=bound,
             fitted_rate=rate,
             condition_number=gains.condition_number,

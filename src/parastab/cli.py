@@ -3,8 +3,9 @@
 Subcommands: synthesize | simulate | verify | sweep.  A single INI-style
 config file (sections and key=value pairs, parsed by configparser) drives
 every run; unknown sections, keys, norms and output formats are rejected
-so typos fail loudly, and so are an open-loop horizon below 1 and a
-negative snapshot stride.
+so typos fail loudly, and so are more nonlinearity parameters than the
+kind takes, an open-loop horizon below 1, a negative snapshot stride, a
+sweep total_time that is not positive and negative bisect_iters.
 All defaults are echoed into the emitted metadata for reproducibility, and
 every float in CSV output carries 17 significant digits.
 
@@ -208,15 +209,16 @@ def _gamma_lists(raw: str) -> tuple[tuple[float, ...], ...]:
 
 def _build_nonlinearity(kind: str, parameters: tuple[float, ...]) -> NonlinearitySpec:
     kind = kind.strip().lower()
-    if kind in ("linear", "linear-only"):
-        a = parameters[0] if parameters else 0.0
-        return linear_reaction(a)
-    if kind == "fisher":
-        if len(parameters) > 1:
-            raise ConfigError("fisher nonlinearity takes at most one parameter")
-        return fisher_reaction(parameters[0] if parameters else 15.0)
     if kind == "cubic":
+        if parameters:
+            raise ConfigError("cubic nonlinearity takes no parameters")
         return cubic_reaction()
+    if kind in ("linear", "linear-only", "fisher"):
+        if len(parameters) > 1:
+            raise ConfigError(f"{kind} nonlinearity takes at most one parameter")
+        if kind == "fisher":
+            return fisher_reaction(parameters[0] if parameters else 15.0)
+        return linear_reaction(parameters[0] if parameters else 0.0)
     if kind in ("polynomial", "custom-polynomial"):
         return polynomial_reaction(parameters)
     raise ConfigError(f"unknown nonlinearity {kind!r}")
@@ -290,6 +292,13 @@ def load_config(path: str | Path) -> RunConfig:
     if snapshot_stride < 0:
         raise ConfigError(f"snapshot_stride must be 0 or positive, got {snapshot_stride}")
 
+    total_time = float(get("sweep", "total_time", "10.0"))
+    if not total_time > 0:
+        raise ConfigError(f"[sweep] total_time must be positive, got {total_time}")
+    bisect_iters = int(get("sweep", "bisect_iters", "20"))
+    if bisect_iters < 0:
+        raise ConfigError(f"[sweep] bisect_iters must be 0 or positive, got {bisect_iters}")
+
     tolerances = {}
     if parser.has_section("verify"):
         for key in parser["verify"]:
@@ -314,9 +323,9 @@ def load_config(path: str | Path) -> RunConfig:
         sweep_periods=_float_list(get("sweep", "T", "")),
         sweep_gammas=_gamma_lists(get("sweep", "gamma", "")),
         sweep_amplitudes=_float_list(get("sweep", "amplitude", "")),
-        sweep_total_time=float(get("sweep", "total_time", "10.0")),
+        sweep_total_time=total_time,
         sweep_seed=int(get("sweep", "seed", "7")),
-        sweep_bisect_iters=int(get("sweep", "bisect_iters", "20")),
+        sweep_bisect_iters=bisect_iters,
     )
 
 

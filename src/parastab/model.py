@@ -178,26 +178,31 @@ def gamma_ordering_error(gammas: Sequence[float], rho: float) -> str | None:
     return None
 
 
+def _violations(spec: ProblemSpec) -> list[ParastabError]:
+    """Every constraint ``spec`` breaks, as the typed error validate_spec
+    raises for it; the typed rules come first."""
+    gamma_error = (
+        None if spec.gammas is None else gamma_ordering_error(spec.gammas, spec.target_rate)
+    )
+    rules = [
+        (spec.sampling_period <= 0, NonPositivePeriod,
+         f"sampling_period must be positive, got {spec.sampling_period}"),
+        (spec.grid_points < MIN_GRID_POINTS, GridTooCoarse,
+         f"grid_points must be >= {MIN_GRID_POINTS}, got {spec.grid_points}"),
+        (gamma_error is not None, GammaOrderingViolation, gamma_error),
+        (spec.interval_length <= 0, ParastabError,
+         f"interval_length must be positive, got {spec.interval_length}"),
+        (spec.target_rate <= 0, ParastabError,
+         f"target_rate must be positive, got {spec.target_rate}"),
+        (spec.substeps_per_hold < 1, ParastabError,
+         f"substeps_per_hold must be >= 1, got {spec.substeps_per_hold}"),
+    ]
+    return [error(message) for broken, error, message in rules if broken]
+
+
 def spec_violations(spec: ProblemSpec) -> list[str]:
     """Collect every constraint violation in ``spec`` as human-readable text."""
-    errors: list[str] = []
-    if spec.interval_length <= 0:
-        errors.append(f"interval_length must be positive, got {spec.interval_length}")
-    if spec.grid_points < MIN_GRID_POINTS:
-        errors.append(
-            f"grid_points must be >= {MIN_GRID_POINTS}, got {spec.grid_points}"
-        )
-    if spec.sampling_period <= 0:
-        errors.append(f"sampling_period must be positive, got {spec.sampling_period}")
-    if spec.target_rate <= 0:
-        errors.append(f"target_rate must be positive, got {spec.target_rate}")
-    if spec.substeps_per_hold < 1:
-        errors.append(f"substeps_per_hold must be >= 1, got {spec.substeps_per_hold}")
-    if spec.gammas is not None:
-        gamma_error = gamma_ordering_error(spec.gammas, spec.target_rate)
-        if gamma_error:
-            errors.append(gamma_error)
-    return errors
+    return [str(error) for error in _violations(spec)]
 
 
 def _sample_equilibrium(spec: ProblemSpec, nodes: np.ndarray) -> np.ndarray:
@@ -220,25 +225,18 @@ def _sample_equilibrium(spec: ProblemSpec, nodes: np.ndarray) -> np.ndarray:
 def validate_spec(spec: ProblemSpec | ValidatedProblem) -> ValidatedProblem:
     """Check the spec and attach grid spacing, node coordinates, y_e samples.
 
-    Raises the first violation as a typed error (NonPositivePeriod,
-    GammaOrderingViolation, GridTooCoarse).  Validating an already
-    validated problem returns it unchanged.
+    Raises all violations in one error, typed as the first of them:
+    NonPositivePeriod, GridTooCoarse, GammaOrderingViolation, else
+    ParastabError.  Validating an already validated problem returns it
+    unchanged.
     """
     if isinstance(spec, ValidatedProblem):
         return spec
-    if spec.sampling_period <= 0:
-        raise NonPositivePeriod(f"sampling_period = {spec.sampling_period}")
-    if spec.grid_points < MIN_GRID_POINTS:
-        raise GridTooCoarse(f"grid_points = {spec.grid_points} < {MIN_GRID_POINTS}")
     if spec.gammas is not None:
-        g = tuple(float(x) for x in spec.gammas)
-        gamma_error = gamma_ordering_error(g, spec.target_rate)
-        if gamma_error:
-            raise GammaOrderingViolation(gamma_error)
-        spec = replace(spec, gammas=g)
-    remaining = spec_violations(spec)
-    if remaining:
-        raise ParastabError("; ".join(remaining))
+        spec = replace(spec, gammas=tuple(float(x) for x in spec.gammas))
+    errors = _violations(spec)
+    if errors:
+        raise type(errors[0])("; ".join(str(error) for error in errors))
 
     m = spec.grid_points
     h = spec.interval_length / (m + 1)

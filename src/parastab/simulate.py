@@ -26,7 +26,7 @@ from scipy.linalg import get_lapack_funcs
 from .model import ParastabError, ValidatedProblem, linearized_coefficient
 from .spectral import Spectrum, l2_norm, project, sobolev_norm
 from .synthesis import DimensionMismatch, GainSet, apply_feedback, component_feedback
-from .lifting import _shift_coefficients, dirichlet_lift
+from .lifting import dirichlet_lift
 
 BLOWUP_GUARD = 1e12
 DEFAULT_SOBOLEV_ORDER = 0.25
@@ -54,14 +54,6 @@ class HoldSchedule:
     @property
     def horizon(self) -> int:
         return self.held_values.shape[0]
-
-    @property
-    def sample_times(self) -> np.ndarray:
-        return self.period * np.arange(self.horizon)
-
-    def value_at(self, t: float) -> float:
-        i = min(int(np.floor(t / self.period + 1e-12)), self.horizon - 1)
-        return float(self.held_values[max(i, 0)])
 
 
 @dataclass(frozen=True)
@@ -407,15 +399,13 @@ class ZDecomposition:
     """Sampled split of a linear closed-loop run into z plus lift profiles.
 
     z(t) = y(t) - sum_k psi_k(t) has homogeneous boundary values; its
-    unstable coordinates double those of y at every sample.  jump_residuals
-    re-steps z between the samples to check it against the stepper.
+    unstable coordinates double those of y at every sample.
     """
 
     sample_times: np.ndarray
     z_samples: np.ndarray  # (H+1, M)
     lift_samples: np.ndarray  # (H+1, N, M)
     half_identity_residuals: np.ndarray  # (H+1,)
-    modal_image_residuals: np.ndarray  # (H+1,)
 
 
 def decompose_z(
@@ -436,10 +426,7 @@ def decompose_z(
     # the lift is linear in its datum: one unit-datum solve per placement,
     # scaled by each sample's held datum (row j, column k)
     data = component_feedback(gains, samples.T, spectrum).T
-    units = np.array(
-        [dirichlet_lift(spectrum, gains, k, 1.0).profile for k in range(1, n + 1)]
-    )
-    unit_coords = project(units.T, spectrum, n)  # column k: modal image of lift k
+    units = np.array([dirichlet_lift(spectrum, gains, k) for k in range(1, n + 1)])
     lift_samples = data[:, :, None] * units
     z_samples = samples - lift_samples.sum(axis=1)
 
@@ -450,50 +437,13 @@ def decompose_z(
         np.linalg.norm(yn - 0.5 * zn, axis=1), scale,
         out=np.zeros_like(scale), where=scale > 0,
     )
-    bkb = np.array([term @ gains.gram_inverse for term in gains.gram_terms])
-    targets = -np.einsum("kil,jl->jki", bkb, yn)
-    denom = np.linalg.norm(targets, axis=2)
-    image_err = np.linalg.norm(data[:, :, None] * unit_coords.T - targets, axis=2)
-    image_res = np.divide(
-        image_err, denom, out=np.zeros_like(denom), where=denom > 0
-    ).max(axis=1)
 
     return ZDecomposition(
         sample_times=t_samples,
         z_samples=z_samples,
         lift_samples=lift_samples,
         half_identity_residuals=half_res,
-        modal_image_residuals=image_res,
     )
-
-
-def jump_residuals(
-    trajectory: Trajectory, gains: GainSet, spectrum: Spectrum, dec: ZDecomposition
-) -> np.ndarray:
-    """Re-step z through its impulse evolution and compare at the samples.
-
-    Between samples z is stepped with the interior source of the frozen lift
-    profiles, then jumps by the change of the lifts; entry j is the relative
-    distance of the result from dec.z_samples[j + 1].  Roundoff-small when
-    the decomposition is consistent with the stepper.
-    """
-    n = gains.n
-    modes = spectrum.modes[:, :n]
-    lift_coords = spectrum.h * (dec.lift_samples @ modes)  # (H+1, N lifts, n modes)
-    source_coords = np.einsum("jki,ik->ji", lift_coords, _shift_coefficients(gains))
-    dt = trajectory.schedule.period / trajectory.substeps
-    cn_rhs, solve = _cn_halves(spectrum, dt)
-    dt_sources = dt * (source_coords @ modes.T)
-    lifted = dec.lift_samples.sum(axis=1)
-    res = np.empty(dec.z_samples.shape[0] - 1)
-    for j in range(res.size):
-        z = dec.z_samples[j]
-        for _ in range(trajectory.substeps):
-            z = solve(cn_rhs(z, dt_sources[j]))
-        scale = np.linalg.norm(dec.z_samples[j + 1])
-        jumped = z + lifted[j] - lifted[j + 1]
-        res[j] = np.linalg.norm(jumped - dec.z_samples[j + 1]) / scale if scale > 0 else 0.0
-    return res
 
 
 def trajectory_to_csv(trajectory: Trajectory) -> str:

@@ -197,12 +197,6 @@ def project(y: np.ndarray, spectrum: Spectrum, n: int | None = None) -> np.ndarr
     return spectrum.h * (spectrum.modes[:, :n].T @ y)
 
 
-def embed(coords: np.ndarray, spectrum: Spectrum) -> np.ndarray:
-    """Grid function with the given leading modal coordinates."""
-    coords = np.asarray(coords, dtype=float)
-    return spectrum.modes[:, : coords.shape[0]] @ coords
-
-
 def sobolev_norm(y: np.ndarray, s: float, h: float) -> float:
     """Fractional norm sqrt(sum_j mu_j^s <y, e_j>_h^2) over all M modes.
 

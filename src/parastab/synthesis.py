@@ -102,7 +102,6 @@ class GainSet:
     lambdas: np.ndarray
     flux: np.ndarray
     lambda_diags: np.ndarray
-    integral_diag: np.ndarray
     gram_inverse: np.ndarray
     gain_row: np.ndarray
     gain_rows_k: np.ndarray
@@ -122,27 +121,6 @@ class GainSet:
     def gram_terms(self) -> np.ndarray:
         v = (self.lambda_diags * self.flux[:, None]).T  # row k: lambda_diags[:, k] * flux
         return v[:, :, None] * v[:, None, :]
-
-
-@dataclass(frozen=True)
-class ContinuousGainSet:
-    """Zero-sampling-period limit of the construction (1/(gamma_k - lambda_i) weights)."""
-
-    gammas: tuple[float, ...]
-    lambdas: np.ndarray
-    flux: np.ndarray
-    lambda0_diags: np.ndarray
-    gram_inverse: np.ndarray
-    gain_row: np.ndarray
-    condition_number: float
-
-    @property
-    def n(self) -> int:
-        return self.gain_row.shape[0]
-
-    @property
-    def gram_boundary(self) -> np.ndarray:
-        return np.outer(self.flux, self.flux)
 
 
 def default_gammas(rho: float, n: int) -> tuple[float, ...]:
@@ -198,7 +176,6 @@ def build_gains(
         lambdas=lam,
         flux=flux,
         lambda_diags=_exact.to_float_matrix(exact.lam_table),
-        integral_diag=_exact.to_float_vector(exact.integral_diag),
         gram_inverse=_exact.to_float_matrix(exact.gram_inverse),
         gain_row=_exact.to_float_vector(exact.gain_row),
         gain_rows_k=_exact.to_float_matrix(exact.gain_rows_k),
@@ -220,23 +197,16 @@ def exact_system(gains: GainSet) -> _exact.ExactGains:
     return gains.exact
 
 
-def continuous_limit(spectrum: Spectrum, gammas=None) -> ContinuousGainSet:
-    """The zero-period limit of build_gains (continuous-time feedback)."""
+def continuous_limit(spectrum: Spectrum, gammas=None) -> np.ndarray:
+    """Gain row of the zero-period limit of build_gains (continuous-time
+    feedback, weights 1/(gamma_k - lambda_i)), rounded to float64."""
     lam, flux = _unstable_data(spectrum)
     g = _check_gammas(gammas, spectrum.rho, lam.shape[0])
     try:
         exact = _exact.gain_system(lam, flux, g, None)
     except _exact.ExactAlgebraError as exc:
         raise SingularBSum(str(exc)) from exc
-    return ContinuousGainSet(
-        gammas=g,
-        lambdas=lam,
-        flux=flux,
-        lambda0_diags=_exact.to_float_matrix(exact.lam_table),
-        gram_inverse=_exact.to_float_matrix(exact.gram_inverse),
-        gain_row=_exact.to_float_vector(exact.gain_row),
-        condition_number=float(exact.condition),
-    )
+    return _exact.to_float_vector(exact.gain_row)
 
 
 def _check_consistent(gains: GainSet, spectrum: Spectrum) -> None:
@@ -282,7 +252,7 @@ def gain_matrices_to_csv(gains: GainSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def gains_to_json(gains: GainSet, continuous: ContinuousGainSet | None = None) -> str:
+def gains_to_json(gains: GainSet, continuous: np.ndarray | None = None) -> str:
     """Gain export with the documented schema; floats round-trip exactly."""
     payload = {
         "T": gains.sampling_period,
@@ -292,7 +262,7 @@ def gains_to_json(gains: GainSet, continuous: ContinuousGainSet | None = None) -
         "gain_row": gains.gain_row.tolist(),
         "condition_number": gains.condition_number,
         "continuous_gain_row": (
-            None if continuous is None else continuous.gain_row.tolist()
+            None if continuous is None else continuous.tolist()
         ),
     }
     return json.dumps(payload, indent=2, sort_keys=True)

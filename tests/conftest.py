@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import parastab as ps
+from parastab.lifting import lift_matrix
 
 
 def make_problem(a=15.0, grid_points=200, period=0.2, rho=1.0, gammas=(2.0,), substeps=64):
@@ -62,3 +63,15 @@ def spectrum95(problem95):
 @pytest.fixture(scope="session")
 def gains95(spectrum95):
     return quiet_gains(spectrum95, (2.0, 3.0, 4.0), 0.2)
+
+
+def hold_profiles(gains, spectrum, y_sample):
+    """Per-sample lift oracle: one dense solve of the lift equation per
+    placement, its boundary datum the k-th feedback component at y_sample."""
+    data = ps.component_feedback(gains, y_sample, spectrum)
+    profiles = []
+    for k in range(1, gains.n + 1):
+        rhs = np.zeros(spectrum.m)
+        rhs[-1] = data[k - 1] / spectrum.h**2
+        profiles.append(np.linalg.solve(lift_matrix(spectrum, gains, k), rhs))
+    return profiles

@@ -159,7 +159,7 @@ def test_criterion_5_lift_trace_identity():
             problem = make_problem(a=a, grid_points=m, period=0.2, gammas=gammas)
             spectrum = make_spectrum(problem)
             gains = quiet_gains(spectrum, gammas, 0.2)
-            residuals[m], _ = ps.check_lift_identity(spectrum, gains, v=1.0)
+            residuals[m], _ = ps.check_lift_identity(spectrum, gains)
         worst_coarse = max(worst_coarse, residuals[200])
         worst_ratio = min(worst_ratio, residuals[200] / residuals[400])
     ok = worst_coarse <= 1e-2 and worst_ratio >= 3.0

@@ -87,8 +87,16 @@ def test_missing_file_exits_2(tmp_path):
         ("formats = csv,json,svg", "formats = csv,jsno,svg", "jsno"),
         ("norm = sobolev", "norm = sobolev\nopen_loop_horizon = 0", "open_loop_horizon"),
         ("formats = csv,json,svg", "formats = csv\nsnapshot_stride = -3", "snapshot_stride"),
+        ("nonlinearity = fisher\nparameters = 15.0",
+         "nonlinearity = cubic\nparameters = 3.0, 4.0", "cubic nonlinearity takes no"),
+        ("nonlinearity = fisher\nparameters = 15.0",
+         "nonlinearity = linear\nparameters = 15.0, 99.0", "linear nonlinearity takes at most"),
+        ("formats = csv,json,svg", "formats = csv\n[sweep]\ntotal_time = -5", "total_time"),
+        ("formats = csv,json,svg", "formats = csv\n[sweep]\ntotal_time = 0", "total_time"),
+        ("formats = csv,json,svg", "formats = csv\n[sweep]\nbisect_iters = -3", "bisect_iters"),
     ],
-    ids=["norm", "formats", "open-loop-horizon", "snapshot-stride"],
+    ids=["norm", "formats", "open-loop-horizon", "snapshot-stride", "cubic-parameters",
+         "linear-parameters", "negative-total-time", "zero-total-time", "bisect-iters"],
 )
 def test_bad_norm_or_format_exits_2_before_any_output(tmp_path, line, typo, bad):
     out = tmp_path / "out"

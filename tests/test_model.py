@@ -59,21 +59,32 @@ def test_coarse_grid_rejected():
 
 
 @pytest.mark.parametrize(
-    "gammas", [(2.0, 1.5), (2.0, 2.0), (1.0,), (0.5,)],
-    ids=["descending", "repeated", "at-rho", "below-rho"],
+    "fields, error",
+    [
+        ({"gammas": (2.0, 1.5)}, ps.GammaOrderingViolation),
+        ({"gammas": (2.0, 2.0)}, ps.GammaOrderingViolation),
+        ({"gammas": (1.0,)}, ps.GammaOrderingViolation),
+        ({"gammas": (0.5,)}, ps.GammaOrderingViolation),
+        ({"sampling_period": 0.0}, ps.NonPositivePeriod),
+        ({"grid_points": MIN_GRID_POINTS - 1}, ps.GridTooCoarse),
+    ],
+    ids=["descending", "repeated", "at-rho", "below-rho", "zero-period", "coarse-grid"],
 )
-def test_gamma_ordering_is_one_rule(spectrum15, gammas):
-    message = gamma_ordering_error(gammas, 1.0)
-    assert message is not None
-    spec = ps.ProblemSpec(nonlinearity=ps.cubic_reaction(), gammas=gammas)
-    assert message in ps.spec_violations(spec)
-    with pytest.raises(ps.GammaOrderingViolation) as validated:
+def test_gamma_ordering_is_one_rule(spectrum15, fields, error):
+    # each spec rule is written once: spec_violations lists its message and
+    # validate_spec raises that same message as the rule's typed error
+    spec = ps.ProblemSpec(nonlinearity=ps.cubic_reaction(), **fields)
+    (message,) = ps.spec_violations(spec)
+    with pytest.raises(error) as validated:
         ps.validate_spec(spec)
     assert str(validated.value) == message
-    if len(gammas) == spectrum15.unstable_count:
-        with pytest.raises(ps.GammaOrderingViolation) as synthesized:
-            ps.build_gains(spectrum15, gammas, 0.2)
-        assert str(synthesized.value) == message
+    gammas = fields.get("gammas")
+    if gammas is not None:
+        assert message == gamma_ordering_error(gammas, 1.0)
+        if len(gammas) == spectrum15.unstable_count:
+            with pytest.raises(ps.GammaOrderingViolation) as synthesized:
+                ps.build_gains(spectrum15, gammas, 0.2)
+            assert str(synthesized.value) == message
     assert gamma_ordering_error((2.0, 3.0), 1.0) is None
 
 
