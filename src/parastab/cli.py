@@ -4,8 +4,9 @@ Subcommands: synthesize | simulate | verify | sweep.  A single INI-style
 config file (sections and key=value pairs, parsed by configparser) drives
 every run; unknown sections, keys, norms and output formats are rejected
 so typos fail loudly, and so are more nonlinearity parameters than the
-kind takes, an open-loop horizon below 1, a negative snapshot stride, a
-sweep total_time that is not positive and negative bisect_iters.
+kind takes, a negative or NaN amplitude, an open-loop horizon below 1, a
+negative snapshot stride, a sweep total_time that is not positive and
+negative bisect_iters.
 All defaults are echoed into the emitted metadata for reproducibility, and
 every float in CSV output carries 17 significant digits.
 
@@ -285,6 +286,9 @@ def load_config(path: str | Path) -> RunConfig:
             f"choose from {', '.join(sorted(_FORMATS))}"
         )
 
+    amplitude = float(get("simulation", "amplitude", "1.0"))
+    if not amplitude >= 0:
+        raise ConfigError(f"amplitude must be 0 or positive, got {amplitude}")
     open_loop_horizon = int(get("simulation", "open_loop_horizon", "5"))
     if open_loop_horizon < 1:
         raise ConfigError(f"open_loop_horizon must be at least 1, got {open_loop_horizon}")
@@ -309,7 +313,7 @@ def load_config(path: str | Path) -> RunConfig:
         spec=spec,
         horizon=int(get("simulation", "horizon", "50")),
         initial=get("simulation", "initial", "random:7"),
-        amplitude=float(get("simulation", "amplitude", "1.0")),
+        amplitude=amplitude,
         norm=norm,
         sobolev_order=float(get("simulation", "sobolev_order", "0.25")),
         dynamics=dynamics,

@@ -2,13 +2,15 @@
 
 A stabilization problem lives on the interval (0, L) with the controlled
 boundary at x = L and a homogeneous Dirichlet condition at x = 0.  The
-reaction term f(x, y) and its derivative f_y(x, y) are supplied in closed
-form; the equilibrium profile about which the dynamics are linearized is
-given by the user (this package never solves for equilibria).
+reaction term is a polynomial in y given by its power-series coefficients,
+from which f, f_y and the exact Taylor tail of f about the equilibrium are
+evaluated; the equilibrium profile about which the dynamics are linearized
+is given by the user (this package never solves for equilibria).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Union
 
@@ -35,81 +37,77 @@ class NonFiniteCoefficient(ParastabError):
     """f_y evaluated to a non-finite value on the grid."""
 
 
-ReactionFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
 MIN_GRID_POINTS = 16
+
+
+def _horner(coefficients: Sequence[float], y: np.ndarray) -> np.ndarray:
+    acc = np.zeros_like(np.asarray(y, dtype=float))
+    for c in reversed(coefficients):
+        acc = acc * y + c
+    return acc
 
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """Reaction term f(x, y) with its closed-form derivative f_y(x, y).
+    """Reaction term f(y) = sum_i coefficients[i] * y**i, independent of x.
 
-    kind is one of "linear-only", "fisher", "cubic", "custom-polynomial".
+    kind is one of "linear-only", "fisher", "cubic", "custom-polynomial";
+    parameters are the user-facing values the kind was built from, and
+    coefficients (p_0 ... p_d) the power series every evaluation uses.
     Use the factory helpers below rather than constructing directly.
     """
 
     kind: str
     parameters: tuple[float, ...]
-    f: ReactionFn
-    f_y: ReactionFn
+    coefficients: tuple[float, ...]
 
     _KINDS = ("linear-only", "fisher", "cubic", "custom-polynomial")
 
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
+        if not self.coefficients:
+            raise ValueError("polynomial reaction needs at least one coefficient")
+        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
+
+    def f(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """f(y) by Horner's rule; x is accepted for the f(x, y) signature."""
+        return _horner(self.coefficients, y)
+
+    def f_y(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """f'(y) by Horner's rule on the derivative's coefficients."""
+        return _horner([i * p for i, p in enumerate(self.coefficients)][1:], y)
+
+    def taylor_tail(self, y_e: np.ndarray) -> list[np.ndarray]:
+        """Coefficients q_2 ... q_d of r(w) = f(y_e + w) - f(y_e) - f'(y_e) w
+        = sum_{j>=2} q_j w**j, with q_j = sum_{i>=j} C(i, j) p_i y_e**(i-j)
+        (empty when f is affine)."""
+        p = self.coefficients
+        return [
+            _horner([math.comb(i, j) * p[i] for i in range(j, len(p))], y_e)
+            for j in range(2, len(p))
+        ]
 
 
 def linear_reaction(a: float) -> NonlinearitySpec:
-    """f(x, y) = a*y: no nonlinear remainder, constant coefficient a."""
-    return NonlinearitySpec(
-        kind="linear-only",
-        parameters=(float(a),),
-        f=lambda x, y: a * y,
-        f_y=lambda x, y: a * np.ones_like(np.asarray(y, dtype=float)),
-    )
+    """f(y) = a*y: no nonlinear remainder, constant coefficient a."""
+    return NonlinearitySpec("linear-only", (float(a),), (0.0, a))
 
 
 def fisher_reaction(a: float) -> NonlinearitySpec:
-    """Fisher-KPP term f(x, y) = a*y*(1 - y)."""
-    return NonlinearitySpec(
-        kind="fisher",
-        parameters=(float(a),),
-        f=lambda x, y: a * y * (1.0 - y),
-        f_y=lambda x, y: a * (1.0 - 2.0 * y),
-    )
+    """Fisher-KPP term f(y) = a*y*(1 - y)."""
+    return NonlinearitySpec("fisher", (float(a),), (0.0, a, -a))
 
 
 def cubic_reaction() -> NonlinearitySpec:
-    """Bistable term f(x, y) = y - y**3."""
-    return NonlinearitySpec(
-        kind="cubic",
-        parameters=(),
-        f=lambda x, y: y - y**3,
-        f_y=lambda x, y: 1.0 - 3.0 * y**2,
-    )
+    """Bistable term f(y) = y - y**3."""
+    return NonlinearitySpec("cubic", (), (0.0, 1.0, 0.0, -1.0))
 
 
 def polynomial_reaction(coefficients: Sequence[float]) -> NonlinearitySpec:
-    """f(x, y) = sum_j coefficients[j] * y**j (independent of x)."""
+    """f(y) = sum_j coefficients[j] * y**j (independent of x)."""
     coeffs = tuple(float(c) for c in coefficients)
-    if not coeffs:
-        raise ValueError("polynomial reaction needs at least one coefficient")
-
-    def f(x, y):
-        acc = np.zeros_like(np.asarray(y, dtype=float))
-        for j, c in enumerate(coeffs):
-            acc = acc + c * np.asarray(y, dtype=float) ** j
-        return acc
-
-    def f_y(x, y):
-        acc = np.zeros_like(np.asarray(y, dtype=float))
-        for j, c in enumerate(coeffs):
-            if j >= 1:
-                acc = acc + j * c * np.asarray(y, dtype=float) ** (j - 1)
-        return acc
-
-    return NonlinearitySpec(kind="custom-polynomial", parameters=coeffs, f=f, f_y=f_y)
+    return NonlinearitySpec("custom-polynomial", coeffs, coeffs)
 
 
 Equilibrium = Union[float, np.ndarray, Callable[[np.ndarray], np.ndarray]]
@@ -121,7 +119,7 @@ class ProblemSpec:
 
     interval_length   L > 0; domain is (0, L), control acts at x = L.
     grid_points       number M of interior nodes (M >= 16).
-    nonlinearity      reaction term with closed-form derivative.
+    nonlinearity      polynomial reaction term.
     equilibrium       profile y_e: scalar, array on all M+2 nodes, or callable.
     sampling_period   hold length T > 0 (seconds).
     target_rate       requested decay rate rho > 0 (1/time).

@@ -4,7 +4,10 @@ The boundary value is recomputed from the sampled state at t = iT and held
 constant on the right-open interval [iT, (i+1)T).  The interior is advanced
 by Crank-Nicolson (unconditionally stable, second order); the semilinear
 run treats the diffusion plus linearized reaction implicitly and the
-nonlinear remainder explicitly, so every solve stays tridiagonal.  The CN
+nonlinear remainder explicitly, so every solve stays tridiagonal.  That
+remainder is the exact Taylor tail of the polynomial reaction about the
+equilibrium, sum_{j>=2} q_j w^j, evaluated by Horner's rule in the
+deviation w with the q_j formed once per run.  The CN
 matrix I + dt/2 A is factored once per run: LDL^T (LAPACK pttrf) when it is
 positive definite, 1 + dt lambda_1 / 2 > 0, else pivoted LU (gttrf).
 
@@ -18,14 +21,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .model import ParastabError, ValidatedProblem, linearized_coefficient
+from .model import ParastabError, ValidatedProblem
 from .spectral import Spectrum, l2_norm, project, sobolev_norm
-from .synthesis import DimensionMismatch, GainSet, apply_feedback, component_feedback
+from .synthesis import DimensionMismatch, GainSet, _check_consistent, component_feedback
 from .lifting import dirichlet_lift
 
 BLOWUP_GUARD = 1e12
@@ -182,6 +185,15 @@ def seeded_initial_state(
     return y * (amplitude / scale)
 
 
+def _tail_increment(dt_tail: Sequence[np.ndarray], w: np.ndarray) -> np.ndarray:
+    """dt * sum_{j>=2} q_j w^j = w^2 (dt q_2 + w (dt q_3 + ...)) by Horner's
+    rule, from dt_tail = (dt q_2, ..., dt q_d)."""
+    poly = dt_tail[-1]
+    for q in dt_tail[-2::-1]:
+        poly = poly * w + q
+    return w * w * poly
+
+
 def _advance(
     problem: ValidatedProblem,
     spectrum: Spectrum,
@@ -189,7 +201,7 @@ def _advance(
     y0: np.ndarray,
     horizon: int,
     control: Callable[[np.ndarray], float],
-    remainder: Callable[[np.ndarray], np.ndarray] | None = None,
+    tail: Sequence[np.ndarray] = (),
     offset: np.ndarray | None = None,
     *,
     kind: str,
@@ -201,23 +213,25 @@ def _advance(
 
     The callers vary three arguments: ``control`` maps the sampled
     deviation to the held value (the feedback in run_linear_closed_loop and
-    run_semilinear_closed_loop, zero in run_open_loop); ``remainder`` is the
-    explicit nonlinear term (run_semilinear_closed_loop only) and
+    run_semilinear_closed_loop, zero in run_open_loop); ``tail`` holds the
+    coefficients q_2 ... q_d of the explicit nonlinear remainder
+    sum_j q_j w^j (run_semilinear_closed_loop only; empty means none) and
     ``offset`` the equilibrium on all M+2 nodes (likewise; None means zero).
     The deviation y0 - offset is stepped, states are recorded as deviation
     plus offset and held values are shifted by offset[-1].  ``gains`` only
-    enters the setup check and the fingerprint.  A blow-up raises
-    UnstableStep when there is no remainder (a linear loop only escapes when
-    the setup is inconsistent) and is reported through ``blowup_time``
-    otherwise.
+    enters the setup checks, made here once per run, and the fingerprint.
+    A blow-up is reported through ``blowup_time``; the linear wrappers
+    raise it as UnstableStep.
     """
     if spectrum.m != problem.m:
         raise DimensionMismatch("spectrum grid does not match the problem grid")
-    if gains is not None and abs(gains.sampling_period - problem.period) > 1e-12:
-        raise DimensionMismatch(
-            f"gains were built for T = {gains.sampling_period}, "
-            f"problem has T = {problem.period}"
-        )
+    if gains is not None:
+        if abs(gains.sampling_period - problem.period) > 1e-12:
+            raise DimensionMismatch(
+                f"gains were built for T = {gains.sampling_period}, "
+                f"problem has T = {problem.period}"
+            )
+        _check_consistent(gains, spectrum)
     if horizon < 1:
         raise ValueError("horizon must be at least one hold interval")
     if substeps is None:
@@ -233,6 +247,7 @@ def _advance(
 
     period = problem.period
     dt = period / substeps
+    dt_tail = [dt * q for q in tail]
     cn_rhs, solve = _cn_halves(spectrum, dt)
     h2 = spectrum.h**2
     guard_sq = BLOWUP_GUARD**2 / spectrum.h  # l2_norm(w) <= guard  <=>  w.w <= guard_sq
@@ -260,8 +275,8 @@ def _advance(
             dt_bc[-1] = dt * (u / h2)
             for n_sub in range(1, substeps + 1):
                 rhs = cn_rhs(w, dt_bc)
-                if remainder is not None:
-                    rhs += dt * remainder(w)
+                if dt_tail:
+                    rhs += _tail_increment(dt_tail, w)
                 w = solve(rhs)
                 t = i * period + n_sub * dt
                 # a NaN or inf state has a NaN or inf w.w, so one test covers both
@@ -290,7 +305,7 @@ def _advance(
         idx = min(snap_interval[j], len(held) - 1)
         states[j, -1] = held_arr[idx]
 
-    trajectory = Trajectory(
+    return Trajectory(
         kind=kind,
         times=np.array(times),
         states=states,
@@ -304,9 +319,21 @@ def _advance(
         gains_hash=gains_fingerprint(gains),
         blowup_time=blowup_time,
     )
-    if blowup_time is not None and remainder is None:
+
+
+def _feedback(gains: GainSet | None, spectrum: Spectrum) -> Callable[[np.ndarray], float]:
+    """apply_feedback without its consistency check, which _advance makes
+    once per run; zero without gains."""
+    if gains is None:
+        return lambda w: 0.0
+    return lambda w: float(np.dot(gains.gain_row, project(w, spectrum, gains.n)))
+
+
+def _raise_on_blowup(trajectory: Trajectory) -> Trajectory:
+    if trajectory.blowup_time is not None:
         raise UnstableStep(
-            f"norm exceeded {BLOWUP_GUARD:.0e} at t = {blowup_time:.6g}", trajectory
+            f"norm exceeded {BLOWUP_GUARD:.0e} at t = {trajectory.blowup_time:.6g}",
+            trajectory,
         )
     return trajectory
 
@@ -328,12 +355,11 @@ def run_linear_closed_loop(
     overflow guard trips, which for a synthesized gain indicates an
     inconsistent setup rather than expected behavior.
     """
-    return _advance(
-        problem, spectrum, gains, y0, horizon,
-        lambda w: apply_feedback(gains, w, spectrum),
+    return _raise_on_blowup(_advance(
+        problem, spectrum, gains, y0, horizon, _feedback(gains, spectrum),
         kind="linear-closed-loop", substeps=substeps,
         snapshot_stride=snapshot_stride, sobolev_order=sobolev_order,
-    )
+    ))
 
 
 def run_open_loop(
@@ -346,12 +372,16 @@ def run_open_loop(
     snapshot_stride: int | None = None,
     sobolev_order: float = DEFAULT_SOBOLEV_ORDER,
 ) -> Trajectory:
-    """Uncontrolled baseline (u = 0); grows whenever unstable modes exist."""
-    return _advance(
+    """Uncontrolled baseline (u = 0); grows whenever unstable modes exist.
+
+    Raises UnstableStep (with the partial trajectory attached) if the
+    overflow guard trips.
+    """
+    return _raise_on_blowup(_advance(
         problem, spectrum, None, y0, horizon, lambda w: 0.0,
         kind="open-loop", substeps=substeps,
         snapshot_stride=snapshot_stride, sobolev_order=sobolev_order,
-    )
+    ))
 
 
 def run_semilinear_closed_loop(
@@ -368,27 +398,19 @@ def run_semilinear_closed_loop(
     """Full nonlinear dynamics; the held control is feedback-of-deviation
     plus the equilibrium's boundary value.
 
-    The nonlinear remainder (reaction minus its linearization at the
-    equilibrium) is integrated explicitly.  Finite-time escape is expected
-    behavior outside the basin of attraction: the run then reports
-    ``blowup_time`` instead of raising.  gains may be None when there is
-    nothing to control (the feedback is then identically zero).
+    The nonlinear remainder, reaction minus its linearization at the
+    equilibrium, is the exact Taylor tail of the polynomial reaction about
+    y_e, sum_{j>=2} q_j w^j with q_j = sum_{i>=j} C(i, j) p_i y_e^{i-j}
+    (none for an affine reaction), formed once per run and integrated
+    explicitly.  Finite-time escape is expected behavior outside the basin
+    of attraction: the run then reports ``blowup_time`` instead of raising,
+    whatever the reaction.  gains may be None when there is nothing to
+    control (the feedback is then identically zero).
     """
     ye = problem.equilibrium_values
-    x = problem.interior_nodes
-    ye_int = ye[1:-1]
-    c = linearized_coefficient(problem)
-    f = problem.spec.nonlinearity.f
-    f_base = np.asarray(f(x, ye_int), dtype=float)
-
-    def remainder(w: np.ndarray) -> np.ndarray:
-        return np.asarray(f(x, w + ye_int), dtype=float) - f_base - c * w
-
-    def control(w: np.ndarray) -> float:
-        return 0.0 if gains is None else apply_feedback(gains, w, spectrum)
-
+    tail = problem.spec.nonlinearity.taylor_tail(ye[1:-1])
     return _advance(
-        problem, spectrum, gains, y0, horizon, control, remainder, ye,
+        problem, spectrum, gains, y0, horizon, _feedback(gains, spectrum), tail, ye,
         kind="semilinear-closed-loop", substeps=substeps,
         snapshot_stride=snapshot_stride, sobolev_order=sobolev_order,
     )

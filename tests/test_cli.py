@@ -94,9 +94,12 @@ def test_missing_file_exits_2(tmp_path):
         ("formats = csv,json,svg", "formats = csv\n[sweep]\ntotal_time = -5", "total_time"),
         ("formats = csv,json,svg", "formats = csv\n[sweep]\ntotal_time = 0", "total_time"),
         ("formats = csv,json,svg", "formats = csv\n[sweep]\nbisect_iters = -3", "bisect_iters"),
+        ("amplitude = 0.01", "amplitude = -1", "amplitude"),
+        ("amplitude = 0.01", "amplitude = nan", "amplitude"),
     ],
     ids=["norm", "formats", "open-loop-horizon", "snapshot-stride", "cubic-parameters",
-         "linear-parameters", "negative-total-time", "zero-total-time", "bisect-iters"],
+         "linear-parameters", "negative-total-time", "zero-total-time", "bisect-iters",
+         "negative-amplitude", "nan-amplitude"],
 )
 def test_bad_norm_or_format_exits_2_before_any_output(tmp_path, line, typo, bad):
     out = tmp_path / "out"

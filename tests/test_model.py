@@ -135,12 +135,7 @@ def test_linearized_coefficient_ignores_sampling_setup():
 
 
 def test_non_finite_coefficient_detected():
-    bad = ps.NonlinearitySpec(
-        kind="custom-polynomial",
-        parameters=(),
-        f=lambda x, y: y,
-        f_y=lambda x, y: np.full_like(np.asarray(y, dtype=float), np.nan),
-    )
+    bad = ps.polynomial_reaction([0.0, np.nan])
     prob = ps.validate_spec(ps.ProblemSpec(nonlinearity=bad, grid_points=20))
     with pytest.raises(ps.NonFiniteCoefficient):
         ps.linearized_coefficient(prob)
@@ -171,6 +166,4 @@ def test_polynomial_reaction_matches_fisher():
 
 def test_unknown_nonlinearity_kind_rejected():
     with pytest.raises(ValueError):
-        ps.NonlinearitySpec(
-            kind="mystery", parameters=(), f=lambda x, y: y, f_y=lambda x, y: y
-        )
+        ps.NonlinearitySpec(kind="mystery", parameters=(), coefficients=(0.0, 1.0))

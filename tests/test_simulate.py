@@ -1,20 +1,30 @@
 import dataclasses
+import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import get_lapack_funcs, solve_banded
 
 import parastab as ps
 from parastab.lifting import _shift_coefficients
-from parastab.simulate import BLOWUP_GUARD, _advance, _cn_halves, problem_fingerprint
+from parastab import simulate
+from parastab.simulate import (
+    BLOWUP_GUARD,
+    _advance,
+    _cn_halves,
+    _tail_increment,
+    problem_fingerprint,
+)
 
 from conftest import hold_profiles, make_problem, make_spectrum, quiet_gains
 
 
-def _banded_step(spectrum, dt, w, forcing, remainder=None, pivoting=False):
+def _banded_step(spectrum, dt, w, forcing, increment=None, pivoting=False):
     """Reference CN substep: (I + dt/2 A) rebuilt and solved on every call,
     with the engine's right-hand-side order
-    ((I - dt/2 A) w + dt*forcing) + dt*remainder(w).  The solve is LAPACK
+    ((I - dt/2 A) w + dt*forcing) + increment(w), where increment is the
+    explicit term already scaled by dt.  The solve is LAPACK
     ptsv (LDL^T) when 1 + dt lambda_1 / 2 > 0 makes the matrix positive
     definite, and solve_banded (pivoted LU) otherwise or with ``pivoting``."""
     op = spectrum.operator
@@ -24,8 +34,8 @@ def _banded_step(spectrum, dt, w, forcing, remainder=None, pivoting=False):
     rhs[:-1] -= off * w[1:]
     rhs[1:] -= off * w[:-1]
     rhs = rhs + dt * forcing
-    if remainder is not None:
-        rhs += dt * remainder(w)
+    if increment is not None:
+        rhs += increment(w)
     if not pivoting and 1.0 + 0.5 * dt * spectrum.lambdas[0] > 0:
         *_, x, info = get_lapack_funcs("ptsv", (diag,))(diag, off, rhs)
         assert info == 0
@@ -37,7 +47,7 @@ def _banded_step(spectrum, dt, w, forcing, remainder=None, pivoting=False):
     return solve_banded((1, 1), ab, rhs)
 
 
-def _banded_run(problem, spectrum, w, horizon, control, remainder=None, pivoting=False):
+def _banded_run(problem, spectrum, w, horizon, control, increment=None, pivoting=False):
     """Every substep state of a zero-order-hold run stepped by _banded_step."""
     substeps = problem.spec.substeps_per_hold
     dt = problem.period / substeps
@@ -46,7 +56,7 @@ def _banded_run(problem, spectrum, w, horizon, control, remainder=None, pivoting
         bc = np.zeros(spectrum.m)
         bc[-1] = control(w) / spectrum.h**2
         for _ in range(substeps):
-            w = _banded_step(spectrum, dt, w, bc, remainder, pivoting)
+            w = _banded_step(spectrum, dt, w, bc, increment, pivoting)
             states.append(w)
     return np.array(states)
 
@@ -160,13 +170,16 @@ def test_linear_step_matches_banded_oracle(grid_points, period, substeps, horizo
 
 def test_semilinear_step_matches_banded_oracle(problem15, spectrum15, gains15):
     ye = problem15.equilibrium_values[1:-1]
-    x = problem15.interior_nodes
     c = ps.linearized_coefficient(problem15)
-    f = problem15.spec.nonlinearity.f
-    f_base = np.asarray(f(x, ye), dtype=float)
+    dt = problem15.period / problem15.spec.substeps_per_hold
+    # Fisher: the Taylor tail about y_e is the single term q_2 w^2, and the
+    # engine forms (w * w) * (dt q_2); test_taylor_tail_matches_mpmath
+    # checks that tail against f(y_e + w) - f(y_e) - f_y(y_e) w
+    (q2,) = problem15.spec.nonlinearity.taylor_tail(ye)
+    dt_q2 = dt * q2
 
     def remainder(w):
-        return np.asarray(f(x, w + ye), dtype=float) - f_base - c * w
+        return w * w * dt_q2
 
     y0 = ps.seeded_initial_state(spectrum15, 19, amplitude=0.3)
     traj = ps.run_semilinear_closed_loop(
@@ -179,26 +192,112 @@ def test_semilinear_step_matches_banded_oracle(problem15, spectrum15, gains15):
     assert oracle.shape[0] - 1 >= 200
     assert traj.blowup_time is None
     # the remainder is not negligible over the run
-    assert np.abs(remainder(oracle[-1])).max() > 1e-3 * np.abs(c * oracle[-1]).max()
+    assert np.abs(remainder(oracle[-1])).max() > 1e-3 * np.abs(dt * c * oracle[-1]).max()
     assert np.array_equal(traj.interior, oracle + ye)
 
 
+TAIL_REACTIONS = [
+    ps.fisher_reaction(15.0),
+    ps.cubic_reaction(),
+    ps.polynomial_reaction([0.3, -2.0, 1.5, 4.0, -2.5]),
+    ps.linear_reaction(7.0),
+]
+
+
+@pytest.mark.parametrize("reaction", TAIL_REACTIONS, ids=lambda r: r.kind)
+@pytest.mark.parametrize("equilibrium", ["zero", "one", "sine"])
+def test_taylor_tail_matches_mpmath(reaction, equilibrium):
+    """The engine's explicit increment dt * sum_{j>=2} q_j w^j against
+    dt * (f(y_e + w) - f(y_e) - f_y(y_e) w) in 40-digit mpmath, on the same
+    float64 y_e and w.  Bound: 2 d eps sum_j dt qbar_j |w|^j, d the degree,
+    qbar_j the q_j of |p_i| and |y_e| (= |q_j| when forming q_j does not
+    cancel); the largest error measured is 0.24 of it."""
+    x = np.linspace(0.0, 1.0, 34)[1:-1]
+    ye = {"zero": np.zeros_like(x), "one": np.ones_like(x), "sine": np.sin(np.pi * x)}[
+        equilibrium
+    ]
+    w = np.random.default_rng(3).uniform(-1.5, 1.5, x.size)
+    w[:4] = (1e-9, -3e-6, 0.0, 2.0)
+    dt = 0.2 / 64
+    tail = reaction.taylor_tail(ye)
+    p = reaction.coefficients
+    d = len(p) - 1
+    assert len(tail) == max(d - 1, 0)
+
+    with mpmath.workdps(40):
+        mp_p = [mpmath.mpf(c) for c in p]
+
+        def f(y):
+            return sum(c * y**i for i, c in enumerate(mp_p))
+
+        def f_y(y):
+            return sum(i * c * y ** (i - 1) for i, c in enumerate(mp_p) if i)
+
+        exact = np.array([
+            float(mpmath.mpf(dt) * (f(a + b) - f(a) - f_y(a) * b))
+            for a, b in ((mpmath.mpf(a), mpmath.mpf(b)) for a, b in zip(ye, w))
+        ])
+    if not tail:
+        # affine: the engine adds nothing, and nothing is missing
+        assert np.all(exact == 0.0)
+        return
+    got = _tail_increment([dt * q for q in tail], w)
+    qbar = [
+        sum(math.comb(i, j) * abs(p[i]) * np.abs(ye) ** (i - j) for i in range(j, d + 1))
+        for j in range(2, d + 1)
+    ]
+    scale = sum(dt * q * np.abs(w) ** j for j, q in enumerate(qbar, start=2))
+    assert np.all(np.abs(got - exact) <= 2 * d * np.finfo(float).eps * scale)
+
+
+def test_linear_only_semilinear_run_is_the_linear_run():
+    prob = ps.validate_spec(ps.ProblemSpec(
+        nonlinearity=ps.linear_reaction(15.0), grid_points=64,
+        gammas=(2.0,), substeps_per_hold=16,
+    ))
+    spectrum = make_spectrum(prob)
+    gains = ps.build_gains(spectrum, (2.0,), prob.period)
+    y0 = ps.seeded_initial_state(spectrum, 5)
+    semi = ps.run_semilinear_closed_loop(prob, spectrum, gains, y0, 6, snapshot_stride=4)
+    lin = ps.run_linear_closed_loop(prob, spectrum, gains, y0, 6, snapshot_stride=4)
+    assert semi.kind == "semilinear-closed-loop"
+    for field in ("times", "states", "l2_norms", "sobolev_norms", "sample_indices"):
+        assert np.array_equal(getattr(semi, field), getattr(lin, field))
+    assert np.array_equal(semi.schedule.held_values, lin.schedule.held_values)
+
+    # a blow-up without a remainder is still reported, not raised
+    big = 1e6 * spectrum.modes[:, 0]
+    escaped = ps.run_semilinear_closed_loop(prob, spectrum, None, big, 40)
+    with pytest.raises(ps.UnstableStep) as info:
+        ps.run_open_loop(prob, spectrum, big, 40)
+    assert escaped.blowup_time is not None
+    assert escaped.blowup_time == info.value.trajectory.blowup_time
+    assert np.array_equal(escaped.states, info.value.trajectory.states)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_guard_trips_on_nonfinite_state(problem15, spectrum15, bad):
+def test_guard_trips_on_nonfinite_state(monkeypatch, problem15, spectrum15, bad):
     substeps = problem15.spec.substeps_per_hold
     poisoned = substeps + 6  # hold 1, substep 6
     calls = []
+    real = simulate._cn_halves
 
-    def remainder(w):
-        calls.append(None)
-        out = np.zeros_like(w)
-        if len(calls) == poisoned:
-            out[5] = bad
-        return out
+    def poisoning_halves(spectrum, dt):
+        rhs, solve = real(spectrum, dt)
 
+        def poisoning_solve(b):
+            calls.append(None)
+            out = solve(b)
+            if len(calls) == poisoned:
+                out[5] = bad
+            return out
+
+        return rhs, poisoning_solve
+
+    monkeypatch.setattr(simulate, "_cn_halves", poisoning_halves)
     traj = _advance(
         problem15, spectrum15, None, ps.seeded_initial_state(spectrum15, 2), 4,
-        control=lambda w: 0.0, remainder=remainder,
+        control=lambda w: 0.0,
         kind="semilinear-closed-loop", substeps=substeps, snapshot_stride=1,
     )
     dt = problem15.period / substeps
@@ -385,6 +484,14 @@ def test_mismatched_period_rejected(problem15, spectrum15, gains15):
         ps.run_linear_closed_loop(
             other, spectrum15, gains15, np.zeros(other.m), 2
         )
+
+
+def test_gains_from_another_spectrum_rejected(problem15, spectrum15, gains95):
+    # the consistency check runs once per run, before any step
+    y0 = np.zeros(problem15.m)
+    for run in (ps.run_linear_closed_loop, ps.run_semilinear_closed_loop):
+        with pytest.raises(ps.DimensionMismatch):
+            run(problem15, spectrum15, gains95, y0, 2)
 
 
 def test_seeded_initial_state_normalization(spectrum15):
