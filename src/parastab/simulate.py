@@ -11,6 +11,11 @@ deviation w with the q_j formed once per run.  The CN
 matrix I + dt/2 A is factored once per run: LDL^T (LAPACK pttrf) when it is
 positive definite, 1 + dt lambda_1 / 2 > 0, else pivoted LU (gttrf).
 
+One in-place kernel (_CNKernel) steps every run: it alternates between two
+zero-padded state buffers and allocates nothing per substep.  _advance
+drives it in blocks from one record point to the next and tests the
+overflow guard after every substep, so a blow-up is timed to its substep.
+
 Runs operate on the deviation from the equilibrium: for the linearized
 loops the deviation *is* the state, for the semilinear loop the recorded
 states are physical (deviation plus equilibrium) while the norm histories
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -128,31 +134,85 @@ def gains_fingerprint(gains: GainSet | None) -> str:
     )
 
 
-def _cn_halves(spectrum: Spectrum, dt: float):
-    """Crank-Nicolson step dt as (rhs, solve): rhs(w, forcing) is a fresh
-    (I - dt/2 A) w + forcing; solve(b) overwrites b with (I + dt/2 A)^-1 b,
-    factored here once: LDL^T (pttrf), or LU (gttrf) if not positive definite."""
+def _cn_solver(spectrum: Spectrum, dt: float) -> Callable[[np.ndarray], object]:
+    """solve(b) overwrites b with (I + dt/2 A)^-1 b, factored here once:
+    LDL^T (pttrf), or LU (gttrf) if not positive definite."""
     op = spectrum.operator
     off = 0.5 * dt * op.offdiag
     left_diag = 1.0 + 0.5 * dt * op.diag
-    right_diag = 1.0 - 0.5 * dt * op.diag
-
-    def rhs(w: np.ndarray, forcing: np.ndarray) -> np.ndarray:
-        out = right_diag * w
-        out[:-1] -= off * w[1:]
-        out[1:] -= off * w[:-1]
-        out += forcing
-        return out
-
     pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), (op.diag,))
     d, e, info = pttrf(left_diag, off)
     if info == 0:
-        return rhs, lambda b: pttrs(d, e, b, overwrite_b=True)[0]
+        return partial(pttrs, d, e, overwrite_b=True)
     gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (op.diag,))
     *lu, info = gttrf(off, left_diag, off)
     if info > 0:
         raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
-    return rhs, lambda b: gttrs(*lu, b, overwrite_b=True)[0]
+    return partial(gttrs, *lu, overwrite_b=True)
+
+
+class _CNKernel:
+    """Crank-Nicolson substeps dt, in place on two buffers of M + 2 entries
+    whose end entries stay 0; ``w`` is the interior of the current one.
+
+    A substep from buffer k to buffer 1 - k writes (I - dt/2 A) w into the
+    target interior (diagonal product, then the upper and lower off-diagonal
+    products read from the padded neighbours, so the end rows subtract an
+    exact 0), adds dt u / h^2 to the last entry, adds the explicit tail
+    (_tail_increment) and solves in place.  Views, padded coefficients and
+    the factorization are made once per run; a substep allocates nothing.
+    The overflow guard l2_norm(w) <= BLOWUP_GUARD is tested after every
+    substep as w.w <= BLOWUP_GUARD^2 / h.
+    """
+
+    def __init__(self, spectrum: Spectrum, dt: float, dt_tail: Sequence[np.ndarray],
+                 w0: np.ndarray):
+        op = spectrum.operator
+        off = 0.5 * dt * op.offdiag
+        self.right_diag = 1.0 - 0.5 * dt * op.diag
+        self.upper = np.append(off, 0.0)
+        self.lower = np.append(0.0, off)
+        self.solve = _cn_solver(spectrum, dt)
+        self.dt_tail = dt_tail
+        self.guard_sq = BLOWUP_GUARD**2 / spectrum.h
+        self.scratch = np.empty((2, op.m))
+        bufs = np.zeros((2, op.m + 2))
+        bufs[0, 1:-1] = w0
+        # per source buffer: its interior, right and left neighbours, target interior
+        self.views = [(bufs[k, 1:-1], bufs[k, 2:], bufs[k, :-2], bufs[1 - k, 1:-1])
+                      for k in (0, 1)]
+        self.k = 0
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.views[self.k][0]
+
+    def advance(self, n: int, dt_bc: float) -> int:
+        """Take n substeps with dt u / h^2 = dt_bc, stopping at the first
+        state that fails the overflow guard (a NaN or inf state has a NaN or
+        inf w.w, so one test covers both); return its 1-based substep, else 0."""
+        mul, sub = np.multiply, np.subtract
+        right_diag, upper, lower = self.right_diag, self.upper, self.lower
+        solve, dt_tail, scratch = self.solve, self.dt_tail, self.scratch
+        guard_sq = self.guard_sq
+        tmp = scratch[0]
+        views = self.views
+        k = self.k
+        for j in range(1, n + 1):
+            w, right, left, out = views[k]
+            mul(right_diag, w, out=out)
+            sub(out, mul(upper, right, out=tmp), out=out)
+            sub(out, mul(lower, left, out=tmp), out=out)
+            out[-1] += dt_bc
+            if dt_tail:
+                _tail_increment(dt_tail, w, out, scratch)
+            solve(out)
+            k = 1 - k
+            if not out.dot(out) <= guard_sq:
+                self.k = k
+                return j
+        self.k = k
+        return 0
 
 
 def seeded_initial_state(
@@ -185,13 +245,15 @@ def seeded_initial_state(
     return y * (amplitude / scale)
 
 
-def _tail_increment(dt_tail: Sequence[np.ndarray], w: np.ndarray) -> np.ndarray:
-    """dt * sum_{j>=2} q_j w^j = w^2 (dt q_2 + w (dt q_3 + ...)) by Horner's
-    rule, from dt_tail = (dt q_2, ..., dt q_d)."""
+def _tail_increment(dt_tail: Sequence[np.ndarray], w: np.ndarray, out: np.ndarray,
+                    scratch: np.ndarray) -> None:
+    """out += dt * sum_{j>=2} q_j w^j = (w w)(dt q_2 + w (dt q_3 + ...)) by
+    Horner's rule, from dt_tail = (dt q_2, ..., dt q_d), in place; scratch
+    holds two work rows shaped like w."""
     poly = dt_tail[-1]
     for q in dt_tail[-2::-1]:
-        poly = poly * w + q
-    return w * w * poly
+        poly = np.add(np.multiply(poly, w, out=scratch[1]), q, out=scratch[1])
+    np.add(out, np.multiply(np.multiply(w, w, out=scratch[0]), poly, out=scratch[0]), out=out)
 
 
 def _advance(
@@ -222,6 +284,13 @@ def _advance(
     enters the setup checks, made here once per run, and the fingerprint.
     A blow-up is reported through ``blowup_time``; the linear wrappers
     raise it as UnstableStep.
+
+    Each hold interval samples the control once, then steps in blocks that
+    end at its record points: every ``snapshot_stride`` substeps and the
+    hold's end (the sample).  Times and the record decision are made once
+    per block; the kernel tests the guard after every substep and stops at
+    the first state that fails it, which is not recorded.  A negative
+    ``snapshot_stride`` is rejected; None or 0 records the samples only.
     """
     if spectrum.m != problem.m:
         raise DimensionMismatch("spectrum grid does not match the problem grid")
@@ -238,6 +307,8 @@ def _advance(
         substeps = problem.spec.substeps_per_hold
     if substeps < 1:
         raise ValueError(f"substeps must be at least 1, got {substeps}")
+    if snapshot_stride is not None and snapshot_stride < 0:
+        raise ValueError(f"snapshot_stride must be 0 or positive, got {snapshot_stride}")
     m = problem.m
     w = np.asarray(y0, dtype=float).copy()
     if w.shape != (m,):
@@ -247,10 +318,11 @@ def _advance(
 
     period = problem.period
     dt = period / substeps
-    dt_tail = [dt * q for q in tail]
-    cn_rhs, solve = _cn_halves(spectrum, dt)
+    kernel = _CNKernel(spectrum, dt, [dt * q for q in tail], w)
     h2 = spectrum.h**2
-    guard_sq = BLOWUP_GUARD**2 / spectrum.h  # l2_norm(w) <= guard  <=>  w.w <= guard_sq
+    # record points of a hold: every snapshot_stride substeps, and its end
+    stops = list(range(snapshot_stride, substeps, snapshot_stride)) if snapshot_stride else []
+    stops.append(substeps)
 
     times: list[float] = []
     snaps: list[np.ndarray] = []
@@ -263,29 +335,24 @@ def _advance(
         if is_sample:
             sample_idx.append(len(times))
         times.append(t)
-        snaps.append(w.copy())
+        snaps.append(kernel.w.copy())
         snap_interval.append(interval)
 
     record(0.0, 0, True)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(horizon):
-            u = control(w)
+            u = control(kernel.w)
             held.append(u)
-            dt_bc = np.zeros(m)
-            dt_bc[-1] = dt * (u / h2)
-            for n_sub in range(1, substeps + 1):
-                rhs = cn_rhs(w, dt_bc)
-                if dt_tail:
-                    rhs += _tail_increment(dt_tail, w)
-                w = solve(rhs)
-                t = i * period + n_sub * dt
-                # a NaN or inf state has a NaN or inf w.w, so one test covers both
-                if not np.dot(w, w) <= guard_sq:
-                    blowup_time = t
+            dt_bc = dt * (u / h2)
+            done = 0
+            for stop in stops:
+                tripped = kernel.advance(stop - done, dt_bc)
+                if tripped:
+                    blowup_time = i * period + (done + tripped) * dt
                     break
-                at_sample = n_sub == substeps
-                if at_sample or (snapshot_stride and n_sub % snapshot_stride == 0):
-                    record(t, i + 1 if at_sample else i, at_sample)
+                done = stop
+                at_sample = stop == substeps
+                record(i * period + stop * dt, i + 1 if at_sample else i, at_sample)
             if blowup_time is not None:
                 break
 
@@ -480,9 +547,8 @@ def trajectory_to_csv(trajectory: Trajectory) -> str:
 
 
 def states_to_csv(trajectory: Trajectory) -> str:
-    """Full state dump, one snapshot per row (time first)."""
-    lines = []
-    for j, t in enumerate(trajectory.times):
-        row = ",".join(f"{v:.17g}" for v in trajectory.states[j])
-        lines.append(f"{t:.17g},{row}")
-    return "\n".join(lines) + "\n"
+    """Full state dump, one snapshot per row (time first; 17 significant
+    digits, one %-format per row)."""
+    fmt = ",".join(["%.17g"] * (trajectory.states.shape[1] + 1))
+    rows = zip(trajectory.times.tolist(), trajectory.states)
+    return "\n".join([fmt % (t, *row.tolist()) for t, row in rows]) + "\n"

@@ -237,8 +237,7 @@ def spectrum_to_csv(spectrum: Spectrum) -> str:
 
 
 def modes_to_csv(spectrum: Spectrum) -> str:
-    """Matrix dump of the modes, one row per interior node."""
-    buf = io.StringIO()
-    for row in spectrum.modes:
-        buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    return buf.getvalue()
+    """Matrix dump of the modes, one row per interior node (17 significant
+    digits, one %-format per row)."""
+    fmt = ",".join(["%.17g"] * spectrum.modes.shape[1]) + "\n"
+    return "".join([fmt % tuple(row.tolist()) for row in spectrum.modes])

@@ -12,7 +12,7 @@ from parastab import simulate
 from parastab.simulate import (
     BLOWUP_GUARD,
     _advance,
-    _cn_halves,
+    _cn_solver,
     _tail_increment,
     problem_fingerprint,
 )
@@ -196,6 +196,62 @@ def test_semilinear_step_matches_banded_oracle(problem15, spectrum15, gains15):
     assert np.array_equal(traj.interior, oracle + ye)
 
 
+def _record_substeps(substeps, horizon, stride):
+    """Run-wide substep index of every state a run records: each hold's end,
+    and every ``stride`` substeps into a hold."""
+    return [
+        n for n in range(substeps * horizon + 1)
+        if n % substeps == 0 or (stride and n % substeps % stride == 0)
+    ]
+
+
+@pytest.mark.parametrize("loop", ["linear", "fisher"])
+def test_block_recording_matches_banded_oracle(loop, problem15, spectrum15, gains15):
+    """The engine steps from one record point to the next in one block; every
+    row it records is the oracle's state at that substep, whatever the stride
+    (10 does not divide the 64 substeps of a hold)."""
+    horizon = 4
+    substeps = problem15.spec.substeps_per_hold
+    dt = problem15.period / substeps
+    y0 = ps.seeded_initial_state(spectrum15, 19, amplitude=0.3)
+    feedback = lambda w: ps.apply_feedback(gains15, w, spectrum15)  # noqa: E731
+    if loop == "linear":
+        offset = np.zeros(problem15.m)
+        oracle = _banded_run(problem15, spectrum15, y0, horizon, feedback)
+
+        def run(stride):
+            return ps.run_linear_closed_loop(
+                problem15, spectrum15, gains15, y0, horizon, snapshot_stride=stride
+            )
+    else:
+        offset = problem15.equilibrium_values[1:-1]
+        (q2,) = problem15.spec.nonlinearity.taylor_tail(offset)
+        dt_q2 = dt * q2
+        oracle = _banded_run(
+            problem15, spectrum15, y0, horizon, feedback, lambda w: w * w * dt_q2
+        )
+
+        def run(stride):
+            return ps.run_semilinear_closed_loop(
+                problem15, spectrum15, gains15, y0 + offset, horizon, snapshot_stride=stride
+            )
+
+    samples = {}
+    for stride in (None, 1, 8, 10):
+        traj = run(stride)
+        recorded = _record_substeps(substeps, horizon, stride)
+        assert traj.blowup_time is None
+        assert traj.times.size == len(recorded)
+        assert np.allclose(traj.times, np.array(recorded) * dt, rtol=0, atol=1e-12)
+        for row, n in zip(traj.interior, recorded):
+            assert np.array_equal(row, oracle[n] + offset)
+        hold_ends = range(0, len(oracle), substeps)
+        assert np.array_equal(traj.sample_indices, [recorded.index(n) for n in hold_ends])
+        samples[stride] = traj.sample_states()
+    for stride in (1, 8, 10):
+        assert np.array_equal(samples[stride], samples[None])
+
+
 TAIL_REACTIONS = [
     ps.fisher_reaction(15.0),
     ps.cubic_reaction(),
@@ -241,7 +297,8 @@ def test_taylor_tail_matches_mpmath(reaction, equilibrium):
         # affine: the engine adds nothing, and nothing is missing
         assert np.all(exact == 0.0)
         return
-    got = _tail_increment([dt * q for q in tail], w)
+    got = np.zeros_like(w)
+    _tail_increment([dt * q for q in tail], w, got, np.empty((2, w.size)))
     qbar = [
         sum(math.comb(i, j) * abs(p[i]) * np.abs(ye) ** (i - j) for i in range(j, d + 1))
         for j in range(2, d + 1)
@@ -275,26 +332,32 @@ def test_linear_only_semilinear_run_is_the_linear_run():
     assert np.array_equal(escaped.states, info.value.trajectory.states)
 
 
+def _poisoning_solver(monkeypatch, poisoned, bad):
+    """Patch the engine's solve so the state of solve call ``poisoned`` has
+    entry 5 set to ``bad``; returns the list that counts the calls."""
+    calls = []
+    real = simulate._cn_solver
+
+    def poisoning_solver(spectrum, dt):
+        solve = real(spectrum, dt)
+
+        def poisoning_solve(b):
+            calls.append(None)
+            solve(b)
+            if len(calls) == poisoned:
+                b[5] = bad
+
+        return poisoning_solve
+
+    monkeypatch.setattr(simulate, "_cn_solver", poisoning_solver)
+    return calls
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_guard_trips_on_nonfinite_state(monkeypatch, problem15, spectrum15, bad):
     substeps = problem15.spec.substeps_per_hold
     poisoned = substeps + 6  # hold 1, substep 6
-    calls = []
-    real = simulate._cn_halves
-
-    def poisoning_halves(spectrum, dt):
-        rhs, solve = real(spectrum, dt)
-
-        def poisoning_solve(b):
-            calls.append(None)
-            out = solve(b)
-            if len(calls) == poisoned:
-                out[5] = bad
-            return out
-
-        return rhs, poisoning_solve
-
-    monkeypatch.setattr(simulate, "_cn_halves", poisoning_halves)
+    calls = _poisoning_solver(monkeypatch, poisoned, bad)
     traj = _advance(
         problem15, spectrum15, None, ps.seeded_initial_state(spectrum15, 2), 4,
         control=lambda w: 0.0,
@@ -310,6 +373,30 @@ def test_guard_trips_on_nonfinite_state(monkeypatch, problem15, spectrum15, bad)
     assert traj.schedule.held_values.shape == (2,)
     assert np.all(np.isfinite(traj.states))
     assert np.all(np.isfinite(traj.l2_norms))
+
+
+def test_guard_trips_inside_a_record_block(monkeypatch, problem15, spectrum15):
+    """The guard is checked after every substep, not once per block of
+    snapshot_stride substeps: a state poisoned at hold 1, substep 6 stops the
+    run there although the next record point is substep 8."""
+    substeps = problem15.spec.substeps_per_hold
+    period = problem15.period
+    dt = period / substeps
+    calls = _poisoning_solver(monkeypatch, substeps + 6, np.inf)
+    traj = _advance(
+        problem15, spectrum15, None, ps.seeded_initial_state(spectrum15, 2), 4,
+        control=lambda w: 0.0,
+        kind="semilinear-closed-loop", substeps=substeps, snapshot_stride=8,
+    )
+    assert len(calls) == substeps + 6
+    assert traj.blowup_time == 1 * period + 6 * dt
+    # the records are t = 0, the eight of hold 0 and nothing of hold 1
+    per_hold = substeps // 8
+    assert traj.times.size == traj.states.shape[0] == traj.l2_norms.size == per_hold + 1
+    assert traj.times[-1] == 1 * period
+    assert np.array_equal(traj.sample_indices, [0, per_hold])
+    assert traj.schedule.held_values.shape == (2,)
+    assert np.all(np.isfinite(traj.states))
 
 
 @pytest.mark.parametrize("substeps", [0, -4])
@@ -328,6 +415,12 @@ def test_nonpositive_substeps_rejected(problem15, spectrum15, gains15, substeps)
     for run in runs:
         with pytest.raises(ValueError, match="substeps must be at least 1"):
             run()
+
+
+def test_negative_snapshot_stride_rejected(problem15, spectrum15, gains15):
+    y0 = ps.seeded_initial_state(spectrum15, 4)
+    with pytest.raises(ValueError, match="snapshot_stride must be 0 or positive"):
+        ps.run_linear_closed_loop(problem15, spectrum15, gains15, y0, 2, snapshot_stride=-8)
 
 
 def test_hold_semantics_right_open(problem15, spectrum15, gains15):
@@ -553,14 +646,22 @@ def _jump_residuals(trajectory, gains, spectrum, dec):
     lift_coords = spectrum.h * (dec.lift_samples @ modes)  # (H+1, N lifts, n modes)
     source_coords = np.einsum("jki,ik->ji", lift_coords, _shift_coefficients(gains))
     dt = trajectory.schedule.period / trajectory.substeps
-    cn_rhs, solve = _cn_halves(spectrum, dt)
+    solve = _cn_solver(spectrum, dt)
+    op = spectrum.operator
+    off = 0.5 * dt * op.offdiag
+    right_diag = 1.0 - 0.5 * dt * op.diag
     dt_sources = dt * (source_coords @ modes.T)
     lifted = dec.lift_samples.sum(axis=1)
     res = np.empty(dec.z_samples.shape[0] - 1)
     for j in range(res.size):
         z = dec.z_samples[j]
         for _ in range(trajectory.substeps):
-            z = solve(cn_rhs(z, dt_sources[j]))
+            rhs = right_diag * z
+            rhs[:-1] -= off * z[1:]
+            rhs[1:] -= off * z[:-1]
+            rhs += dt_sources[j]
+            solve(rhs)
+            z = rhs
         target = dec.z_samples[j + 1]
         res[j] = np.linalg.norm(z + lifted[j] - lifted[j + 1] - target) / np.linalg.norm(target)
     return res
@@ -668,6 +769,23 @@ def test_trajectory_csv_schema(problem15, spectrum15, gains15):
     cells = lines[1].split(",")
     assert float(cells[0]) == 0.0
     assert float(cells[1]) == pytest.approx(traj.l2_norms[0])
+
+
+def test_states_csv_is_the_per_value_format(problem15, spectrum15, gains15):
+    traj = ps.run_linear_closed_loop(
+        problem15, spectrum15, gains15, ps.seeded_initial_state(spectrum15, 8), 2,
+        snapshot_stride=16,
+    )
+    states = traj.states.copy()
+    odd = [-0.0, 5e-324, 1e300, -np.inf, np.inf, np.nan, 0.1, -2.0 / 3.0]
+    states[2, : len(odd)] = odd
+    for run in (traj, dataclasses.replace(traj, states=states)):
+        expected = "".join(
+            format(t, ".17g") + "," + ",".join(format(v, ".17g") for v in row) + "\n"
+            for t, row in zip(run.times, run.states)
+        )
+        assert simulate.states_to_csv(run) == expected
+    assert ",-0,4.9406564584124654e-324,1.0000000000000001e+300,-inf,inf,nan," in expected
 
 
 def test_problem_fingerprint_tracks_content(problem15):

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -270,6 +271,24 @@ def test_spectrum_csv_schema(spectrum15):
     first = lines[1].split(",")
     assert int(first[0]) == 1
     assert float(first[1]) == pytest.approx(spectrum15.lambdas[0])
+
+
+# values whose %-format and format() could part: signed zero, the smallest
+# subnormal, a large normal, both infinities and NaN
+ODD_VALUES = [-0.0, 5e-324, 1e300, -np.inf, np.inf, np.nan, 0.1, -2.0 / 3.0]
+
+
+def test_modes_csv_is_the_per_value_format(spectrum15):
+    from parastab.spectral import modes_to_csv
+
+    modes = spectrum15.modes.copy()
+    modes[3, : len(ODD_VALUES)] = ODD_VALUES
+    for spectrum in (spectrum15, dataclasses.replace(spectrum15, modes=modes)):
+        expected = "".join(
+            ",".join(format(v, ".17g") for v in row) + "\n" for row in spectrum.modes
+        )
+        assert modes_to_csv(spectrum) == expected
+    assert "-0,4.9406564584124654e-324,1.0000000000000001e+300,-inf,inf,nan" in expected
 
 
 def test_near_degenerate_gap_warns():
