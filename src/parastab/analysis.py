@@ -308,10 +308,11 @@ def _sweep_runs(
     """Synthesize, run and fit one (period, gammas, label) case at a time.
 
     Each seeded closed loop covers ``total_time`` (at least three holds) and
-    keeps every eighth substep.  Returns (gains, e^{-gamma_1 T}, fitted rate,
-    note) per case and the histories of the fitted runs.  A failed run or fit
-    becomes the note; so does a failed synthesis if ``note_synthesis_errors``,
-    otherwise it propagates.
+    records every max(substeps // 8, 1)-th substep and each hold's end:
+    eight records per hold when substeps is a multiple of eight.  Returns
+    (gains, e^{-gamma_1 T}, fitted rate, note) per case and the histories
+    of the fitted runs.  A failed run or fit becomes the note; so does a
+    failed synthesis if ``note_synthesis_errors``, otherwise it propagates.
     """
     y0 = seeded_initial_state(spectrum, seed)
     sub = problem.spec.substeps_per_hold if substeps is None else substeps

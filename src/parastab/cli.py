@@ -459,6 +459,8 @@ def cmd_simulate(
 
     if open_loop:
         try:
+            # the sweeps' record rule: eight records per hold when the
+            # substeps are a multiple of eight
             baseline = run_open_loop(
                 problem, spectrum, y0, config.open_loop_horizon,
                 snapshot_stride=max(problem.spec.substeps_per_hold // 8, 1),

@@ -17,16 +17,18 @@ drives it in blocks from one record point to the next and tests the
 overflow guard after every substep, so a blow-up is timed to its substep.
 
 Runs operate on the deviation from the equilibrium: for the linearized
-loops the deviation *is* the state, for the semilinear loop the recorded
-states are physical (deviation plus equilibrium) while the norm histories
-always track the deviation, which is the quantity that decays.
+loops the deviation *is* the state.  A Trajectory stores the recorded
+deviations as one block, written at the record points, and derives the rest
+on first read: the norm histories always track the deviation, which is the
+quantity that decays, and the node rows of the semilinear loop are physical
+(deviation plus equilibrium).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,22 +69,31 @@ class HoldSchedule:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots of one run.
+    """Records of one run.
 
-    states holds full node rows (boundary columns included); the boundary
-    column at x = L equals the active held value, with the final snapshot
-    carrying the last interval's value (left limit).  Norm histories are of
-    the deviation from equilibrium.  sample_indices locate t = 0, T, 2T, ...
-    in ``times``.  blowup_time is set (and the arrays truncated) when the
-    overflow guard tripped.
+    Stored: ``deviations``, one (records x M) block whose row r is the
+    deviation from equilibrium on the interior nodes at times[r], written by
+    the stepping engine at each record point; ``offset``, the equilibrium on
+    all M + 2 nodes (None for the linearized loops, whose deviation is the
+    state); ``record_holds``, the index into schedule.held_values of the
+    value active at each record, the final record carrying the last
+    interval's value (left limit); and the grid step ``h``.
+
+    Derived on first read, then cached: ``l2_norms`` and ``sobolev_norms``,
+    the norm histories of the deviation (never of states minus offset), and
+    ``states``, the full node rows (boundary columns included) whose column
+    at x = L is the active held value.  sample_indices locate t = 0, T, 2T,
+    ... in ``times``.  blowup_time is set (and the records end at the last
+    state that passed the guard) when the overflow guard tripped.
     """
 
     kind: str
     times: np.ndarray
-    states: np.ndarray
+    deviations: np.ndarray
+    offset: np.ndarray | None
+    record_holds: np.ndarray
+    h: float
     schedule: HoldSchedule
-    l2_norms: np.ndarray
-    sobolev_norms: np.ndarray
     sobolev_order: float
     sample_indices: np.ndarray
     substeps: int
@@ -90,12 +101,30 @@ class Trajectory:
     gains_hash: str
     blowup_time: float | None = None
 
+    @cached_property
+    def l2_norms(self) -> np.ndarray:
+        # np.linalg.norm's arithmetic for one row: sqrt(w.w)
+        return np.sqrt(self.h) * np.sqrt([row.dot(row) for row in self.deviations])
+
+    @cached_property
+    def sobolev_norms(self) -> np.ndarray:
+        return sobolev_norm(self.deviations, self.sobolev_order, self.h)
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        left = np.full(len(self.times), 0.0 if self.offset is None else self.offset[0])
+        right = self.schedule.held_values[self.record_holds]
+        return np.column_stack((left, self._interior_of(self.deviations), right))
+
     @property
     def interior(self) -> np.ndarray:
         return self.states[:, 1:-1]
 
     def sample_states(self) -> np.ndarray:
-        return self.interior[self.sample_indices]
+        return self._interior_of(self.deviations[self.sample_indices])
+
+    def _interior_of(self, rows: np.ndarray) -> np.ndarray:
+        return rows if self.offset is None else rows + self.offset[1:-1]
 
     def sample_times(self) -> np.ndarray:
         return self.times[self.sample_indices]
@@ -279,9 +308,11 @@ def _advance(
     coefficients q_2 ... q_d of the explicit nonlinear remainder
     sum_j q_j w^j (run_semilinear_closed_loop only; empty means none) and
     ``offset`` the equilibrium on all M+2 nodes (likewise; None means zero).
-    The deviation y0 - offset is stepped, states are recorded as deviation
-    plus offset and held values are shifted by offset[-1].  ``gains`` only
-    enters the setup checks, made here once per run, and the fingerprint.
+    The deviation y0 - offset is stepped and each record point copies it
+    into one preallocated (records x M) block; held values are shifted by
+    offset[-1].  Norms and node rows are left to the Trajectory, which
+    derives them on first read.  ``gains`` only enters the setup checks,
+    made here once per run, and the fingerprint.
     A blow-up is reported through ``blowup_time``; the linear wrappers
     raise it as UnstableStep.
 
@@ -324,21 +355,16 @@ def _advance(
     stops = list(range(snapshot_stride, substeps, snapshot_stride)) if snapshot_stride else []
     stops.append(substeps)
 
+    deviations = np.empty((1 + horizon * len(stops), m))
     times: list[float] = []
-    snaps: list[np.ndarray] = []
-    snap_interval: list[int] = []
-    sample_idx: list[int] = []
     held: list[float] = []
     blowup_time: float | None = None
 
-    def record(t: float, interval: int, is_sample: bool) -> None:
-        if is_sample:
-            sample_idx.append(len(times))
+    def record(t: float) -> None:
+        deviations[len(times)] = kernel.w
         times.append(t)
-        snaps.append(kernel.w.copy())
-        snap_interval.append(interval)
 
-    record(0.0, 0, True)
+    record(0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(horizon):
             u = control(kernel.w)
@@ -351,36 +377,26 @@ def _advance(
                     blowup_time = i * period + (done + tripped) * dt
                     break
                 done = stop
-                at_sample = stop == substeps
-                record(i * period + stop * dt, i + 1 if at_sample else i, at_sample)
+                record(i * period + stop * dt)
             if blowup_time is not None:
                 break
 
     held_arr = np.array(held) + (0.0 if offset is None else float(offset[-1]))
-    schedule = HoldSchedule(period=period, held_values=held_arr)
-
-    n_snap = len(times)
-    states = np.empty((n_snap, m + 2))
-    l2 = np.empty(n_snap)
-    sob = np.empty(n_snap)
-    states[:, 0] = 0.0 if offset is None else offset[0]
-    for j in range(n_snap):
-        dev = snaps[j]
-        l2[j] = l2_norm(dev, spectrum.h)
-        sob[j] = sobolev_norm(dev, sobolev_order, spectrum.h)
-        states[j, 1:-1] = dev if offset is None else dev + offset[1:-1]
-        idx = min(snap_interval[j], len(held) - 1)
-        states[j, -1] = held_arr[idx]
+    # every hold adds len(stops) records, its sample last, so record r lies
+    # in hold r // len(stops) or is the sample that starts it; the final
+    # sample starts no hold and carries the last value (left limit)
+    n_rec, per_hold = len(times), len(stops)
 
     return Trajectory(
         kind=kind,
         times=np.array(times),
-        states=states,
-        schedule=schedule,
-        l2_norms=l2,
-        sobolev_norms=sob,
+        deviations=deviations[:n_rec],
+        offset=offset,
+        record_holds=np.minimum(np.arange(n_rec) // per_hold, len(held) - 1),
+        h=spectrum.h,
+        schedule=HoldSchedule(period=period, held_values=held_arr),
         sobolev_order=sobolev_order,
-        sample_indices=np.array(sample_idx, dtype=int),
+        sample_indices=np.arange(0, n_rec, per_hold),
         substeps=substeps,
         problem_hash=problem_fingerprint(problem),
         gains_hash=gains_fingerprint(gains),
@@ -538,10 +554,11 @@ def decompose_z(
 def trajectory_to_csv(trajectory: Trajectory) -> str:
     """CSV schema t,l2_norm,sob_norm,u_held (17 significant digits)."""
     lines = ["t,l2_norm,sob_norm,u_held"]
+    u_held = trajectory.schedule.held_values[trajectory.record_holds]
     for j, t in enumerate(trajectory.times):
         lines.append(
             f"{t:.17g},{trajectory.l2_norms[j]:.17g},"
-            f"{trajectory.sobolev_norms[j]:.17g},{trajectory.states[j, -1]:.17g}"
+            f"{trajectory.sobolev_norms[j]:.17g},{u_held[j]:.17g}"
         )
     return "\n".join(lines) + "\n"
 

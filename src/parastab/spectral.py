@@ -22,6 +22,7 @@ from .model import ParastabError, ValidatedProblem
 
 RHO_GAP_TOLERANCE = 1e-9
 DEGENERATE_GAP_WARNING = 1e-8
+SOBOLEV_BLOCK_ROWS = 64  # rows per rfft call of sobolev_norm
 
 
 class EigenSolverFailure(ParastabError):
@@ -197,7 +198,7 @@ def project(y: np.ndarray, spectrum: Spectrum, n: int | None = None) -> np.ndarr
     return spectrum.h * (spectrum.modes[:, :n].T @ y)
 
 
-def sobolev_norm(y: np.ndarray, s: float, h: float) -> float:
+def sobolev_norm(y: np.ndarray, s: float, h: float) -> float | np.ndarray:
     """Fractional norm sqrt(sum_j mu_j^s <y, e_j>_h^2) over all M modes.
 
     mu_j = (4/h^2) sin^2(j pi / (2(M+1))) and e_j are the eigenvalues and
@@ -205,15 +206,26 @@ def sobolev_norm(y: np.ndarray, s: float, h: float) -> float:
     every weight mu_j^s is real and positive; s = 0 recovers the discrete
     L2 norm.  The coordinates come from a DST-I, taken as the FFT of the
     odd extension of y.
+
+    y is one row (a float is returned) or an (n, M) stack of rows (n norms
+    are returned).  The DST-I of a stack is one rfft per block of
+    SOBOLEV_BLOCK_ROWS rows, which bounds the scratch memory; each row's
+    norm is the same arithmetic as a one-row call, bit for bit.
     """
     if not 0.0 <= s < 1.0:
         raise ValueError(f"s must lie in [0, 1), got {s}")
-    m = y.shape[0]
+    rows = np.atleast_2d(y)
+    m = rows.shape[1]
     mu_s = _sobolev_weights(m, h, s)
-    # the FFT of (0, y, 0, -reversed y) has imaginary part
-    # -2 sum_i y_i sin(j pi i / (M+1)), and <y, e_j>_h^2 is h/(2(M+1)) times its square
-    sines = np.fft.rfft(np.concatenate(([0.0], y, [0.0], -y[::-1])))[1 : m + 1].imag
-    return float(np.sqrt(h / (2.0 * (m + 1)) * np.dot(mu_s, sines * sines)))
+    weighted = []
+    for block in np.split(rows, range(SOBOLEV_BLOCK_ROWS, len(rows), SOBOLEV_BLOCK_ROWS)):
+        zero = np.zeros((len(block), 1))
+        # the FFT of (0, y, 0, -reversed y) has imaginary part
+        # -2 sum_i y_i sin(j pi i / (M+1)), and <y, e_j>_h^2 is h/(2(M+1)) times its square
+        sines = np.fft.rfft(np.hstack((zero, block, zero, -block[:, ::-1])))[:, 1 : m + 1].imag
+        weighted += [np.dot(mu_s, row) for row in sines * sines]
+    norms = np.sqrt(h / (2.0 * (m + 1)) * np.array(weighted))
+    return float(norms[0]) if np.ndim(y) == 1 else norms
 
 
 @functools.lru_cache(maxsize=32)

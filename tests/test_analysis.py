@@ -9,22 +9,26 @@ from parastab.analysis import (
     gamma_sweep_to_csv,
     sweep_to_csv,
 )
+from parastab import simulate
 from parastab.simulate import HoldSchedule, Trajectory
 
 from conftest import make_problem, make_spectrum
 
 
 def synthetic_trajectory(times, norms, period=0.2):
+    """One-node deviations equal to the given norms on a unit grid step, so
+    the derived L2 history sqrt(1) * sqrt(fl(x * x)) is |x|, exactly."""
     times = np.asarray(times, dtype=float)
     norms = np.asarray(norms, dtype=float)
     n = times.size
     return Trajectory(
         kind="linear-closed-loop",
         times=times,
-        states=np.zeros((n, 4)),
+        deviations=norms[:, None],
+        offset=None,
+        record_holds=np.zeros(n, dtype=int),
+        h=1.0,
         schedule=HoldSchedule(period=period, held_values=np.zeros(1)),
-        l2_norms=norms,
-        sobolev_norms=norms,
         sobolev_order=0.25,
         sample_indices=np.array([0]),
         substeps=1,
@@ -194,6 +198,43 @@ def test_estimate_basin_bisection_refines(problem15, spectrum15, gains15):
     )
     assert report.refined_edge is not None
     assert 0.01 <= report.refined_edge <= 50.0
+
+
+def _count_history_reads(monkeypatch):
+    """Replace the two cached norm histories of Trajectory by counting
+    properties; returns the {name: reads} dict they fill."""
+    reads = {"l2_norms": 0, "sobolev_norms": 0}
+    for name in reads:
+        derive = Trajectory.__dict__[name].func
+
+        def counting(traj, name=name, derive=derive):
+            reads[name] += 1
+            return derive(traj)
+
+        monkeypatch.setattr(Trajectory, name, property(counting))
+    return reads
+
+
+def test_sweep_computes_no_sobolev_history(monkeypatch, problem15):
+    reads = _count_history_reads(monkeypatch)
+    calls = []
+    real = simulate.sobolev_norm
+    monkeypatch.setattr(simulate, "sobolev_norm", lambda *a: calls.append(a) or real(*a))
+    result = ps.sweep_sampling_period(problem15, (0.2, 1.0), total_time=4.0, seed=3)
+    assert all(row.fitted_rate is not None for row in result.rows)
+    assert reads["l2_norms"] > 0
+    assert reads["sobolev_norms"] == 0
+    assert calls == []
+
+
+def test_basin_computes_no_l2_history(monkeypatch, problem15, spectrum15, gains15):
+    reads = _count_history_reads(monkeypatch)
+    report = ps.estimate_basin(
+        problem15, spectrum15, gains15, (0.01, 50.0), horizon=20, seed=42, bisect_iters=2
+    )
+    assert report.refined_edge is not None
+    assert reads["sobolev_norms"] > 0
+    assert reads["l2_norms"] == 0
 
 
 def test_sweep_csv_roundtrip(problem15):

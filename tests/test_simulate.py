@@ -9,6 +9,7 @@ from scipy.linalg import get_lapack_funcs, solve_banded
 import parastab as ps
 from parastab.lifting import _shift_coefficients
 from parastab import simulate
+from parastab.spectral import SOBOLEV_BLOCK_ROWS
 from parastab.simulate import (
     BLOWUP_GUARD,
     _advance,
@@ -771,15 +772,84 @@ def test_trajectory_csv_schema(problem15, spectrum15, gains15):
     assert float(cells[1]) == pytest.approx(traj.l2_norms[0])
 
 
+def test_norm_histories_are_bit_identical_to_rows(problem15, spectrum15, gains15):
+    """The derived histories equal the one-row l2_norm and sobolev_norm of
+    each deviation, bit for bit, across a partial last Sobolev block."""
+    h = problem15.h
+    escaped = ps.run_semilinear_closed_loop(
+        problem15, spectrum15, gains15,
+        ps.seeded_initial_state(spectrum15, 42, amplitude=50.0, norm="sobolev"), 50,
+    )
+    assert escaped.blowup_time is not None
+    rows = np.random.default_rng(3).standard_normal((SOBOLEV_BLOCK_ROWS + 1, problem15.m))
+    rows[0] = 0.0
+    rows[1] *= 1e-300
+    rows[2] *= 1e10
+    rows[3] = rows[-1] = escaped.deviations[-1]
+    run = dataclasses.replace(escaped, deviations=rows)
+    assert np.all(run.l2_norms == [ps.l2_norm(row, h) for row in rows])
+    assert np.all(run.sobolev_norms == [ps.sobolev_norm(row, 0.25, h) for row in rows])
+
+
+def _eager_records(traj):
+    """Node rows and norm histories assembled row by row, as the engine
+    once did at the end of every run: deviation plus offset between the
+    boundary values, the active held value at x = L (the latest sample at
+    or before the record; the final one carries the last value), and the
+    one-row norms of the deviation."""
+    n, m = traj.deviations.shape
+    held = traj.schedule.held_values
+    states = np.empty((n, m + 2))
+    l2 = np.empty(n)
+    sob = np.empty(n)
+    states[:, 0] = 0.0 if traj.offset is None else traj.offset[0]
+    for j, dev in enumerate(traj.deviations):
+        l2[j] = ps.l2_norm(dev, traj.h)
+        sob[j] = ps.sobolev_norm(dev, traj.sobolev_order, traj.h)
+        states[j, 1:-1] = dev if traj.offset is None else dev + traj.offset[1:-1]
+        hold = np.searchsorted(traj.sample_indices, j, side="right") - 1
+        states[j, -1] = held[min(hold, held.size - 1)]
+    return states, l2, sob
+
+
+@pytest.mark.parametrize("stride", [None, 8])
+@pytest.mark.parametrize("amplitude", [0.01, 50.0])
+def test_derived_records_match_eager_assembly(stride, amplitude):
+    """On a semilinear run about a callable, nonzero equilibrium the cached
+    states and norms equal the eager assembly bit for bit, also when a
+    blow-up truncates the records."""
+    prob = ps.validate_spec(ps.ProblemSpec(
+        nonlinearity=ps.fisher_reaction(15.0), grid_points=64, substeps_per_hold=16,
+        equilibrium=lambda x: 0.02 + 0.1 * np.sin(np.pi * x) + 0.05 * x,
+    ))
+    spectrum = make_spectrum(prob)
+    gains = quiet_gains(spectrum, prob.spec.gammas, prob.period)
+    ye = prob.equilibrium_values
+    assert ye[0] != 0.0 and ye[-1] != 0.0
+    dev0 = ps.seeded_initial_state(spectrum, 42, amplitude=amplitude, norm="sobolev")
+    traj = ps.run_semilinear_closed_loop(
+        prob, spectrum, gains, ye[1:-1] + dev0, 30, snapshot_stride=stride,
+    )
+    assert (traj.blowup_time is not None) == (amplitude > 1.0)
+    assert traj.offset is ye
+    states, l2, sob = _eager_records(traj)
+    assert np.array_equal(traj.l2_norms, l2)
+    assert np.array_equal(traj.sobolev_norms, sob)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.sample_states(), states[traj.sample_indices, 1:-1])
+
+
 def test_states_csv_is_the_per_value_format(problem15, spectrum15, gains15):
     traj = ps.run_linear_closed_loop(
         problem15, spectrum15, gains15, ps.seeded_initial_state(spectrum15, 8), 2,
         snapshot_stride=16,
     )
-    states = traj.states.copy()
+    # the node rows are derived from the deviations: row 2 of the copy's
+    # states is 0 (the x = 0 boundary), then the odd values
+    deviations = traj.deviations.copy()
     odd = [-0.0, 5e-324, 1e300, -np.inf, np.inf, np.nan, 0.1, -2.0 / 3.0]
-    states[2, : len(odd)] = odd
-    for run in (traj, dataclasses.replace(traj, states=states)):
+    deviations[2, : len(odd)] = odd
+    for run in (traj, dataclasses.replace(traj, deviations=deviations)):
         expected = "".join(
             format(t, ".17g") + "," + ",".join(format(v, ".17g") for v in row) + "\n"
             for t, row in zip(run.times, run.states)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import parastab as ps
-from parastab.spectral import TridiagonalOperator, _sobolev_weights
+from parastab.spectral import SOBOLEV_BLOCK_ROWS, TridiagonalOperator, _sobolev_weights
 
 from conftest import make_problem, make_spectrum
 
@@ -245,6 +245,52 @@ def test_sobolev_norm_two_modes_closed_form(problem15, laplacian15):
     # and the continuum i^2 pi^2 weights agree loosely
     loose = np.sqrt((np.pi**2) ** 0.25 + (4 * np.pi**2) ** 0.25)
     assert ps.sobolev_norm(y, 0.25, problem15.h) == pytest.approx(loose, rel=1e-3)
+
+
+def _one_row_sobolev(y, s, h):
+    """The one-row arithmetic of sobolev_norm, spelled out: weights, DST-I
+    of the odd extension, one dot product."""
+    m = y.shape[0]
+    mu_s = (4.0 / h**2) * np.sin(np.arange(1, m + 1) * (np.pi / (2 * (m + 1)))) ** 2
+    mu_s **= s
+    sines = np.fft.rfft(np.concatenate(([0.0], y, [0.0], -y[::-1])))[1 : m + 1].imag
+    return float(np.sqrt(h / (2.0 * (m + 1)) * np.dot(mu_s, sines * sines)))
+
+
+def _blown_up_row(m):
+    """Last recorded deviation of an uncontrolled Fisher run that blows up."""
+    prob = make_problem(grid_points=m, substeps=16)
+    spectrum = make_spectrum(prob)
+    y0 = ps.seeded_initial_state(spectrum, 42, amplitude=50.0, norm="sobolev")
+    traj = ps.run_semilinear_closed_loop(prob, spectrum, None, y0, 50, snapshot_stride=1)
+    assert traj.blowup_time is not None
+    return traj.deviations[-1]
+
+
+# M = 400 pads to an FFT length of 802 = 2 * 401
+@pytest.mark.parametrize("m", [16, 200, 400, 1000])
+def test_sobolev_stack_is_bit_identical_to_rows(m):
+    h = 1.0 / (m + 1)
+    rng = np.random.default_rng(m)
+    special = np.array([
+        np.zeros(m),
+        1e-300 * rng.standard_normal(m),
+        1e10 * rng.standard_normal(m),
+        _blown_up_row(m),
+    ])
+    for n in (SOBOLEV_BLOCK_ROWS - 1, SOBOLEV_BLOCK_ROWS, SOBOLEV_BLOCK_ROWS + 1):
+        stack = rng.standard_normal((n, m))
+        # the special rows open the stack and close it, in its last block
+        stack[:4] = special
+        stack[-4:] = special
+        for s in (0.0, 0.25, 0.9):
+            got = ps.sobolev_norm(stack, s, h)
+            assert got.shape == (n,)
+            expected = np.array([_one_row_sobolev(row, s, h) for row in stack])
+            assert np.all(got == expected)
+            row = ps.sobolev_norm(stack[-1], s, h)
+            assert type(row) is float
+            assert row == expected[-1]
 
 
 def test_sobolev_weights_are_cached_read_only(problem15):
