@@ -127,7 +127,9 @@ def _assemble(lambdas, flux, gammas, T, dps: int) -> ExactGains:
             for i in range(n):
                 rows_k[i, k] = gk[i]
             weight = mp.mpf(1) if period is None else mp.exp(-gam[k] * period)
-            closed += weight * (vs[k] * (vs[k].T * gram_inv))
+            # scalar on the right: mpf * matrix formats the whole matrix through
+            # repr in mpmath's conversion fallback before matrix.__rmul__ runs
+            closed += (vs[k] * (vs[k].T * gram_inv)) * weight
 
         return ExactGains(
             lambdas=lam,
@@ -229,7 +231,7 @@ def contraction_bound(exact: ExactGains) -> tuple[float, float]:
         sym = mp.zeros(n, n)
         for k in range(n):
             w = half * exact.weighted_vector(k)
-            sym += mp.exp(-exact.gammas[k] * exact.period) * (w * w.T)
+            sym += (w * w.T) * mp.exp(-exact.gammas[k] * exact.period)
         lam_max = max(mp.mpf(e) for e in mp.eigsy(sym, eigvals_only=True))
         return float(lam_max), float(mp.exp(-exact.gammas[0] * exact.period))
 

@@ -6,15 +6,20 @@ by Crank-Nicolson (unconditionally stable, second order); the semilinear
 run treats the diffusion plus linearized reaction implicitly and the
 nonlinear remainder explicitly, so every solve stays tridiagonal.  That
 remainder is the exact Taylor tail of the polynomial reaction about the
-equilibrium, sum_{j>=2} q_j w^j, evaluated by Horner's rule in the
-deviation w with the q_j formed once per run.  The CN
-matrix I + dt/2 A is factored once per run: LDL^T (LAPACK pttrf) when it is
-positive definite, 1 + dt lambda_1 / 2 > 0, else pivoted LU (gttrf).
+equilibrium, sum_{j>=2} q_j w^j in the deviation w, with the q_j formed
+once per run.  The CN matrix I + dt/2 A is factored once per run: LDL^T
+(LAPACK pttrf) when it is positive definite, 1 + dt lambda_1 / 2 > 0, else
+pivoted LU (gttrf).
 
 One in-place kernel (_CNKernel) steps every run: it alternates between two
-zero-padded state buffers and allocates nothing per substep.  _advance
-drives it in blocks from one record point to the next and tests the
-overflow guard after every substep, so a blow-up is timed to its substep.
+zero-padded state buffers and allocates nothing per substep.  The
+right-hand side of a substep is one fused product,
+(rd + w (dt q_2 + w (dt q_3 + ...))) w - off (w_+ + w_-) plus the boundary
+input, with rd = 1 - dt/2 diag(A) and the scalar off = dt/2 times A's
+constant off-diagonal (an operator whose off-diagonal varies is
+rejected).  _advance drives the kernel in blocks from one record point to
+the next and tests the overflow guard after every substep, so a blow-up is
+timed to its substep.
 
 Runs operate on the deviation from the equilibrium: for the linearized
 loops the deviation *is* the state.  A Trajectory stores the recorded
@@ -35,7 +40,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .model import ParastabError, ValidatedProblem
-from .spectral import Spectrum, l2_norm, project, sobolev_norm
+from .spectral import Spectrum, TridiagonalOperator, l2_norm, project, sobolev_norm
 from .synthesis import DimensionMismatch, GainSet, _check_consistent, component_feedback
 from .lifting import dirichlet_lift
 
@@ -163,48 +168,54 @@ def gains_fingerprint(gains: GainSet | None) -> str:
     )
 
 
-def _cn_solver(spectrum: Spectrum, dt: float) -> Callable[[np.ndarray], object]:
-    """solve(b) overwrites b with (I + dt/2 A)^-1 b, factored here once:
-    LDL^T (pttrf), or LU (gttrf) if not positive definite."""
-    op = spectrum.operator
+def _cn_solver(op: TridiagonalOperator, dt: float) -> Callable[[np.ndarray, int], object]:
+    """solve(b, 1) overwrites b with (I + dt/2 A)^-1 b, factored here once:
+    LDL^T (pttrf), or LU (gttrf) if not positive definite.  The LDL^T solve
+    is pttrs with its factors bound and (b, overwrite_b) passed by position,
+    which f2py parses faster than keywords."""
     off = 0.5 * dt * op.offdiag
     left_diag = 1.0 + 0.5 * dt * op.diag
     pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), (op.diag,))
     d, e, info = pttrf(left_diag, off)
     if info == 0:
-        return partial(pttrs, d, e, overwrite_b=True)
+        return partial(pttrs, d, e)
     gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (op.diag,))
     *lu, info = gttrf(off, left_diag, off)
     if info > 0:
         raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
-    return partial(gttrs, *lu, overwrite_b=True)
+    return lambda b, overwrite_b: gttrs(*lu, b, "N", overwrite_b)
 
 
 class _CNKernel:
     """Crank-Nicolson substeps dt, in place on two buffers of M + 2 entries
     whose end entries stay 0; ``w`` is the interior of the current one.
 
-    A substep from buffer k to buffer 1 - k writes (I - dt/2 A) w into the
-    target interior (diagonal product, then the upper and lower off-diagonal
-    products read from the padded neighbours, so the end rows subtract an
-    exact 0), adds dt u / h^2 to the last entry, adds the explicit tail
-    (_tail_increment) and solves in place.  Views, padded coefficients and
-    the factorization are made once per run; a substep allocates nothing.
-    The overflow guard l2_norm(w) <= BLOWUP_GUARD is tested after every
+    A substep from buffer k to buffer 1 - k writes the right-hand side
+
+        (rd + w (dt q_2 + w (dt q_3 + ...))) w - off (w_+ + w_-)
+
+    into the target interior, adds dt u / h^2 to its last entry and solves
+    in place.  rd = 1 - dt/2 diag and the explicit Taylor tail form one
+    polynomial in w, evaluated by Horner's rule (rd w alone for a linear
+    run); w_+ and w_- are the padded neighbours, so the end rows add an
+    exact 0.  off = dt/2 offdiag[0] is one scalar, so the operator's
+    off-diagonal must be constant (assemble_operator's -1/h^2); any other
+    is rejected with ValueError.  Views, coefficients and the
+    factorization are made once per run; a substep allocates nothing.  The
+    overflow guard l2_norm(w) <= BLOWUP_GUARD is tested after every
     substep as w.w <= BLOWUP_GUARD^2 / h.
     """
 
-    def __init__(self, spectrum: Spectrum, dt: float, dt_tail: Sequence[np.ndarray],
+    def __init__(self, op: TridiagonalOperator, dt: float, dt_tail: Sequence[np.ndarray],
                  w0: np.ndarray):
-        op = spectrum.operator
-        off = 0.5 * dt * op.offdiag
-        self.right_diag = 1.0 - 0.5 * dt * op.diag
-        self.upper = np.append(off, 0.0)
-        self.lower = np.append(0.0, off)
-        self.solve = _cn_solver(spectrum, dt)
-        self.dt_tail = dt_tail
-        self.guard_sq = BLOWUP_GUARD**2 / spectrum.h
-        self.scratch = np.empty((2, op.m))
+        if np.any(op.offdiag != op.offdiag[0]):
+            raise ValueError("the Crank-Nicolson kernel needs a constant off-diagonal")
+        self.off = 0.5 * dt * op.offdiag[0]
+        # Horner coefficients of the diagonal product, lowest power first
+        self.coeffs = (1.0 - 0.5 * dt * op.diag, *dt_tail)
+        self.solve = _cn_solver(op, dt)
+        self.guard_sq = BLOWUP_GUARD**2 / op.h
+        self.tmp = np.empty(op.m)
         bufs = np.zeros((2, op.m + 2))
         bufs[0, 1:-1] = w0
         # per source buffer: its interior, right and left neighbours, target interior
@@ -220,22 +231,20 @@ class _CNKernel:
         """Take n substeps with dt u / h^2 = dt_bc, stopping at the first
         state that fails the overflow guard (a NaN or inf state has a NaN or
         inf w.w, so one test covers both); return its 1-based substep, else 0."""
-        mul, sub = np.multiply, np.subtract
-        right_diag, upper, lower = self.right_diag, self.upper, self.lower
-        solve, dt_tail, scratch = self.solve, self.dt_tail, self.scratch
-        guard_sq = self.guard_sq
-        tmp = scratch[0]
+        mul, add, sub = np.multiply, np.add, np.subtract
+        lead, inner = self.coeffs[-1], self.coeffs[-2::-1]
+        off, solve, tmp, guard_sq = self.off, self.solve, self.tmp, self.guard_sq
         views = self.views
         k = self.k
         for j in range(1, n + 1):
             w, right, left, out = views[k]
-            mul(right_diag, w, out=out)
-            sub(out, mul(upper, right, out=tmp), out=out)
-            sub(out, mul(lower, left, out=tmp), out=out)
+            mul(w, lead, out=out)
+            for c in inner:
+                add(out, c, out=out)
+                mul(out, w, out=out)
+            sub(out, mul(add(right, left, out=tmp), off, out=tmp), out=out)
             out[-1] += dt_bc
-            if dt_tail:
-                _tail_increment(dt_tail, w, out, scratch)
-            solve(out)
+            solve(out, 1)
             k = 1 - k
             if not out.dot(out) <= guard_sq:
                 self.k = k
@@ -272,17 +281,6 @@ def seeded_initial_state(
     if scale == 0.0:
         raise ValueError("degenerate initial state")
     return y * (amplitude / scale)
-
-
-def _tail_increment(dt_tail: Sequence[np.ndarray], w: np.ndarray, out: np.ndarray,
-                    scratch: np.ndarray) -> None:
-    """out += dt * sum_{j>=2} q_j w^j = (w w)(dt q_2 + w (dt q_3 + ...)) by
-    Horner's rule, from dt_tail = (dt q_2, ..., dt q_d), in place; scratch
-    holds two work rows shaped like w."""
-    poly = dt_tail[-1]
-    for q in dt_tail[-2::-1]:
-        poly = np.add(np.multiply(poly, w, out=scratch[1]), q, out=scratch[1])
-    np.add(out, np.multiply(np.multiply(w, w, out=scratch[0]), poly, out=scratch[0]), out=out)
 
 
 def _advance(
@@ -349,7 +347,7 @@ def _advance(
 
     period = problem.period
     dt = period / substeps
-    kernel = _CNKernel(spectrum, dt, [dt * q for q in tail], w)
+    kernel = _CNKernel(spectrum.operator, dt, [dt * q for q in tail], w)
     h2 = spectrum.h**2
     # record points of a hold: every snapshot_stride substeps, and its end
     stops = list(range(snapshot_stride, substeps, snapshot_stride)) if snapshot_stride else []

@@ -38,6 +38,8 @@ class TridiagonalOperator:
     """Symmetric tridiagonal discretization of -Laplacian - c(x).
 
     diag has length M (2/h^2 - c(x_j)); offdiag has length M-1 (-1/h^2).
+    The stepping engine reads the off-diagonal as one scalar and rejects
+    an operator whose off-diagonal is not constant.
     """
 
     diag: np.ndarray
@@ -84,7 +86,8 @@ class Spectrum:
 
 
 def assemble_operator(problem: ValidatedProblem, c: np.ndarray) -> TridiagonalOperator:
-    """Build the M x M symmetric tridiagonal matrix for -Laplacian - c(x)."""
+    """Build the M x M symmetric tridiagonal matrix for -Laplacian - c(x);
+    every off-diagonal entry is the single value -1/h^2."""
     m = problem.m
     c = np.broadcast_to(np.asarray(c, dtype=float), (m,))
     h = problem.h

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 
 import mpmath
@@ -14,29 +15,32 @@ from parastab.simulate import (
     BLOWUP_GUARD,
     _advance,
     _cn_solver,
-    _tail_increment,
+    _CNKernel,
     problem_fingerprint,
 )
 
 from conftest import hold_profiles, make_problem, make_spectrum, quiet_gains
 
 
-def _banded_step(spectrum, dt, w, forcing, increment=None, pivoting=False):
+def _banded_step(spectrum, dt, w, forcing, dt_tail=(), pivoting=False):
     """Reference CN substep: (I + dt/2 A) rebuilt and solved on every call,
     with the engine's right-hand-side order
-    ((I - dt/2 A) w + dt*forcing) + increment(w), where increment is the
-    explicit term already scaled by dt.  The solve is LAPACK
-    ptsv (LDL^T) when 1 + dt lambda_1 / 2 > 0 makes the matrix positive
-    definite, and solve_banded (pivoted LU) otherwise or with ``pivoting``."""
+    (rd + w (dt q_2 + w (dt q_3 + ...))) w - off (w_+ + w_-) + dt*forcing,
+    where rd = 1 - dt/2 diag, off = dt/2 offdiag[0], w_+ and w_- are the
+    zero-padded neighbours and dt_tail = (dt q_2, ..., dt q_d) is the
+    explicit tail already scaled by dt.  The solve is LAPACK ptsv (LDL^T)
+    when 1 + dt lambda_1 / 2 > 0 makes the matrix positive definite, and
+    solve_banded (pivoted LU) otherwise or with ``pivoting``."""
     op = spectrum.operator
     diag = 1.0 + 0.5 * dt * op.diag
     off = 0.5 * dt * op.offdiag
-    rhs = (1.0 - 0.5 * dt * op.diag) * w
-    rhs[:-1] -= off * w[1:]
-    rhs[1:] -= off * w[:-1]
+    poly = ([1.0 - 0.5 * dt * op.diag] + list(dt_tail))[::-1]
+    acc = poly[0]
+    for coeff in poly[1:]:
+        acc = coeff + w * acc
+    padded = np.concatenate(([0.0], w, [0.0]))
+    rhs = acc * w - off[0] * (padded[2:] + padded[:-2])
     rhs = rhs + dt * forcing
-    if increment is not None:
-        rhs += increment(w)
     if not pivoting and 1.0 + 0.5 * dt * spectrum.lambdas[0] > 0:
         *_, x, info = get_lapack_funcs("ptsv", (diag,))(diag, off, rhs)
         assert info == 0
@@ -48,7 +52,7 @@ def _banded_step(spectrum, dt, w, forcing, increment=None, pivoting=False):
     return solve_banded((1, 1), ab, rhs)
 
 
-def _banded_run(problem, spectrum, w, horizon, control, increment=None, pivoting=False):
+def _banded_run(problem, spectrum, w, horizon, control, dt_tail=(), pivoting=False):
     """Every substep state of a zero-order-hold run stepped by _banded_step."""
     substeps = problem.spec.substeps_per_hold
     dt = problem.period / substeps
@@ -57,7 +61,7 @@ def _banded_run(problem, spectrum, w, horizon, control, increment=None, pivoting
         bc = np.zeros(spectrum.m)
         bc[-1] = control(w) / spectrum.h**2
         for _ in range(substeps):
-            w = _banded_step(spectrum, dt, w, bc, increment, pivoting)
+            w = _banded_step(spectrum, dt, w, bc, dt_tail, pivoting)
             states.append(w)
     return np.array(states)
 
@@ -157,7 +161,7 @@ def test_linear_step_matches_banded_oracle(grid_points, period, substeps, horizo
     if 1.0 + 0.5 * dt * spectrum.lambdas[0] > 0:
         # LDL^T and pivoted LU are both backward stable, so their states part
         # by at most about eps * cond(I + dt/2 A) per substep, summed over the
-        # run (measured 5e-15 at M = 16 and 1.9e-14 at M = 200)
+        # run (measured 3.9e-15 at M = 16 and 3.5e-14 at M = 200)
         pivoted = _banded_run(
             prob, spectrum, y0, horizon,
             lambda w: ps.apply_feedback(gains, w, spectrum), pivoting=True,
@@ -174,8 +178,8 @@ def test_semilinear_step_matches_banded_oracle(problem15, spectrum15, gains15):
     c = ps.linearized_coefficient(problem15)
     dt = problem15.period / problem15.spec.substeps_per_hold
     # Fisher: the Taylor tail about y_e is the single term q_2 w^2, and the
-    # engine forms (w * w) * (dt q_2); test_taylor_tail_matches_mpmath
-    # checks that tail against f(y_e + w) - f(y_e) - f_y(y_e) w
+    # engine forms (rd + w (dt q_2)) w; test_taylor_tail_matches_mpmath
+    # checks that product against rd w + dt (f(y_e + w) - f(y_e) - f_y(y_e) w)
     (q2,) = problem15.spec.nonlinearity.taylor_tail(ye)
     dt_q2 = dt * q2
 
@@ -188,7 +192,7 @@ def test_semilinear_step_matches_banded_oracle(problem15, spectrum15, gains15):
     )
     oracle = _banded_run(
         problem15, spectrum15, y0, 4,
-        lambda w: ps.apply_feedback(gains15, w, spectrum15), remainder,
+        lambda w: ps.apply_feedback(gains15, w, spectrum15), [dt_q2],
     )
     assert oracle.shape[0] - 1 >= 200
     assert traj.blowup_time is None
@@ -227,10 +231,7 @@ def test_block_recording_matches_banded_oracle(loop, problem15, spectrum15, gain
     else:
         offset = problem15.equilibrium_values[1:-1]
         (q2,) = problem15.spec.nonlinearity.taylor_tail(offset)
-        dt_q2 = dt * q2
-        oracle = _banded_run(
-            problem15, spectrum15, y0, horizon, feedback, lambda w: w * w * dt_q2
-        )
+        oracle = _banded_run(problem15, spectrum15, y0, horizon, feedback, [dt * q2])
 
         def run(stride):
             return ps.run_semilinear_closed_loop(
@@ -264,12 +265,17 @@ TAIL_REACTIONS = [
 @pytest.mark.parametrize("reaction", TAIL_REACTIONS, ids=lambda r: r.kind)
 @pytest.mark.parametrize("equilibrium", ["zero", "one", "sine"])
 def test_taylor_tail_matches_mpmath(reaction, equilibrium):
-    """The engine's explicit increment dt * sum_{j>=2} q_j w^j against
-    dt * (f(y_e + w) - f(y_e) - f_y(y_e) w) in 40-digit mpmath, on the same
-    float64 y_e and w.  Bound: 2 d eps sum_j dt qbar_j |w|^j, d the degree,
-    qbar_j the q_j of |p_i| and |y_e| (= |q_j| when forming q_j does not
-    cancel); the largest error measured is 0.24 of it."""
+    """The kernel's diagonal product (rd + w (dt q_2 + w (dt q_3 + ...))) w
+    against rd w + dt (f(y_e + w) - f(y_e) - f_y(y_e) w) in 40-digit mpmath,
+    on the same float64 rd, y_e and w.  The product is read off one kernel
+    substep on an operator with a zero off-diagonal and the solve replaced
+    by the identity.  Affine reactions: the product is rd w rounded once.
+    Otherwise the bound is 2 d eps (|rd w| + sum_j dt qbar_j |w|^j), d the
+    degree, qbar_j the q_j of |p_i| and |y_e| (= |q_j| when forming q_j does
+    not cancel): the Horner bound of a degree-d polynomial, which also
+    covers forming the q_j; the largest error measured is 0.23 of it."""
     x = np.linspace(0.0, 1.0, 34)[1:-1]
+    h = x[0]
     ye = {"zero": np.zeros_like(x), "one": np.ones_like(x), "sine": np.sin(np.pi * x)}[
         equilibrium
     ]
@@ -280,6 +286,13 @@ def test_taylor_tail_matches_mpmath(reaction, equilibrium):
     p = reaction.coefficients
     d = len(p) - 1
     assert len(tail) == max(d - 1, 0)
+    f_y = sum(i * c * ye ** (i - 1) for i, c in enumerate(p) if i)
+    op = ps.TridiagonalOperator(diag=2.0 / h**2 - f_y, offdiag=np.zeros(x.size - 1), h=h)
+    rd = 1.0 - 0.5 * dt * op.diag
+    kernel = _CNKernel(op, dt, [dt * q for q in tail], w)
+    kernel.solve = lambda b, overwrite_b: None
+    assert kernel.advance(1, 0.0) == 0
+    got = kernel.w
 
     with mpmath.workdps(40):
         mp_p = [mpmath.mpf(c) for c in p]
@@ -287,25 +300,101 @@ def test_taylor_tail_matches_mpmath(reaction, equilibrium):
         def f(y):
             return sum(c * y**i for i, c in enumerate(mp_p))
 
-        def f_y(y):
+        def mp_f_y(y):
             return sum(i * c * y ** (i - 1) for i, c in enumerate(mp_p) if i)
 
         exact = np.array([
-            float(mpmath.mpf(dt) * (f(a + b) - f(a) - f_y(a) * b))
-            for a, b in ((mpmath.mpf(a), mpmath.mpf(b)) for a, b in zip(ye, w))
+            float(r * b + mpmath.mpf(dt) * (f(a + b) - f(a) - mp_f_y(a) * b))
+            for r, a, b in (map(mpmath.mpf, t) for t in zip(rd, ye, w))
         ])
     if not tail:
-        # affine: the engine adds nothing, and nothing is missing
-        assert np.all(exact == 0.0)
+        # affine: nothing is added to rd w, and nothing is missing
+        assert np.array_equal(got, rd * w)
+        assert np.array_equal(got, exact)
         return
-    got = np.zeros_like(w)
-    _tail_increment([dt * q for q in tail], w, got, np.empty((2, w.size)))
     qbar = [
         sum(math.comb(i, j) * abs(p[i]) * np.abs(ye) ** (i - j) for i in range(j, d + 1))
         for j in range(2, d + 1)
     ]
-    scale = sum(dt * q * np.abs(w) ** j for j, q in enumerate(qbar, start=2))
+    scale = np.abs(rd * w) + sum(dt * q * np.abs(w) ** j for j, q in enumerate(qbar, start=2))
     assert np.all(np.abs(got - exact) <= 2 * d * np.finfo(float).eps * scale)
+
+
+def _decimal_cn_sample_l2(problem, spectrum, gains, y0, horizon, tail=()):
+    """L2 norm at every sample of the zero-order-hold CN recursion
+    (I + dt/2 A) w' = (I - dt/2 A) w + dt sum_j q_j w^j + dt u/h^2 e_M
+    in 40-digit decimal arithmetic, on the engine's float64 data taken as
+    exact: A's diagonal and off-diagonal, dt, h, the q_j, the gain row, the
+    first N modes and y0.  u = g . (h Phi_N^T w) is sampled from the
+    recursion's own state at the start of each hold, as the engine does."""
+    D = decimal.Decimal
+    with decimal.localcontext(prec=40):
+        m = spectrum.m
+        substeps = problem.spec.substeps_per_hold
+        dt = D(problem.period / substeps)
+        h = D(spectrum.h)
+        op = spectrum.operator
+        a_diag = [D(v) for v in op.diag]
+        a_off = [D(v) for v in op.offdiag] + [D(0)]  # a_off[-1] pads both ends
+        qs = [[D(v) for v in np.broadcast_to(q, (m,))] for q in tail]
+        modes = [[D(v) for v in spectrum.modes[:, i]] for i in range(gains.n)]
+        gain = [D(v) for v in gains.gain_row]
+        # LDL^T elimination of I + dt/2 A, once: pivots and multipliers
+        lo = [dt / 2 * v for v in a_off]
+        piv, mult = [1 + dt / 2 * a_diag[0]], [D(0)]
+        for i in range(1, m):
+            mult.append(lo[i - 1] / piv[-1])
+            piv.append(1 + dt / 2 * a_diag[i] - mult[-1] * lo[i - 1])
+        w = [D(v) for v in y0]
+        norms = []
+        for hold in range(horizon + 1):
+            norms.append(float((h * sum(v * v for v in w)).sqrt()))
+            if hold == horizon:
+                break
+            u = sum(g * h * sum(p * v for p, v in zip(mode, w)) for g, mode in zip(gain, modes))
+            for _ in range(substeps):
+                padded = [D(0), *w, D(0)]
+                rhs = [
+                    w[i] - dt / 2 * (a_diag[i] * w[i] + a_off[i] * padded[i + 2]
+                                     + a_off[i - 1] * padded[i])
+                    + sum(dt * q[i] * w[i] ** j for j, q in enumerate(qs, start=2))
+                    for i in range(m)
+                ]
+                rhs[-1] += dt * u / (h * h)
+                for i in range(1, m):
+                    rhs[i] -= mult[i] * rhs[i - 1]
+                w[-1] = rhs[-1] / piv[-1]
+                for i in range(m - 2, -1, -1):
+                    w[i] = (rhs[i] - lo[i] * w[i + 1]) / piv[i]
+        return np.array(norms)
+
+
+@pytest.mark.parametrize("loop", ["linear", "fisher"])
+def test_sample_l2_history_matches_extended_precision_cn(loop):
+    """Accuracy guard: the largest relative error of the sample L2 history
+    against the CN recursion in 40-digit decimal arithmetic (M = 64,
+    T = 0.2, 32 substeps, 10 holds).  The engine with today's summation
+    order measured 4.3e-14 (linear) and 8.7e-15 (Fisher); the previous
+    order, (I - dt/2 A) w from a diagonal and two off-diagonal products plus
+    a separate (w w)(dt q_2) tail, measured 1.9e-14 and 9.1e-15.  The bound
+    is five times the larger of those two.  Rows rescaled so the neighbour
+    coefficient is exactly 1 measured 2.1e-12 on both runs."""
+    prob = make_problem(grid_points=64, period=0.2, substeps=32)
+    spectrum = make_spectrum(prob)
+    gains = quiet_gains(spectrum, (2.0,), prob.period)
+    y0 = ps.seeded_initial_state(spectrum, 23, amplitude=0.1)
+    horizon = 10
+    if loop == "linear":
+        tail = ()
+        traj = ps.run_linear_closed_loop(prob, spectrum, gains, y0, horizon)
+    else:
+        ye = prob.equilibrium_values[1:-1]
+        tail = prob.spec.nonlinearity.taylor_tail(ye)
+        traj = ps.run_semilinear_closed_loop(prob, spectrum, gains, y0 + ye, horizon)
+        assert traj.blowup_time is None
+    reference = _decimal_cn_sample_l2(prob, spectrum, gains, y0, horizon, tail)
+    assert traj.l2_norms.shape == reference.shape == (horizon + 1,)
+    assert np.max(np.abs(traj.l2_norms - reference) / reference) <= 1e-13
 
 
 def test_linear_only_semilinear_run_is_the_linear_run():
@@ -339,12 +428,12 @@ def _poisoning_solver(monkeypatch, poisoned, bad):
     calls = []
     real = simulate._cn_solver
 
-    def poisoning_solver(spectrum, dt):
-        solve = real(spectrum, dt)
+    def poisoning_solver(op, dt):
+        solve = real(op, dt)
 
-        def poisoning_solve(b):
+        def poisoning_solve(b, overwrite_b):
             calls.append(None)
-            solve(b)
+            solve(b, overwrite_b)
             if len(calls) == poisoned:
                 b[5] = bad
 
@@ -422,6 +511,23 @@ def test_negative_snapshot_stride_rejected(problem15, spectrum15, gains15):
     y0 = ps.seeded_initial_state(spectrum15, 4)
     with pytest.raises(ValueError, match="snapshot_stride must be 0 or positive"):
         ps.run_linear_closed_loop(problem15, spectrum15, gains15, y0, 2, snapshot_stride=-8)
+
+
+def test_nonconstant_offdiagonal_rejected(problem15, spectrum15):
+    """The kernel applies the off-diagonal as one scalar, so an operator
+    whose off-diagonal varies, even by one ulp in one entry, is rejected
+    before any step."""
+    op = spectrum15.operator
+    offdiag = op.offdiag.copy()
+    offdiag[7] = np.nextafter(offdiag[7], 0.0)
+    bumped = dataclasses.replace(
+        spectrum15, operator=dataclasses.replace(op, offdiag=offdiag)
+    )
+    y0 = ps.seeded_initial_state(spectrum15, 4)
+    with pytest.raises(ValueError, match="constant off-diagonal"):
+        ps.run_open_loop(problem15, bumped, y0, 2)
+    with pytest.raises(ValueError, match="constant off-diagonal"):
+        _CNKernel(bumped.operator, 0.2 / 64, (), y0)
 
 
 def test_hold_semantics_right_open(problem15, spectrum15, gains15):
@@ -647,8 +753,8 @@ def _jump_residuals(trajectory, gains, spectrum, dec):
     lift_coords = spectrum.h * (dec.lift_samples @ modes)  # (H+1, N lifts, n modes)
     source_coords = np.einsum("jki,ik->ji", lift_coords, _shift_coefficients(gains))
     dt = trajectory.schedule.period / trajectory.substeps
-    solve = _cn_solver(spectrum, dt)
     op = spectrum.operator
+    solve = _cn_solver(op, dt)
     off = 0.5 * dt * op.offdiag
     right_diag = 1.0 - 0.5 * dt * op.diag
     dt_sources = dt * (source_coords @ modes.T)
@@ -661,7 +767,7 @@ def _jump_residuals(trajectory, gains, spectrum, dec):
             rhs[:-1] -= off * z[1:]
             rhs[1:] -= off * z[:-1]
             rhs += dt_sources[j]
-            solve(rhs)
+            solve(rhs, 1)
             z = rhs
         target = dec.z_samples[j + 1]
         res[j] = np.linalg.norm(z + lifted[j] - lifted[j + 1] - target) / np.linalg.norm(target)
