@@ -9,6 +9,12 @@ datum, so the lift a hold needs is psi_k scaled by the k-th feedback
 component at the sample.  The modal coordinates of psi_k satisfy
 <psi_k, phi_i>_h = -weight_{ik} * flux_i up to O(h^2), which is what ties
 the held boundary data to the modal recursion.
+
+The corrected operator is diagonal in the eigenbasis the Spectrum already
+stores: its eigenvalue is 1/weight_{ik} on unstable mode i and lambda_i on
+every stable one.  A lift is therefore solved by two products with the
+mode matrix and one division, plus one residual-refinement step; no M x M
+operator is ever formed.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from .synthesis import GainSet
 
 
 class SingularLiftSystem(ParastabError):
-    """The corrected elliptic system lost coercivity numerically."""
+    """The eigenbasis lift solve produced non-finite values."""
 
 
 def _shift_coefficients(gains: GainSet) -> np.ndarray:
@@ -30,37 +36,42 @@ def _shift_coefficients(gains: GainSet) -> np.ndarray:
     return 1.0 / gains.lambda_diags - gains.lambdas[:, None]
 
 
-def lift_matrix(spectrum: Spectrum, gains: GainSet, k: int) -> np.ndarray:
-    """Dense M x M matrix of the corrected elliptic operator.
-
-    Dense is deliberate: the correction is rank N on top of a tridiagonal
-    matrix, and decompose_z makes one dense solve per placement per
-    decomposition (the unit datum), then scales that profile by every
-    sample's datum.
-    """
-    if not 1 <= k <= gains.n:
-        raise ValueError(f"k must be in 1..{gains.n}, got {k}")
-    a = spectrum.operator.to_dense()
-    shifts = _shift_coefficients(gains)[:, k - 1]
-    modes = spectrum.modes[:, : gains.n]
-    # <phi_i, .>_h carries a factor h, hence h * phi phi^T per mode
-    a += (modes * (shifts * spectrum.h)) @ modes.T
-    return a
-
-
 def dirichlet_lift(spectrum: Spectrum, gains: GainSet, k: int) -> np.ndarray:
     """Interior values of the k-th lift, boundary value 1 at x = L.
 
     The boundary condition is imposed by elimination: the column that
-    multiplies the boundary node moves to the right-hand side.
+    multiplies the boundary node moves to the right-hand side, r = e_M / h^2.
+    With the h-orthonormal modes Phi the corrected operator is
+    C = Phi diag(mu) h Phi^T, where mu is lambda with entries i <= N
+    replaced by 1/weight_{ik}, so psi = Phi (h Phi^T r / mu).  One
+    refinement step follows: the residual r - C psi is formed matrix-free
+    (the tridiagonal product plus the rank-N term
+    Phi_N (shift_k h Phi_N^T psi)) and its eigenbasis solve is added to psi.
+    Without the step the error against an extended-precision solve of the
+    same system is several times a dense LU solve's; with it, no larger.
+
+    Every mu_i is positive, so no division can fail and C is symmetric
+    positive definite: rho > 0 is validated, each stable lambda_i is at
+    least rho, and each weight_{ik} is a positive hold integral over the
+    positive difference exp(-lambda_i T) - exp(-gamma_k T) (gamma_k > rho >
+    lambda_i).  A non-finite result raises SingularLiftSystem.
     """
-    a = lift_matrix(spectrum, gains, k)
-    rhs = np.zeros(spectrum.m)
-    rhs[-1] = 1.0 / spectrum.h**2
-    try:
-        psi = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularLiftSystem(str(exc)) from exc
+    if not 1 <= k <= gains.n:
+        raise ValueError(f"k must be in 1..{gains.n}, got {k}")
+    n, h = gains.n, spectrum.h
+    modes, op = spectrum.modes, spectrum.operator
+    mu = spectrum.lambdas.copy()
+    mu[:n] = 1.0 / gains.lambda_diags[:, k - 1]
+    shift_h = _shift_coefficients(gains)[:, k - 1] * h
+
+    # h Phi^T e_M / h^2 is the last row of Phi over h
+    psi = modes @ (modes[-1] / (h * mu))
+    residual = -op.diag * psi
+    residual[:-1] -= op.offdiag * psi[1:]
+    residual[1:] -= op.offdiag * psi[:-1]
+    residual -= modes[:, :n] @ (shift_h * (modes[:, :n].T @ psi))
+    residual[-1] += 1.0 / h**2
+    psi += modes @ (h * (modes.T @ residual) / mu)
     if not np.all(np.isfinite(psi)):
         raise SingularLiftSystem("lift solve produced non-finite values")
     return psi

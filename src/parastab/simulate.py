@@ -198,19 +198,20 @@ class _CNKernel:
     in place.  rd = 1 - dt/2 diag and the explicit Taylor tail form one
     polynomial in w, evaluated by Horner's rule (rd w alone for a linear
     run); w_+ and w_- are the padded neighbours, so the end rows add an
-    exact 0.  off = dt/2 offdiag[0] is one scalar, so the operator's
-    off-diagonal must be constant (assemble_operator's -1/h^2); any other
-    is rejected with ValueError.  Views, coefficients and the
-    factorization are made once per run; a substep allocates nothing.  The
-    overflow guard l2_norm(w) <= BLOWUP_GUARD is tested after every
-    substep as w.w <= BLOWUP_GUARD^2 / h.
+    exact 0.  off = dt/2 offdiag[0] is one value, held as a 0-d array, so
+    the operator's off-diagonal must be constant (assemble_operator's
+    -1/h^2); any other is rejected with ValueError.  Views, coefficients
+    and the factorization are made once per run; a substep allocates
+    nothing.  The overflow guard l2_norm(w) <= BLOWUP_GUARD is tested
+    after every substep as w.w <= BLOWUP_GUARD^2 / h.
     """
 
     def __init__(self, op: TridiagonalOperator, dt: float, dt_tail: Sequence[np.ndarray],
                  w0: np.ndarray):
         if np.any(op.offdiag != op.offdiag[0]):
             raise ValueError("the Crank-Nicolson kernel needs a constant off-diagonal")
-        self.off = 0.5 * dt * op.offdiag[0]
+        # a 0-d array: np.multiply converts a NumPy scalar operand on every call
+        self.off = np.array(0.5 * dt * op.offdiag[0])
         # Horner coefficients of the diagonal product, lowest power first
         self.coeffs = (1.0 - 0.5 * dt * op.diag, *dt_tail)
         self.solve = _cn_solver(op, dt)

@@ -50,12 +50,6 @@ class TridiagonalOperator:
     def m(self) -> int:
         return self.diag.shape[0]
 
-    def to_dense(self) -> np.ndarray:
-        a = np.diag(self.diag)
-        a += np.diag(self.offdiag, 1)
-        a += np.diag(self.offdiag, -1)
-        return a
-
 
 @dataclass(frozen=True)
 class Spectrum:

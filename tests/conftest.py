@@ -1,10 +1,11 @@
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 import parastab as ps
-from parastab.lifting import lift_matrix
+from parastab.lifting import _shift_coefficients
 
 
 def make_problem(a=15.0, grid_points=200, period=0.2, rho=1.0, gammas=(2.0,), substeps=64):
@@ -63,6 +64,58 @@ def spectrum95(problem95):
 @pytest.fixture(scope="session")
 def gains95(spectrum95):
     return quiet_gains(spectrum95, (2.0, 3.0, 4.0), 0.2)
+
+
+def lift_matrix(spectrum, gains, k):
+    """Dense-oracle M x M matrix of the k-th corrected lift operator: the
+    tridiagonal operator plus h * shift_i * phi_i phi_i^T per unstable mode."""
+    op = spectrum.operator
+    a = np.diag(op.diag) + np.diag(op.offdiag, 1) + np.diag(op.offdiag, -1)
+    shifts = _shift_coefficients(gains)[:, k - 1]
+    modes = spectrum.modes[:, : gains.n]
+    a += (modes * (shifts * spectrum.h)) @ modes.T
+    return a
+
+
+def _thomas(diag, offdiag, rhs):
+    """Solve a symmetric tridiagonal system by elimination without pivoting."""
+    m = len(diag)
+    upper, x = [mp.mpf(0)] * m, [mp.mpf(0)] * m
+    for j in range(m):
+        pivot = diag[j] - (offdiag[j - 1] * upper[j - 1] if j else 0)
+        upper[j] = offdiag[j] / pivot if j < m - 1 else mp.mpf(0)
+        x[j] = (rhs[j] - (offdiag[j - 1] * x[j - 1] if j else 0)) / pivot
+    for j in range(m - 2, -1, -1):
+        x[j] -= upper[j] * x[j + 1]
+    return x
+
+
+def extended_lift(spectrum, gains, k, dps=40):
+    """The k-th unit lift solved in mpmath at dps digits, rounded to float64.
+
+    It solves the same float64 system as dirichlet_lift, T + U D U^T with
+    the tridiagonal operator T, U the stored unstable modes and D the
+    float64 values shift_i * h, exactly up to dps digits: Thomas
+    elimination of T, then the rank-N Woodbury correction
+    y - Z (D^-1 + U^T Z)^-1 U^T y with y = T^-1 e_M / h^2 and Z = T^-1 U.
+    """
+    op, m, n, h = spectrum.operator, spectrum.m, gains.n, spectrum.h
+    with mp.workdps(dps):
+        diag = [mp.mpf(float(v)) for v in op.diag]
+        offdiag = [mp.mpf(float(v)) for v in op.offdiag]
+        modes = [[mp.mpf(float(v)) for v in spectrum.modes[:, i]] for i in range(n)]
+        weights = [mp.mpf(float(v)) for v in _shift_coefficients(gains)[:, k - 1] * h]
+        rhs = [mp.mpf(0)] * m
+        rhs[-1] = 1 / mp.mpf(h) ** 2
+        y = _thomas(diag, offdiag, rhs)
+        z = [_thomas(diag, offdiag, u) for u in modes]
+        capacitance = mp.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                capacitance[i, j] = mp.fdot(modes[i], z[j]) + (1 / weights[i] if i == j else 0)
+        c = mp.lu_solve(capacitance, mp.matrix([mp.fdot(u, y) for u in modes]))
+        return np.array([float(y[j] - mp.fsum(z[i][j] * c[i] for i in range(n)))
+                         for j in range(m)])
 
 
 def hold_profiles(gains, spectrum, y_sample):

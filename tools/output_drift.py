@@ -1,17 +1,19 @@
 """How far the CLI outputs of one source tree drift from another's.
 
-Runs the five commands of the benchmark's cli_default workload
-(synthesize, simulate --open-loop, verify, sweep --axis T and
-sweep --axis amplitude) on perfbench/configs/cli_default.ini at one seed,
-once with each tree's own src/, one BLAS thread, and prints a Markdown
-report: for every output file whose bytes differ, how many of its numbers
-changed and the largest relative change |a - b| / max(|a|, |b|), with where
-it sits.  Report only: the exit status is 0 whatever drifts.
+Runs every CLI step of the three benchmark configs in perfbench/configs/
+at one seed: the five cli_default commands (synthesize, simulate
+--open-loop, verify, sweep --axis T and sweep --axis amplitude), the
+multimode synthesize at T = 0.05, 0.2, 1.0 and 2.0 plus its verify at
+T = 0.2, and the long_hold simulate.  Each runs once with each tree's own
+src/, one BLAS thread, and the script prints a Markdown report: for every
+output file whose bytes differ, how many of its numbers changed and the
+largest relative change |a - b| / max(|a|, |b|), with where it sits.
+Report only: the exit status is 0 whatever drifts.
 
     python tools/output_drift.py BASE_TREE HEAD_TREE [--seed 7]
 
-The config template is read from HEAD_TREE, so both trees run the same
-config.
+The config templates are read from HEAD_TREE and filled in a temporary
+directory, so both trees run the same configs.
 """
 
 from __future__ import annotations
@@ -25,24 +27,42 @@ import sys
 import tempfile
 from pathlib import Path
 
-COMMANDS = {
-    "synthesize": ["synthesize"],
-    "simulate": ["simulate", "--open-loop"],
-    "verify": ["verify"],
-    "sweep_T": ["sweep", "--axis", "T"],
-    "sweep_amplitude": ["sweep", "--axis", "amplitude"],
+MULTIMODE_PERIODS = ("0.05", "0.2", "1.0", "2.0")
+# step name -> (config template, its {period}, CLI arguments)
+STEPS = {
+    "cli_default/synthesize": ("cli_default", None, ["synthesize"]),
+    "cli_default/simulate": ("cli_default", None, ["simulate", "--open-loop"]),
+    "cli_default/verify": ("cli_default", None, ["verify"]),
+    "cli_default/sweep_T": ("cli_default", None, ["sweep", "--axis", "T"]),
+    "cli_default/sweep_amplitude": ("cli_default", None,
+                                    ["sweep", "--axis", "amplitude"]),
+    **{f"multimode/synthesize_T{t}": ("multimode", t, ["synthesize"])
+       for t in MULTIMODE_PERIODS},
+    "multimode/verify": ("multimode", "0.2", ["verify"]),
+    "long_hold/simulate": ("long_hold", None, ["simulate"]),
 }
 RUN_CLI = "import sys; from parastab.cli import main; sys.exit(main(sys.argv[1:]))"
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
-def run_tree(tree: Path, config: Path, out: Path) -> dict[str, int]:
-    """Exit code of every command, its outputs written under out/<command>."""
+def render_configs(templates: Path, seed: int, work: Path) -> dict[str, Path]:
+    """One filled config per step, keyed by step name; the templates are
+    only read."""
+    paths = {}
+    for name, (template, period, _) in STEPS.items():
+        text = (templates / f"{template}.ini").read_text().replace("{seed}", str(seed))
+        paths[name] = work / (f"{template}_T{period}.ini" if period else f"{template}.ini")
+        paths[name].write_text(text.replace("{period}", period or ""))
+    return paths
+
+
+def run_tree(tree: Path, configs: dict[str, Path], out: Path) -> dict[str, int]:
+    """Exit code of every step, its outputs written under out/<step>."""
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"), **ONE_THREAD)
     codes = {}
-    for name, argv in COMMANDS.items():
+    for name, (_, _, argv) in STEPS.items():
         done = subprocess.run(
-            [sys.executable, "-c", RUN_CLI, *argv, "--config", str(config),
+            [sys.executable, "-c", RUN_CLI, *argv, "--config", str(configs[name]),
              "--out", str(out / name)],
             env=env, capture_output=True, text=True,
         )
@@ -118,8 +138,8 @@ def compare(base: Path, head: Path) -> str:
 
 
 def report(base_root: Path, head_root: Path, base_codes: dict, head_codes: dict) -> str:
-    lines = ["## CLI output drift against the base (cli_default, report only)", ""]
-    for name in COMMANDS:
+    lines = ["## CLI output drift against the base (every benchmark CLI step, report only)", ""]
+    for name in STEPS:
         if base_codes[name] != head_codes[name]:
             lines.append(f"- `{name}` exits {base_codes[name]} at the base, "
                          f"{head_codes[name]} at the head")
@@ -147,13 +167,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("head", type=Path)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
-    template = (args.head / "perfbench" / "configs" / "cli_default.ini").read_text()
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
-        config = work / "cli_default.ini"
-        config.write_text(template.replace("{seed}", str(args.seed)))
-        base_codes = run_tree(args.base, config, work / "base")
-        head_codes = run_tree(args.head, config, work / "head")
+        configs = render_configs(args.head / "perfbench" / "configs", args.seed, work)
+        base_codes = run_tree(args.base, configs, work / "base")
+        head_codes = run_tree(args.head, configs, work / "head")
         print(f"seed {args.seed}\n")
         print(report(work / "base", work / "head", base_codes, head_codes))
     return 0
