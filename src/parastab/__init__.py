@@ -38,7 +38,6 @@ from .spectral import (
     sobolev_norm,
 )
 from .synthesis import (
-    DegenerateDenominator,
     DimensionMismatch,
     GainSet,
     SingularBSum,
@@ -47,10 +46,7 @@ from .synthesis import (
     component_feedback,
     continuous_limit,
     default_gammas,
-    exp_integral_ratio,
     gains_to_json,
-    hold_integral,
-    lambda_entry,
 )
 from .lifting import (
     SingularLiftSystem,

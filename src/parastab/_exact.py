@@ -3,14 +3,17 @@
 The Gram sum inverted during synthesis has condition number growing like
 exp(2*|lambda_1|*T): harmless in exact arithmetic (the closed-loop identities
 are algebraic), catastrophic in double precision already at moderate
-sampling periods.  Everything N x N therefore runs through mpmath at a
-working precision chosen adaptively from the measured conditioning, and the
+sampling periods.  The one-hold update also cancels: e^{-lambda_1 T} has to
+cancel down to e^{-gamma_N T}, which costs (gamma_N - lambda_1) T / ln 10
+digits.  Everything N x N, the sampled weights included, therefore runs
+through mpmath at a working precision sized from both scales, and the
 results are rounded to float64 once at the end.  N is small (the number of
 unstable modes), so the cost is negligible.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -22,7 +25,7 @@ MAX_DPS = 400
 
 
 class ExactAlgebraError(ArithmeticError):
-    """Gram sum singular (or beyond MAX_DPS) at working precision."""
+    """Gram sum singular, precision beyond MAX_DPS, or a weight outside float64."""
 
 
 class _PrecisionExhausted(Exception):
@@ -33,7 +36,7 @@ class _PrecisionExhausted(Exception):
         self.dps = dps
 
 
-def _hold_integral(lam: mp.mpf, T: mp.mpf) -> mp.mpf:
+def _decay_integral(lam: mp.mpf, T: mp.mpf) -> mp.mpf:
     """int_0^T exp(-lam*s) ds, exact for lam = 0."""
     if lam == 0:
         return T
@@ -83,19 +86,26 @@ def _assemble(lambdas, flux, gammas, T, dps: int) -> ExactGains:
         for i in range(n):
             for k in range(n):
                 if period is None:
-                    table[i, k] = 1 / (gam[k] - lam[i])
+                    w = 1 / (gam[k] - lam[i])
                 else:
                     den = _denominator(lam[i], gam[k], period)
                     if den == 0:
                         raise ExactAlgebraError(
                             f"degenerate weight denominator at i={i}, k={k}"
                         )
-                    table[i, k] = _hold_integral(lam[i], period) / den
+                    w = _decay_integral(lam[i], period) / den
+                # the float64 view of the gains (lifts, matrix dumps) divides by w
+                if not 0.0 < float(w) < math.inf:
+                    raise ExactAlgebraError(
+                        f"weight {mp.nstr(w, 5)} at i={i}, k={k} is outside "
+                        "the float64 range"
+                    )
+                table[i, k] = w
 
         if period is None:
             integral = mp.matrix([mp.mpf(1)] * n)
         else:
-            integral = mp.matrix([_hold_integral(lam[i], period) for i in range(n)])
+            integral = mp.matrix([_decay_integral(lam[i], period) for i in range(n)])
 
         gram_sum = mp.zeros(n, n)
         vs = []
@@ -149,10 +159,15 @@ def _assemble(lambdas, flux, gammas, T, dps: int) -> ExactGains:
 
 
 def gain_system(lambdas, flux, gammas, T) -> ExactGains:
-    """Build the gain algebra at a precision adapted to its conditioning.
+    """Build the gain algebra at a precision adapted to its conditioning
+    and to the cancellation over one hold.
 
     Pass T = None for the continuous-time (zero sampling period) limit.
     """
+    cancel = 0  # digits lost as e^{-lambda_1 T} cancels down to e^{-gamma_N T}
+    if T is not None:
+        spread = float(max(gammas)) - float(min(lambdas))
+        cancel = math.ceil(spread * float(T) / math.log(10))
     dps = BASE_DPS
     while True:
         try:
@@ -164,13 +179,18 @@ def gain_system(lambdas, flux, gammas, T) -> ExactGains:
                 ) from None
             dps *= 2
             continue
-        needed = max(BASE_DPS, int(mp.log10(exact.condition)) + GUARD_DIGITS)
+        needed = max(
+            BASE_DPS,
+            int(mp.log10(exact.condition)) + GUARD_DIGITS,
+            cancel + GUARD_DIGITS,
+        )
         if needed <= dps:
             return exact
         if needed > MAX_DPS:
             raise ExactAlgebraError(
-                f"Gram sum condition {mp.nstr(exact.condition, 5)} exceeds "
-                f"the {MAX_DPS}-digit working limit"
+                f"Gram sum condition {mp.nstr(exact.condition, 5)} and {cancel} "
+                f"digits of cancellation over one hold exceed the {MAX_DPS}-digit "
+                "working limit"
             )
         dps = needed
 
@@ -207,12 +227,14 @@ def identity_residual(exact: ExactGains) -> float:
         return float(_frobenius(lhs - exact.closed_loop) / _frobenius(exact.closed_loop))
 
 
-def contraction_bound(exact: ExactGains) -> tuple[float, float]:
-    """(lam_max of the symmetrized closed-loop map, exp(-gamma_1 T)).
+def contraction_bound(exact: ExactGains) -> tuple[float, float, float]:
+    """(lam_max of the symmetrized closed-loop map, exp(-gamma_1 T), their ratio).
 
     The first value never exceeds the second: the weighted Gram terms are
     positive semidefinite and resolve the identity, so the symmetrized
     update is exp(-gamma_1 T) * I minus a positive semidefinite remainder.
+    The ratio is taken at working precision, so it stays meaningful where
+    both values underflow float64.
     """
     if exact.period is None:
         raise ValueError("contraction_bound needs a sampled gain system")
@@ -233,7 +255,8 @@ def contraction_bound(exact: ExactGains) -> tuple[float, float]:
             w = half * exact.weighted_vector(k)
             sym += (w * w.T) * mp.exp(-exact.gammas[k] * exact.period)
         lam_max = max(mp.mpf(e) for e in mp.eigsy(sym, eigvals_only=True))
-        return float(lam_max), float(mp.exp(-exact.gammas[0] * exact.period))
+        bound = mp.exp(-exact.gammas[0] * exact.period)
+        return float(lam_max), float(bound), float(lam_max / bound)
 
 
 def to_float_matrix(a: mp.matrix) -> np.ndarray:

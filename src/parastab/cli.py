@@ -11,7 +11,9 @@ All defaults are echoed into the emitted metadata for reproducibility, and
 every float in CSV output carries 17 significant digits.
 
 Exit codes: 0 success, 2 config or validation error, 3 singular gain
-algebra, 4 blow-up under --expect-decay, 5 failed verification checks.
+algebra (a Gram sum or a cancellation that needs more than 400 working
+digits, or a weight outside the float64 range), 4 blow-up under
+--expect-decay, 5 failed verification checks.
 """
 
 from __future__ import annotations

@@ -12,17 +12,20 @@ state at the sample instant>.  The closed-loop modal update then has
 eigenvalues exactly e^{-gamma_k T}, i.e. the construction is a sampled pole
 placement at the chosen rates.
 
-All N x N algebra is delegated to the adaptive-precision backend in
-``_exact`` and rounded to float64 here; see that module for why double
-precision is not enough.
+All N x N algebra, the weights included, is computed once by the
+adaptive-precision backend in ``_exact``; see that module for why double
+precision is not enough.  GainSet keeps the gain row in float64 and rounds
+the other matrices from that system on first access.  A weight outside the
+float64 range, or a Gram sum that needs more than ``_exact.MAX_DPS``
+digits, is reported as SingularBSum.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,87 +34,64 @@ from .model import GammaOrderingViolation, ParastabError, gamma_ordering_error
 from .spectral import Spectrum, project
 
 CONDITION_WARN_THRESHOLD = 1e12
-DENOMINATOR_FLOOR = 1e-300
-SERIES_SWITCH = 1e-4
-
-
-class DegenerateDenominator(ParastabError):
-    """e^{-lambda T} - e^{-gamma T} underflowed to (near) zero."""
 
 
 class SingularBSum(ParastabError):
-    """The weighted Gram sum could not be inverted at working precision."""
+    """The gain algebra has no usable float64 answer: the weighted Gram sum
+    could not be resolved within the working-precision limit, or a sampled
+    weight lies outside the float64 range."""
 
 
 class DimensionMismatch(ParastabError):
     """Gains and spectrum disagree on the unstable subspace."""
 
 
-def exp_integral_ratio(x: float) -> float:
-    """(1 - e^{-x}) / x, extended by the value 1 at x = 0.
-
-    Switches to the Taylor series for |x| < 1e-4 to dodge the cancellation
-    in the direct formula.
-    """
-    if abs(x) < SERIES_SWITCH:
-        return 1.0 - x / 2.0 + x * x / 6.0 - x**3 / 24.0
-    return -math.expm1(-x) / x
-
-
-def hold_integral(lam: float, period: float) -> float:
-    """int_0^T e^{-lam s} ds evaluated stably as T * ratio(lam * T)."""
-    return period * exp_integral_ratio(lam * period)
-
-
-def lambda_entry(lambda_i: float, gamma_k: float, period: float) -> float:
-    """Single diagonal weight of the sampled construction.
-
-    Requires lambda_i < gamma_k and period > 0, which makes both the
-    numerator and the denominator strictly positive.
-    """
-    if period <= 0:
-        raise ValueError(f"period must be positive, got {period}")
-    if lambda_i >= gamma_k:
-        raise ValueError(f"need lambda < gamma, got {lambda_i} >= {gamma_k}")
-    den = -math.exp(-lambda_i * period) * math.expm1(-(gamma_k - lambda_i) * period)
-    if den < DENOMINATOR_FLOOR:
-        raise DegenerateDenominator(
-            f"denominator {den:.3e} at lambda={lambda_i}, gamma={gamma_k}, T={period}"
-        )
-    return hold_integral(lambda_i, period) / den
-
-
 @dataclass(frozen=True)
 class GainSet:
-    """Everything the sampled feedback needs, rounded to float64.
+    """The sampled feedback: the gain row in float64 plus the exact algebra.
 
-    lambda_diags[i, k] is the (i, i) entry of the k-th diagonal weight
-    matrix; gram_terms[k] the k-th weighted Gram matrix (derived on access,
-    as is gram_boundary); gram_inverse their inverted sum.  gain_row
+    exact is the adaptive-precision system; every matrix below is a float64
+    rounding of it, computed on first access.  lambda_diags[i, k] is the
+    (i, i) entry of the k-th diagonal weight matrix; gram_terms[k] the k-th
+    weighted Gram matrix; gram_inverse their inverted sum.  gain_row
     realizes the full feedback, gain_rows_k[:, k] its k-th component (the
     boundary datum fed to the k-th lift), and closed_loop_matrix maps the
     unstable coordinates from one sample to the next.  condition_number
     reports the conditioning of the inverted sum; float64 consumers of
-    gram_inverse should distrust it beyond ~1e12 even though the stored
-    entries are correctly rounded.  exact is the adaptive-precision system
-    all of them were rounded from.
+    gram_inverse should distrust it beyond ~1e12 even though the entries
+    are correctly rounded.
     """
 
     sampling_period: float
     gammas: tuple[float, ...]
     lambdas: np.ndarray
     flux: np.ndarray
-    lambda_diags: np.ndarray
-    gram_inverse: np.ndarray
     gain_row: np.ndarray
-    gain_rows_k: np.ndarray
-    closed_loop_matrix: np.ndarray
-    condition_number: float
     exact: _exact.ExactGains = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.gain_row.shape[0]
+
+    @cached_property
+    def lambda_diags(self) -> np.ndarray:
+        return _exact.to_float_matrix(self.exact.lam_table)
+
+    @cached_property
+    def gram_inverse(self) -> np.ndarray:
+        return _exact.to_float_matrix(self.exact.gram_inverse)
+
+    @cached_property
+    def gain_rows_k(self) -> np.ndarray:
+        return _exact.to_float_matrix(self.exact.gain_rows_k)
+
+    @cached_property
+    def closed_loop_matrix(self) -> np.ndarray:
+        return _exact.to_float_matrix(self.exact.closed_loop)
+
+    @cached_property
+    def condition_number(self) -> float:
+        return float(self.exact.condition)
 
     @property
     def gram_boundary(self) -> np.ndarray:
@@ -128,13 +108,6 @@ def default_gammas(rho: float, n: int) -> tuple[float, ...]:
     return tuple(rho + k for k in range(1, n + 1))
 
 
-def _unstable_data(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
-    n = spectrum.unstable_count
-    if n < 1:
-        raise ParastabError("no unstable modes: nothing to synthesize")
-    return spectrum.lambdas[:n].copy(), spectrum.boundary_flux[:n].copy()
-
-
 def _check_gammas(gammas, rho: float, n: int) -> tuple[float, ...]:
     if gammas is None:
         return default_gammas(rho, n)
@@ -147,6 +120,20 @@ def _check_gammas(gammas, rho: float, n: int) -> tuple[float, ...]:
     return g
 
 
+def _gain_system(spectrum: Spectrum, gammas, period: float | None):
+    """(lambdas, fluxes, gammas, exact algebra) of the unstable modes at
+    ``period`` (None: the continuous-time limit)."""
+    n = spectrum.unstable_count
+    if n < 1:
+        raise ParastabError("no unstable modes: nothing to synthesize")
+    lam, flux = spectrum.lambdas[:n].copy(), spectrum.boundary_flux[:n].copy()
+    g = _check_gammas(gammas, spectrum.rho, n)
+    try:
+        return lam, flux, g, _exact.gain_system(lam, flux, g, period)
+    except _exact.ExactAlgebraError as exc:
+        raise SingularBSum(str(exc)) from exc
+
+
 def build_gains(
     spectrum: Spectrum,
     gammas=None,
@@ -154,33 +141,20 @@ def build_gains(
 ) -> GainSet:
     """Synthesize the sampled feedback for the unstable modes of ``spectrum``.
 
-    gammas defaults to rho + 1, ..., rho + N.  Raises SingularBSum only if
-    the weighted Gram sum cannot be resolved even in adaptive precision;
-    otherwise the condition number is reported (and warned about past 1e12).
+    gammas defaults to rho + 1, ..., rho + N.  Raises SingularBSum if the
+    weighted Gram sum cannot be resolved even in adaptive precision, or a
+    weight does not fit in float64; otherwise the condition number is
+    reported (and warned about past 1e12).
     """
     if period is None or period <= 0:
         raise ValueError(f"period must be positive, got {period}")
-    lam, flux = _unstable_data(spectrum)
-    g = _check_gammas(gammas, spectrum.rho, lam.shape[0])
-    for lam_i in lam:
-        for gk in g:
-            lambda_entry(float(lam_i), float(gk), float(period))  # degeneracy guard
-    try:
-        exact = _exact.gain_system(lam, flux, g, float(period))
-    except _exact.ExactAlgebraError as exc:
-        raise SingularBSum(str(exc)) from exc
-
+    lam, flux, g, exact = _gain_system(spectrum, gammas, float(period))
     gains = GainSet(
         sampling_period=float(period),
         gammas=g,
         lambdas=lam,
         flux=flux,
-        lambda_diags=_exact.to_float_matrix(exact.lam_table),
-        gram_inverse=_exact.to_float_matrix(exact.gram_inverse),
         gain_row=_exact.to_float_vector(exact.gain_row),
-        gain_rows_k=_exact.to_float_matrix(exact.gain_rows_k),
-        closed_loop_matrix=_exact.to_float_matrix(exact.closed_loop),
-        condition_number=float(exact.condition),
         exact=exact,
     )
     if gains.condition_number > CONDITION_WARN_THRESHOLD:
@@ -200,12 +174,7 @@ def exact_system(gains: GainSet) -> _exact.ExactGains:
 def continuous_limit(spectrum: Spectrum, gammas=None) -> np.ndarray:
     """Gain row of the zero-period limit of build_gains (continuous-time
     feedback, weights 1/(gamma_k - lambda_i)), rounded to float64."""
-    lam, flux = _unstable_data(spectrum)
-    g = _check_gammas(gammas, spectrum.rho, lam.shape[0])
-    try:
-        exact = _exact.gain_system(lam, flux, g, None)
-    except _exact.ExactAlgebraError as exc:
-        raise SingularBSum(str(exc)) from exc
+    _, _, _, exact = _gain_system(spectrum, gammas, None)
     return _exact.to_float_vector(exact.gain_row)
 
 

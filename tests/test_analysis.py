@@ -154,15 +154,15 @@ def test_sweep_synthesis_error_policies(problem15):
     assert np.isnan(bad.condition_number)
     assert bad.contraction_bound == float(np.exp(-2.0 * 0.2))
     assert [label for label, _, _ in result.histories] == ["gammas=2"]
-    # lambda_1 = pi^2 - 5 > 0, so at T = 200 e^{-lambda_1 T} underflows and the
-    # float64 weight denominator degenerates while the continuous limit exists:
-    # the failure is met inside the row loop of both sweeps
+    # lambda_1 = pi^2 - 5 > 0, so at T = 200 the weight is about e^{974}, beyond
+    # float64, while the continuous limit exists: the failure is met inside
+    # the row loop of both sweeps
     fast = make_problem(a=5.0, rho=6.0, gammas=(7.0,))
-    with pytest.raises(ps.DegenerateDenominator):
+    with pytest.raises(ps.SingularBSum):
         ps.sweep_sampling_period(fast, (0.2, 200.0), total_time=2.0)
     slow = make_problem(a=5.0, rho=6.0, gammas=(7.0,), period=200.0)
     (row,) = ps.sweep_gammas(slow, [(7.0,)], total_time=2.0).rows
-    assert row.note.startswith("DegenerateDenominator: ")
+    assert row.note.startswith("SingularBSum: ")
 
 
 def test_estimate_basin_reports_rows(problem15, spectrum15, gains15):

@@ -9,6 +9,7 @@ from parastab.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_SINGULAR,
     EXIT_VERIFY,
     ConfigError,
     load_config,
@@ -322,6 +323,38 @@ def test_rho_on_eigenvalue_exits_2(tmp_path):
         f"[synthesis]\ntarget_rate = {rho:.17g}\ngammas = auto\nsampling_period = 0.2\n"
     )
     assert main(["synthesize", "--config", str(path)]) == EXIT_CONFIG
+
+
+def write_period_config(tmp_path, a, rho, gamma, period):
+    path = tmp_path / f"a{a}_T{period}.ini"
+    path.write_text(
+        f"[problem]\ngrid_points = 64\nnonlinearity = fisher\nparameters = {a}\n"
+        f"[synthesis]\ntarget_rate = {rho}\ngammas = {gamma}\n"
+        f"sampling_period = {period}\n"
+    )
+    return str(path)
+
+
+def test_long_period_synthesis_exits_3_past_the_precision_limit(tmp_path, capsys):
+    # a = 15 loses (gamma_1 - lambda_1) T / ln 10 digits to cancellation over
+    # one hold: 97 working digits at T = 20, beyond the 400-digit limit at T = 150
+    cfg = write_period_config(tmp_path, 15.0, 1.0, 2.0, 150.0)
+    assert main(["synthesize", "--config", cfg, "--out", str(tmp_path / "a")]) == EXIT_SINGULAR
+    assert "singular gain algebra" in capsys.readouterr().err
+    cfg = write_period_config(tmp_path, 15.0, 1.0, 2.0, 20.0)
+    assert main(["synthesize", "--config", cfg, "--out", str(tmp_path / "b")]) == EXIT_OK
+
+
+def test_contraction_record_survives_float64_underflow(tmp_path):
+    # a = 5, rho = 6, T = 120: e^{-7 T} and the spectral radius both underflow
+    # to 0.0, so only the ratio taken in mpmath gives the record its residual
+    cfg = write_period_config(tmp_path, 5.0, 6.0, 7.0, 120.0)
+    out = tmp_path / "out"
+    assert main(["synthesize", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    checks = json.loads((out / "verification.json").read_text())["checks"]
+    record = {check["name"]: check for check in checks}["contraction-bound"]
+    assert record["details"] == {"bound": 0.0, "spectral_radius": 0.0}
+    assert np.isfinite(record["residual"]) and record["passed"]
 
 
 def test_sweep_T_axis(tmp_path):

@@ -128,7 +128,7 @@ def test_zoh_modal_update_matches_oracle_and_converges():
         lam = spectrum.lambdas[:n]
         flux = spectrum.boundary_flux[:n]
         period = prob.period
-        integral = np.array([ps.hold_integral(v, period) for v in lam])
+        integral = -np.expm1(-lam * period) / lam  # int_0^T e^{-lam s} ds
         oracle = np.exp(-lam * period) * ps.project(y0, spectrum, n) - integral * flux * u
         got = ps.project(traj.sample_states()[-1], spectrum, n)
         errors[m] = np.linalg.norm(got - oracle) / np.linalg.norm(oracle)

@@ -5,58 +5,62 @@ import numpy as np
 import pytest
 
 import parastab as ps
+from parastab import _exact
 
 from conftest import make_problem, make_spectrum, quiet_gains
 
 
 def entry_oracle(lam, gamma, period):
-    """High-precision quadrature oracle, independent of the series evaluation."""
+    """High-precision quadrature oracle, independent of the closed-form weight."""
     with mp.workdps(60):
         num = mp.quad(lambda s: mp.exp(-lam * s), [0, period])
         den = mp.exp(-mp.mpf(lam) * period) - mp.exp(-mp.mpf(gamma) * period)
         return float(num / den)
 
 
+def weight(lam, gamma, period):
+    """The sampled weight of one mode and one rate, as the gain algebra forms it."""
+    exact = _exact.gain_system(np.array([lam]), np.array([1.0]), (gamma,), period)
+    return float(exact.lam_table[0, 0])
+
+
 def test_lambda_entry_zero_eigenvalue():
-    got = ps.lambda_entry(0.0, 2.0, 0.2)
+    got = weight(0.0, 2.0, 0.2)
     assert got == pytest.approx(0.2 / (1.0 - np.exp(-0.4)), rel=1e-12)
     assert got == pytest.approx(entry_oracle(0.0, 2.0, 0.2), rel=1e-9)
 
 
 def test_lambda_entry_unstable_eigenvalue():
     lam = -5.1304
-    got = ps.lambda_entry(lam, 2.0, 0.2)
+    got = weight(lam, 2.0, 0.2)
     assert got == pytest.approx(entry_oracle(lam, 2.0, 0.2), rel=1e-9)
     assert got == pytest.approx(0.16460, rel=1e-4)
 
 
 def test_lambda_entry_small_period_limit():
     # leading deviation from the limit is gamma*T/2, i.e. 1e-6 relative here
-    got = ps.lambda_entry(0.0, 2.0, 1e-6)
+    got = weight(0.0, 2.0, 1e-6)
     assert got == pytest.approx(0.5, rel=1.5e-6)
-    assert ps.lambda_entry(0.0, 2.0, 1e-8) == pytest.approx(0.5, rel=1.5e-8)
+    assert weight(0.0, 2.0, 1e-8) == pytest.approx(0.5, rel=1.5e-8)
 
 
 @pytest.mark.parametrize("lam", [-95.0, -5.13, -1e-7, 0.0, 1e-7, 0.9])
 @pytest.mark.parametrize("period", [1e-8, 1e-4, 0.2, 2.0])
 def test_lambda_entry_positive_and_matches_oracle(lam, period):
-    got = ps.lambda_entry(lam, 2.0, period)
+    got = weight(lam, 2.0, period)
     assert got > 0.0
     assert got == pytest.approx(entry_oracle(lam, 2.0, period), rel=1e-9)
 
 
-def test_exp_integral_ratio_series_switch_is_smooth():
-    # values straddling the series/direct switch agree to near machine precision
-    for x in (9.9e-5, 1.01e-4, -9.9e-5, -1.01e-4):
-        direct = (1.0 - np.exp(-x)) / x
-        assert ps.exp_integral_ratio(x) == pytest.approx(direct, rel=1e-11)
-    assert ps.exp_integral_ratio(0.0) == 1.0
-
-
-def test_degenerate_denominator_raises():
-    # both exponentials deep in the subnormal range: difference underflows
-    with pytest.raises(ps.DegenerateDenominator):
-        ps.lambda_entry(7000.0, 7100.0, 0.1)
+def test_weight_beyond_float64_raises():
+    # both exponentials deep in the subnormal range: the weight e^700 / 7000
+    # is still a float64, and the difference is no trouble in mpmath
+    got = weight(7000.0, 7100.0, 0.1)
+    assert got == pytest.approx(1.45e300, rel=1e-3)
+    assert got == pytest.approx(entry_oracle(7000.0, 7100.0, 0.1), rel=1e-9)
+    # at T = 0.2 the weight e^1400 / 7000 is not: a typed error, at any precision
+    with pytest.raises(_exact.ExactAlgebraError, match="float64"):
+        weight(7000.0, 7100.0, 0.2)
 
 
 def test_build_gains_single_mode_closed_form(spectrum15, gains15):
@@ -64,12 +68,24 @@ def test_build_gains_single_mode_closed_form(spectrum15, gains15):
     b1 = spectrum15.boundary_flux[0]
     assert gains15.gram_boundary[0, 0] == pytest.approx(b1**2, rel=1e-12)
     assert gains15.gram_boundary[0, 0] == pytest.approx(19.739, rel=1e-3)
-    entry = ps.lambda_entry(lam1, 2.0, 0.2)
+    entry = entry_oracle(lam1, 2.0, 0.2)
     assert gains15.lambda_diags[0, 0] == pytest.approx(entry, rel=1e-13)
     # scalar algebra: g = 1 / (entry * b1)
     assert gains15.gain_row[0] == pytest.approx(1.0 / (entry * b1), rel=1e-12)
     assert gains15.gain_row[0] == pytest.approx(-1.368, rel=1e-3)
     assert gains15.condition_number == pytest.approx(1.0)
+
+
+def test_gain_set_stores_only_what_it_cannot_derive(gains95):
+    import dataclasses
+
+    stored = [f.name for f in dataclasses.fields(ps.GainSet)]
+    assert stored == ["sampling_period", "gammas", "lambdas", "flux", "gain_row", "exact"]
+    # every other matrix is a float64 rounding of the exact system, made once
+    exact = gains95.exact
+    assert np.array_equal(gains95.closed_loop_matrix, _exact.to_float_matrix(exact.closed_loop))
+    assert gains95.lambda_diags is gains95.lambda_diags
+    assert gains95.condition_number == float(exact.condition)
 
 
 def test_gain_row_flux_scaling_homogeneity(spectrum15, gains15):
@@ -189,8 +205,6 @@ def test_feedback_dimension_mismatch(spectrum15, gains95):
 
 
 def test_continuous_limit_entries(spectrum15):
-    from parastab import _exact
-
     lam1 = spectrum15.lambdas[0]
     b1 = spectrum15.boundary_flux[0]
     exact = _exact.gain_system(np.array([lam1]), np.array([b1]), (2.0,), None)
