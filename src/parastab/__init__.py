@@ -19,7 +19,6 @@ from .model import (
     linear_reaction,
     linearized_coefficient,
     polynomial_reaction,
-    spec_violations,
     validate_spec,
 )
 from .spectral import (

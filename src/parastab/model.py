@@ -198,11 +198,6 @@ def _violations(spec: ProblemSpec) -> list[ParastabError]:
     return [error(message) for broken, error, message in rules if broken]
 
 
-def spec_violations(spec: ProblemSpec) -> list[str]:
-    """Collect every constraint violation in ``spec`` as human-readable text."""
-    return [str(error) for error in _violations(spec)]
-
-
 def _sample_equilibrium(spec: ProblemSpec, nodes: np.ndarray) -> np.ndarray:
     ye = spec.equilibrium
     if callable(ye):

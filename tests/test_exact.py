@@ -1,0 +1,190 @@
+"""The list arithmetic of parastab._exact against its mp.matrix oracle.
+
+The gain algebra runs on plain lists of mpf in the rounding order that the
+mp.matrix operators use: one fdot per product entry, sums accumulated in k
+order.  The oracles below are the mp.matrix formulation, kept as the
+reference: every field of the adaptive-precision system, its precision and
+condition, and the three check values must come out equal, not close.
+"""
+
+from dataclasses import replace
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+import parastab as ps
+from parastab import _exact
+
+from conftest import make_problem, make_spectrum
+
+PERIODS = (None, 1e-8, 1e-6, 5e-3, 0.05, 0.2, 0.7, 1.0, 2.0)
+# N unstable modes: reaction strength a and grid points of the spectrum
+SPECTRA = {1: (15.0, 200), 2: (45.0, 128), 3: (95.0, 200), 4: (200.0, 128)}
+FIELDS = ("lam_table", "integral_diag", "gram_sum", "gram_inverse", "gain_row",
+          "gain_rows_k", "closed_loop")
+
+
+def oracle_assemble(lambdas, flux, gammas, T, dps):
+    """The gain system assembled with mp.matrix operators."""
+    n = len(lambdas)
+    with mp.workdps(dps):
+        lam = [mp.mpf(float(v)) for v in lambdas]
+        b = [mp.mpf(float(v)) for v in flux]
+        gam = [mp.mpf(float(v)) for v in gammas]
+        period = None if T is None else mp.mpf(float(T))
+
+        table = mp.zeros(n, n)
+        for i in range(n):
+            for k in range(n):
+                if period is None:
+                    w = 1 / (gam[k] - lam[i])
+                else:
+                    den = -mp.exp(-lam[i] * period) * mp.expm1(-(gam[k] - lam[i]) * period)
+                    if den == 0:
+                        raise _exact.ExactAlgebraError(
+                            f"degenerate weight denominator at i={i}, k={k}"
+                        )
+                    w = _exact._decay_integral(lam[i], period) / den
+                if not 0.0 < float(w) < float("inf"):
+                    raise _exact.ExactAlgebraError(
+                        f"weight {mp.nstr(w, 5)} at i={i}, k={k} is outside "
+                        "the float64 range"
+                    )
+                table[i, k] = w
+
+        if period is None:
+            integral = mp.matrix([mp.mpf(1)] * n)
+        else:
+            integral = mp.matrix([_exact._decay_integral(lam[i], period) for i in range(n)])
+
+        gram_sum = mp.zeros(n, n)
+        vs = []
+        for k in range(n):
+            v = mp.matrix([table[i, k] * b[i] for i in range(n)])
+            vs.append(v)
+            gram_sum += v * v.T
+
+        eigvals = sorted(mp.mpf(e) for e in mp.eigsy(gram_sum, eigvals_only=True))
+        if eigvals[0] <= 0:
+            raise _exact._PrecisionExhausted(dps)
+        condition = eigvals[-1] / eigvals[0]
+        try:
+            gram_inv = gram_sum**-1
+        except ZeroDivisionError:
+            raise _exact._PrecisionExhausted(dps) from None
+        lam_total = mp.matrix(
+            [sum(table[i, k] for k in range(n)) * b[i] for i in range(n)]
+        )
+        gain = gram_inv * lam_total
+        rows_k = mp.zeros(n, n)
+        closed = mp.zeros(n, n)
+        for k in range(n):
+            gk = gram_inv * vs[k]
+            for i in range(n):
+                rows_k[i, k] = gk[i]
+            weight = mp.mpf(1) if period is None else mp.exp(-gam[k] * period)
+            closed += (vs[k] * (vs[k].T * gram_inv)) * weight
+
+        return _exact.ExactGains(
+            lambdas=lam, flux=b, gammas=gam, period=period, dps=dps,
+            lam_table=table, integral_diag=integral, gram_sum=gram_sum,
+            gram_inverse=gram_inv, gain_row=gain, gain_rows_k=rows_k,
+            closed_loop=closed, condition=condition,
+        )
+
+
+def _frobenius(a):
+    return mp.sqrt(sum(a[i, j] ** 2 for i in range(a.rows) for j in range(a.cols)))
+
+
+def oracle_resolution_residual(exact):
+    with mp.workdps(exact.dps):
+        return float(_frobenius(exact.gram_sum * exact.gram_inverse - mp.eye(exact.n)))
+
+
+def oracle_identity_residual(exact):
+    with mp.workdps(exact.dps):
+        n = exact.n
+        lhs = mp.zeros(n, n)
+        for i in range(n):
+            lhs[i, i] = mp.exp(-exact.lambdas[i] * exact.period)
+        for i in range(n):
+            for j in range(n):
+                lhs[i, j] -= exact.integral_diag[i] * exact.flux[i] * exact.gain_row[j]
+        return float(_frobenius(lhs - exact.closed_loop) / _frobenius(exact.closed_loop))
+
+
+def oracle_contraction_bound(exact):
+    """Symmetrized with the inverse square root of the Gram sum, taken
+    from its eigendecomposition."""
+    with mp.workdps(exact.dps):
+        n = exact.n
+        evals, q = mp.eigsy(exact.gram_sum)
+        inv_root = mp.zeros(n, n)
+        for i in range(n):
+            if evals[i] <= 0:
+                raise _exact.ExactAlgebraError("Gram sum not positive definite")
+            inv_root[i, i] = 1 / mp.sqrt(evals[i])
+        half = q * inv_root * q.T
+        sym = mp.zeros(n, n)
+        for k in range(n):
+            v = mp.matrix([exact.lam_table[i, k] * exact.flux[i] for i in range(n)])
+            w = half * v
+            sym += (w * w.T) * mp.exp(-exact.gammas[k] * exact.period)
+        lam_max = max(mp.mpf(e) for e in mp.eigsy(sym, eigvals_only=True))
+        bound = mp.exp(-exact.gammas[0] * exact.period)
+        return float(lam_max), float(bound), float(lam_max / bound)
+
+
+@pytest.fixture(scope="module")
+def unstable_data():
+    """(lambdas, flux, gammas) of the unstable modes, per N."""
+    data = {}
+    for n, (a, grid_points) in SPECTRA.items():
+        spectrum = make_spectrum(make_problem(a=a, grid_points=grid_points))
+        assert spectrum.unstable_count == n
+        data[n] = (spectrum.lambdas[:n], spectrum.boundary_flux[:n],
+                   ps.default_gammas(1.0, n))
+    return data
+
+
+def _build(lambdas, flux, gammas, period):
+    try:
+        return _exact.gain_system(lambdas, flux, gammas, period)
+    except _exact.ExactAlgebraError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("period", PERIODS, ids=lambda t: f"T{t}")
+@pytest.mark.parametrize("n", sorted(SPECTRA), ids=lambda n: f"N{n}")
+def test_gain_system_matches_matrix_oracle(unstable_data, monkeypatch, n, period):
+    """Every mpf entry, the precision path and the checks are bit-identical."""
+    lambdas, flux, gammas = unstable_data[n]
+    got = _build(lambdas, flux, gammas, period)
+    monkeypatch.setattr(_exact, "_assemble", oracle_assemble)
+    want = _build(lambdas, flux, gammas, period)
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert got.dps == want.dps and got.condition == want.condition
+    for name in FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.rows, a.cols) == (b.rows, b.cols), name
+        assert all(a[i, j] == b[i, j] for i in range(a.rows) for j in range(a.cols)), name
+    for name in ("lambdas", "flux", "gammas", "period"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert _exact.resolution_residual(got) == oracle_resolution_residual(want)
+    if period is not None:
+        assert _exact.identity_residual(got) == oracle_identity_residual(want)
+        assert _exact.contraction_bound(got) == oracle_contraction_bound(want)
+
+
+def test_contraction_bound_rejects_an_indefinite_gram_sum(gains95):
+    exact = gains95.exact
+    with mp.workdps(exact.dps):
+        indefinite = exact.gram_sum.copy()
+        indefinite[1, 1] = -indefinite[1, 1]
+    with pytest.raises(_exact.ExactAlgebraError, match="not positive definite"):
+        _exact.contraction_bound(replace(exact, gram_sum=indefinite))
+    assert np.isfinite(_exact.contraction_bound(exact)[0])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import parastab as ps
-from parastab.model import MIN_GRID_POINTS, gamma_ordering_error
+from parastab.model import MIN_GRID_POINTS, _violations, gamma_ordering_error
 
 
 def test_validate_derives_grid_spacing():
@@ -71,10 +71,10 @@ def test_coarse_grid_rejected():
     ids=["descending", "repeated", "at-rho", "below-rho", "zero-period", "coarse-grid"],
 )
 def test_gamma_ordering_is_one_rule(spectrum15, fields, error):
-    # each spec rule is written once: spec_violations lists its message and
+    # each spec rule is written once: _violations lists its message and
     # validate_spec raises that same message as the rule's typed error
     spec = ps.ProblemSpec(nonlinearity=ps.cubic_reaction(), **fields)
-    (message,) = ps.spec_violations(spec)
+    (message,) = [str(e) for e in _violations(spec)]
     with pytest.raises(error) as validated:
         ps.validate_spec(spec)
     assert str(validated.value) == message
@@ -96,7 +96,7 @@ def test_spec_violations_lists_everything():
         target_rate=-2.0,
         gammas=(3.0, 1.0),
     )
-    messages = " ".join(ps.spec_violations(bad))
+    messages = " ".join(str(e) for e in _violations(bad))
     assert "grid_points" in messages
     assert "sampling_period" in messages
     assert "target_rate" in messages

