@@ -9,14 +9,36 @@ digits.  Everything N x N, the sampled weights included, therefore runs
 through mpmath at a working precision sized from both scales, and the
 results are rounded to float64 once at the end.
 
-The arithmetic runs on plain lists of mpf, in the rounding order of the
-mp.matrix operators (one fdot per product entry, sums over k accumulated
-from k = 0); mp.matrix wraps the results where ExactGains is built.  One
-50-digit build at N = 3 takes about 2.3 ms on a 2-vCPU box, and
-``contraction_bound`` about 1.5 ms.  Of a build, what remains is mostly
-``mp.eigsy`` of the Gram sum (0.7-1.0 ms, for the condition number and the
-precision decision) and its LU inverse (0.3-0.5 ms); the 9 + 3 expm1 and 6
-exp calls take about 0.4 ms.
+The weighted vectors form a row-scaled Cauchy matrix: with
+x_i = e^{-lambda_i T}, mu_k = e^{-gamma_k T} and beta_i = hold_i * flux_i,
+V[i][k] = beta_i / (x_i - mu_k) (x_i = -lambda_i, mu_k = -gamma_k and
+beta_i = flux_i in the T -> 0 limit).  The gain row
+g = (V V^T)^-1 V 1 = V^-T 1 and every other inverse therefore have closed
+forms (Schechter 1959) that are products of the differences x_i - mu_k,
+x_i - x_l and mu_k - mu_l, each formed without cancellation:
+
+    g_i = prod_k (x_i - mu_k) / (beta_i prod_{l != i} (x_i - x_l)),
+    (V^-1)[k][i] = s g_i prod_l (x_l - mu_k)
+                   / ((x_i - mu_k) prod_{l != k} (mu_k - mu_l)),
+
+with s = +1 for odd N and -1 for even N.  The gain rows are V^-T, the Gram
+inverse V^-T V^-1 and the closed-loop map V diag(mu) V^-1.  Because the
+closed form is a product, every entry of the gain row is accurate to a few
+units in the last working digit, not only in norm, so its float64 rounding
+is the correctly rounded value (barring a tie closer than the working
+precision).  The same closed form, summed in float64 logarithms (no
+exponential is formed, so nothing overflows), bounds the condition number
+before anything is built: the precision is fixed once and the system is
+assembled once.
+
+The arithmetic runs on plain lists of mpf; the weights and the Gram sum are
+summed in the rounding order of the mp.matrix operators (one fdot per
+product entry, sums over k accumulated from k = 0), and mp.matrix wraps
+the results where ExactGains is built.  One 50-digit build at N = 3 takes
+about 2 ms on a 2-vCPU box: ``mp.eigsy`` of the Gram sum (about 0.7 ms,
+for the condition number and the positive-definiteness guard) and the
+18 expm1 and 6 exp calls (about 0.4 ms) are most of it; the condition
+bound takes about 30 us.  ``contraction_bound`` takes about 1.4 ms.
 """
 
 from __future__ import annotations
@@ -34,14 +56,6 @@ MAX_DPS = 400
 
 class ExactAlgebraError(ArithmeticError):
     """Gram sum singular, precision beyond MAX_DPS, or a weight outside float64."""
-
-
-class _PrecisionExhausted(Exception):
-    """Internal: the Gram sum looked indefinite or singular at the current precision."""
-
-    def __init__(self, dps: int) -> None:
-        super().__init__(f"indefinite at {dps} digits")
-        self.dps = dps
 
 
 def _decay_integral(lam: mp.mpf, T: mp.mpf) -> mp.mpf:
@@ -74,6 +88,84 @@ class ExactGains:
         return len(self.lambdas)
 
 
+def _log_gap(r: float, s: float, T: float | None) -> float:
+    """log |e^{-rT} - e^{-sT}| (log |s - r| in the T -> 0 limit), in float64
+    without forming either exponential."""
+    if r == s:
+        raise ExactAlgebraError(f"repeated value {r!r}: the gain system is singular")
+    if T is None:
+        return math.log(abs(s - r))
+    return -min(r, s) * T + math.log(-math.expm1(-abs(s - r) * T))
+
+
+def _gap(r: mp.mpf, s: mp.mpf, point: mp.mpf, period) -> mp.mpf:
+    """e^{-rT} - e^{-sT} given point = e^{-rT}, without cancellation;
+    s - r in the T -> 0 limit (period None)."""
+    if period is None:
+        return s - r
+    return -point * mp.expm1(-(s - r) * period)
+
+
+def _pair_products(rates: list, points: list, period) -> list:
+    """prod over l != i of (p_i - p_l), each difference formed once."""
+    n = len(rates)
+    pairs = {(i, j): _gap(rates[i], rates[j], points[i], period)
+             for i in range(n) for j in range(i + 1, n)}
+    # the i factors with l < i enter as -(p_l - p_i)
+    return [(-1) ** i * mp.fprod(pairs[min(i, j), max(i, j)] for j in range(n) if j != i)
+            for i in range(n)]
+
+
+def _log_sum_exp(logs: list) -> float:
+    top = max(logs)
+    return top + math.log(sum(math.exp(v - top) for v in logs))
+
+
+def _log10_condition_bound(lambdas, flux, gammas, T) -> float:
+    """log10 of (||V||_F ||V^-1||_F)^2, an upper bound on the condition
+    number of the Gram sum V V^T (kappa_F >= kappa_2), at most N^2 times it.
+
+    Summed from the closed form in float64 logarithms, so it does not
+    overflow where the weights and their inverse do.
+    """
+    lam = [float(v) for v in lambdas]
+    gam = [float(v) for v in gammas]
+    T = None if T is None else float(T)
+    n = len(lam)
+    log_beta = []
+    for x, b in zip(lam, flux):
+        if b == 0:
+            raise ExactAlgebraError("a mode with zero boundary flux: the gain system is singular")
+        if T is None:
+            hold = 0.0
+        elif x == 0:
+            hold = math.log(T)
+        else:
+            hold = _log_gap(0.0, x, T) - math.log(abs(x))
+        log_beta.append(hold + math.log(abs(float(b))))
+
+    def pair_sums(rates: list) -> list:
+        """sum over l != i of log |p_i - p_l|, each pair formed once."""
+        out = [0.0] * n
+        for i in range(n):
+            for j in range(i + 1, n):
+                d = _log_gap(rates[i], rates[j], T)
+                out[i] += d
+                out[j] += d
+        return out
+
+    cross = [[_log_gap(x, g, T) for g in gam] for x in lam]  # log |x_i - mu_k|
+    x_spread, mu_spread = pair_sums(lam), pair_sums(gam)
+    col = [sum(cross[i][k] for i in range(n)) - mu_spread[k] for k in range(n)]
+    v_logs, inv_logs = [], []
+    for i in range(n):
+        row = sum(cross[i]) - log_beta[i] - x_spread[i]  # log |g_i|
+        for k in range(n):
+            v_logs.append(2 * (log_beta[i] - cross[i][k]))
+            inv_logs.append(2 * (row + col[k] - cross[i][k]))
+    return (_log_sum_exp(v_logs) + _log_sum_exp(inv_logs)) / math.log(10)
+
+
 def _assemble(lambdas, flux, gammas, T, dps: int) -> ExactGains:
     n = len(lambdas)
     with mp.workdps(dps):
@@ -82,35 +174,30 @@ def _assemble(lambdas, flux, gammas, T, dps: int) -> ExactGains:
         gam = [mp.mpf(float(v)) for v in gammas]
         period = None if T is None else mp.mpf(float(T))
 
-        # placed: the closed-loop multipliers e^{-gamma_k T}, 1 in the limit
+        # decay, placed: the points x_i = e^{-lambda_i T}, mu_k = e^{-gamma_k T};
+        # placed is 1 in the limit, where the differences need no points
         if period is None:
             integral = [mp.mpf(1)] * n
             placed = [mp.mpf(1)] * n
+            decay = [None] * n
         else:
             decay = [mp.exp(-x * period) for x in lam]
             integral = [_decay_integral(x, period) for x in lam]
             placed = [mp.exp(-g * period) for g in gam]
 
-        table = [[None] * n for _ in range(n)]
+        # cross[i][k] = x_i - mu_k, nonzero: _log_gap rejected equal values
+        cross = [[_gap(lam[i], gam[k], decay[i], period) for k in range(n)]
+                 for i in range(n)]
+        table = [[integral[i] / cross[i][k] for k in range(n)] for i in range(n)]
         for i in range(n):
             for k in range(n):
-                if period is None:
-                    w = 1 / (gam[k] - lam[i])
-                else:
-                    # e^{-lambda T} - e^{-gamma T}, written to avoid cancellation
-                    den = -decay[i] * mp.expm1(-(gam[k] - lam[i]) * period)
-                    if den == 0:
-                        raise ExactAlgebraError(
-                            f"degenerate weight denominator at i={i}, k={k}"
-                        )
-                    w = integral[i] / den
                 # the float64 view of the gains (lifts, matrix dumps) divides by w
+                w = table[i][k]
                 if not 0.0 < float(w) < math.inf:
                     raise ExactAlgebraError(
                         f"weight {mp.nstr(w, 5)} at i={i}, k={k} is outside "
                         "the float64 range"
                     )
-                table[i][k] = w
 
         # the rounding order of the mp.matrix operators: every product entry
         # is one fdot, and the sums over k accumulate from k = 0
@@ -120,24 +207,20 @@ def _assemble(lambdas, flux, gammas, T, dps: int) -> ExactGains:
 
         eigvals = sorted(mp.mpf(e) for e in mp.eigsy(gram_sum, eigvals_only=True))
         if eigvals[0] <= 0:
-            raise _PrecisionExhausted(dps)
+            raise ExactAlgebraError(f"Gram sum not positive definite at {dps} digits")
         condition = eigvals[-1] / eigvals[0]
 
-        try:
-            gram_inverse = mp.inverse(gram_sum)
-        except ZeroDivisionError:
-            # the smallest eigenvalue can round positive and the elimination
-            # still meet a zero pivot; both mean too few digits
-            raise _PrecisionExhausted(dps) from None
-        inv = gram_inverse.tolist()
-        inv_cols = list(zip(*inv))
-        lam_total = [sum(row) * b[i] for i, row in enumerate(table)]
-        gain = [mp.fdot(row, lam_total) for row in inv]
-        rows_k = [[mp.fdot(row, v) for v in vs] for row in inv]
-        # v_k (v_k^T Gram^-1) e^{-gamma_k T}, summed over k
-        left = [[mp.fdot(v, col) for col in inv_cols] for v in vs]
+        x_spread = _pair_products(lam, decay, period)
+        mu_spread = _pair_products(gam, placed, period)
+        sign = 1 if n % 2 else -1
+        gain = [mp.fprod(cross[i]) / (integral[i] * b[i] * x_spread[i]) for i in range(n)]
+        col = [sign * mp.fprod(cross[i][k] for i in range(n)) / mu_spread[k]
+               for k in range(n)]
+        # rows_k[i][k] = (V^-1)[k][i]: the gain rows are V^-T
+        rows_k = [[gain[i] * col[k] / cross[i][k] for k in range(n)] for i in range(n)]
+        inverse = [[mp.fdot(rows_k[i], rows_k[j]) for j in range(n)] for i in range(n)]
         closed = [
-            [sum((vs[k][i] * left[k][j]) * placed[k] for k in range(n)) for j in range(n)]
+            [mp.fdot([vs[k][i] * placed[k] for k in range(n)], rows_k[j]) for j in range(n)]
             for i in range(n)
         ]
 
@@ -150,7 +233,7 @@ def _assemble(lambdas, flux, gammas, T, dps: int) -> ExactGains:
             lam_table=mp.matrix(table),
             integral_diag=mp.matrix(integral),
             gram_sum=gram_sum,
-            gram_inverse=gram_inverse,
+            gram_inverse=mp.matrix(inverse),
             gain_row=mp.matrix(gain),
             gain_rows_k=mp.matrix(rows_k),
             closed_loop=mp.matrix(closed),
@@ -159,40 +242,33 @@ def _assemble(lambdas, flux, gammas, T, dps: int) -> ExactGains:
 
 
 def gain_system(lambdas, flux, gammas, T) -> ExactGains:
-    """Build the gain algebra at a precision adapted to its conditioning
-    and to the cancellation over one hold.
+    """Build the gain algebra once, at a precision sized beforehand from
+    the condition bound of the closed form and the cancellation over one
+    hold.
 
     Pass T = None for the continuous-time (zero sampling period) limit.
+    Raises ExactAlgebraError past MAX_DPS digits, for a Gram sum that is
+    not positive definite or is worse conditioned than its bound, and for
+    a weight outside the float64 range.
     """
     cancel = 0  # digits lost as e^{-lambda_1 T} cancels down to e^{-gamma_N T}
     if T is not None:
         spread = float(max(gammas)) - float(min(lambdas))
         cancel = math.ceil(spread * float(T) / math.log(10))
-    dps = BASE_DPS
-    while True:
-        try:
-            exact = _assemble(lambdas, flux, gammas, T, dps)
-        except _PrecisionExhausted:
-            if 2 * dps > MAX_DPS:
-                raise ExactAlgebraError(
-                    f"Gram sum still indefinite at {dps} working digits"
-                ) from None
-            dps *= 2
-            continue
-        needed = max(
-            BASE_DPS,
-            int(mp.log10(exact.condition)) + GUARD_DIGITS,
-            cancel + GUARD_DIGITS,
+    condition_digits = math.floor(_log10_condition_bound(lambdas, flux, gammas, T))
+    dps = max(BASE_DPS, cancel + GUARD_DIGITS, condition_digits + GUARD_DIGITS)
+    if dps > MAX_DPS:
+        raise ExactAlgebraError(
+            f"Gram sum condition up to 1e{condition_digits} and {cancel} digits of "
+            f"cancellation over one hold exceed the {MAX_DPS}-digit working limit"
         )
-        if needed <= dps:
-            return exact
-        if needed > MAX_DPS:
-            raise ExactAlgebraError(
-                f"Gram sum condition {mp.nstr(exact.condition, 5)} and {cancel} "
-                f"digits of cancellation over one hold exceed the {MAX_DPS}-digit "
-                "working limit"
-            )
-        dps = needed
+    exact = _assemble(lambdas, flux, gammas, T, dps)
+    if int(mp.log10(exact.condition)) + GUARD_DIGITS > dps:
+        raise ExactAlgebraError(
+            f"Gram sum condition {mp.nstr(exact.condition, 5)} exceeds its bound "
+            f"1e{condition_digits}"
+        )
+    return exact
 
 
 def _frobenius(rows: list) -> mp.mpf:

@@ -13,11 +13,12 @@ eigenvalues exactly e^{-gamma_k T}, i.e. the construction is a sampled pole
 placement at the chosen rates.
 
 All N x N algebra, the weights included, is computed once by the
-adaptive-precision backend in ``_exact``; see that module for why double
+arbitrary-precision backend in ``_exact``; see that module for why double
 precision is not enough.  GainSet keeps the gain row in float64 and rounds
 the other matrices from that system on first access.  A weight outside the
-float64 range, or a Gram sum that needs more than ``_exact.MAX_DPS``
-digits, is reported as SingularBSum.
+float64 range, or a precision sized past ``_exact.MAX_DPS`` digits from the
+condition bound and the cancellation over one hold (checked before
+anything is built), is reported as SingularBSum.
 """
 
 from __future__ import annotations

@@ -120,9 +120,9 @@ def test_build_gains_warns_on_extreme_conditioning(spectrum95):
         ps.build_gains(spectrum95, (2.0, 3.0, 4.0), 0.2)
 
 
-def test_gain_system_adds_digits_past_a_singular_gram_sum(spectrum95):
-    # T = 2.0: condition ~1e120, so at the base 50 digits the smallest Gram
-    # eigenvalue can round positive while the inverse meets a zero pivot
+def test_gain_system_sizes_digits_past_the_gram_condition(spectrum95):
+    # T = 2.0: condition ~1e120, far past the base 50 digits; the closed-form
+    # condition bound sizes the one build at 155 digits before it starts
     gains = quiet_gains(spectrum95, (2.0, 3.0, 4.0), 2.0)
     assert gains.exact.dps > 120
     assert ps.check_resolution(gains) <= 1e-10
