@@ -34,11 +34,22 @@ assembled once.
 The arithmetic runs on plain lists of mpf; the weights and the Gram sum are
 summed in the rounding order of the mp.matrix operators (one fdot per
 product entry, sums over k accumulated from k = 0), and mp.matrix wraps
-the results where ExactGains is built.  One 50-digit build at N = 3 takes
-about 2 ms on a 2-vCPU box: ``mp.eigsy`` of the Gram sum (about 0.7 ms,
-for the condition number and the positive-definiteness guard) and the
-18 expm1 and 6 exp calls (about 0.4 ms) are most of it; the condition
-bound takes about 30 us.  ``contraction_bound`` takes about 1.4 ms.
+the results where ExactGains is built.  The precision sizing and the gain
+row formula are shared by two entry points:
+
+- ``gain_system`` builds the whole system (weights, Gram sum and its
+  condition, gain row, component rows, Gram inverse, closed-loop map).
+  Every GainSet holds one; synthesis.build_gains is its only caller.
+- ``gain_row`` computes the float64 gain row alone, for readers that need
+  nothing else: the continuous limit and the small-period distances.
+
+One 50-digit full build at N = 3 takes about 2 ms on a 2-vCPU box:
+``mp.eigsy`` of the Gram sum (about 0.7 ms, for the condition number and
+the positive-definiteness guard) and the 18 expm1 and 6 exp calls (about
+0.4 ms) are most of it; the condition bound takes about 30 us.  A row
+read at N = 3 takes about 0.3 ms in the T -> 0 limit (a full build 2.3 ms)
+and 1.1 to 1.5 ms for T between 1e-6 and 1e-2 (a full build 3.4 to
+3.8 ms).  ``contraction_bound`` takes about 1.4 ms.
 """
 
 from __future__ import annotations
@@ -166,38 +177,72 @@ def _log10_condition_bound(lambdas, flux, gammas, T) -> float:
     return (_log_sum_exp(v_logs) + _log_sum_exp(inv_logs)) / math.log(10)
 
 
+@dataclass
+class _Hold:
+    """The gain row's data at the working precision: the inputs as mpf, the
+    points x_i = e^{-lambda_i T} (None in the T -> 0 limit), the hold
+    integrals (1 in the limit), the differences cross[i][k] = x_i - mu_k
+    and the weights table[i][k] = integral_i / cross[i][k]."""
+
+    lam: list
+    b: list
+    gam: list
+    period: object
+    decay: list
+    integral: list
+    cross: list
+    table: list
+
+    def gain(self) -> list:
+        """g_i = prod_k (x_i - mu_k) / (beta_i prod_{l != i} (x_i - x_l))."""
+        x_spread = _pair_products(self.lam, self.decay, self.period)
+        return [mp.fprod(c) / (w * b * s)
+                for c, w, b, s in zip(self.cross, self.integral, self.b, x_spread)]
+
+
+def _hold(lambdas, flux, gammas, T) -> _Hold:
+    """The hold data at the current working precision; a weight outside the
+    float64 range raises ExactAlgebraError."""
+    n = len(lambdas)
+    lam = [mp.mpf(float(v)) for v in lambdas]
+    b = [mp.mpf(float(v)) for v in flux]
+    gam = [mp.mpf(float(v)) for v in gammas]
+    period = None if T is None else mp.mpf(float(T))
+    # the differences need no points in the limit
+    if period is None:
+        integral = [mp.mpf(1)] * n
+        decay = [None] * n
+    else:
+        decay = [mp.exp(-x * period) for x in lam]
+        integral = [_decay_integral(x, period) for x in lam]
+
+    # cross[i][k] = x_i - mu_k, nonzero: _log_gap rejected equal values
+    cross = [[_gap(lam[i], gam[k], decay[i], period) for k in range(n)]
+             for i in range(n)]
+    table = [[integral[i] / cross[i][k] for k in range(n)] for i in range(n)]
+    for i in range(n):
+        for k in range(n):
+            # the float64 view of the gains (lifts, matrix dumps) divides by w
+            w = table[i][k]
+            if not 0.0 < float(w) < math.inf:
+                raise ExactAlgebraError(
+                    f"weight {mp.nstr(w, 5)} at i={i}, k={k} is outside "
+                    "the float64 range"
+                )
+    return _Hold(lam, b, gam, period, decay, integral, cross, table)
+
+
 def _assemble(lambdas, flux, gammas, T, dps: int) -> ExactGains:
     n = len(lambdas)
     with mp.workdps(dps):
-        lam = [mp.mpf(float(v)) for v in lambdas]
-        b = [mp.mpf(float(v)) for v in flux]
-        gam = [mp.mpf(float(v)) for v in gammas]
-        period = None if T is None else mp.mpf(float(T))
-
-        # decay, placed: the points x_i = e^{-lambda_i T}, mu_k = e^{-gamma_k T};
-        # placed is 1 in the limit, where the differences need no points
+        hold = _hold(lambdas, flux, gammas, T)
+        lam, b, gam, period = hold.lam, hold.b, hold.gam, hold.period
+        cross, table = hold.cross, hold.table
+        # placed: the points mu_k = e^{-gamma_k T}, 1 in the limit
         if period is None:
-            integral = [mp.mpf(1)] * n
             placed = [mp.mpf(1)] * n
-            decay = [None] * n
         else:
-            decay = [mp.exp(-x * period) for x in lam]
-            integral = [_decay_integral(x, period) for x in lam]
             placed = [mp.exp(-g * period) for g in gam]
-
-        # cross[i][k] = x_i - mu_k, nonzero: _log_gap rejected equal values
-        cross = [[_gap(lam[i], gam[k], decay[i], period) for k in range(n)]
-                 for i in range(n)]
-        table = [[integral[i] / cross[i][k] for k in range(n)] for i in range(n)]
-        for i in range(n):
-            for k in range(n):
-                # the float64 view of the gains (lifts, matrix dumps) divides by w
-                w = table[i][k]
-                if not 0.0 < float(w) < math.inf:
-                    raise ExactAlgebraError(
-                        f"weight {mp.nstr(w, 5)} at i={i}, k={k} is outside "
-                        "the float64 range"
-                    )
 
         # the rounding order of the mp.matrix operators: every product entry
         # is one fdot, and the sums over k accumulate from k = 0
@@ -210,10 +255,9 @@ def _assemble(lambdas, flux, gammas, T, dps: int) -> ExactGains:
             raise ExactAlgebraError(f"Gram sum not positive definite at {dps} digits")
         condition = eigvals[-1] / eigvals[0]
 
-        x_spread = _pair_products(lam, decay, period)
         mu_spread = _pair_products(gam, placed, period)
         sign = 1 if n % 2 else -1
-        gain = [mp.fprod(cross[i]) / (integral[i] * b[i] * x_spread[i]) for i in range(n)]
+        gain = hold.gain()
         col = [sign * mp.fprod(cross[i][k] for i in range(n)) / mu_spread[k]
                for k in range(n)]
         # rows_k[i][k] = (V^-1)[k][i]: the gain rows are V^-T
@@ -231,7 +275,7 @@ def _assemble(lambdas, flux, gammas, T, dps: int) -> ExactGains:
             period=period,
             dps=dps,
             lam_table=mp.matrix(table),
-            integral_diag=mp.matrix(integral),
+            integral_diag=mp.matrix(hold.integral),
             gram_sum=gram_sum,
             gram_inverse=mp.matrix(inverse),
             gain_row=mp.matrix(gain),
@@ -241,15 +285,13 @@ def _assemble(lambdas, flux, gammas, T, dps: int) -> ExactGains:
         )
 
 
-def gain_system(lambdas, flux, gammas, T) -> ExactGains:
-    """Build the gain algebra once, at a precision sized beforehand from
+def _precision(lambdas, flux, gammas, T) -> tuple[int, int]:
+    """(working digits, floor of log10 of the condition bound), sized from
     the condition bound of the closed form and the cancellation over one
-    hold.
+    hold before anything is built.
 
-    Pass T = None for the continuous-time (zero sampling period) limit.
-    Raises ExactAlgebraError past MAX_DPS digits, for a Gram sum that is
-    not positive definite or is worse conditioned than its bound, and for
-    a weight outside the float64 range.
+    Raises ExactAlgebraError for a zero flux, a repeated lambda or gamma,
+    and past MAX_DPS digits.
     """
     cancel = 0  # digits lost as e^{-lambda_1 T} cancels down to e^{-gamma_N T}
     if T is not None:
@@ -262,6 +304,19 @@ def gain_system(lambdas, flux, gammas, T) -> ExactGains:
             f"Gram sum condition up to 1e{condition_digits} and {cancel} digits of "
             f"cancellation over one hold exceed the {MAX_DPS}-digit working limit"
         )
+    return dps, condition_digits
+
+
+def gain_system(lambdas, flux, gammas, T) -> ExactGains:
+    """Build the gain algebra once, at the precision ``_precision`` sizes.
+
+    Pass T = None for the continuous-time (zero sampling period) limit.
+    Raises ExactAlgebraError past MAX_DPS digits, for a zero flux or a
+    repeated lambda or gamma, for a weight outside the float64 range, and
+    for a Gram sum that is not positive definite or is worse conditioned
+    than its bound.
+    """
+    dps, condition_digits = _precision(lambdas, flux, gammas, T)
     exact = _assemble(lambdas, flux, gammas, T, dps)
     if int(mp.log10(exact.condition)) + GUARD_DIGITS > dps:
         raise ExactAlgebraError(
@@ -269,6 +324,24 @@ def gain_system(lambdas, flux, gammas, T) -> ExactGains:
             f"1e{condition_digits}"
         )
     return exact
+
+
+def gain_row(lambdas, flux, gammas, T) -> np.ndarray:
+    """The float64 rounding of gain_system(lambdas, flux, gammas, T).gain_row,
+    from the closed form alone: no Gram sum, eigenvalue solve, inverse,
+    component rows or closed-loop map.
+
+    Makes every check gain_system makes before its eigenvalue solve, with
+    the same message: the MAX_DPS stop, a zero flux, a repeated lambda or
+    gamma, a weight outside the float64 range.  The two checks on the Gram
+    eigenvalues do not bear on the row: the closed form is accurate entry
+    by entry, distinct values and nonzero fluxes make V nonsingular (so
+    V V^T is positive definite), and the condition bound holds by
+    construction.
+    """
+    dps, _ = _precision(lambdas, flux, gammas, T)
+    with mp.workdps(dps):
+        return np.array([float(g) for g in _hold(lambdas, flux, gammas, T).gain()])
 
 
 def _frobenius(rows: list) -> mp.mpf:
@@ -355,6 +428,10 @@ def contraction_bound(exact: ExactGains) -> tuple[float, float, float]:
     exceeds the second.  A Gram sum that is not positive definite raises
     ExactAlgebraError.  The ratio is taken at working precision, so it stays
     meaningful where both values underflow float64.
+
+    This checks the exact algebra only, and holds for every system that
+    builds: it does not see the float64 gain row or the stepped plant, so
+    it cannot tell whether the simulated loop contracts.
     """
     if exact.period is None:
         raise ValueError("contraction_bound needs a sampled gain system")

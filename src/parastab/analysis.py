@@ -20,7 +20,7 @@ import numpy as np
 from . import _exact
 from .model import ParastabError, ProblemSpec, ValidatedProblem, validate_spec, linearized_coefficient
 from .spectral import Spectrum, compute_spectrum, project
-from .synthesis import GainSet, build_gains, continuous_limit, exact_system
+from .synthesis import GainSet, build_gains, continuous_limit, exact_system, feedback_row
 from .lifting import dirichlet_lift
 from .simulate import (
     Trajectory,
@@ -160,6 +160,10 @@ def add_algebraic_checks(
 
     All three are evaluated on the adaptive-precision system the gains
     were rounded from; ``tolerances`` override DEFAULT_VERIFY_TOLERANCES.
+    The contraction record therefore checks the exact algebra, and at a
+    nonnegative slack it cannot fail on a system that builds: it does not
+    see the float64 gain or the stepped plant (see
+    _exact.contraction_bound).
     """
     tol = {**DEFAULT_VERIFY_TOLERANCES, **tolerances}
     exact = exact_system(gains)
@@ -216,11 +220,14 @@ def gain_limit_distance(
     continuous: np.ndarray | None = None,
 ) -> float:
     """Relative distance between the sampled gain row at ``period`` and its
-    limit, the continuous_limit row."""
+    limit, the continuous_limit row.  Both are read as rows only, with no
+    full gain system built (synthesis.feedback_row)."""
     if continuous is None:
         continuous = continuous_limit(spectrum, gammas)
-    gains = build_gains(spectrum, gammas, period)
-    return float(np.linalg.norm(gains.gain_row - continuous) / np.linalg.norm(continuous))
+    if period is None or period <= 0:
+        raise ValueError(f"period must be positive, got {period}")
+    row = feedback_row(spectrum, gammas, float(period))
+    return float(np.linalg.norm(row - continuous) / np.linalg.norm(continuous))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ placement at the chosen rates.
 All N x N algebra, the weights included, is computed once by the
 arbitrary-precision backend in ``_exact``; see that module for why double
 precision is not enough.  GainSet keeps the gain row in float64 and rounds
-the other matrices from that system on first access.  A weight outside the
+the other matrices from that system on first access.  feedback_row (and
+with it continuous_limit) reads the gain row alone, without the rest of
+the system.  A weight outside the
 float64 range, or a precision sized past ``_exact.MAX_DPS`` digits from the
 condition bound and the cancellation over one hold (checked before
 anything is built), is reported as SingularBSum.
@@ -121,16 +123,17 @@ def _check_gammas(gammas, rho: float, n: int) -> tuple[float, ...]:
     return g
 
 
-def _gain_system(spectrum: Spectrum, gammas, period: float | None):
-    """(lambdas, fluxes, gammas, exact algebra) of the unstable modes at
-    ``period`` (None: the continuous-time limit)."""
+def _unstable_algebra(build, spectrum: Spectrum, gammas, period: float | None):
+    """(lambdas, fluxes, gammas, build(...)) of the unstable modes at
+    ``period`` (None: the continuous-time limit); build is
+    _exact.gain_system or _exact.gain_row."""
     n = spectrum.unstable_count
     if n < 1:
         raise ParastabError("no unstable modes: nothing to synthesize")
     lam, flux = spectrum.lambdas[:n].copy(), spectrum.boundary_flux[:n].copy()
     g = _check_gammas(gammas, spectrum.rho, n)
     try:
-        return lam, flux, g, _exact.gain_system(lam, flux, g, period)
+        return lam, flux, g, build(lam, flux, g, period)
     except _exact.ExactAlgebraError as exc:
         raise SingularBSum(str(exc)) from exc
 
@@ -149,7 +152,9 @@ def build_gains(
     """
     if period is None or period <= 0:
         raise ValueError(f"period must be positive, got {period}")
-    lam, flux, g, exact = _gain_system(spectrum, gammas, float(period))
+    lam, flux, g, exact = _unstable_algebra(
+        _exact.gain_system, spectrum, gammas, float(period)
+    )
     gains = GainSet(
         sampling_period=float(period),
         gammas=g,
@@ -172,11 +177,20 @@ def exact_system(gains: GainSet) -> _exact.ExactGains:
     return gains.exact
 
 
+def feedback_row(spectrum: Spectrum, gammas=None, period: float | None = None) -> np.ndarray:
+    """The gain row of build_gains at ``period`` (None: the continuous-time
+    limit), read from the closed form without building the rest of the
+    system.  Same SingularBSum cases as build_gains, except the two Gram
+    eigenvalue checks that do not bear on the row (see _exact.gain_row);
+    no condition warning, since that concerns the Gram inverse and the
+    component rows."""
+    return _unstable_algebra(_exact.gain_row, spectrum, gammas, period)[3]
+
+
 def continuous_limit(spectrum: Spectrum, gammas=None) -> np.ndarray:
     """Gain row of the zero-period limit of build_gains (continuous-time
     feedback, weights 1/(gamma_k - lambda_i)), rounded to float64."""
-    _, _, _, exact = _gain_system(spectrum, gammas, None)
-    return _exact.to_float_vector(exact.gain_row)
+    return feedback_row(spectrum, gammas, None)
 
 
 def _check_consistent(gains: GainSet, spectrum: Spectrum) -> None:

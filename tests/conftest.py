@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import parastab as ps
+from parastab import _exact
 from parastab.lifting import _shift_coefficients
 
 
@@ -29,6 +30,25 @@ def quiet_gains(spectrum, gammas, period):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return ps.build_gains(spectrum, gammas, period)
+
+
+def count_builds(monkeypatch) -> dict:
+    """Count full gain-system assemblies and mpmath symmetric eigenvalue
+    solves from here on."""
+    counts = {"assemble": 0, "eigsy": 0}
+    assemble, eigsy = _exact._assemble, mp.eigsy
+
+    def counted_assemble(*args):
+        counts["assemble"] += 1
+        return assemble(*args)
+
+    def counted_eigsy(*args, **kwargs):
+        counts["eigsy"] += 1
+        return eigsy(*args, **kwargs)
+
+    monkeypatch.setattr(_exact, "_assemble", counted_assemble)
+    monkeypatch.setattr(mp, "eigsy", counted_eigsy)
+    return counts
 
 
 @pytest.fixture(scope="session")

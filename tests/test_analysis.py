@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from parastab.analysis import (
 from parastab import simulate
 from parastab.simulate import HoldSchedule, Trajectory
 
-from conftest import make_problem, make_spectrum
+from conftest import count_builds, make_problem, make_spectrum
 
 
 def synthetic_trajectory(times, norms, period=0.2):
@@ -278,6 +279,28 @@ def test_algebraic_checks_reuse_the_synthesized_system(monkeypatch, gains95):
     add_algebraic_checks(report, gains95, {})
     assert rebuilds == []
     assert len(report.checks) == 3 and report.passed
+
+
+def test_row_readers_build_no_gain_system(monkeypatch, spectrum95):
+    counts = count_builds(monkeypatch)
+    gammas = (2.0, 3.0, 4.0)
+    cont = ps.continuous_limit(spectrum95, gammas)
+    for period in (1e-6, 1e-2, 5e-3):
+        ps.gain_limit_distance(spectrum95, gammas, period, cont)
+    ps.gain_limit_distance(spectrum95, gammas, 1e-2)
+    assert counts == {"assemble": 0, "eigsy": 0}
+    with pytest.raises(ValueError, match="period must be positive"):
+        ps.gain_limit_distance(spectrum95, gammas, 0.0, cont)
+
+
+def test_run_verification_assembles_one_system_per_grid(monkeypatch, problem95):
+    """The gains at M and 2M; the small-period records read rows only."""
+    counts = count_builds(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = ps.run_verification(problem95.spec)
+    assert counts["assemble"] == 2
+    assert {"small-period-limit", "small-period-order"} <= {c.name for c in report.checks}
 
 
 def test_run_verification_baseline_passes():

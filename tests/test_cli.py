@@ -16,7 +16,7 @@ from parastab.cli import (
     main,
 )
 
-from conftest import make_problem, make_spectrum
+from conftest import count_builds, make_problem, make_spectrum
 
 BASE = """
 [problem]
@@ -127,6 +127,15 @@ def test_synthesize_and_verify_share_the_algebraic_checks(tmp_path):
     assert records["synthesize"]["contraction-bound"]["tolerance"] == 1e-6
     for name in names:
         assert records["synthesize"][name] == records["verify"][name]
+
+
+def test_synthesize_assembles_one_gain_system(tmp_path, monkeypatch):
+    """The gains at T; the continuous-limit row in gains.json is read alone."""
+    counts = count_builds(monkeypatch)
+    out = tmp_path / "syn"
+    assert main(["synthesize", "--config", write_config(tmp_path), "--out", str(out)]) == EXIT_OK
+    assert counts["assemble"] == 1
+    assert json.loads((out / "gains.json").read_text())["continuous_gain_row"] is not None
 
 
 def test_synthesize_writes_artifacts(tmp_path):

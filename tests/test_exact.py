@@ -7,7 +7,9 @@ must come out equal to the oracle's at the same precision, not close.  The
 inverted fields (gain row, gain rows, Gram inverse, closed-loop map) are
 held to the float64 rounding of the oracle run at three times the digits:
 the closed form is more accurate entry by entry than the Gram/LU route at
-the working precision, so its mpf bits legitimately differ.
+the working precision, so its mpf bits legitimately differ.  The row read
+(``_exact.gain_row``) must give the float64 rounding of the full build's
+gain row, and stop where the full build stops, with the same message.
 """
 
 import math
@@ -20,7 +22,7 @@ import pytest
 import parastab as ps
 from parastab import _exact
 
-from conftest import make_problem, make_spectrum
+from conftest import make_problem, make_spectrum, quiet_gains
 
 PERIODS = (None, 1e-8, 1e-6, 5e-3, 0.05, 0.2, 0.7, 1.0, 2.0)
 # N unstable modes: reaction strength a and grid points of the spectrum
@@ -221,6 +223,68 @@ def test_gain_system_builds_once(unstable_data, monkeypatch, n, period):
         assert isinstance(got, _exact.ExactAlgebraError) and calls == []
     else:
         assert calls == [got.dps]
+
+
+@CASES
+@MODES
+def test_gain_row_reads_the_built_row(unstable_data, monkeypatch, n, period):
+    """The row read is the float64 rounding of the full build's gain row,
+    sized to the same digits; where the sizing stops, both stop with the
+    same message."""
+    sized = []
+    precision = _exact._precision
+    monkeypatch.setattr(
+        _exact, "_precision", lambda *args: sized.append(precision(*args)) or sized[-1]
+    )
+    args = (*unstable_data[n], period)
+    built = _build(*args)
+    try:
+        row = _exact.gain_row(*args)
+    except _exact.ExactAlgebraError as exc:
+        row = exc
+    if (n, period) in OVER_LIMIT:
+        assert isinstance(built, _exact.ExactAlgebraError)
+        assert isinstance(row, _exact.ExactAlgebraError)
+        assert str(row) == str(built) and sized == []
+        return
+    assert sized == [sized[0]] * 2 and sized[0][0] == built.dps
+    assert row.tolist() == _floats(built.gain_row)
+
+
+@pytest.mark.parametrize("lambdas, flux, gammas, period, message", [
+    ([-5.0, -2.0], [3.0, 0.0], (2.0, 3.0), 0.2, "zero boundary flux"),
+    ([-5.0, -5.0], [3.0, -2.0], (2.0, 3.0), 0.2, "repeated value"),
+    ([-5.0, -2.0], [3.0, -2.0], (2.0, 2.0), None, "repeated value"),
+    # e^{-lambda T} = e^{-750}: the weight is about 2 e^{750}
+    ([0.5], [1.0], (0.6,), 1500.0, "outside the float64 range"),
+    ([-60.0, -40.0], [4.4, -8.9], (2.0, 3.0), 150.0, "working limit"),
+], ids=["zero-flux", "repeated-lambda", "repeated-gamma", "weight-overflow", "max-dps"])
+def test_gain_row_stops_where_the_build_stops(lambdas, flux, gammas, period, message):
+    """Every check the full build makes before its eigenvalue solve, with
+    the same text."""
+    lam, b = np.array(lambdas), np.array(flux)
+    with pytest.raises(_exact.ExactAlgebraError, match=message) as built:
+        _exact.gain_system(lam, b, gammas, period)
+    with pytest.raises(_exact.ExactAlgebraError) as row:
+        _exact.gain_row(lam, b, gammas, period)
+    assert str(row.value) == str(built.value)
+
+
+@pytest.mark.parametrize("fixture", ["spectrum15", "spectrum95"])
+def test_row_readers_keep_the_full_build_values(request, fixture):
+    """continuous_limit and gain_limit_distance read the row alone, and
+    give what the full builds give."""
+    spectrum = request.getfixturevalue(fixture)
+    n = spectrum.unstable_count
+    gammas = ps.default_gammas(spectrum.rho, n)
+    lam, flux = spectrum.lambdas[:n], spectrum.boundary_flux[:n]
+    cont = ps.continuous_limit(spectrum, gammas)
+    assert cont.tolist() == _floats(_exact.gain_system(lam, flux, gammas, None).gain_row)
+    for period in (1e-6, 1e-2, 5e-3):
+        full = quiet_gains(spectrum, gammas, period).gain_row
+        distance = float(np.linalg.norm(full - cont) / np.linalg.norm(cont))
+        assert ps.gain_limit_distance(spectrum, gammas, period) == distance
+        assert ps.gain_limit_distance(spectrum, gammas, period, cont) == distance
 
 
 @CASES

@@ -116,8 +116,23 @@ def test_build_gains_three_modes_reports_conditioning(gains95):
 
 
 def test_build_gains_warns_on_extreme_conditioning(spectrum95):
-    with pytest.warns(UserWarning, match="condition"):
-        ps.build_gains(spectrum95, (2.0, 3.0, 4.0), 0.2)
+    with pytest.warns(UserWarning, match="condition 1.584e"):
+        gains = ps.build_gains(spectrum95, (2.0, 3.0, 4.0), 0.2)
+    assert gains.condition_number > ps.synthesis.CONDITION_WARN_THRESHOLD
+
+
+def test_row_readers_do_not_warn(spectrum95):
+    """The condition warning concerns float64 use of the Gram inverse and
+    the component rows, which a row reader never forms; the full builds at
+    these periods stay under the threshold as well."""
+    gammas = (2.0, 3.0, 4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cont = ps.continuous_limit(spectrum95, gammas)
+        for period in (1e-6, 1e-2, 5e-3):
+            ps.gain_limit_distance(spectrum95, gammas, period, cont)
+            gains = ps.build_gains(spectrum95, gammas, period)
+            assert gains.condition_number < ps.synthesis.CONDITION_WARN_THRESHOLD
 
 
 def test_gain_system_sizes_digits_past_the_gram_condition(spectrum95):
