@@ -367,7 +367,7 @@ def sweep_sampling_period(
     histories of the runs come back alongside the table for plotting.
     """
     periods = [float(p) for p in periods]
-    if not periods or any(p <= 0 for p in periods):
+    if not periods or any(not p > 0 for p in periods):
         raise ValueError("periods must be a non-empty list of positive values")
     c = linearized_coefficient(problem)
     spectrum = compute_spectrum(problem, c, problem.spec.target_rate)
@@ -509,10 +509,14 @@ def estimate_basin(
     estimate; with ``bisect_iters`` > 0 the edge between the largest
     decaying and smallest diverging amplitude is refined by bisection.
     The decayed-flag pattern need not be monotone and is reported as is.
+    Raises ValueError for a negative or NaN amplitude.
     """
+    amplitudes = [float(a) for a in amplitudes]
+    if any(not a >= 0 for a in amplitudes):
+        raise ValueError(f"amplitudes must be 0 or positive, got {amplitudes}")
     histories: list[NormHistory] = []
     rows = [
-        _basin_probe(problem, spectrum, gains, float(a), horizon, seed, histories)
+        _basin_probe(problem, spectrum, gains, a, horizon, seed, histories)
         for a in amplitudes
     ]
     decayed = [r.amplitude for r in rows if r.decayed]

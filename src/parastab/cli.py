@@ -4,9 +4,12 @@ Subcommands: synthesize | simulate | verify | sweep.  A single INI-style
 config file (sections and key=value pairs, parsed by configparser) drives
 every run; unknown sections, keys, norms and output formats are rejected
 so typos fail loudly, and so are more nonlinearity parameters than the
-kind takes, a negative or NaN amplitude, an open-loop horizon below 1, a
-negative snapshot stride, a sweep total_time that is not positive and
-negative bisect_iters.
+kind takes, a negative or NaN amplitude (also as a [sweep] amplitude
+entry), an open-loop horizon below 1, a negative snapshot stride, a
+[sweep] T entry or total_time that is not positive and a negative
+bisect_iters.  validate_spec then rejects an interval_length, target_rate
+or sampling_period that is not finite and positive, and gammas that are
+not finite or not strictly increasing above target_rate.
 All defaults are echoed into the emitted metadata for reproducibility, and
 every float in CSV output carries 17 significant digits.
 
@@ -24,6 +27,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -89,43 +93,89 @@ class ConfigError(ParastabError):
     """Malformed or unknown configuration content."""
 
 
-_SCHEMA = {
-    "problem": {
-        "interval_length",
-        "grid_points",
-        "nonlinearity",
-        "parameters",
-        "equilibrium",
-    },
-    "synthesis": {"target_rate", "gammas", "sampling_period"},
-    "simulation": {
-        "horizon",
-        "substeps",
-        "initial",
-        "amplitude",
-        "norm",
-        "sobolev_order",
-        "dynamics",
-        "open_loop_horizon",
-    },
-    "output": {"directory", "formats", "snapshot_stride"},
-    "verify": {"horizon", "seed"} | set(DEFAULT_VERIFY_TOLERANCES),
-    "sweep": {
-        "T",
-        "gamma",
-        "amplitude",
-        "total_time",
-        "seed",
-        "bisect_iters",
-    },
-}
-
 _FORMATS = {"csv", "json", "svg", "modes", "matrices", "states"}
+
+
+def _float_list(raw: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in raw.replace(";", ",").split(",") if tok.strip())
+
+
+def _gamma_lists(raw: str) -> tuple[tuple[float, ...], ...]:
+    return tuple(_float_list(chunk) for chunk in raw.split(";") if chunk.strip())
+
+
+def _tokens(raw: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+
+
+def _listed(value):
+    """The echoed form of a config value: tuples become lists."""
+    return [_listed(v) for v in value] if isinstance(value, tuple) else value
+
+
+class _Option(NamedTuple):
+    field: str  # the RunConfig attribute
+    section: str
+    key: str
+    default: str  # as it would be written in the file
+    parse: Callable[[str], Any]
+    ok: Callable[[Any], bool] = lambda value: True  # for a list: each entry
+    message: str = ""  # formatted with the sorted failing entries
+
+
+# Every run option, declared once: load_config reads and checks it, the
+# schema accepts its key and RunConfig.echo writes it back.  The spec keys
+# ([problem], [synthesis], substeps) are read and echoed by hand, because
+# the echo shows their resolved values.
+_OPTIONS = (
+    _Option("horizon", "simulation", "horizon", "50", int),
+    _Option("initial", "simulation", "initial", "random:7", str),
+    _Option("amplitude", "simulation", "amplitude", "1.0", float,
+            lambda a: a >= 0, "amplitude must be 0 or positive, got {}"),
+    _Option("norm", "simulation", "norm", "l2", str,
+            lambda n: n in ("l2", "sobolev"), "norm must be l2 or sobolev, got {!r}"),
+    _Option("sobolev_order", "simulation", "sobolev_order", "0.25", float),
+    # "" is resolved from the nonlinearity in load_config
+    _Option("dynamics", "simulation", "dynamics", "", str,
+            lambda d: d in ("", "linear", "semilinear"),
+            "dynamics must be linear or semilinear, got {!r}"),
+    _Option("open_loop_horizon", "simulation", "open_loop_horizon", "5", int,
+            lambda n: n >= 1, "open_loop_horizon must be at least 1, got {}"),
+    _Option("out_dir", "output", "directory", "out", str),
+    _Option("formats", "output", "formats", "csv,json", _tokens, _FORMATS.__contains__,
+            f"unknown output format(s) {{}}; choose from {', '.join(sorted(_FORMATS))}"),
+    _Option("snapshot_stride", "output", "snapshot_stride", "0", int,
+            lambda n: n >= 0, "snapshot_stride must be 0 or positive, got {}"),
+    _Option("verify_horizon", "verify", "horizon", "10", int),
+    _Option("verify_seed", "verify", "seed", "7", int),
+    _Option("sweep_periods", "sweep", "T", "", _float_list,
+            lambda t: t > 0, "[sweep] T entries must be positive, got {}"),
+    _Option("sweep_gammas", "sweep", "gamma", "", _gamma_lists),
+    _Option("sweep_amplitudes", "sweep", "amplitude", "", _float_list,
+            lambda a: a >= 0, "[sweep] amplitude entries must be 0 or positive, got {}"),
+    _Option("sweep_total_time", "sweep", "total_time", "10.0", float,
+            lambda t: t > 0, "[sweep] total_time must be positive, got {}"),
+    _Option("sweep_seed", "sweep", "seed", "7", int),
+    _Option("sweep_bisect_iters", "sweep", "bisect_iters", "20", int,
+            lambda n: n >= 0, "[sweep] bisect_iters must be 0 or positive, got {}"),
+)
+
+# the keys load_config reads by hand (the spec keys and the [verify]
+# tolerances), then every run option's key
+_SCHEMA = {
+    "problem": {"interval_length", "grid_points", "nonlinearity", "parameters", "equilibrium"},
+    "synthesis": {"target_rate", "gammas", "sampling_period"},
+    "simulation": {"substeps"},
+    "verify": set(DEFAULT_VERIFY_TOLERANCES),
+}
+for _option in _OPTIONS:
+    _SCHEMA.setdefault(_option.section, set()).add(_option.key)
 
 
 @dataclasses.dataclass
 class RunConfig:
-    """Parsed and defaulted configuration (one attribute per schema key)."""
+    """Parsed and defaulted configuration: the problem spec, one attribute
+    per run option in _OPTIONS, and the [verify] tolerances."""
 
     spec: ProblemSpec
     horizon: int
@@ -150,7 +200,7 @@ class RunConfig:
 
     def echo(self) -> dict:
         spec = self.spec
-        return {
+        sections = {
             "problem": {
                 "interval_length": spec.interval_length,
                 "grid_points": spec.grid_points,
@@ -163,51 +213,13 @@ class RunConfig:
                 "gammas": "auto" if spec.gammas is None else list(spec.gammas),
                 "sampling_period": spec.sampling_period,
             },
-            "simulation": {
-                "horizon": self.horizon,
-                "substeps": spec.substeps_per_hold,
-                "initial": self.initial,
-                "amplitude": self.amplitude,
-                "norm": self.norm,
-                "sobolev_order": self.sobolev_order,
-                "dynamics": self.dynamics,
-                "open_loop_horizon": self.open_loop_horizon,
-            },
-            "output": {
-                "directory": self.out_dir,
-                "formats": list(self.formats),
-                "snapshot_stride": self.snapshot_stride,
-            },
-            "verify": {
-                "horizon": self.verify_horizon,
-                "seed": self.verify_seed,
-                **self.verify_tolerances,
-            },
-            "sweep": {
-                "T": list(self.sweep_periods),
-                "gamma": [list(g) for g in self.sweep_gammas],
-                "amplitude": list(self.sweep_amplitudes),
-                "total_time": self.sweep_total_time,
-                "seed": self.sweep_seed,
-                "bisect_iters": self.sweep_bisect_iters,
-            },
+            "simulation": {"substeps": spec.substeps_per_hold},
+            "verify": dict(self.verify_tolerances),
         }
-
-
-def _float_list(raw: str) -> tuple[float, ...]:
-    raw = raw.strip()
-    if not raw:
-        return ()
-    return tuple(float(tok) for tok in raw.replace(";", ",").split(",") if tok.strip())
-
-
-def _gamma_lists(raw: str) -> tuple[tuple[float, ...], ...]:
-    out = []
-    for chunk in raw.split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            out.append(tuple(float(tok) for tok in chunk.split(",") if tok.strip()))
-    return tuple(out)
+        for option in _OPTIONS:
+            value = _listed(getattr(self, option.field))
+            sections.setdefault(option.section, {})[option.key] = value
+        return sections
 
 
 def _build_nonlinearity(kind: str, parameters: tuple[float, ...]) -> NonlinearitySpec:
@@ -239,17 +251,13 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"unknown config section [{section}]")
         unknown = set(parser[section]) - _SCHEMA[section]
         if unknown:
-            raise ConfigError(
-                f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}"
-            )
+            raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}")
 
     def get(section: str, key: str, default: str) -> str:
         return parser.get(section, key, fallback=default).strip()
 
     parameters = _float_list(get("problem", "parameters", ""))
-    nonlinearity = _build_nonlinearity(
-        get("problem", "nonlinearity", "fisher"), parameters
-    )
+    nonlinearity = _build_nonlinearity(get("problem", "nonlinearity", "fisher"), parameters)
     equilibrium_raw = get("problem", "equilibrium", "0.0")
     if equilibrium_raw.startswith("file:"):
         equilibrium = np.loadtxt(equilibrium_raw[5:], dtype=float)
@@ -269,70 +277,21 @@ def load_config(path: str | Path) -> RunConfig:
         substeps_per_hold=int(get("simulation", "substeps", "64")),
     )
 
-    dynamics = get("simulation", "dynamics", "")
-    if not dynamics:
-        dynamics = "linear" if nonlinearity.kind == "linear-only" else "semilinear"
-    if dynamics not in ("linear", "semilinear"):
-        raise ConfigError(f"dynamics must be linear or semilinear, got {dynamics!r}")
+    options = {}
+    for option in _OPTIONS:
+        value = option.parse(get(option.section, option.key, option.default))
+        entries = value if isinstance(value, tuple) else (value,)
+        bad = sorted({str(v) for v in entries if not option.ok(v)})
+        if bad:
+            raise ConfigError(option.message.format(", ".join(bad)))
+        options[option.field] = value
+    if not options["dynamics"]:
+        options["dynamics"] = "linear" if nonlinearity.kind == "linear-only" else "semilinear"
 
-    norm = get("simulation", "norm", "l2")
-    if norm not in ("l2", "sobolev"):
-        raise ConfigError(f"norm must be l2 or sobolev, got {norm!r}")
-    formats = tuple(
-        tok.strip() for tok in get("output", "formats", "csv,json").split(",") if tok.strip()
-    )
-    unknown = set(formats) - _FORMATS
-    if unknown:
-        raise ConfigError(
-            f"unknown output format(s) {', '.join(sorted(unknown))}; "
-            f"choose from {', '.join(sorted(_FORMATS))}"
-        )
+    verify = parser["verify"] if parser.has_section("verify") else {}
+    tolerances = {key: float(verify[key]) for key in verify if key in DEFAULT_VERIFY_TOLERANCES}
 
-    amplitude = float(get("simulation", "amplitude", "1.0"))
-    if not amplitude >= 0:
-        raise ConfigError(f"amplitude must be 0 or positive, got {amplitude}")
-    open_loop_horizon = int(get("simulation", "open_loop_horizon", "5"))
-    if open_loop_horizon < 1:
-        raise ConfigError(f"open_loop_horizon must be at least 1, got {open_loop_horizon}")
-    snapshot_stride = int(get("output", "snapshot_stride", "0"))
-    if snapshot_stride < 0:
-        raise ConfigError(f"snapshot_stride must be 0 or positive, got {snapshot_stride}")
-
-    total_time = float(get("sweep", "total_time", "10.0"))
-    if not total_time > 0:
-        raise ConfigError(f"[sweep] total_time must be positive, got {total_time}")
-    bisect_iters = int(get("sweep", "bisect_iters", "20"))
-    if bisect_iters < 0:
-        raise ConfigError(f"[sweep] bisect_iters must be 0 or positive, got {bisect_iters}")
-
-    tolerances = {}
-    if parser.has_section("verify"):
-        for key in parser["verify"]:
-            if key in DEFAULT_VERIFY_TOLERANCES:
-                tolerances[key] = float(parser["verify"][key])
-
-    return RunConfig(
-        spec=spec,
-        horizon=int(get("simulation", "horizon", "50")),
-        initial=get("simulation", "initial", "random:7"),
-        amplitude=amplitude,
-        norm=norm,
-        sobolev_order=float(get("simulation", "sobolev_order", "0.25")),
-        dynamics=dynamics,
-        open_loop_horizon=open_loop_horizon,
-        out_dir=get("output", "directory", "out"),
-        formats=formats,
-        snapshot_stride=snapshot_stride,
-        verify_horizon=int(get("verify", "horizon", "10")),
-        verify_seed=int(get("verify", "seed", "7")),
-        verify_tolerances=tolerances,
-        sweep_periods=_float_list(get("sweep", "T", "")),
-        sweep_gammas=_gamma_lists(get("sweep", "gamma", "")),
-        sweep_amplitudes=_float_list(get("sweep", "amplitude", "")),
-        sweep_total_time=total_time,
-        sweep_seed=int(get("sweep", "seed", "7")),
-        sweep_bisect_iters=bisect_iters,
-    )
+    return RunConfig(spec=spec, verify_tolerances=tolerances, **options)
 
 
 def _initial_state(config: RunConfig, spectrum: Spectrum) -> np.ndarray:

@@ -22,7 +22,7 @@ class ParastabError(Exception):
 
 
 class NonPositivePeriod(ParastabError):
-    """Sampling period must be strictly positive."""
+    """Sampling period must be finite and strictly positive."""
 
 
 class GammaOrderingViolation(ParastabError):
@@ -171,7 +171,9 @@ class ValidatedProblem:
 def gamma_ordering_error(gammas: Sequence[float], rho: float) -> str | None:
     """Why ``gammas`` break rho < gamma_1 < gamma_2 < ... strictly, or None."""
     g = tuple(gammas)
-    if any(b <= a for a, b in zip(g, g[1:])) or (g and g[0] <= rho):
+    if not all(math.isfinite(x) for x in g):
+        return f"gammas must be finite, got {g}"
+    if any(not b > a for a, b in zip(g, g[1:])) or (g and not g[0] > rho):
         return f"need target_rate < gamma_1 < gamma_2 < ...; got rho = {rho}, gammas = {g}"
     return None
 
@@ -183,15 +185,15 @@ def _violations(spec: ProblemSpec) -> list[ParastabError]:
         None if spec.gammas is None else gamma_ordering_error(spec.gammas, spec.target_rate)
     )
     rules = [
-        (spec.sampling_period <= 0, NonPositivePeriod,
-         f"sampling_period must be positive, got {spec.sampling_period}"),
+        (not 0 < spec.sampling_period < math.inf, NonPositivePeriod,
+         f"sampling_period must be finite and positive, got {spec.sampling_period}"),
         (spec.grid_points < MIN_GRID_POINTS, GridTooCoarse,
          f"grid_points must be >= {MIN_GRID_POINTS}, got {spec.grid_points}"),
         (gamma_error is not None, GammaOrderingViolation, gamma_error),
-        (spec.interval_length <= 0, ParastabError,
-         f"interval_length must be positive, got {spec.interval_length}"),
-        (spec.target_rate <= 0, ParastabError,
-         f"target_rate must be positive, got {spec.target_rate}"),
+        (not 0 < spec.interval_length < math.inf, ParastabError,
+         f"interval_length must be finite and positive, got {spec.interval_length}"),
+        (not 0 < spec.target_rate < math.inf, ParastabError,
+         f"target_rate must be finite and positive, got {spec.target_rate}"),
         (spec.substeps_per_hold < 1, ParastabError,
          f"substeps_per_hold must be >= 1, got {spec.substeps_per_hold}"),
     ]
@@ -207,6 +209,12 @@ def _sample_equilibrium(spec: ProblemSpec, nodes: np.ndarray) -> np.ndarray:
     else:
         values = np.asarray(ye, dtype=float)
     if values.shape != nodes.shape:
+        if not callable(ye) and values.ndim == 1 and values.size > 2:
+            raise ValueError(
+                f"equilibrium has {values.size} node values, which fit grid_points = "
+                f"{values.size - 2}, not the requested grid_points = {nodes.size - 2}; "
+                "node values are not resampled"
+            )
         raise ValueError(
             f"equilibrium samples have shape {values.shape}, expected {nodes.shape}"
         )

@@ -132,6 +132,14 @@ def test_sweep_rejects_empty_or_negative():
         ps.sweep_sampling_period(prob, ())
     with pytest.raises(ValueError):
         ps.sweep_sampling_period(prob, (0.1, -0.2))
+    with pytest.raises(ValueError, match="positive"):
+        ps.sweep_sampling_period(prob, (0.1, float("nan")))
+
+
+@pytest.mark.parametrize("amplitude", [-0.5, float("nan")], ids=["negative", "nan"])
+def test_estimate_basin_rejects_bad_amplitudes(problem15, spectrum15, gains15, amplitude):
+    with pytest.raises(ValueError, match="amplitudes must be 0 or positive"):
+        ps.estimate_basin(problem15, spectrum15, gains15, (0.01, amplitude))
 
 
 def test_sweep_gammas(problem15):

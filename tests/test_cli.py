@@ -12,6 +12,7 @@ from parastab.cli import (
     EXIT_SINGULAR,
     EXIT_VERIFY,
     ConfigError,
+    _OPTIONS,
     load_config,
     main,
 )
@@ -97,10 +98,18 @@ def test_missing_file_exits_2(tmp_path):
         ("formats = csv,json,svg", "formats = csv\n[sweep]\nbisect_iters = -3", "bisect_iters"),
         ("amplitude = 0.01", "amplitude = -1", "amplitude"),
         ("amplitude = 0.01", "amplitude = nan", "amplitude"),
+        ("formats = csv,json,svg", "formats = svgg,csv,jsno", r"format\(s\) jsno, svgg; "),
+        ("formats = csv,json,svg", "formats = csv\n[sweep]\namplitude = -0.5,0.01",
+         r"\[sweep\] amplitude entries must be 0 or positive, got -0.5$"),
+        ("formats = csv,json,svg", "formats = csv\n[sweep]\namplitude = 0.01,nan,-0.5",
+         r"\[sweep\] amplitude .*, got -0.5, nan$"),
+        ("formats = csv,json,svg", "formats = csv\n[sweep]\nT = 0.2,0", r"\[sweep\] T"),
+        ("formats = csv,json,svg", "formats = csv\n[sweep]\nT = nan", r"\[sweep\] T"),
     ],
     ids=["norm", "formats", "open-loop-horizon", "snapshot-stride", "cubic-parameters",
          "linear-parameters", "negative-total-time", "zero-total-time", "bisect-iters",
-         "negative-amplitude", "nan-amplitude"],
+         "negative-amplitude", "nan-amplitude", "two-formats", "negative-sweep-amplitude",
+         "nan-sweep-amplitude", "zero-sweep-period", "nan-sweep-period"],
 )
 def test_bad_norm_or_format_exits_2_before_any_output(tmp_path, line, typo, bad):
     out = tmp_path / "out"
@@ -112,6 +121,75 @@ def test_bad_norm_or_format_exits_2_before_any_output(tmp_path, line, typo, bad)
     command = ["simulate", "--config", str(tmp_path / "run.ini"), "--open-loop"]
     assert main(command) == EXIT_CONFIG
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "line, bad, field",
+    [
+        ("sampling_period = 0.2", "sampling_period = inf", "sampling_period"),
+        ("sampling_period = 0.2", "sampling_period = nan", "sampling_period"),
+        ("gammas = 2.0", "gammas = nan", "gammas"),
+        ("target_rate = 1.0", "target_rate = nan", "target_rate"),
+        ("grid_points = 64", "grid_points = 64\ninterval_length = nan", "interval_length"),
+    ],
+    ids=["inf-period", "nan-period", "nan-gammas", "nan-rate", "nan-length"],
+)
+def test_non_finite_spec_value_exits_2_naming_it(tmp_path, capsys, line, bad, field):
+    (tmp_path / "run.ini").write_text(Path(write_config(tmp_path)).read_text().replace(line, bad))
+    for command in ("synthesize", "simulate", "verify", "sweep"):
+        assert main([command, "--config", str(tmp_path / "run.ini")]) == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
+
+def test_node_value_equilibrium_names_both_grids(tmp_path, capsys):
+    np.savetxt(tmp_path / "ye.txt", np.zeros(66))
+    text = Path(write_config(tmp_path, horizon=2)).read_text().replace(
+        "parameters = 15.0", f"parameters = 15.0\nequilibrium = file:{tmp_path / 'ye.txt'}"
+    )
+    (tmp_path / "run.ini").write_text(text)
+    assert main(["synthesize", "--config", str(tmp_path / "run.ini")]) == EXIT_OK
+    capsys.readouterr()
+    message = (
+        "error: equilibrium has 66 node values, which fit grid_points = 64, not the "
+        "requested grid_points = 128; node values are not resampled\n"
+    )
+    for argv in (["synthesize", "--refine"], ["verify"]):
+        assert main([*argv, "--config", str(tmp_path / "run.ini")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == message
+
+
+def test_every_run_option_loads_and_echoes_as_written(tmp_path):
+    written = {
+        "simulation": {"horizon": 7, "initial": "mode:2", "amplitude": 0.5, "norm": "sobolev",
+                       "sobolev_order": 0.5, "dynamics": "linear", "open_loop_horizon": 3},
+        "output": {"directory": "elsewhere", "formats": ["svg", "states"],
+                   "snapshot_stride": 4},
+        "verify": {"horizon": 12, "seed": 3},
+        "sweep": {"T": [0.1, 0.3], "gamma": [[2.5], [3.5, 4.5]], "amplitude": [0.02, 0.2],
+                  "total_time": 4.5, "seed": 11, "bisect_iters": 5},
+    }
+    # the table declares exactly these keys
+    assert [(o.section, o.key) for o in _OPTIONS] == [
+        (section, key) for section, keys in written.items() for key in keys
+    ]
+    path = tmp_path / "options.ini"
+    path.write_text(
+        "[simulation]\nhorizon = 7\ninitial = mode:2\namplitude = 0.5\nnorm = sobolev\n"
+        "sobolev_order = 0.5\ndynamics = linear\nopen_loop_horizon = 3\n"
+        "[output]\ndirectory = elsewhere\nformats = svg,states\nsnapshot_stride = 4\n"
+        "[verify]\nhorizon = 12\nseed = 3\n"
+        "[sweep]\nT = 0.1,0.3\ngamma = 2.5;3.5,4.5\namplitude = 0.02,0.2\n"
+        "total_time = 4.5\nseed = 11\nbisect_iters = 5\n"
+    )
+    empty = tmp_path / "empty.ini"
+    empty.write_text("")
+    cfg = load_config(path)
+    echo, defaults = cfg.echo(), load_config(empty).echo()
+    for section, values in written.items():
+        assert {key: echo[section][key] for key in values} == values
+        assert all(defaults[section][key] != value for key, value in values.items())
+    assert cfg.sweep_gammas == ((2.5,), (3.5, 4.5)) and cfg.formats == ("svg", "states")
+    assert cfg.out_dir == "elsewhere" and cfg.verify_seed == 3 and cfg.sweep_seed == 11
 
 
 def test_synthesize_and_verify_share_the_algebraic_checks(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -67,8 +69,18 @@ def test_coarse_grid_rejected():
         ({"gammas": (0.5,)}, ps.GammaOrderingViolation),
         ({"sampling_period": 0.0}, ps.NonPositivePeriod),
         ({"grid_points": MIN_GRID_POINTS - 1}, ps.GridTooCoarse),
+        ({"gammas": (math.nan,)}, ps.GammaOrderingViolation),
+        ({"gammas": (2.0, math.inf)}, ps.GammaOrderingViolation),
+        ({"sampling_period": math.inf}, ps.NonPositivePeriod),
+        ({"sampling_period": math.nan}, ps.NonPositivePeriod),
+        ({"interval_length": math.nan}, ps.ParastabError),
+        ({"interval_length": math.inf}, ps.ParastabError),
+        ({"target_rate": math.nan}, ps.ParastabError),
+        ({"target_rate": math.inf}, ps.ParastabError),
     ],
-    ids=["descending", "repeated", "at-rho", "below-rho", "zero-period", "coarse-grid"],
+    ids=["descending", "repeated", "at-rho", "below-rho", "zero-period", "coarse-grid",
+         "nan-gamma", "inf-gamma", "inf-period", "nan-period", "nan-length", "inf-length",
+         "nan-rate", "inf-rate"],
 )
 def test_gamma_ordering_is_one_rule(spectrum15, fields, error):
     # each spec rule is written once: _violations lists its message and
@@ -78,6 +90,7 @@ def test_gamma_ordering_is_one_rule(spectrum15, fields, error):
     with pytest.raises(error) as validated:
         ps.validate_spec(spec)
     assert str(validated.value) == message
+    assert next(iter(fields)) in message  # the message names the field
     gammas = fields.get("gammas")
     if gammas is not None:
         assert message == gamma_ordering_error(gammas, 1.0)
@@ -139,6 +152,18 @@ def test_non_finite_coefficient_detected():
     prob = ps.validate_spec(ps.ProblemSpec(nonlinearity=bad, grid_points=20))
     with pytest.raises(ps.NonFiniteCoefficient):
         ps.linearized_coefficient(prob)
+
+
+def test_node_value_equilibrium_on_another_grid_names_both_grids():
+    spec = ps.ProblemSpec(
+        nonlinearity=ps.cubic_reaction(), grid_points=64, equilibrium=np.zeros(34)
+    )
+    with pytest.raises(ValueError) as error:
+        ps.validate_spec(spec)
+    assert str(error.value) == (
+        "equilibrium has 34 node values, which fit grid_points = 32, not the "
+        "requested grid_points = 64; node values are not resampled"
+    )
 
 
 def test_callable_equilibrium_sampled_on_all_nodes():

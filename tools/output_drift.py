@@ -4,7 +4,10 @@ Runs every CLI step of the three benchmark configs in perfbench/configs/
 at one seed: the five cli_default commands (synthesize, simulate
 --open-loop, verify, sweep --axis T and sweep --axis amplitude), the
 multimode synthesize at T = 0.05, 0.2, 1.0 and 2.0 plus its verify at
-T = 0.2, and the long_hold simulate.  Each runs once with each tree's own
+T = 0.2, and the long_hold simulate.  Two more steps run edited copies of
+the cli_default config, so that every run option reaches a compared
+output: sweep --axis gamma with a [sweep] gamma list, and simulate from
+initial = mode:1 with the states format.  Each runs once with each tree's own
 src/, one BLAS thread, and the script prints a Markdown report: for every
 output file whose bytes differ, how many of its numbers changed and the
 largest relative change |a - b| / max(|a|, |b|), with where it sits.
@@ -12,8 +15,8 @@ Report only: the exit status is 0 whatever drifts.
 
     python tools/output_drift.py BASE_TREE HEAD_TREE [--seed 7]
 
-The config templates are read from HEAD_TREE and filled in a temporary
-directory, so both trees run the same configs.
+The config templates are read from HEAD_TREE and filled and edited in a
+temporary directory, so both trees run the same configs.
 """
 
 from __future__ import annotations
@@ -28,18 +31,24 @@ import tempfile
 from pathlib import Path
 
 MULTIMODE_PERIODS = ("0.05", "0.2", "1.0", "2.0")
-# step name -> (config template, its {period}, CLI arguments)
+# step name -> (config template, CLI arguments, (old, new) text edits of
+# the template); {seed} is filled in after the edits
 STEPS = {
-    "cli_default/synthesize": ("cli_default", None, ["synthesize"]),
-    "cli_default/simulate": ("cli_default", None, ["simulate", "--open-loop"]),
-    "cli_default/verify": ("cli_default", None, ["verify"]),
-    "cli_default/sweep_T": ("cli_default", None, ["sweep", "--axis", "T"]),
-    "cli_default/sweep_amplitude": ("cli_default", None,
-                                    ["sweep", "--axis", "amplitude"]),
-    **{f"multimode/synthesize_T{t}": ("multimode", t, ["synthesize"])
+    "cli_default/synthesize": ("cli_default", ["synthesize"], ()),
+    "cli_default/simulate": ("cli_default", ["simulate", "--open-loop"], ()),
+    "cli_default/verify": ("cli_default", ["verify"], ()),
+    "cli_default/sweep_T": ("cli_default", ["sweep", "--axis", "T"], ()),
+    "cli_default/sweep_amplitude": ("cli_default", ["sweep", "--axis", "amplitude"], ()),
+    **{f"multimode/synthesize_T{t}": ("multimode", ["synthesize"], (("{period}", t),))
        for t in MULTIMODE_PERIODS},
-    "multimode/verify": ("multimode", "0.2", ["verify"]),
-    "long_hold/simulate": ("long_hold", None, ["simulate"]),
+    "multimode/verify": ("multimode", ["verify"], (("{period}", "0.2"),)),
+    "long_hold/simulate": ("long_hold", ["simulate"], ()),
+    "cli_default/sweep_gamma": ("cli_default", ["sweep", "--axis", "gamma"],
+                                (("[sweep]\n", "[sweep]\ngamma = 2.0;4.0\n"),)),
+    "cli_default/simulate_states": ("cli_default", ["simulate"], (
+        ("initial = random:{seed}", "initial = mode:1"),
+        ("formats = csv,json,svg,modes,matrices", "formats = csv,json,states"),
+    )),
 }
 RUN_CLI = "import sys; from parastab.cli import main; sys.exit(main(sys.argv[1:]))"
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -49,10 +58,14 @@ def render_configs(templates: Path, seed: int, work: Path) -> dict[str, Path]:
     """One filled config per step, keyed by step name; the templates are
     only read."""
     paths = {}
-    for name, (template, period, _) in STEPS.items():
-        text = (templates / f"{template}.ini").read_text().replace("{seed}", str(seed))
-        paths[name] = work / (f"{template}_T{period}.ini" if period else f"{template}.ini")
-        paths[name].write_text(text.replace("{period}", period or ""))
+    for name, (template, _, edits) in STEPS.items():
+        text = (templates / f"{template}.ini").read_text()
+        for old, new in edits:
+            if old not in text:
+                raise SystemExit(f"{name}: {template}.ini has no {old!r} to edit")
+            text = text.replace(old, new)
+        paths[name] = work / f"{name.replace('/', '_')}.ini"
+        paths[name].write_text(text.replace("{seed}", str(seed)))
     return paths
 
 
@@ -60,7 +73,7 @@ def run_tree(tree: Path, configs: dict[str, Path], out: Path) -> dict[str, int]:
     """Exit code of every step, its outputs written under out/<step>."""
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"), **ONE_THREAD)
     codes = {}
-    for name, (_, _, argv) in STEPS.items():
+    for name, (_, argv, _) in STEPS.items():
         done = subprocess.run(
             [sys.executable, "-c", RUN_CLI, *argv, "--config", str(configs[name]),
              "--out", str(out / name)],
@@ -138,7 +151,8 @@ def compare(base: Path, head: Path) -> str:
 
 
 def report(base_root: Path, head_root: Path, base_codes: dict, head_codes: dict) -> str:
-    lines = ["## CLI output drift against the base (every benchmark CLI step, report only)", ""]
+    lines = ["## CLI output drift against the base "
+             "(benchmark and derived CLI steps, report only)", ""]
     for name in STEPS:
         if base_codes[name] != head_codes[name]:
             lines.append(f"- `{name}` exits {base_codes[name]} at the base, "
