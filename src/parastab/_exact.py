@@ -31,11 +31,13 @@ exponential is formed, so nothing overflows), bounds the condition number
 before anything is built: the precision is fixed once and the system is
 assembled once.
 
-The arithmetic runs on plain lists of mpf; the weights and the Gram sum are
-summed in the rounding order of the mp.matrix operators (one fdot per
-product entry, sums over k accumulated from k = 0), and mp.matrix wraps
-the results where ExactGains is built.  The precision sizing and the gain
-row formula are shared by two entry points:
+The arithmetic runs on plain lists of mpf, and ExactGains holds those lists
+(a vector as a list, a matrix as a list of rows); the weights and the Gram
+sum are summed in the rounding order of the mp.matrix operators (one fdot
+per product entry, sums over k accumulated from k = 0).  mp.matrix is built
+only for the two mp.eigsy calls: the Gram sum's condition and the
+contraction bound.  The precision sizing and the gain row formula are
+shared by two entry points:
 
 - ``gain_system`` builds the whole system (weights, Gram sum and its
   condition, gain row, component rows, Gram inverse, closed-loop map).
@@ -78,20 +80,20 @@ def _decay_integral(lam: mp.mpf, T: mp.mpf) -> mp.mpf:
 
 @dataclass
 class ExactGains:
-    """mpmath matrices of the sampled gain construction (or its T -> 0 limit)."""
+    """The sampled gain construction (or its T -> 0 limit) as lists of mpf."""
 
     lambdas: list
     flux: list
     gammas: list
     period: object  # mp.mpf or None for the continuous-time limit
     dps: int
-    lam_table: mp.matrix  # (N, N): entry (i, k) of the k-th diagonal weight
-    integral_diag: mp.matrix  # (N,) hold integrals (identity weights at T -> 0)
-    gram_sum: mp.matrix  # (N, N) sum of weighted Gram terms
-    gram_inverse: mp.matrix  # (N, N)
-    gain_row: mp.matrix  # (N,)
-    gain_rows_k: mp.matrix  # (N, N): column k is the k-th component row
-    closed_loop: mp.matrix  # (N, N) sampled modal update matrix
+    lam_table: list  # N x N: [i][k] is entry i of the k-th diagonal weight
+    integral_diag: list  # N hold integrals (identity weights at T -> 0)
+    gram_sum: list  # N x N sum of weighted Gram terms
+    gram_inverse: list  # N x N
+    gain_row: list  # N
+    gain_rows_k: list  # N x N: column k is the k-th component row
+    closed_loop: list  # N x N sampled modal update matrix
     condition: mp.mpf
 
     @property
@@ -248,9 +250,8 @@ def _assemble(lambdas, flux, gammas, T, dps: int) -> ExactGains:
         # is one fdot, and the sums over k accumulate from k = 0
         vs = [[table[i][k] * b[i] for i in range(n)] for k in range(n)]
         gram = [[sum(v[i] * v[j] for v in vs) for j in range(n)] for i in range(n)]
-        gram_sum = mp.matrix(gram)
 
-        eigvals = sorted(mp.mpf(e) for e in mp.eigsy(gram_sum, eigvals_only=True))
+        eigvals = sorted(mp.mpf(e) for e in mp.eigsy(mp.matrix(gram), eigvals_only=True))
         if eigvals[0] <= 0:
             raise ExactAlgebraError(f"Gram sum not positive definite at {dps} digits")
         condition = eigvals[-1] / eigvals[0]
@@ -274,13 +275,13 @@ def _assemble(lambdas, flux, gammas, T, dps: int) -> ExactGains:
             gammas=gam,
             period=period,
             dps=dps,
-            lam_table=mp.matrix(table),
-            integral_diag=mp.matrix(hold.integral),
-            gram_sum=gram_sum,
-            gram_inverse=mp.matrix(inverse),
-            gain_row=mp.matrix(gain),
-            gain_rows_k=mp.matrix(rows_k),
-            closed_loop=mp.matrix(closed),
+            lam_table=table,
+            integral_diag=hold.integral,
+            gram_sum=gram,
+            gram_inverse=inverse,
+            gain_row=gain,
+            gain_rows_k=rows_k,
+            closed_loop=closed,
             condition=condition,
         )
 
@@ -291,19 +292,25 @@ def _precision(lambdas, flux, gammas, T) -> tuple[int, int]:
     hold before anything is built.
 
     Raises ExactAlgebraError for a zero flux, a repeated lambda or gamma,
-    and past MAX_DPS digits.
+    and past MAX_DPS digits.  Both counts are compared in floating point
+    before they are rounded, so a count past the float64 range (or NaN
+    from an overflow in the bound) stops here too; counts past a million
+    are printed as a bound.
     """
-    cancel = 0  # digits lost as e^{-lambda_1 T} cancels down to e^{-gamma_N T}
+    cancel = 0.0  # digits lost as e^{-lambda_1 T} cancels down to e^{-gamma_N T}
     if T is not None:
-        spread = float(max(gammas)) - float(min(lambdas))
-        cancel = math.ceil(spread * float(T) / math.log(10))
-    condition_digits = math.floor(_log10_condition_bound(lambdas, flux, gammas, T))
-    dps = max(BASE_DPS, cancel + GUARD_DIGITS, condition_digits + GUARD_DIGITS)
-    if dps > MAX_DPS:
+        cancel = (float(max(gammas)) - float(min(lambdas))) * float(T) / math.log(10)
+    condition = _log10_condition_bound(lambdas, flux, gammas, T)
+    limit = MAX_DPS - GUARD_DIGITS  # ceil(cancel) and floor(condition) may reach it
+    if not (cancel <= limit and condition < limit + 1):
+        bound = f"up to 1e{math.floor(condition)}" if condition < 1e6 else "past 1e1000000"
+        digits = math.ceil(cancel) if cancel < 1e6 else "more than 10^6"
         raise ExactAlgebraError(
-            f"Gram sum condition up to 1e{condition_digits} and {cancel} digits of "
+            f"Gram sum condition {bound} and {digits} digits of "
             f"cancellation over one hold exceed the {MAX_DPS}-digit working limit"
         )
+    condition_digits = math.floor(condition)
+    dps = max(BASE_DPS, math.ceil(cancel) + GUARD_DIGITS, condition_digits + GUARD_DIGITS)
     return dps, condition_digits
 
 
@@ -351,10 +358,10 @@ def _frobenius(rows: list) -> mp.mpf:
 def resolution_residual(exact: ExactGains) -> float:
     """Frobenius distance of (Gram sum) * (its inverse) from the identity."""
     with mp.workdps(exact.dps):
-        inv_cols = list(zip(*exact.gram_inverse.tolist()))
+        inv_cols = list(zip(*exact.gram_inverse))
         return float(_frobenius(
             [[mp.fdot(row, col) - (1 if i == j else 0) for j, col in enumerate(inv_cols)]
-             for i, row in enumerate(exact.gram_sum.tolist())]
+             for i, row in enumerate(exact.gram_sum)]
         ))
 
 
@@ -369,9 +376,7 @@ def identity_residual(exact: ExactGains) -> float:
     if exact.period is None:
         raise ValueError("identity_residual needs a sampled gain system")
     with mp.workdps(exact.dps):
-        n = exact.n
-        gain = [exact.gain_row[j] for j in range(n)]
-        closed = exact.closed_loop.tolist()
+        n, gain, closed = exact.n, exact.gain_row, exact.closed_loop
         diff = []
         for i in range(n):
             scale = exact.integral_diag[i] * exact.flux[i]
@@ -391,8 +396,7 @@ def _symmetrized_update(exact: ExactGains) -> list:
     With W = L^-1 [v_1 ... v_N] it is W diag(e^{-gamma_k T}) W^T, and W is
     orthogonal because W W^T = L^-1 G L^-T = I.
     """
-    n = exact.n
-    gram = exact.gram_sum.tolist()
+    n, gram = exact.n, exact.gram_sum
     low = [[] for _ in range(n)]  # row i holds L[i][0..i]
     for j in range(n):
         pivot = gram[j][j] - mp.fdot(low[j], low[j])
@@ -406,7 +410,7 @@ def _symmetrized_update(exact: ExactGains) -> list:
     for k in range(n):
         w = []
         for i in range(n):
-            v = exact.lam_table[i, k] * exact.flux[i]
+            v = exact.lam_table[i][k] * exact.flux[i]
             w.append((v - mp.fdot(low[i][:i], w)) / low[i][i])
         ws.append(w)
     placed = [mp.exp(-g * exact.period) for g in exact.gammas]
@@ -441,14 +445,3 @@ def contraction_bound(exact: ExactGains) -> tuple[float, float, float]:
         bound = mp.exp(-exact.gammas[0] * exact.period)
         return float(lam_max), float(bound), float(lam_max / bound)
 
-
-def to_float_matrix(a: mp.matrix) -> np.ndarray:
-    out = np.empty((a.rows, a.cols))
-    for i in range(a.rows):
-        for j in range(a.cols):
-            out[i, j] = float(a[i, j])
-    return out
-
-
-def to_float_vector(a: mp.matrix) -> np.ndarray:
-    return np.array([float(a[i]) for i in range(a.rows)])

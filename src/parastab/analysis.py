@@ -12,6 +12,7 @@ tolerances they were held to.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace as dc_replace, asdict
 from typing import Iterable, Sequence
 
@@ -222,11 +223,9 @@ def gain_limit_distance(
     """Relative distance between the sampled gain row at ``period`` and its
     limit, the continuous_limit row.  Both are read as rows only, with no
     full gain system built (synthesis.feedback_row)."""
+    row = feedback_row(spectrum, gammas, float(period))
     if continuous is None:
         continuous = continuous_limit(spectrum, gammas)
-    if period is None or period <= 0:
-        raise ValueError(f"period must be positive, got {period}")
-    row = feedback_row(spectrum, gammas, float(period))
     return float(np.linalg.norm(row - continuous) / np.linalg.norm(continuous))
 
 
@@ -310,20 +309,22 @@ def _sweep_runs(
     *,
     total_time: float,
     seed: int,
-    substeps: int | None = None,
     note_synthesis_errors: bool,
 ):
     """Synthesize, run and fit one (period, gammas, label) case at a time.
 
-    Each seeded closed loop covers ``total_time`` (at least three holds) and
-    records every max(substeps // 8, 1)-th substep and each hold's end:
-    eight records per hold when substeps is a multiple of eight.  Returns
-    (gains, e^{-gamma_1 T}, fitted rate, note) per case and the histories
-    of the fitted runs.  A failed run or fit becomes the note; so does a
-    failed synthesis if ``note_synthesis_errors``, otherwise it propagates.
+    Each seeded closed loop covers ``total_time`` (finite and positive; at
+    least three holds) and records every max(substeps // 8, 1)-th substep
+    and each hold's end: eight records per hold when the problem's
+    substeps_per_hold is a multiple of eight.  Returns (gains,
+    e^{-gamma_1 T}, fitted rate, note) per case and the histories of the
+    fitted runs.  A failed run or fit becomes the note; so does a failed
+    synthesis if ``note_synthesis_errors``, otherwise it propagates.
     """
+    if not 0 < total_time < math.inf:
+        raise ValueError(f"total_time must be finite and positive, got {total_time}")
     y0 = seeded_initial_state(spectrum, seed)
-    sub = problem.spec.substeps_per_hold if substeps is None else substeps
+    stride = max(problem.spec.substeps_per_hold // 8, 1)
     outcomes = []
     histories: list[NormHistory] = []
     for period, gam, label in cases:
@@ -334,8 +335,7 @@ def _sweep_runs(
             gains = build_gains(spectrum, gam, period)
             horizon = max(int(np.ceil(total_time / period)), 3)
             traj = run_linear_closed_loop(
-                prob, spectrum, gains, y0, horizon,
-                substeps=sub, snapshot_stride=max(sub // 8, 1),
+                prob, spectrum, gains, y0, horizon, snapshot_stride=stride
             )
             rate = fit_decay_rate(traj).rate
             histories.append((label, traj.times, traj.l2_norms))
@@ -356,27 +356,26 @@ def sweep_sampling_period(
     gammas: Sequence[float] | None = None,
     total_time: float = 10.0,
     seed: int = 7,
-    substeps: int | None = None,
 ) -> SweepResult:
     """Gain behavior and closed-loop rate across sampling periods.
 
     The spectrum (hence the continuous-time limit) is period-independent
     and computed once; each row synthesizes, runs a seeded closed loop
     covering ``total_time``, and fits the decay rate.  Rows with failed
-    runs carry a note instead of a rate; a failed synthesis raises.  Norm
+    runs carry a note instead of a rate; a failed synthesis raises, and so
+    does a period or total_time that is not finite and positive.  Norm
     histories of the runs come back alongside the table for plotting.
     """
     periods = [float(p) for p in periods]
-    if not periods or any(not p > 0 for p in periods):
-        raise ValueError("periods must be a non-empty list of positive values")
+    if not periods or any(not 0 < p < math.inf for p in periods):
+        raise ValueError("periods must be a non-empty list of finite positive values")
     c = linearized_coefficient(problem)
     spectrum = compute_spectrum(problem, c, problem.spec.target_rate)
     gam = gammas if gammas is not None else problem.spec.gammas
     continuous = continuous_limit(spectrum, gam)
     outcomes, histories = _sweep_runs(
         problem, spectrum, [(p, gam, f"T={p:g}") for p in periods],
-        total_time=total_time, seed=seed, substeps=substeps,
-        note_synthesis_errors=False,
+        total_time=total_time, seed=seed, note_synthesis_errors=False,
     )
     scale = np.linalg.norm(continuous)
     rows = tuple(
@@ -509,11 +508,11 @@ def estimate_basin(
     estimate; with ``bisect_iters`` > 0 the edge between the largest
     decaying and smallest diverging amplitude is refined by bisection.
     The decayed-flag pattern need not be monotone and is reported as is.
-    Raises ValueError for a negative or NaN amplitude.
+    Raises ValueError for a negative, infinite or NaN amplitude.
     """
     amplitudes = [float(a) for a in amplitudes]
-    if any(not a >= 0 for a in amplitudes):
-        raise ValueError(f"amplitudes must be 0 or positive, got {amplitudes}")
+    if any(not 0 <= a < math.inf for a in amplitudes):
+        raise ValueError(f"amplitudes must be 0 or positive and finite, got {amplitudes}")
     histories: list[NormHistory] = []
     rows = [
         _basin_probe(problem, spectrum, gains, a, horizon, seed, histories)

@@ -4,12 +4,13 @@ Subcommands: synthesize | simulate | verify | sweep.  A single INI-style
 config file (sections and key=value pairs, parsed by configparser) drives
 every run; unknown sections, keys, norms and output formats are rejected
 so typos fail loudly, and so are more nonlinearity parameters than the
-kind takes, a negative or NaN amplitude (also as a [sweep] amplitude
-entry), an open-loop horizon below 1, a negative snapshot stride, a
-[sweep] T entry or total_time that is not positive and a negative
-bisect_iters.  validate_spec then rejects an interval_length, target_rate
-or sampling_period that is not finite and positive, and gammas that are
-not finite or not strictly increasing above target_rate.
+kind takes, an amplitude that is not finite and 0 or positive (also as a
+[sweep] amplitude entry), a sobolev_order outside [0, 1), an open-loop
+horizon below 1, a negative snapshot stride, a [sweep] T entry or
+total_time that is not finite and positive and a negative bisect_iters.
+validate_spec then rejects an interval_length, target_rate or
+sampling_period that is not finite and positive, a substeps below 1, and
+gammas that are not finite or not strictly increasing above target_rate.
 All defaults are echoed into the emitted metadata for reproducibility, and
 every float in CSV output carries 17 significant digits.
 
@@ -25,6 +26,7 @@ import argparse
 import configparser
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -131,10 +133,11 @@ _OPTIONS = (
     _Option("horizon", "simulation", "horizon", "50", int),
     _Option("initial", "simulation", "initial", "random:7", str),
     _Option("amplitude", "simulation", "amplitude", "1.0", float,
-            lambda a: a >= 0, "amplitude must be 0 or positive, got {}"),
+            lambda a: 0 <= a < math.inf, "amplitude must be 0 or positive and finite, got {}"),
     _Option("norm", "simulation", "norm", "l2", str,
             lambda n: n in ("l2", "sobolev"), "norm must be l2 or sobolev, got {!r}"),
-    _Option("sobolev_order", "simulation", "sobolev_order", "0.25", float),
+    _Option("sobolev_order", "simulation", "sobolev_order", "0.25", float,
+            lambda s: 0 <= s < 1, "sobolev_order must lie in [0, 1), got {}"),
     # "" is resolved from the nonlinearity in load_config
     _Option("dynamics", "simulation", "dynamics", "", str,
             lambda d: d in ("", "linear", "semilinear"),
@@ -149,12 +152,13 @@ _OPTIONS = (
     _Option("verify_horizon", "verify", "horizon", "10", int),
     _Option("verify_seed", "verify", "seed", "7", int),
     _Option("sweep_periods", "sweep", "T", "", _float_list,
-            lambda t: t > 0, "[sweep] T entries must be positive, got {}"),
+            lambda t: 0 < t < math.inf, "[sweep] T entries must be finite and positive, got {}"),
     _Option("sweep_gammas", "sweep", "gamma", "", _gamma_lists),
     _Option("sweep_amplitudes", "sweep", "amplitude", "", _float_list,
-            lambda a: a >= 0, "[sweep] amplitude entries must be 0 or positive, got {}"),
+            lambda a: 0 <= a < math.inf,
+            "[sweep] amplitude entries must be 0 or positive and finite, got {}"),
     _Option("sweep_total_time", "sweep", "total_time", "10.0", float,
-            lambda t: t > 0, "[sweep] total_time must be positive, got {}"),
+            lambda t: 0 < t < math.inf, "[sweep] total_time must be finite and positive, got {}"),
     _Option("sweep_seed", "sweep", "seed", "7", int),
     _Option("sweep_bisect_iters", "sweep", "bisect_iters", "20", int,
             lambda n: n >= 0, "[sweep] bisect_iters must be 0 or positive, got {}"),
@@ -378,14 +382,13 @@ def cmd_simulate(
 ) -> int:
     problem, spectrum = _setup(config)
     y0 = _initial_state(config, spectrum)
-    stride = config.snapshot_stride or None
     metadata: dict = {"config": config.echo()}
 
     gains = None
     if spectrum.unstable_count > 0:
         gains = build_gains(spectrum, config.spec.gammas, config.spec.sampling_period)
 
-    options = {"snapshot_stride": stride, "sobolev_order": config.sobolev_order}
+    options = {"snapshot_stride": config.snapshot_stride, "sobolev_order": config.sobolev_order}
     try:
         if config.dynamics == "semilinear":
             ye = problem.equilibrium_values[1:-1]

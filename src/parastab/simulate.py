@@ -46,6 +46,7 @@ from .lifting import dirichlet_lift
 
 BLOWUP_GUARD = 1e12
 DEFAULT_SOBOLEV_ORDER = 0.25
+_INITIAL_MODES = 10  # modes a seeded initial state excites
 
 
 class UnstableStep(ParastabError):
@@ -258,19 +259,18 @@ def seeded_initial_state(
     spectrum: Spectrum,
     seed: int,
     *,
-    n_modes: int = 10,
     amplitude: float = 1.0,
     norm: str = "l2",
     sobolev_order: float = DEFAULT_SOBOLEV_ORDER,
 ) -> np.ndarray:
     """Reproducible modal initial state, normalized in the requested norm.
 
-    Coefficients of the first ``n_modes`` modes are drawn uniformly from
-    [-1, 1] with the given seed, which excites stable and unstable
+    Coefficients of the first _INITIAL_MODES modes are drawn uniformly
+    from [-1, 1] with the given seed, which excites stable and unstable
     subspaces alike.
     """
     rng = np.random.default_rng(seed)
-    n = min(n_modes, spectrum.m)
+    n = min(_INITIAL_MODES, spectrum.m)
     coeffs = rng.uniform(-1.0, 1.0, size=n)
     y = spectrum.modes[:, :n] @ coeffs
     if norm == "l2":
@@ -295,8 +295,7 @@ def _advance(
     offset: np.ndarray | None = None,
     *,
     kind: str,
-    substeps: int | None = None,
-    snapshot_stride: int | None = None,
+    snapshot_stride: int = 0,
     sobolev_order: float = DEFAULT_SOBOLEV_ORDER,
 ) -> Trajectory:
     """Shared hold-interval stepping engine.
@@ -315,12 +314,15 @@ def _advance(
     A blow-up is reported through ``blowup_time``; the linear wrappers
     raise it as UnstableStep.
 
-    Each hold interval samples the control once, then steps in blocks that
-    end at its record points: every ``snapshot_stride`` substeps and the
-    hold's end (the sample).  Times and the record decision are made once
-    per block; the kernel tests the guard after every substep and stops at
-    the first state that fails it, which is not recorded.  A negative
-    ``snapshot_stride`` is rejected; None or 0 records the samples only.
+    Each hold interval takes problem.spec.substeps_per_hold substeps, the
+    one count of the run (validate_spec made it at least 1, and the
+    problem fingerprint hashes it).  It samples the control once, then
+    steps in blocks that end at its record points: every
+    ``snapshot_stride`` substeps and the hold's end (the sample).  Times
+    and the record decision are made once per block; the kernel tests the
+    guard after every substep and stops at the first state that fails it,
+    which is not recorded.  A negative ``snapshot_stride`` is rejected; 0
+    records the samples only.
     """
     if spectrum.m != problem.m:
         raise DimensionMismatch("spectrum grid does not match the problem grid")
@@ -333,11 +335,7 @@ def _advance(
         _check_consistent(gains, spectrum)
     if horizon < 1:
         raise ValueError("horizon must be at least one hold interval")
-    if substeps is None:
-        substeps = problem.spec.substeps_per_hold
-    if substeps < 1:
-        raise ValueError(f"substeps must be at least 1, got {substeps}")
-    if snapshot_stride is not None and snapshot_stride < 0:
+    if snapshot_stride < 0:
         raise ValueError(f"snapshot_stride must be 0 or positive, got {snapshot_stride}")
     m = problem.m
     w = np.asarray(y0, dtype=float).copy()
@@ -346,7 +344,7 @@ def _advance(
     if offset is not None:
         w -= offset[1:-1]
 
-    period = problem.period
+    period, substeps = problem.period, problem.spec.substeps_per_hold
     dt = period / substeps
     kernel = _CNKernel(spectrum.operator, dt, [dt * q for q in tail], w)
     h2 = spectrum.h**2
@@ -427,8 +425,7 @@ def run_linear_closed_loop(
     y0: np.ndarray,
     horizon: int,
     *,
-    substeps: int | None = None,
-    snapshot_stride: int | None = None,
+    snapshot_stride: int = 0,
     sobolev_order: float = DEFAULT_SOBOLEV_ORDER,
 ) -> Trajectory:
     """Linearized dynamics under the sampled feedback.
@@ -439,8 +436,8 @@ def run_linear_closed_loop(
     """
     return _raise_on_blowup(_advance(
         problem, spectrum, gains, y0, horizon, _feedback(gains, spectrum),
-        kind="linear-closed-loop", substeps=substeps,
-        snapshot_stride=snapshot_stride, sobolev_order=sobolev_order,
+        kind="linear-closed-loop", snapshot_stride=snapshot_stride,
+        sobolev_order=sobolev_order,
     ))
 
 
@@ -450,8 +447,7 @@ def run_open_loop(
     y0: np.ndarray,
     horizon: int,
     *,
-    substeps: int | None = None,
-    snapshot_stride: int | None = None,
+    snapshot_stride: int = 0,
     sobolev_order: float = DEFAULT_SOBOLEV_ORDER,
 ) -> Trajectory:
     """Uncontrolled baseline (u = 0); grows whenever unstable modes exist.
@@ -461,8 +457,8 @@ def run_open_loop(
     """
     return _raise_on_blowup(_advance(
         problem, spectrum, None, y0, horizon, lambda w: 0.0,
-        kind="open-loop", substeps=substeps,
-        snapshot_stride=snapshot_stride, sobolev_order=sobolev_order,
+        kind="open-loop", snapshot_stride=snapshot_stride,
+        sobolev_order=sobolev_order,
     ))
 
 
@@ -473,8 +469,7 @@ def run_semilinear_closed_loop(
     y0: np.ndarray,
     horizon: int,
     *,
-    substeps: int | None = None,
-    snapshot_stride: int | None = None,
+    snapshot_stride: int = 0,
     sobolev_order: float = DEFAULT_SOBOLEV_ORDER,
 ) -> Trajectory:
     """Full nonlinear dynamics; the held control is feedback-of-deviation
@@ -493,8 +488,8 @@ def run_semilinear_closed_loop(
     tail = problem.spec.nonlinearity.taylor_tail(ye[1:-1])
     return _advance(
         problem, spectrum, gains, y0, horizon, _feedback(gains, spectrum), tail, ye,
-        kind="semilinear-closed-loop", substeps=substeps,
-        snapshot_stride=snapshot_stride, sobolev_order=sobolev_order,
+        kind="semilinear-closed-loop", snapshot_stride=snapshot_stride,
+        sobolev_order=sobolev_order,
     )
 
 

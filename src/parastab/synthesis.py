@@ -14,18 +14,21 @@ placement at the chosen rates.
 
 All N x N algebra, the weights included, is computed once by the
 arbitrary-precision backend in ``_exact``; see that module for why double
-precision is not enough.  GainSet keeps the gain row in float64 and rounds
-the other matrices from that system on first access.  feedback_row (and
-with it continuous_limit) reads the gain row alone, without the rest of
-the system.  A weight outside the
-float64 range, or a precision sized past ``_exact.MAX_DPS`` digits from the
-condition bound and the cancellation over one hold (checked before
-anything is built), is reported as SingularBSum.
+precision is not enough.  GainSet stores that system alone and rounds each
+float64 value it serves (the period, rates, eigenvalues, fluxes, gain row
+and matrices) from it on first access.  feedback_row (and with it
+continuous_limit) reads the gain row alone, without the rest of the
+system.  A period that is not finite and positive is a ValueError; a
+weight outside the float64 range, or a precision sized past
+``_exact.MAX_DPS`` digits from the condition bound and the cancellation
+over one hold (checked before anything is built), is reported as
+SingularBSum.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -49,48 +52,49 @@ class DimensionMismatch(ParastabError):
     """Gains and spectrum disagree on the unstable subspace."""
 
 
+def _view(name: str) -> cached_property:
+    """The float64 array of exact.<name>, rounded by float(mpf) per entry on
+    first access and then cached on the GainSet."""
+    return cached_property(lambda self: np.array(getattr(self.exact, name), dtype=float))
+
+
 @dataclass(frozen=True)
 class GainSet:
-    """The sampled feedback: the gain row in float64 plus the exact algebra.
+    """The sampled feedback: one stored field, the exact algebra.
 
-    exact is the adaptive-precision system; every matrix below is a float64
-    rounding of it, computed on first access.  lambda_diags[i, k] is the
-    (i, i) entry of the k-th diagonal weight matrix; gram_terms[k] the k-th
-    weighted Gram matrix; gram_inverse their inverted sum.  gain_row
-    realizes the full feedback, gain_rows_k[:, k] its k-th component (the
-    boundary datum fed to the k-th lift), and closed_loop_matrix maps the
-    unstable coordinates from one sample to the next.  condition_number
-    reports the conditioning of the inverted sum; float64 consumers of
-    gram_inverse should distrust it beyond ~1e12 even though the entries
-    are correctly rounded.
+    exact is the adaptive-precision system; every value below is a float64
+    rounding of it, float(mpf) entry by entry, computed on first access.
+    lambda_diags[i, k] is the (i, i) entry of the k-th diagonal weight
+    matrix; gram_terms[k] the k-th weighted Gram matrix; gram_inverse
+    their inverted sum.  gain_row realizes the full feedback,
+    gain_rows_k[:, k] its k-th component (the boundary datum fed to the
+    k-th lift), and closed_loop_matrix maps the unstable coordinates from
+    one sample to the next.  condition_number reports the conditioning of
+    the inverted sum; float64 consumers of gram_inverse should distrust it
+    beyond ~1e12 even though the entries are correctly rounded.
     """
 
-    sampling_period: float
-    gammas: tuple[float, ...]
-    lambdas: np.ndarray
-    flux: np.ndarray
-    gain_row: np.ndarray
-    exact: _exact.ExactGains = field(repr=False, compare=False)
+    exact: _exact.ExactGains = field(repr=False)
 
     @property
     def n(self) -> int:
-        return self.gain_row.shape[0]
+        return self.exact.n
 
     @cached_property
-    def lambda_diags(self) -> np.ndarray:
-        return _exact.to_float_matrix(self.exact.lam_table)
+    def sampling_period(self) -> float:
+        return float(self.exact.period)
 
     @cached_property
-    def gram_inverse(self) -> np.ndarray:
-        return _exact.to_float_matrix(self.exact.gram_inverse)
+    def gammas(self) -> tuple[float, ...]:
+        return tuple(float(g) for g in self.exact.gammas)
 
-    @cached_property
-    def gain_rows_k(self) -> np.ndarray:
-        return _exact.to_float_matrix(self.exact.gain_rows_k)
-
-    @cached_property
-    def closed_loop_matrix(self) -> np.ndarray:
-        return _exact.to_float_matrix(self.exact.closed_loop)
+    lambdas = _view("lambdas")
+    flux = _view("flux")
+    gain_row = _view("gain_row")
+    lambda_diags = _view("lam_table")
+    gram_inverse = _view("gram_inverse")
+    gain_rows_k = _view("gain_rows_k")
+    closed_loop_matrix = _view("closed_loop")
 
     @cached_property
     def condition_number(self) -> float:
@@ -124,45 +128,32 @@ def _check_gammas(gammas, rho: float, n: int) -> tuple[float, ...]:
 
 
 def _unstable_algebra(build, spectrum: Spectrum, gammas, period: float | None):
-    """(lambdas, fluxes, gammas, build(...)) of the unstable modes at
-    ``period`` (None: the continuous-time limit); build is
+    """build(lambdas, fluxes, gammas, period) of the unstable modes, with
+    period None for the continuous-time limit; build is
     _exact.gain_system or _exact.gain_row."""
+    if period is not None and not 0 < period < math.inf:
+        raise ValueError(f"period must be finite and positive, got {period}")
     n = spectrum.unstable_count
     if n < 1:
         raise ParastabError("no unstable modes: nothing to synthesize")
-    lam, flux = spectrum.lambdas[:n].copy(), spectrum.boundary_flux[:n].copy()
+    lam, flux = spectrum.lambdas[:n], spectrum.boundary_flux[:n]
     g = _check_gammas(gammas, spectrum.rho, n)
     try:
-        return lam, flux, g, build(lam, flux, g, period)
+        return build(lam, flux, g, period)
     except _exact.ExactAlgebraError as exc:
         raise SingularBSum(str(exc)) from exc
 
 
-def build_gains(
-    spectrum: Spectrum,
-    gammas=None,
-    period: float | None = None,
-) -> GainSet:
+def build_gains(spectrum: Spectrum, gammas, period: float) -> GainSet:
     """Synthesize the sampled feedback for the unstable modes of ``spectrum``.
 
-    gammas defaults to rho + 1, ..., rho + N.  Raises SingularBSum if the
-    weighted Gram sum cannot be resolved even in adaptive precision, or a
-    weight does not fit in float64; otherwise the condition number is
-    reported (and warned about past 1e12).
+    gammas None means rho + 1, ..., rho + N.  Raises ValueError unless the
+    period is finite and positive, and SingularBSum if the weighted Gram
+    sum cannot be resolved even in adaptive precision, or a weight does not
+    fit in float64; otherwise the condition number is reported (and warned
+    about past 1e12).
     """
-    if period is None or period <= 0:
-        raise ValueError(f"period must be positive, got {period}")
-    lam, flux, g, exact = _unstable_algebra(
-        _exact.gain_system, spectrum, gammas, float(period)
-    )
-    gains = GainSet(
-        sampling_period=float(period),
-        gammas=g,
-        lambdas=lam,
-        flux=flux,
-        gain_row=_exact.to_float_vector(exact.gain_row),
-        exact=exact,
-    )
+    gains = GainSet(_unstable_algebra(_exact.gain_system, spectrum, gammas, float(period)))
     if gains.condition_number > CONDITION_WARN_THRESHOLD:
         warnings.warn(
             f"weighted Gram sum condition {gains.condition_number:.3e}: float64 "
@@ -184,7 +175,7 @@ def feedback_row(spectrum: Spectrum, gammas=None, period: float | None = None) -
     eigenvalue checks that do not bear on the row (see _exact.gain_row);
     no condition warning, since that concerns the Gram inverse and the
     component rows."""
-    return _unstable_algebra(_exact.gain_row, spectrum, gammas, period)[3]
+    return _unstable_algebra(_exact.gain_row, spectrum, gammas, period)
 
 
 def continuous_limit(spectrum: Spectrum, gammas=None) -> np.ndarray:

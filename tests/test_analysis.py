@@ -134,9 +134,17 @@ def test_sweep_rejects_empty_or_negative():
         ps.sweep_sampling_period(prob, (0.1, -0.2))
     with pytest.raises(ValueError, match="positive"):
         ps.sweep_sampling_period(prob, (0.1, float("nan")))
+    with pytest.raises(ValueError, match="finite positive"):
+        ps.sweep_sampling_period(prob, (0.1, float("inf")))
+    for total_time in (float("inf"), float("nan"), 0.0):
+        with pytest.raises(ValueError, match="total_time must be finite and positive"):
+            ps.sweep_sampling_period(prob, (0.1,), total_time=total_time)
+        with pytest.raises(ValueError, match="total_time must be finite and positive"):
+            ps.sweep_gammas(prob, [(2.0,)], total_time=total_time)
 
 
-@pytest.mark.parametrize("amplitude", [-0.5, float("nan")], ids=["negative", "nan"])
+@pytest.mark.parametrize("amplitude", [-0.5, float("nan"), float("inf")],
+                         ids=["negative", "nan", "inf"])
 def test_estimate_basin_rejects_bad_amplitudes(problem15, spectrum15, gains15, amplitude):
     with pytest.raises(ValueError, match="amplitudes must be 0 or positive"):
         ps.estimate_basin(problem15, spectrum15, gains15, (0.01, amplitude))
@@ -297,7 +305,7 @@ def test_row_readers_build_no_gain_system(monkeypatch, spectrum95):
         ps.gain_limit_distance(spectrum95, gammas, period, cont)
     ps.gain_limit_distance(spectrum95, gammas, 1e-2)
     assert counts == {"assemble": 0, "eigsy": 0}
-    with pytest.raises(ValueError, match="period must be positive"):
+    with pytest.raises(ValueError, match="period must be finite and positive"):
         ps.gain_limit_distance(spectrum95, gammas, 0.0, cont)
 
 

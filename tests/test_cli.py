@@ -100,16 +100,28 @@ def test_missing_file_exits_2(tmp_path):
         ("amplitude = 0.01", "amplitude = nan", "amplitude"),
         ("formats = csv,json,svg", "formats = svgg,csv,jsno", r"format\(s\) jsno, svgg; "),
         ("formats = csv,json,svg", "formats = csv\n[sweep]\namplitude = -0.5,0.01",
-         r"\[sweep\] amplitude entries must be 0 or positive, got -0.5$"),
+         r"\[sweep\] amplitude entries must be 0 or positive and finite, got -0.5$"),
         ("formats = csv,json,svg", "formats = csv\n[sweep]\namplitude = 0.01,nan,-0.5",
          r"\[sweep\] amplitude .*, got -0.5, nan$"),
         ("formats = csv,json,svg", "formats = csv\n[sweep]\nT = 0.2,0", r"\[sweep\] T"),
         ("formats = csv,json,svg", "formats = csv\n[sweep]\nT = nan", r"\[sweep\] T"),
+        ("amplitude = 0.01", "amplitude = inf", "amplitude must .* finite, got inf$"),
+        ("formats = csv,json,svg", "formats = csv\n[sweep]\namplitude = 0.0,inf",
+         r"\[sweep\] amplitude .* finite, got inf$"),
+        ("formats = csv,json,svg", "formats = csv\n[sweep]\ntotal_time = inf",
+         r"\[sweep\] total_time must be finite and positive, got inf$"),
+        ("formats = csv,json,svg", "formats = csv\n[sweep]\nT = 0.2,inf",
+         r"\[sweep\] T .*, got inf$"),
+        ("norm = sobolev", "norm = l2\nsobolev_order = nan", r"sobolev_order .*, got nan$"),
+        ("norm = sobolev", "norm = sobolev\nsobolev_order = 1.0", r"sobolev_order .*, got 1.0$"),
+        ("norm = sobolev", "norm = sobolev\nsobolev_order = -0.25", "sobolev_order"),
     ],
     ids=["norm", "formats", "open-loop-horizon", "snapshot-stride", "cubic-parameters",
          "linear-parameters", "negative-total-time", "zero-total-time", "bisect-iters",
          "negative-amplitude", "nan-amplitude", "two-formats", "negative-sweep-amplitude",
-         "nan-sweep-amplitude", "zero-sweep-period", "nan-sweep-period"],
+         "nan-sweep-amplitude", "zero-sweep-period", "nan-sweep-period", "inf-amplitude",
+         "inf-sweep-amplitude", "inf-total-time", "inf-sweep-period", "nan-sobolev-order",
+         "unit-sobolev-order", "negative-sobolev-order"],
 )
 def test_bad_norm_or_format_exits_2_before_any_output(tmp_path, line, typo, bad):
     out = tmp_path / "out"
@@ -430,6 +442,16 @@ def test_long_period_synthesis_exits_3_past_the_precision_limit(tmp_path, capsys
     assert "singular gain algebra" in capsys.readouterr().err
     cfg = write_period_config(tmp_path, 15.0, 1.0, 2.0, 20.0)
     assert main(["synthesize", "--config", cfg, "--out", str(tmp_path / "b")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("period", ["1e300", "1e307"])
+def test_huge_period_exits_3_with_a_short_message(tmp_path, capsys, period):
+    # the cancellation over one hold is about 8.7e301 digits at T = 1e300 and
+    # past the float64 range at 1e307: both stop before they are rounded
+    cfg = write_period_config(tmp_path, 15.0, 1.0, 200.0, period)
+    assert main(["synthesize", "--config", cfg, "--out", str(tmp_path / "a")]) == EXIT_SINGULAR
+    err = capsys.readouterr().err
+    assert "more than 10^6 digits of cancellation" in err and len(err) < 200
 
 
 def test_contraction_record_survives_float64_underflow(tmp_path):

@@ -1,7 +1,8 @@
 """The closed-form gain algebra of parastab._exact against its mp.matrix oracle.
 
 The oracle below is the Gram/LU formulation with mp.matrix operators, kept
-as the reference.  The fields the closed form leaves alone (the weights,
+as the reference; the system under test holds plain lists of mpf, so its
+fields are compared with the oracle's matrices read as lists.  The fields the closed form leaves alone (the weights,
 the hold integrals, the Gram sum, its condition and the contraction bound)
 must come out equal to the oracle's at the same precision, not close.  The
 inverted fields (gain row, gain rows, Gram inverse, closed-loop map) are
@@ -161,8 +162,28 @@ def _build(lambdas, flux, gammas, period):
         return exc
 
 
+def _entries(a):
+    """The entries in row order of a list, a list of rows or an mp.matrix."""
+    if isinstance(a, mp.matrix):
+        return [a[i, j] for i in range(a.rows) for j in range(a.cols)]
+    return [x for row in a for x in (row if isinstance(row, list) else [row])]
+
+
+def _shape(a):
+    """(rows, columns) of an mp.matrix, a list of rows or a list (one column)."""
+    if isinstance(a, mp.matrix):
+        return a.rows, a.cols
+    return (len(a), len(a[0])) if isinstance(a[0], list) else (len(a), 1)
+
+
 def _floats(a):
-    return [float(a[i, j]) for i in range(a.rows) for j in range(a.cols)]
+    return [float(x) for x in _entries(a)]
+
+
+def _as_matrices(exact):
+    """The system with its list fields as mp.matrix, for the oracle residuals."""
+    names = (*SAME_FIELDS, *ROUNDED_FIELDS)
+    return replace(exact, **{name: mp.matrix(getattr(exact, name)) for name in names})
 
 
 CASES = pytest.mark.parametrize("period", PERIODS, ids=lambda t: f"T{t}")
@@ -185,8 +206,8 @@ def test_gain_system_matches_matrix_oracle(unstable_data, n, period):
     assert got.condition == want.condition
     for name in SAME_FIELDS:
         a, b = getattr(got, name), getattr(want, name)
-        assert (a.rows, a.cols) == (b.rows, b.cols), name
-        assert all(a[i, j] == b[i, j] for i in range(a.rows) for j in range(a.cols)), name
+        assert _shape(a) == _shape(b), name
+        assert _entries(a) == _entries(b), name
     for name in ("lambdas", "flux", "gammas", "period"):
         assert getattr(got, name) == getattr(want, name), name
 
@@ -198,10 +219,10 @@ def test_gain_system_matches_matrix_oracle(unstable_data, n, period):
 
     floor = 10.0 ** -(got.dps - float(mp.log10(got.condition)) - _exact.GUARD_DIGITS + 3)
     assert _exact.resolution_residual(got) <= floor
-    assert _exact.resolution_residual(got) == oracle_resolution_residual(got)
+    assert _exact.resolution_residual(got) == oracle_resolution_residual(_as_matrices(got))
     if period is not None:
         assert _exact.identity_residual(got) <= floor
-        assert _exact.identity_residual(got) == oracle_identity_residual(got)
+        assert _exact.identity_residual(got) == oracle_identity_residual(_as_matrices(got))
         assert _exact.contraction_bound(got) == oracle_contraction_bound(want)
 
 
@@ -315,8 +336,8 @@ def test_condition_bound_does_not_overflow():
 def test_contraction_bound_rejects_an_indefinite_gram_sum(gains95):
     exact = gains95.exact
     with mp.workdps(exact.dps):
-        indefinite = exact.gram_sum.copy()
-        indefinite[1, 1] = -indefinite[1, 1]
+        indefinite = [row[:] for row in exact.gram_sum]
+        indefinite[1][1] = -indefinite[1][1]
     with pytest.raises(_exact.ExactAlgebraError, match="not positive definite"):
         _exact.contraction_bound(replace(exact, gram_sum=indefinite))
     assert np.isfinite(_exact.contraction_bound(exact)[0])

@@ -122,7 +122,7 @@ def test_zoh_modal_update_matches_oracle_and_converges():
         traj = _advance(
             prob, spectrum, None, y0, 1,
             control=lambda w: u,
-            kind="linear-closed-loop", substeps=substeps,
+            kind="linear-closed-loop",
         )
         n = spectrum.unstable_count + 2
         lam = spectrum.lambdas[:n]
@@ -131,6 +131,7 @@ def test_zoh_modal_update_matches_oracle_and_converges():
         integral = -np.expm1(-lam * period) / lam  # int_0^T e^{-lam s} ds
         oracle = np.exp(-lam * period) * ps.project(y0, spectrum, n) - integral * flux * u
         got = ps.project(traj.sample_states()[-1], spectrum, n)
+        assert traj.substeps == prob.spec.substeps_per_hold == substeps
         errors[m] = np.linalg.norm(got - oracle) / np.linalg.norm(oracle)
     assert errors[200] < 5e-3
     assert errors[200] / errors[400] > 3.0
@@ -239,7 +240,7 @@ def test_block_recording_matches_banded_oracle(loop, problem15, spectrum15, gain
             )
 
     samples = {}
-    for stride in (None, 1, 8, 10):
+    for stride in (0, 1, 8, 10):
         traj = run(stride)
         recorded = _record_substeps(substeps, horizon, stride)
         assert traj.blowup_time is None
@@ -251,7 +252,7 @@ def test_block_recording_matches_banded_oracle(loop, problem15, spectrum15, gain
         assert np.array_equal(traj.sample_indices, [recorded.index(n) for n in hold_ends])
         samples[stride] = traj.sample_states()
     for stride in (1, 8, 10):
-        assert np.array_equal(samples[stride], samples[None])
+        assert np.array_equal(samples[stride], samples[0])
 
 
 TAIL_REACTIONS = [
@@ -451,7 +452,7 @@ def test_guard_trips_on_nonfinite_state(monkeypatch, problem15, spectrum15, bad)
     traj = _advance(
         problem15, spectrum15, None, ps.seeded_initial_state(spectrum15, 2), 4,
         control=lambda w: 0.0,
-        kind="semilinear-closed-loop", substeps=substeps, snapshot_stride=1,
+        kind="semilinear-closed-loop", snapshot_stride=1,
     )
     dt = problem15.period / substeps
     assert len(calls) == poisoned
@@ -476,7 +477,7 @@ def test_guard_trips_inside_a_record_block(monkeypatch, problem15, spectrum15):
     traj = _advance(
         problem15, spectrum15, None, ps.seeded_initial_state(spectrum15, 2), 4,
         control=lambda w: 0.0,
-        kind="semilinear-closed-loop", substeps=substeps, snapshot_stride=8,
+        kind="semilinear-closed-loop", snapshot_stride=8,
     )
     assert len(calls) == substeps + 6
     assert traj.blowup_time == 1 * period + 6 * dt
@@ -490,21 +491,11 @@ def test_guard_trips_inside_a_record_block(monkeypatch, problem15, spectrum15):
 
 
 @pytest.mark.parametrize("substeps", [0, -4])
-def test_nonpositive_substeps_rejected(problem15, spectrum15, gains15, substeps):
-    y0 = ps.seeded_initial_state(spectrum15, 4)
-    runs = [
-        lambda: ps.run_linear_closed_loop(
-            problem15, spectrum15, gains15, y0, 3, substeps=substeps
-        ),
-        lambda: ps.run_open_loop(problem15, spectrum15, y0, 3, substeps=substeps),
-        lambda: ps.run_semilinear_closed_loop(
-            problem15, spectrum15, gains15, y0, 3, substeps=substeps
-        ),
-        lambda: ps.sweep_sampling_period(problem15, [0.2], substeps=substeps),
-    ]
-    for run in runs:
-        with pytest.raises(ValueError, match="substeps must be at least 1"):
-            run()
+def test_nonpositive_substeps_rejected(substeps):
+    """A run takes its substep count from the spec alone, and validate_spec
+    owns the rule that it is at least 1."""
+    with pytest.raises(ps.ParastabError, match="substeps_per_hold must be >= 1"):
+        make_problem(substeps=substeps)
 
 
 def test_negative_snapshot_stride_rejected(problem15, spectrum15, gains15):
@@ -937,7 +928,7 @@ def _eager_records(traj):
     return states, l2, sob
 
 
-@pytest.mark.parametrize("stride", [None, 8])
+@pytest.mark.parametrize("stride", [0, 8])
 @pytest.mark.parametrize("amplitude", [0.01, 50.0])
 def test_derived_records_match_eager_assembly(stride, amplitude):
     """On a semilinear run about a callable, nonzero equilibrium the cached

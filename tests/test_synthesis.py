@@ -21,7 +21,7 @@ def entry_oracle(lam, gamma, period):
 def weight(lam, gamma, period):
     """The sampled weight of one mode and one rate, as the gain algebra forms it."""
     exact = _exact.gain_system(np.array([lam]), np.array([1.0]), (gamma,), period)
-    return float(exact.lam_table[0, 0])
+    return float(exact.lam_table[0][0])
 
 
 def test_lambda_entry_zero_eigenvalue():
@@ -76,16 +76,43 @@ def test_build_gains_single_mode_closed_form(spectrum15, gains15):
     assert gains15.condition_number == pytest.approx(1.0)
 
 
-def test_gain_set_stores_only_what_it_cannot_derive(gains95):
+def test_gain_set_stores_only_what_it_cannot_derive(gains15, gains95):
     import dataclasses
 
-    stored = [f.name for f in dataclasses.fields(ps.GainSet)]
-    assert stored == ["sampling_period", "gammas", "lambdas", "flux", "gain_row", "exact"]
-    # every other matrix is a float64 rounding of the exact system, made once
-    exact = gains95.exact
-    assert np.array_equal(gains95.closed_loop_matrix, _exact.to_float_matrix(exact.closed_loop))
-    assert gains95.lambda_diags is gains95.lambda_diags
-    assert gains95.condition_number == float(exact.condition)
+    assert [f.name for f in dataclasses.fields(ps.GainSet)] == ["exact"]
+    # every float64 value is a rounding of the exact system, float(mpf) per
+    # entry, made once
+    views = {"lambdas": "lambdas", "flux": "flux", "gain_row": "gain_row",
+             "lambda_diags": "lam_table", "gram_inverse": "gram_inverse",
+             "gain_rows_k": "gain_rows_k", "closed_loop_matrix": "closed_loop"}
+    for gains in (gains15, gains95):
+        exact = gains.exact
+        for view, name in views.items():
+            want = np.array(getattr(exact, name), dtype=float)
+            got = getattr(gains, view)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), view
+            assert getattr(gains, view) is got, view
+        rounded = [[float(x) for x in row] for row in exact.closed_loop]
+        assert gains.closed_loop_matrix.tolist() == rounded
+        assert gains.sampling_period == float(exact.period) and gains.n == len(exact.lambdas)
+        assert gains.gammas == tuple(float(g) for g in exact.gammas)
+        assert all(type(g) is float for g in gains.gammas)
+        assert gains.condition_number == float(exact.condition)
+
+
+@pytest.mark.parametrize("period", [np.nan, np.inf, -np.inf, 0.0, -1.0],
+                         ids=["nan", "inf", "-inf", "zero", "negative"])
+def test_period_must_be_finite_and_positive(spectrum15, period):
+    """One rule on the shared path of the full build and the row reads,
+    before the precision is sized."""
+    calls = (
+        lambda: ps.build_gains(spectrum15, (2.0,), period),
+        lambda: ps.synthesis.feedback_row(spectrum15, (2.0,), period),
+        lambda: ps.gain_limit_distance(spectrum15, (2.0,), period),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^period must be finite and positive, got {period}$"):
+            call()
 
 
 def test_gain_row_flux_scaling_homogeneity(spectrum15, gains15):
@@ -164,7 +191,7 @@ def test_closed_loop_eigenvalues_are_placed_rates(gains15, gains95):
 
     exact = exact_system(gains95)
     with mp.workdps(exact.dps):
-        eig = mp.eig(exact.closed_loop, left=False, right=False)
+        eig = mp.eig(mp.matrix(exact.closed_loop), left=False, right=False)
         got = sorted(float(abs(e)) for e in eig)
     placed = sorted(np.exp(-np.array(gains95.gammas) * 0.2))
     assert np.allclose(got, placed, rtol=1e-12)
@@ -225,7 +252,7 @@ def test_component_feedback_sums_to_feedback(spectrum95, gains95):
     for exact in (gains_short.exact, gains95.exact):
         with mp.workdps(exact.dps):
             for i in range(exact.n):
-                row_sum = mp.fsum(exact.gain_rows_k[i, k] for k in range(exact.n))
+                row_sum = mp.fsum(exact.gain_rows_k[i][k] for k in range(exact.n))
                 assert abs(row_sum - exact.gain_row[i]) <= 1e-30 * abs(exact.gain_row[i])
 
 
@@ -238,7 +265,7 @@ def test_continuous_limit_entries(spectrum15):
     lam1 = spectrum15.lambdas[0]
     b1 = spectrum15.boundary_flux[0]
     exact = _exact.gain_system(np.array([lam1]), np.array([b1]), (2.0,), None)
-    assert float(exact.lam_table[0, 0]) == pytest.approx(1.0 / (2.0 - lam1), rel=1e-12)
+    assert float(exact.lam_table[0][0]) == pytest.approx(1.0 / (2.0 - lam1), rel=1e-12)
     assert 1.0 / (2.0 + 5.1304) == pytest.approx(0.140244, rel=1e-4)
     cont = ps.continuous_limit(spectrum15, (2.0,))
     assert cont.shape == (1,)

@@ -4,10 +4,12 @@ Runs every CLI step of the three benchmark configs in perfbench/configs/
 at one seed: the five cli_default commands (synthesize, simulate
 --open-loop, verify, sweep --axis T and sweep --axis amplitude), the
 multimode synthesize at T = 0.05, 0.2, 1.0 and 2.0 plus its verify at
-T = 0.2, and the long_hold simulate.  Two more steps run edited copies of
-the cli_default config, so that every run option reaches a compared
-output: sweep --axis gamma with a [sweep] gamma list, and simulate from
-initial = mode:1 with the states format.  Each runs once with each tree's own
+T = 0.2, and the long_hold simulate.  Three more steps run edited copies
+of the configs, so that every run option and every float64 view of a gain
+set reaches a compared output: cli_default sweep --axis gamma with a
+[sweep] gamma list, cli_default simulate from initial = mode:1 with the
+states format, and the multimode synthesize at T = 0.2 with the matrices
+format (the N = 3 matrix dump).  Each runs once with each tree's own
 src/, one BLAS thread, and the script prints a Markdown report: for every
 output file whose bytes differ, how many of its numbers changed and the
 largest relative change |a - b| / max(|a|, |b|), with where it sits.
@@ -48,6 +50,9 @@ STEPS = {
     "cli_default/simulate_states": ("cli_default", ["simulate"], (
         ("initial = random:{seed}", "initial = mode:1"),
         ("formats = csv,json,svg,modes,matrices", "formats = csv,json,states"),
+    )),
+    "multimode/synthesize_matrices": ("multimode", ["synthesize"], (
+        ("{period}", "0.2"), ("formats = csv,json", "formats = csv,json,matrices"),
     )),
 }
 RUN_CLI = "import sys; from parastab.cli import main; sys.exit(main(sys.argv[1:]))"
