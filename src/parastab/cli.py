@@ -5,9 +5,10 @@ config file (sections and key=value pairs, parsed by configparser) drives
 every run; unknown sections, keys, norms and output formats are rejected
 so typos fail loudly, and so are more nonlinearity parameters than the
 kind takes, an amplitude that is not finite and 0 or positive (also as a
-[sweep] amplitude entry), a sobolev_order outside [0, 1), an open-loop
-horizon below 1, a negative snapshot stride, a [sweep] T entry or
-total_time that is not finite and positive and a negative bisect_iters.
+[sweep] amplitude entry), a sobolev_order outside [0, 1), a [simulation]
+horizon, open_loop_horizon or [verify] horizon below 1, a negative
+snapshot stride, a [sweep] T entry or total_time that is not finite and
+positive and a negative bisect_iters.
 validate_spec then rejects an interval_length, target_rate or
 sampling_period that is not finite and positive, a substeps below 1, and
 gammas that are not finite or not strictly increasing above target_rate.
@@ -130,7 +131,8 @@ class _Option(NamedTuple):
 # ([problem], [synthesis], substeps) are read and echoed by hand, because
 # the echo shows their resolved values.
 _OPTIONS = (
-    _Option("horizon", "simulation", "horizon", "50", int),
+    _Option("horizon", "simulation", "horizon", "50", int,
+            lambda n: n >= 1, "[simulation] horizon must be at least 1, got {}"),
     _Option("initial", "simulation", "initial", "random:7", str),
     _Option("amplitude", "simulation", "amplitude", "1.0", float,
             lambda a: 0 <= a < math.inf, "amplitude must be 0 or positive and finite, got {}"),
@@ -149,7 +151,8 @@ _OPTIONS = (
             f"unknown output format(s) {{}}; choose from {', '.join(sorted(_FORMATS))}"),
     _Option("snapshot_stride", "output", "snapshot_stride", "0", int,
             lambda n: n >= 0, "snapshot_stride must be 0 or positive, got {}"),
-    _Option("verify_horizon", "verify", "horizon", "10", int),
+    _Option("verify_horizon", "verify", "horizon", "10", int,
+            lambda n: n >= 1, "[verify] horizon must be at least 1, got {}"),
     _Option("verify_seed", "verify", "seed", "7", int),
     _Option("sweep_periods", "sweep", "T", "", _float_list,
             lambda t: 0 < t < math.inf, "[sweep] T entries must be finite and positive, got {}"),

@@ -37,8 +37,8 @@ from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
+from ._lapack import dgttrf, dgttrs, dpttrf, dpttrs
 from .model import ParastabError, ValidatedProblem
 from .spectral import Spectrum, TridiagonalOperator, l2_norm, project, sobolev_norm
 from .synthesis import DimensionMismatch, GainSet, _check_consistent, component_feedback
@@ -176,15 +176,13 @@ def _cn_solver(op: TridiagonalOperator, dt: float) -> Callable[[np.ndarray, int]
     which f2py parses faster than keywords."""
     off = 0.5 * dt * op.offdiag
     left_diag = 1.0 + 0.5 * dt * op.diag
-    pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), (op.diag,))
-    d, e, info = pttrf(left_diag, off)
+    d, e, info = dpttrf(left_diag, off)
     if info == 0:
-        return partial(pttrs, d, e)
-    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (op.diag,))
-    *lu, info = gttrf(off, left_diag, off)
+        return partial(dpttrs, d, e)
+    *lu, info = dgttrf(off, left_diag, off)
     if info > 0:
         raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
-    return lambda b, overwrite_b: gttrs(*lu, b, "N", overwrite_b)
+    return lambda b, overwrite_b: dgttrs(*lu, b, "N", overwrite_b)
 
 
 class _CNKernel:

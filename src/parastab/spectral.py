@@ -16,8 +16,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
+from ._lapack import dstevd
 from .model import ParastabError, ValidatedProblem
 
 RHO_GAP_TOLERANCE = 1e-9
@@ -96,15 +96,16 @@ def eigendecompose(operator: TridiagonalOperator) -> tuple[np.ndarray, np.ndarra
     Returns ascending eigenvalues and h-orthonormal eigenvectors (columns),
     each flipped so its first interior component is positive.
     """
-    try:
-        # divide and conquer: at M = 1000 (one BLAS thread, 2-vCPU KVM
-        # machine) it takes 63 ms against 2.2 s for the QR driver stev,
-        # its vectors are orthonormal to 2.8e-15 (stev: 7.5e-15), and for
-        # constant c = 15 its lambda_1 is 5.6e-11 from the closed form
-        # (stev: 2.3e-9)
-        lam, vec = eigh_tridiagonal(operator.diag, operator.offdiag, lapack_driver="stevd")
-    except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
-        raise EigenSolverFailure(str(exc)) from exc
+    if not (np.isfinite(operator.diag).all() and np.isfinite(operator.offdiag).all()):
+        raise EigenSolverFailure("the tridiagonal operator has a non-finite entry")
+    # divide and conquer: at M = 1000 (one BLAS thread, 2-vCPU KVM machine)
+    # it takes 63 ms against 2.2 s for the QR driver stev, its vectors are
+    # orthonormal to 2.8e-15 (stev: 7.5e-15), and for constant c = 15 its
+    # lambda_1 is 5.6e-11 from the closed form (stev: 2.3e-9).  The wrapper
+    # copies diag and offdiag, which the lifts read afterwards.
+    lam, vec, info = dstevd(operator.diag, operator.offdiag, compute_v=1)
+    if info != 0:
+        raise EigenSolverFailure(f"LAPACK dstevd failed with info = {info}")
     # euclidean-orthonormal columns -> h-orthonormal after 1/sqrt(h) scaling,
     # done with the sign flip as one in-place column scale
     first = vec[0, :].copy()

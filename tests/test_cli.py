@@ -115,13 +115,16 @@ def test_missing_file_exits_2(tmp_path):
         ("norm = sobolev", "norm = l2\nsobolev_order = nan", r"sobolev_order .*, got nan$"),
         ("norm = sobolev", "norm = sobolev\nsobolev_order = 1.0", r"sobolev_order .*, got 1.0$"),
         ("norm = sobolev", "norm = sobolev\nsobolev_order = -0.25", "sobolev_order"),
+        ("horizon = 12", "horizon = 0", r"^\[simulation\] horizon must be at least 1, got 0$"),
+        ("formats = csv,json,svg", "formats = csv\n[verify]\nhorizon = 0",
+         r"^\[verify\] horizon must be at least 1, got 0$"),
     ],
     ids=["norm", "formats", "open-loop-horizon", "snapshot-stride", "cubic-parameters",
          "linear-parameters", "negative-total-time", "zero-total-time", "bisect-iters",
          "negative-amplitude", "nan-amplitude", "two-formats", "negative-sweep-amplitude",
          "nan-sweep-amplitude", "zero-sweep-period", "nan-sweep-period", "inf-amplitude",
          "inf-sweep-amplitude", "inf-total-time", "inf-sweep-period", "nan-sobolev-order",
-         "unit-sobolev-order", "negative-sobolev-order"],
+         "unit-sobolev-order", "negative-sobolev-order", "zero-horizon", "zero-verify-horizon"],
 )
 def test_bad_norm_or_format_exits_2_before_any_output(tmp_path, line, typo, bad):
     out = tmp_path / "out"
@@ -130,8 +133,8 @@ def test_bad_norm_or_format_exits_2_before_any_output(tmp_path, line, typo, bad)
     (tmp_path / "run.ini").write_text(text)
     with pytest.raises(ConfigError, match=bad):
         load_config(tmp_path / "run.ini")
-    command = ["simulate", "--config", str(tmp_path / "run.ini"), "--open-loop"]
-    assert main(command) == EXIT_CONFIG
+    for command in (["synthesize"], ["simulate", "--open-loop"]):
+        assert main([*command, "--config", str(tmp_path / "run.ini")]) == EXIT_CONFIG
     assert not out.exists() or not any(out.iterdir())
 
 
