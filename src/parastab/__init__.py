@@ -69,8 +69,6 @@ from .analysis import (
     BasinRow,
     CheckResult,
     DegenerateFit,
-    GammaSweepResult,
-    GammaSweepRow,
     RateFit,
     RecursionCheck,
     SweepResult,

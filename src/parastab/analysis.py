@@ -6,7 +6,12 @@ Gram terms, the sampled closed-loop matrix identity, the contraction bound
 in the inverse-Gram metric, the lift trace identity, the half-state
 identity at samples, and the small-period limit of the gain row.  Checks
 return measured residuals; the report records them alongside the
-tolerances they were held to.
+tolerances (or windows) they were held to.
+
+The T and gamma sweeps share one row type, SweepRow, built in _sweep_runs,
+and one writer, sweep_to_csv(rows, axis), whose columns are declared once
+in _SWEEP_COLUMNS; the amplitude sweep (estimate_basin) has its own rows
+and basin_to_csv.
 """
 
 from __future__ import annotations
@@ -62,12 +67,21 @@ class VerificationReport:
         name: str,
         law: str,
         residual: float,
-        tolerance: float,
+        tolerance: float | None = None,
         *,
         larger_is_worse: bool = True,
+        window: tuple[float, float] | None = None,
         details: dict | None = None,
     ) -> CheckResult:
-        passed = residual <= tolerance if larger_is_worse else residual >= tolerance
+        """Record a residual held to ``tolerance`` (an upper bound, or a lower
+        one if not ``larger_is_worse``) or to ``window`` = (low, high): it
+        passes inside low <= residual <= high, with tolerance high."""
+        if window is not None:
+            low, tolerance = window
+            passed = low <= residual <= tolerance
+            details = {"window": [low, tolerance], **(details or {})}
+        else:
+            passed = residual <= tolerance if larger_is_worse else residual >= tolerance
         result = CheckResult(
             name=name,
             law=law,
@@ -284,13 +298,17 @@ def fit_decay_rate(
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One case of a T or gamma sweep.  gain_distance is set on the T axis
+    only; a noted gamma row has no gain row and a NaN condition number."""
+
     period: float
+    gammas: tuple[float, ...]
     gain_row: tuple[float, ...]
-    gain_distance: float
     contraction_bound: float
     fitted_rate: float | None
     condition_number: float
     note: str = ""
+    gain_distance: float | None = None
 
 
 NormHistory = tuple[str, np.ndarray, np.ndarray]
@@ -309,23 +327,25 @@ def _sweep_runs(
     *,
     total_time: float,
     seed: int,
-    note_synthesis_errors: bool,
-):
-    """Synthesize, run and fit one (period, gammas, label) case at a time.
+    continuous: np.ndarray | None = None,
+) -> SweepResult:
+    """Synthesize, run and fit one (period, gammas, label) case per row.
 
     Each seeded closed loop covers ``total_time`` (finite and positive; at
     least three holds) and records every max(substeps // 8, 1)-th substep
     and each hold's end: eight records per hold when the problem's
-    substeps_per_hold is a multiple of eight.  Returns (gains,
-    e^{-gamma_1 T}, fitted rate, note) per case and the histories of the
-    fitted runs.  A failed run or fit becomes the note; so does a failed
-    synthesis if ``note_synthesis_errors``, otherwise it propagates.
+    substeps_per_hold is a multiple of eight.  A failed run or fit becomes
+    the row's note.  With the ``continuous`` limit row (the T axis) a row
+    carries its gain row's distance to it and a failed synthesis
+    propagates; without it (the gamma axis) a failed synthesis is noted
+    too, and a noted row shows no gain row and a NaN condition number.
+    The norm histories of the fitted runs come back with the rows.
     """
     if not 0 < total_time < math.inf:
         raise ValueError(f"total_time must be finite and positive, got {total_time}")
     y0 = seeded_initial_state(spectrum, seed)
     stride = max(problem.spec.substeps_per_hold // 8, 1)
-    outcomes = []
+    rows: list[SweepRow] = []
     histories: list[NormHistory] = []
     for period, gam, label in cases:
         prob = validate_spec(dc_replace(problem.spec, sampling_period=period))
@@ -340,13 +360,24 @@ def _sweep_runs(
             rate = fit_decay_rate(traj).rate
             histories.append((label, traj.times, traj.l2_norms))
         except ParastabError as exc:
-            if gains is None and not note_synthesis_errors:
+            if gains is None and continuous is not None:
                 raise
             note = f"{type(exc).__name__}: {exc}"
         placed = gam if gains is None else gains.gammas
-        bound = float(np.exp(-placed[0] * period)) if placed else np.nan
-        outcomes.append((gains, bound, rate, note))
-    return outcomes, tuple(histories)
+        shown = None if note and continuous is None else gains
+        rows.append(SweepRow(
+            period=period,
+            gammas=tuple(placed),
+            gain_row=() if shown is None else tuple(float(x) for x in shown.gain_row),
+            contraction_bound=float(np.exp(-placed[0] * period)) if placed else np.nan,
+            fitted_rate=rate,
+            condition_number=np.nan if shown is None else shown.condition_number,
+            note=note,
+            gain_distance=None if continuous is None else float(
+                np.linalg.norm(gains.gain_row - continuous) / np.linalg.norm(continuous)
+            ),
+        ))
+    return SweepResult(rows=tuple(rows), histories=tuple(histories))
 
 
 def sweep_sampling_period(
@@ -372,41 +403,10 @@ def sweep_sampling_period(
     c = linearized_coefficient(problem)
     spectrum = compute_spectrum(problem, c, problem.spec.target_rate)
     gam = gammas if gammas is not None else problem.spec.gammas
-    continuous = continuous_limit(spectrum, gam)
-    outcomes, histories = _sweep_runs(
+    return _sweep_runs(
         problem, spectrum, [(p, gam, f"T={p:g}") for p in periods],
-        total_time=total_time, seed=seed, note_synthesis_errors=False,
+        total_time=total_time, seed=seed, continuous=continuous_limit(spectrum, gam),
     )
-    scale = np.linalg.norm(continuous)
-    rows = tuple(
-        SweepRow(
-            period=period,
-            gain_row=tuple(float(x) for x in gains.gain_row),
-            gain_distance=float(np.linalg.norm(gains.gain_row - continuous) / scale),
-            contraction_bound=bound,
-            fitted_rate=rate,
-            condition_number=gains.condition_number,
-            note=note,
-        )
-        for period, (gains, bound, rate, note) in zip(periods, outcomes)
-    )
-    return SweepResult(rows=rows, histories=histories)
-
-
-@dataclass(frozen=True)
-class GammaSweepRow:
-    gammas: tuple[float, ...]
-    gain_row: tuple[float, ...]
-    contraction_bound: float
-    fitted_rate: float | None
-    condition_number: float
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class GammaSweepResult:
-    rows: tuple[GammaSweepRow, ...]
-    histories: tuple[NormHistory, ...]
 
 
 def sweep_gammas(
@@ -415,7 +415,7 @@ def sweep_gammas(
     *,
     total_time: float = 10.0,
     seed: int = 7,
-) -> GammaSweepResult:
+) -> SweepResult:
     """Closed-loop behavior across placement-rate choices at the configured T.
 
     A list that fails to synthesize, run or fit gives a row with a note and
@@ -425,27 +425,11 @@ def sweep_gammas(
         raise ValueError("need at least one placement list")
     c = linearized_coefficient(problem)
     spectrum = compute_spectrum(problem, c, problem.spec.target_rate)
-    gamma_lists = [tuple(float(g) for g in gam) for gam in gamma_lists]
     cases = [
         (problem.period, gam, f"gammas={','.join(f'{g:g}' for g in gam)}")
-        for gam in gamma_lists
+        for gam in (tuple(float(g) for g in gam) for gam in gamma_lists)
     ]
-    outcomes, histories = _sweep_runs(
-        problem, spectrum, cases, total_time=total_time, seed=seed,
-        note_synthesis_errors=True,
-    )
-    rows = tuple(
-        GammaSweepRow(
-            gammas=gam,
-            gain_row=() if note else tuple(float(x) for x in gains.gain_row),
-            contraction_bound=bound,
-            fitted_rate=rate,
-            condition_number=np.nan if note else gains.condition_number,
-            note=note,
-        )
-        for gam, (gains, bound, rate, note) in zip(gamma_lists, outcomes)
-    )
-    return GammaSweepResult(rows=rows, histories=histories)
+    return _sweep_runs(problem, spectrum, cases, total_time=total_time, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -506,7 +490,8 @@ def estimate_basin(
     Flags each amplitude as decayed or not; blow-up is recorded data, never
     an exception.  The largest decaying amplitude is the empirical basin
     estimate; with ``bisect_iters`` > 0 the edge between the largest
-    decaying and smallest diverging amplitude is refined by bisection.
+    decaying and smallest diverging amplitude is refined by bisection,
+    which stops early once the midpoint rounds to an end of the bracket.
     The decayed-flag pattern need not be monotone and is reported as is.
     Raises ValueError for a negative, infinite or NaN amplitude.
     """
@@ -532,6 +517,8 @@ def estimate_basin(
         lo, hi = largest_decaying, smallest_diverging
         for _ in range(bisect_iters):
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break  # float64 resolution: a probe could only repeat an end
             row = _basin_probe(problem, spectrum, gains, mid, horizon, seed)
             if row.decayed:
                 lo = mid
@@ -547,39 +534,51 @@ def estimate_basin(
     )
 
 
-def sweep_to_csv(rows: Sequence[SweepRow]) -> str:
-    lines = ["T,gain_row,gain_distance,contraction_bound,fitted_rate,condition_number,note"]
-    for r in rows:
-        gain = ";".join(f"{x:.17g}" for x in r.gain_row)
-        rate = "" if r.fitted_rate is None else f"{r.fitted_rate:.17g}"
-        lines.append(
-            f"{r.period:.17g},{gain},{r.gain_distance:.17g},"
-            f"{r.contraction_bound:.17g},{rate},{r.condition_number:.17g},{r.note}"
-        )
-    return "\n".join(lines) + "\n"
+def _number(x: float) -> str:
+    return format(x, ".17g")
 
 
-def gamma_sweep_to_csv(rows: Sequence[GammaSweepRow]) -> str:
-    lines = ["gammas,gain_row,contraction_bound,fitted_rate,condition_number,note"]
-    for r in rows:
-        gam = ";".join(f"{x:.17g}" for x in r.gammas)
-        gain = ";".join(f"{x:.17g}" for x in r.gain_row)
-        rate = "" if r.fitted_rate is None else f"{r.fitted_rate:.17g}"
-        lines.append(
-            f"{gam},{gain},{r.contraction_bound:.17g},{rate},"
-            f"{r.condition_number:.17g},{r.note}"
-        )
+def _optional(x: float | None) -> str:
+    return "" if x is None else _number(x)
+
+
+def _joined(xs: Sequence[float]) -> str:
+    return ";".join(map(_number, xs))
+
+
+_BOTH = ("T", "gamma")
+# (header, SweepRow field, axes that write it, cell format), in column order
+_SWEEP_COLUMNS = (
+    ("T", "period", ("T",), _number),
+    ("gammas", "gammas", ("gamma",), _joined),
+    ("gain_row", "gain_row", _BOTH, _joined),
+    ("gain_distance", "gain_distance", ("T",), _number),
+    ("contraction_bound", "contraction_bound", _BOTH, _number),
+    ("fitted_rate", "fitted_rate", _BOTH, _optional),
+    ("condition_number", "condition_number", _BOTH, _number),
+    ("note", "note", _BOTH, str),
+)
+
+
+def sweep_to_csv(rows: Sequence[SweepRow], axis: str) -> str:
+    """sweep_T.csv (axis "T") or sweep_gamma.csv (axis "gamma")."""
+    if axis not in _BOTH:
+        raise ValueError(f"unknown sweep axis {axis!r}")
+    columns = [(head, name, cell) for head, name, axes, cell in _SWEEP_COLUMNS if axis in axes]
+    lines = [",".join(head for head, _, _ in columns)]
+    lines += [",".join(cell(getattr(r, name)) for _, name, cell in columns) for r in rows]
     return "\n".join(lines) + "\n"
 
 
 def basin_to_csv(report: BasinReport) -> str:
     lines = ["amplitude,decayed,blowup_time,fitted_rate"]
     for r in report.rows:
-        bt = "" if r.blowup_time is None else f"{r.blowup_time:.17g}"
-        rate = "" if r.fitted_rate is None else f"{r.fitted_rate:.17g}"
-        lines.append(f"{r.amplitude:.17g},{int(r.decayed)},{bt},{rate}")
+        lines.append(
+            f"{_number(r.amplitude)},{int(r.decayed)},"
+            f"{_optional(r.blowup_time)},{_optional(r.fitted_rate)}"
+        )
     edge = report.refined_edge if report.refined_edge is not None else report.largest_decaying
-    lines.append(f"# empirical_basin_edge,{'' if edge is None else format(edge, '.17g')}")
+    lines.append(f"# empirical_basin_edge,{_optional(edge)}")
     return "\n".join(lines) + "\n"
 
 
@@ -712,21 +711,12 @@ def run_verification(
     )
     dist_coarse = gain_limit_distance(spec_a, spec.gammas, 1e-2, continuous)
     dist_fine = gain_limit_distance(spec_a, spec.gammas, 5e-3, continuous)
-    ratio = dist_coarse / dist_fine if dist_fine > 0 else np.inf
-    in_window = tol["limit_ratio_low"] <= ratio <= tol["limit_ratio_high"]
-    report.checks.append(
-        CheckResult(
-            name="small-period-order",
-            law="gain-row-first-order-in-period",
-            residual=float(ratio),
-            tolerance=tol["limit_ratio_high"],
-            passed=bool(in_window),
-            details={
-                "window": [tol["limit_ratio_low"], tol["limit_ratio_high"]],
-                "coarse": dist_coarse,
-                "fine": dist_fine,
-            },
-        )
+    report.add(
+        "small-period-order",
+        "gain-row-first-order-in-period",
+        dist_coarse / dist_fine if dist_fine > 0 else np.inf,
+        window=(tol["limit_ratio_low"], tol["limit_ratio_high"]),
+        details={"coarse": dist_coarse, "fine": dist_fine},
     )
     return report
 

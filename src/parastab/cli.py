@@ -76,7 +76,6 @@ from .analysis import (
     estimate_basin,
     basin_to_csv,
     fit_decay_rate,
-    gamma_sweep_to_csv,
     lognorm_svg,
     run_verification,
     sweep_gammas,
@@ -479,36 +478,24 @@ def cmd_sweep(config: RunConfig, out_dir: Path, axis: str) -> int:
         raise ConfigError(f"sweep axis {axis} needs a non-empty [sweep] {axis} list")
     if axis == "T":
         result = sweep_sampling_period(
-            problem,
-            config.sweep_periods,
-            gammas=config.spec.gammas,
-            total_time=config.sweep_total_time,
-            seed=config.sweep_seed,
+            problem, config.sweep_periods, gammas=config.spec.gammas,
+            total_time=config.sweep_total_time, seed=config.sweep_seed,
         )
-        table = sweep_to_csv(result.rows)
     elif axis == "gamma":
         result = sweep_gammas(
-            problem,
-            config.sweep_gammas,
-            total_time=config.sweep_total_time,
-            seed=config.sweep_seed,
+            problem, config.sweep_gammas,
+            total_time=config.sweep_total_time, seed=config.sweep_seed,
         )
-        table = gamma_sweep_to_csv(result.rows)
     else:
         # the T and gamma sweeps compute their own spectrum; the basin needs one here
         c = linearized_coefficient(problem)
         spectrum = compute_spectrum(problem, c, config.spec.target_rate)
         gains = build_gains(spectrum, config.spec.gammas, config.spec.sampling_period)
         result = estimate_basin(
-            problem,
-            spectrum,
-            gains,
-            config.sweep_amplitudes,
-            horizon=config.horizon,
-            seed=config.sweep_seed,
-            bisect_iters=config.sweep_bisect_iters,
+            problem, spectrum, gains, config.sweep_amplitudes, horizon=config.horizon,
+            seed=config.sweep_seed, bisect_iters=config.sweep_bisect_iters,
         )
-        table = basin_to_csv(result)
+    table = basin_to_csv(result) if axis == "amplitude" else sweep_to_csv(result.rows, axis)
     _write(out_dir, f"sweep_{axis}.csv", table)
     if "svg" in config.formats and result.histories:
         _write(out_dir, f"sweep_{axis}.svg", lognorm_svg(result.histories))

@@ -320,7 +320,8 @@ def _advance(
     and the record decision are made once per block; the kernel tests the
     guard after every substep and stops at the first state that fails it,
     which is not recorded.  A negative ``snapshot_stride`` is rejected; 0
-    records the samples only.
+    records the samples only.  A record block too large to allocate
+    raises ParastabError before the first substep.
     """
     if spectrum.m != problem.m:
         raise DimensionMismatch("spectrum grid does not match the problem grid")
@@ -350,7 +351,14 @@ def _advance(
     stops = list(range(snapshot_stride, substeps, snapshot_stride)) if snapshot_stride else []
     stops.append(substeps)
 
-    deviations = np.empty((1 + horizon * len(stops), m))
+    try:
+        deviations = np.empty((1 + horizon * len(stops), m))
+    except (MemoryError, ValueError):  # ValueError: beyond numpy's largest size
+        raise ParastabError(
+            f"cannot allocate the record block of (1 + horizon {horizon} x "
+            f"{len(stops)} records per hold) x M = {m} doubles "
+            f"({8 * (1 + horizon * len(stops)) * m / 2**30:.3g} GiB)"
+        ) from None
     times: list[float] = []
     held: list[float] = []
     blowup_time: float | None = None

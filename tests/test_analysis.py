@@ -6,11 +6,11 @@ import pytest
 
 import parastab as ps
 from parastab.analysis import (
+    SweepRow,
     basin_to_csv,
-    gamma_sweep_to_csv,
     sweep_to_csv,
 )
-from parastab import simulate
+from parastab import analysis, simulate
 from parastab.simulate import HoldSchedule, Trajectory
 
 from conftest import count_builds, make_problem, make_spectrum
@@ -156,7 +156,7 @@ def test_sweep_gammas(problem15):
     assert all(r is not None and r > 0.0 for r in rates)
     # faster placement decays faster until stepping error bites
     assert rates[1] > rates[0]
-    text = gamma_sweep_to_csv(result.rows)
+    text = sweep_to_csv(result.rows, "gamma")
     assert text.startswith("gammas,gain_row,contraction_bound")
 
 
@@ -180,6 +180,60 @@ def test_sweep_synthesis_error_policies(problem15):
     slow = make_problem(a=5.0, rho=6.0, gammas=(7.0,), period=200.0)
     (row,) = ps.sweep_gammas(slow, [(7.0,)], total_time=2.0).rows
     assert row.note.startswith("SingularBSum: ")
+
+
+def test_sweep_rows_note_an_unallocatable_record_block(problem15):
+    # T = 1e-12 over total_time 1 needs 1e12 holds x 8 records x M = 200
+    # doubles, about 11 PiB: beyond any address space, so nothing is allocated
+    result = ps.sweep_sampling_period(problem15, (1e-12,), total_time=1.0)
+    (row,) = result.rows
+    assert row.note.startswith("ParastabError: cannot allocate the record block")
+    assert "horizon 1000000000000 x 8 records per hold) x M = 200 doubles" in row.note
+    assert row.fitted_rate is None and len(row.gain_row) == 1
+    assert row.gain_distance < 1e-9 and result.histories == ()
+    tiny = make_problem(period=1e-12)
+    (row,) = ps.sweep_gammas(tiny, [(2.0,)], total_time=1.0).rows
+    assert row.note.startswith("ParastabError: cannot allocate the record block")
+    assert row.gain_row == () and np.isnan(row.condition_number)
+    assert row.gain_distance is None
+
+
+T_ROWS = (
+    SweepRow(period=0.2, gammas=(2.0,), gain_row=(-20.25, 1.0 / 3.0),
+             contraction_bound=float(np.exp(-0.4)), fitted_rate=1.9987654321,
+             condition_number=1.0, gain_distance=1.5e-3),
+    SweepRow(period=2.0, gammas=(2.0,), gain_row=(-3.5,),
+             contraction_bound=float(np.exp(-4.0)), fitted_rate=None,
+             condition_number=12.5, gain_distance=0.125,
+             note="UnstableStep: norm exceeded 1e+12 at t = 6.5"),
+)
+GAMMA_ROWS = (
+    SweepRow(period=0.2, gammas=(2.0, 3.5), gain_row=(-20.25, 0.1),
+             contraction_bound=float(np.exp(-0.4)), fitted_rate=1.75,
+             condition_number=3.25),
+    SweepRow(period=0.2, gammas=(2.0, 3.0), gain_row=(),
+             contraction_bound=float(np.exp(-0.4)), fitted_rate=None,
+             condition_number=float("nan"),
+             note="ParastabError: need 1 placement rates, got 2"),
+)
+
+
+def test_sweep_csv_golden_text():
+    """The exact text of sweep_T.csv and sweep_gamma.csv for literal rows."""
+    assert sweep_to_csv(T_ROWS, "T") == (
+        "T,gain_row,gain_distance,contraction_bound,fitted_rate,condition_number,note\n"
+        "0.20000000000000001,-20.25;0.33333333333333331,0.0015,0.67032004603563933,"
+        "1.9987654320999999,1,\n"
+        "2,-3.5,0.125,0.018315638888734179,,12.5,"
+        "UnstableStep: norm exceeded 1e+12 at t = 6.5\n"
+    )
+    assert sweep_to_csv(GAMMA_ROWS, "gamma") == (
+        "gammas,gain_row,contraction_bound,fitted_rate,condition_number,note\n"
+        "2;3.5,-20.25;0.10000000000000001,0.67032004603563933,1.75,3.25,\n"
+        "2;3,,0.67032004603563933,,nan,ParastabError: need 1 placement rates, got 2\n"
+    )
+    with pytest.raises(ValueError, match="unknown sweep axis 'amplitude'"):
+        sweep_to_csv(T_ROWS, "amplitude")
 
 
 def test_estimate_basin_reports_rows(problem15, spectrum15, gains15):
@@ -215,6 +269,31 @@ def test_estimate_basin_bisection_refines(problem15, spectrum15, gains15):
     )
     assert report.refined_edge is not None
     assert 0.01 <= report.refined_edge <= 50.0
+
+
+def test_bisection_stops_at_float64_resolution(monkeypatch):
+    problem = make_problem(grid_points=32, substeps=8)
+    spectrum = make_spectrum(problem)
+    gains = ps.build_gains(spectrum, (2.0,), 0.2)
+    probes = []
+    real = analysis._basin_probe
+    monkeypatch.setattr(
+        analysis, "_basin_probe", lambda *args: probes.append(args[3]) or real(*args)
+    )
+
+    def edge(iters):
+        probes.clear()
+        report = ps.estimate_basin(
+            problem, spectrum, gains, (0.01, 50.0), horizon=20, bisect_iters=iters
+        )
+        return report.refined_edge, probes[2:]
+
+    refined, bisected = edge(80)
+    # the bracket [0.01, 50] closes to adjacent doubles within 60 halvings;
+    # every probe is a new amplitude, and stopping there moves no edge
+    assert 0.01 < refined < 50.0
+    assert len(bisected) <= 60 and len(set(bisected)) == len(bisected)
+    assert edge(len(bisected)) == (refined, bisected)
 
 
 def _count_history_reads(monkeypatch):
@@ -256,7 +335,7 @@ def test_basin_computes_no_l2_history(monkeypatch, problem15, spectrum15, gains1
 
 def test_sweep_csv_roundtrip(problem15):
     result = ps.sweep_sampling_period(problem15, (0.2,), total_time=4.0)
-    text = sweep_to_csv(result.rows)
+    text = sweep_to_csv(result.rows, "T")
     header, row = text.strip().split("\n")
     assert header.split(",")[0] == "T"
     assert float(row.split(",")[0]) == 0.2
@@ -280,6 +359,16 @@ def test_verification_report_json_and_failures():
     payload = json.loads(report.to_json())
     assert payload["passed"] is False
     assert len(payload["checks"]) == 2
+
+
+def test_verification_report_window():
+    report = ps.VerificationReport()
+    inside = report.add("in", "law", 2.0, window=(1.6, 2.4), details={"coarse": 1.0})
+    assert inside.passed and inside.tolerance == 2.4
+    assert inside.details == {"window": [1.6, 2.4], "coarse": 1.0}
+    for residual in (1.5, 2.5, float("nan"), float("inf")):
+        assert not report.add("out", "law", residual, window=(1.6, 2.4)).passed
+    assert report.add("edge", "law", 1.6, window=(1.6, 2.4)).passed
 
 
 def test_algebraic_checks_reuse_the_synthesized_system(monkeypatch, gains95):
@@ -333,6 +422,18 @@ def test_run_verification_baseline_passes():
     names = {c.name for c in report.checks}
     assert "recursion-identity" in names
     assert "lift-identity-convergence" in names
+
+
+def test_run_verification_records_an_unallocatable_record_block():
+    # 1e13 holds x 1 record x M = 32 doubles is about 2.3 PiB
+    spec = make_problem(grid_points=32, substeps=8).spec
+    report = ps.run_verification(spec, horizon=10**13)
+    (suite,) = [c for c in report.checks if c.name == "trajectory-suite"]
+    assert not suite.passed and suite.residual == np.inf
+    assert suite.details["error"].startswith(
+        "ParastabError: cannot allocate the record block of (1 + horizon 10000000000000 x "
+        "1 records per hold) x M = 32 doubles"
+    )
 
 
 def test_run_verification_no_unstable_modes_reduces():

@@ -510,6 +510,24 @@ def test_sweep_amplitude_axis(tmp_path):
     assert "empirical_basin_edge" in text
 
 
+def test_unallocatable_record_block_exits_2_or_is_noted(tmp_path, capsys):
+    # 1e13 holds x M = 64 doubles (about 4.5 PiB) for simulate; T = 1e-12
+    # over total_time 1 is 1e12 holds x 8 records x 64 doubles (3.6 PiB)
+    cfg = write_config(
+        tmp_path, horizon=10**13, extra="[sweep]\nT = 0.2,1e-12\ntotal_time = 1.0\n"
+    )
+    capsys.readouterr()
+    assert main(["simulate", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot allocate the record block of (1 + horizon 10000000000000")
+    assert err.count("\n") == 1
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out), "--axis", "T"]) == EXIT_OK
+    last = (out / "sweep_T.csv").read_text().strip().split("\n")[-1]
+    assert last.startswith("9.9999999999999998e-13,")
+    assert last.split(",")[-1].startswith("ParastabError: cannot allocate the record block")
+
+
 def test_sweep_empty_axis_exits_2(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["sweep", "--config", cfg, "--axis", "T"]) == EXIT_CONFIG

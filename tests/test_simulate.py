@@ -490,6 +490,21 @@ def test_guard_trips_inside_a_record_block(monkeypatch, problem15, spectrum15):
     assert np.all(np.isfinite(traj.states))
 
 
+@pytest.mark.parametrize("horizon", [10**12, 10**18], ids=["out-of-memory", "beyond-numpy"])
+def test_unallocatable_record_block_is_typed(problem15, spectrum15, gains15, horizon):
+    """1e12 holds x M = 200 doubles is about 1.4 PiB, beyond any address
+    space; 1e18 holds exceed numpy's largest array.  Neither allocates."""
+    y0 = ps.seeded_initial_state(spectrum15, 4)
+    message = (
+        rf"cannot allocate the record block of \(1 \+ horizon {horizon} x 1 records per "
+        rf"hold\) x M = 200 doubles \([0-9.e+]+ GiB\)$"
+    )
+    with pytest.raises(ps.ParastabError, match=message):
+        ps.run_linear_closed_loop(problem15, spectrum15, gains15, y0, horizon)
+    with pytest.raises(ps.ParastabError, match=message):
+        ps.run_semilinear_closed_loop(problem15, spectrum15, gains15, y0, horizon)
+
+
 @pytest.mark.parametrize("substeps", [0, -4])
 def test_nonpositive_substeps_rejected(substeps):
     """A run takes its substep count from the spec alone, and validate_spec
