@@ -54,6 +54,7 @@ from .lifting import (
 from .simulate import (
     HoldSchedule,
     MissingSampleSnapshots,
+    TooFewSubsteps,
     Trajectory,
     UnstableStep,
     ZDecomposition,

@@ -1,4 +1,4 @@
-"""The five double-precision LAPACK routines parastab calls, from scipy's
+"""The three double-precision LAPACK routines parastab calls, from scipy's
 f2py extension ``scipy/linalg/_flapack``, loaded without running
 ``scipy/__init__`` or ``scipy/linalg/__init__``: importing scipy.linalg
 also imports scipy's array-API layer, which costs more start-up than the
@@ -22,5 +22,3 @@ _spec.loader.exec_module(_flapack)
 dstevd = _flapack.dstevd
 dpttrf = _flapack.dpttrf
 dpttrs = _flapack.dpttrs
-dgttrf = _flapack.dgttrf
-dgttrs = _flapack.dgttrs

@@ -546,6 +546,14 @@ def _joined(xs: Sequence[float]) -> str:
     return ";".join(map(_number, xs))
 
 
+def _text(text: str) -> str:
+    """A text cell, quoted as RFC 4180 quotes it (wrapped in '"', inner '"'
+    doubled) when it holds a separator, a quote or a line break."""
+    if any(ch in text for ch in ',;"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 _BOTH = ("T", "gamma")
 # (header, SweepRow field, axes that write it, cell format), in column order
 _SWEEP_COLUMNS = (
@@ -556,7 +564,7 @@ _SWEEP_COLUMNS = (
     ("contraction_bound", "contraction_bound", _BOTH, _number),
     ("fitted_rate", "fitted_rate", _BOTH, _optional),
     ("condition_number", "condition_number", _BOTH, _number),
-    ("note", "note", _BOTH, str),
+    ("note", "note", _BOTH, _text),
 )
 
 

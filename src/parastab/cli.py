@@ -8,14 +8,16 @@ kind takes, an amplitude that is not finite and 0 or positive (also as a
 [sweep] amplitude entry), a sobolev_order outside [0, 1), a [simulation]
 horizon, open_loop_horizon or [verify] horizon below 1, a negative
 snapshot stride, a [sweep] T entry or total_time that is not finite and
-positive and a negative bisect_iters.
+positive, a negative bisect_iters, a [verify] tolerance that is not finite
+and 0 or positive and a [verify] limit_ratio_low above limit_ratio_high.
 validate_spec then rejects an interval_length, target_rate or
 sampling_period that is not finite and positive, a substeps below 1, and
 gammas that are not finite or not strictly increasing above target_rate.
 All defaults are echoed into the emitted metadata for reproducibility, and
 every float in CSV output carries 17 significant digits.
 
-Exit codes: 0 success, 2 config or validation error, 3 singular gain
+Exit codes: 0 success, 2 config or validation error (also a run refused
+for too few substeps per hold, dt*|lambda_1| >= 2), 3 singular gain
 algebra (a Gram sum or a cancellation that needs more than 400 working
 digits, or a weight outside the float64 range), 4 blow-up under
 --expect-decay, 5 failed verification checks.
@@ -296,6 +298,15 @@ def load_config(path: str | Path) -> RunConfig:
 
     verify = parser["verify"] if parser.has_section("verify") else {}
     tolerances = {key: float(verify[key]) for key in verify if key in DEFAULT_VERIFY_TOLERANCES}
+    for key, value in tolerances.items():
+        if not 0 <= value < math.inf:
+            raise ConfigError(f"[verify] {key} must be finite and 0 or positive, got {value}")
+    window = {**DEFAULT_VERIFY_TOLERANCES, **tolerances}
+    low, high = window["limit_ratio_low"], window["limit_ratio_high"]
+    if low > high:
+        raise ConfigError(
+            f"[verify] limit_ratio_low = {low} is above [verify] limit_ratio_high = {high}"
+        )
 
     return RunConfig(spec=spec, verify_tolerances=tolerances, **options)
 

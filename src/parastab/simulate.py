@@ -7,9 +7,11 @@ run treats the diffusion plus linearized reaction implicitly and the
 nonlinear remainder explicitly, so every solve stays tridiagonal.  That
 remainder is the exact Taylor tail of the polynomial reaction about the
 equilibrium, sum_{j>=2} q_j w^j in the deviation w, with the q_j formed
-once per run.  The CN matrix I + dt/2 A is factored once per run: LDL^T
-(LAPACK pttrf) when it is positive definite, 1 + dt lambda_1 / 2 > 0, else
-pivoted LU (gttrf).
+once per run.  The CN matrix I + dt/2 A is factored once per run, as
+LDL^T (LAPACK pttrf): it is positive definite when 1 + dt lambda_1 / 2 > 0.
+A run with fewer substeps per hold than that needs, which would flip the
+sign of an unstable mode 1 every substep instead of growing it, is refused
+with TooFewSubsteps before anything is factored.
 
 One in-place kernel (_CNKernel) steps every run: it alternates between two
 zero-padded state buffers and allocates nothing per substep.  The
@@ -32,13 +34,14 @@ quantity that decays, and the node rows of the semilinear loop are physical
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._lapack import dgttrf, dgttrs, dpttrf, dpttrs
+from ._lapack import dpttrf, dpttrs
 from .model import ParastabError, ValidatedProblem
 from .spectral import Spectrum, TridiagonalOperator, l2_norm, project, sobolev_norm
 from .synthesis import DimensionMismatch, GainSet, _check_consistent, component_feedback
@@ -55,6 +58,11 @@ class UnstableStep(ParastabError):
     def __init__(self, message: str, trajectory: "Trajectory | None" = None):
         super().__init__(message)
         self.trajectory = trajectory
+
+
+class TooFewSubsteps(ParastabError):
+    """The hold has too few substeps for Crank-Nicolson to step its
+    unstable mode 1: dt*|lambda_1| >= 2 flips its sign every substep."""
 
 
 class MissingSampleSnapshots(ParastabError):
@@ -170,19 +178,18 @@ def gains_fingerprint(gains: GainSet | None) -> str:
 
 
 def _cn_solver(op: TridiagonalOperator, dt: float) -> Callable[[np.ndarray, int], object]:
-    """solve(b, 1) overwrites b with (I + dt/2 A)^-1 b, factored here once:
-    LDL^T (pttrf), or LU (gttrf) if not positive definite.  The LDL^T solve
-    is pttrs with its factors bound and (b, overwrite_b) passed by position,
-    which f2py parses faster than keywords."""
-    off = 0.5 * dt * op.offdiag
-    left_diag = 1.0 + 0.5 * dt * op.diag
-    d, e, info = dpttrf(left_diag, off)
-    if info == 0:
-        return partial(dpttrs, d, e)
-    *lu, info = dgttrf(off, left_diag, off)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular Crank-Nicolson matrix")
-    return lambda b, overwrite_b: dgttrs(*lu, b, "N", overwrite_b)
+    """solve(b, 1) overwrites b with (I + dt/2 A)^-1 b, factored here once
+    as LDL^T (pttrf); _advance has refused a dt that leaves the matrix
+    indefinite, so a non-positive pivot (roundoff at the edge) raises
+    LinAlgError.  The solve is pttrs with its factors bound and
+    (b, overwrite_b) passed by position, which f2py parses faster than
+    keywords."""
+    d, e, info = dpttrf(1.0 + 0.5 * dt * op.diag, 0.5 * dt * op.offdiag)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"Crank-Nicolson matrix is not positive definite (pttrf info = {info})"
+        )
+    return partial(dpttrs, d, e)
 
 
 class _CNKernel:
@@ -282,6 +289,21 @@ def seeded_initial_state(
     return y * (amplitude / scale)
 
 
+def _check_substeps(period: float, substeps: int, lambda_1: float) -> None:
+    """Refuse dt = period / substeps with 1 + dt lambda_1 / 2 <= 0: the CN
+    multiplier (1 - dt lambda_1 / 2) / (1 + dt lambda_1 / 2) of mode 1 is
+    then negative (or infinite), not the growth e^{-dt lambda_1}.  The
+    smallest count that works is floor(T |lambda_1| / 2) + 1."""
+    needed = math.floor(-0.5 * period * lambda_1) + 1
+    if substeps < needed:
+        raise TooFewSubsteps(
+            f"substeps_per_hold = {substeps} gives dt*|lambda_1| = "
+            f"{-lambda_1 * period / substeps:.3g} >= 2, so Crank-Nicolson would "
+            f"flip the sign of unstable mode 1 every substep; T = {period:g} "
+            f"needs at least {needed} substeps (floor(T*|lambda_1|/2) + 1)"
+        )
+
+
 def _advance(
     problem: ValidatedProblem,
     spectrum: Spectrum,
@@ -310,7 +332,9 @@ def _advance(
     derives them on first read.  ``gains`` only enters the setup checks,
     made here once per run, and the fingerprint.
     A blow-up is reported through ``blowup_time``; the linear wrappers
-    raise it as UnstableStep.
+    raise it as UnstableStep.  A hold with too few substeps for
+    Crank-Nicolson, dt*|lambda_1| >= 2, raises TooFewSubsteps before the
+    first substep.
 
     Each hold interval takes problem.spec.substeps_per_hold substeps, the
     one count of the run (validate_spec made it at least 1, and the
@@ -345,6 +369,7 @@ def _advance(
 
     period, substeps = problem.period, problem.spec.substeps_per_hold
     dt = period / substeps
+    _check_substeps(period, substeps, spectrum.lambdas[0])
     kernel = _CNKernel(spectrum.operator, dt, [dt * q for q in tail], w)
     h2 = spectrum.h**2
     # record points of a hold: every snapshot_stride substeps, and its end

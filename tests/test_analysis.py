@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import warnings
 
 import numpy as np
@@ -206,6 +208,10 @@ T_ROWS = (
              contraction_bound=float(np.exp(-4.0)), fitted_rate=None,
              condition_number=12.5, gain_distance=0.125,
              note="UnstableStep: norm exceeded 1e+12 at t = 6.5"),
+    SweepRow(period=30.0, gammas=(2.0,), gain_row=(-3.5,),
+             contraction_bound=0.0, fitted_rate=None,
+             condition_number=12.5, gain_distance=0.125,
+             note='TooFewSubsteps: 64 substeps, dt*|lambda_1| = 2.4; "77"\nneeded'),
 )
 GAMMA_ROWS = (
     SweepRow(period=0.2, gammas=(2.0, 3.5), gain_row=(-20.25, 0.1),
@@ -226,12 +232,19 @@ def test_sweep_csv_golden_text():
         "1.9987654320999999,1,\n"
         "2,-3.5,0.125,0.018315638888734179,,12.5,"
         "UnstableStep: norm exceeded 1e+12 at t = 6.5\n"
+        "30,-3.5,0.125,0,,12.5,"
+        '"TooFewSubsteps: 64 substeps, dt*|lambda_1| = 2.4; ""77""\nneeded"\n'
     )
     assert sweep_to_csv(GAMMA_ROWS, "gamma") == (
         "gammas,gain_row,contraction_bound,fitted_rate,condition_number,note\n"
         "2;3.5,-20.25;0.10000000000000001,0.67032004603563933,1.75,3.25,\n"
-        "2;3,,0.67032004603563933,,nan,ParastabError: need 1 placement rates, got 2\n"
+        '2;3,,0.67032004603563933,,nan,"ParastabError: need 1 placement rates, got 2"\n'
     )
+    # a quoted note reads back as one cell, the header's field count per row
+    for rows, axis in ((T_ROWS, "T"), (GAMMA_ROWS, "gamma")):
+        header, *read = csv.reader(io.StringIO(sweep_to_csv(rows, axis)))
+        assert [len(cells) for cells in read] == [len(header)] * len(rows)
+        assert [cells[-1] for cells in read] == [row.note for row in rows]
     with pytest.raises(ValueError, match="unknown sweep axis 'amplitude'"):
         sweep_to_csv(T_ROWS, "amplitude")
 

@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -118,13 +121,26 @@ def test_missing_file_exits_2(tmp_path):
         ("horizon = 12", "horizon = 0", r"^\[simulation\] horizon must be at least 1, got 0$"),
         ("formats = csv,json,svg", "formats = csv\n[verify]\nhorizon = 0",
          r"^\[verify\] horizon must be at least 1, got 0$"),
+        ("formats = csv,json,svg", "formats = csv\n[verify]\nlift_identity = nan",
+         r"^\[verify\] lift_identity must be finite and 0 or positive, got nan$"),
+        ("formats = csv,json,svg", "formats = csv\n[verify]\ntrajectory_recursion = inf",
+         r"^\[verify\] trajectory_recursion must be finite .*, got inf$"),
+        ("formats = csv,json,svg", "formats = csv\n[verify]\nhalf_identity = -1",
+         r"^\[verify\] half_identity must be finite and 0 or positive, got -1.0$"),
+        ("formats = csv,json,svg", "formats = csv\n[verify]\nlimit_ratio_low = 3.0",
+         r"^\[verify\] limit_ratio_low = 3.0 is above \[verify\] limit_ratio_high = 2.4$"),
+        ("formats = csv,json,svg",
+         "formats = csv\n[verify]\nlimit_ratio_low = 1.9\nlimit_ratio_high = 1.8",
+         r"^\[verify\] limit_ratio_low = 1.9 is above \[verify\] limit_ratio_high = 1.8$"),
     ],
     ids=["norm", "formats", "open-loop-horizon", "snapshot-stride", "cubic-parameters",
          "linear-parameters", "negative-total-time", "zero-total-time", "bisect-iters",
          "negative-amplitude", "nan-amplitude", "two-formats", "negative-sweep-amplitude",
          "nan-sweep-amplitude", "zero-sweep-period", "nan-sweep-period", "inf-amplitude",
          "inf-sweep-amplitude", "inf-total-time", "inf-sweep-period", "nan-sobolev-order",
-         "unit-sobolev-order", "negative-sobolev-order", "zero-horizon", "zero-verify-horizon"],
+         "unit-sobolev-order", "negative-sobolev-order", "zero-horizon", "zero-verify-horizon",
+         "nan-tolerance", "inf-tolerance", "negative-tolerance", "limit-window-above-default",
+         "limit-window-inverted"],
 )
 def test_bad_norm_or_format_exits_2_before_any_output(tmp_path, line, typo, bad):
     out = tmp_path / "out"
@@ -133,7 +149,7 @@ def test_bad_norm_or_format_exits_2_before_any_output(tmp_path, line, typo, bad)
     (tmp_path / "run.ini").write_text(text)
     with pytest.raises(ConfigError, match=bad):
         load_config(tmp_path / "run.ini")
-    for command in (["synthesize"], ["simulate", "--open-loop"]):
+    for command in (["synthesize"], ["simulate", "--open-loop"], ["verify"]):
         assert main([*command, "--config", str(tmp_path / "run.ini")]) == EXIT_CONFIG
     assert not out.exists() or not any(out.iterdir())
 
@@ -340,6 +356,35 @@ def test_simulate_blowup_exit_codes(tmp_path):
         main(["simulate", "--config", cfg, "--out", str(out), "--expect-decay"])
         == EXIT_BLOWUP
     )
+
+
+def test_too_few_substeps_exit_2_or_are_recorded(tmp_path, capsys):
+    """T = 2.0 with 4 substeps per hold: dt |lambda_1| = 2.57 >= 2 at M = 64
+    (lambda_1 = -5.13), so every stepped run is refused, naming the 6
+    substeps it needs; synthesize steps nothing and is unaffected."""
+    text = Path(write_config(
+        tmp_path, extra="[sweep]\nT = 0.2,2.0\namplitude = 0.01\ntotal_time = 4.0\n"
+    )).read_text()
+    text = text.replace("sampling_period = 0.2", "sampling_period = 2.0")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text.replace("[simulation]\n", "[simulation]\nsubsteps = 4\n"))
+    refusal = r"substeps_per_hold = 4 gives dt\*\|lambda_1\| = 2.57 >= 2, .* at least 6 substeps"
+    capsys.readouterr()
+    for command in (["simulate"], ["sweep", "--axis", "amplitude"]):
+        out = tmp_path / command[-1]
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert re.search(f"^error: {refusal}", capsys.readouterr().err)
+        assert not out.exists()
+    out = tmp_path / "ver"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == EXIT_VERIFY
+    checks = {c["name"]: c for c in json.loads((out / "verification.json").read_text())["checks"]}
+    assert re.match(f"TooFewSubsteps: {refusal}", checks["trajectory-suite"]["details"]["error"])
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--axis", "T"]) == EXIT_OK
+    header, fine, coarse = csv.reader(io.StringIO((out / "sweep_T.csv").read_text()))
+    assert len(fine) == len(coarse) == len(header) and fine[-1] == ""
+    assert re.match(f"TooFewSubsteps: {refusal}", coarse[-1])
+    assert main(["synthesize", "--config", str(cfg), "--out", str(tmp_path / "syn")]) == EXIT_OK
 
 
 def test_simulate_zero_initial_state_flat_norms(tmp_path):

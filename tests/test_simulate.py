@@ -13,6 +13,7 @@ from parastab import simulate
 from parastab.spectral import SOBOLEV_BLOCK_ROWS
 from parastab.simulate import (
     BLOWUP_GUARD,
+    TooFewSubsteps,
     _advance,
     _cn_solver,
     _CNKernel,
@@ -28,9 +29,8 @@ def _banded_step(spectrum, dt, w, forcing, dt_tail=(), pivoting=False):
     (rd + w (dt q_2 + w (dt q_3 + ...))) w - off (w_+ + w_-) + dt*forcing,
     where rd = 1 - dt/2 diag, off = dt/2 offdiag[0], w_+ and w_- are the
     zero-padded neighbours and dt_tail = (dt q_2, ..., dt q_d) is the
-    explicit tail already scaled by dt.  The solve is LAPACK ptsv (LDL^T)
-    when 1 + dt lambda_1 / 2 > 0 makes the matrix positive definite, and
-    solve_banded (pivoted LU) otherwise or with ``pivoting``."""
+    explicit tail already scaled by dt.  The solve is LAPACK ptsv (LDL^T),
+    or solve_banded (pivoted LU) with ``pivoting``."""
     op = spectrum.operator
     diag = 1.0 + 0.5 * dt * op.diag
     off = 0.5 * dt * op.offdiag
@@ -41,7 +41,7 @@ def _banded_step(spectrum, dt, w, forcing, dt_tail=(), pivoting=False):
     padded = np.concatenate(([0.0], w, [0.0]))
     rhs = acc * w - off[0] * (padded[2:] + padded[:-2])
     rhs = rhs + dt * forcing
-    if not pivoting and 1.0 + 0.5 * dt * spectrum.lambdas[0] > 0:
+    if not pivoting:
         *_, x, info = get_lapack_funcs("ptsv", (diag,))(diag, off, rhs)
         assert info == 0
         return x
@@ -137,13 +137,10 @@ def test_zoh_modal_update_matches_oracle_and_converges():
     assert errors[200] / errors[400] > 3.0
 
 
-# the last case takes one substep per hold at T = 2.0, so dt*c/2 = 15 > 1:
-# 1 + dt lambda_1 / 2 < 0, so I + dt/2 A is indefinite and the engine and
-# the oracle both take pivoted LU, which pivots; the others take LDL^T
 @pytest.mark.parametrize(
     "grid_points, period, substeps, horizon",
-    [(16, 0.2, 64, 4), (200, 0.2, 64, 4), (200, 2.0, 1, 200)],
-    ids=["M16", "M200", "coarse-T2-one-substep"],
+    [(16, 0.2, 64, 4), (200, 0.2, 64, 4)],
+    ids=["M16", "M200"],
 )
 def test_linear_step_matches_banded_oracle(grid_points, period, substeps, horizon):
     prob = make_problem(grid_points=grid_points, period=period, substeps=substeps)
@@ -153,25 +150,87 @@ def test_linear_step_matches_banded_oracle(grid_points, period, substeps, horizo
     traj = ps.run_linear_closed_loop(
         prob, spectrum, gains, y0, horizon, snapshot_stride=1
     )
-    oracle = _banded_run(
-        prob, spectrum, y0, horizon, lambda w: ps.apply_feedback(gains, w, spectrum)
-    )
+    feedback = lambda w: ps.apply_feedback(gains, w, spectrum)  # noqa: E731
+    oracle = _banded_run(prob, spectrum, y0, horizon, feedback)
     assert oracle.shape[0] - 1 >= 200
     assert np.array_equal(traj.interior, oracle)
+    # LDL^T and pivoted LU are both backward stable, so their states part
+    # by at most about eps * cond(I + dt/2 A) per substep, summed over the
+    # run (measured 3.9e-15 at M = 16 and 3.5e-14 at M = 200)
+    pivoted = _banded_run(prob, spectrum, y0, horizon, feedback, pivoting=True)
     dt = period / substeps
-    if 1.0 + 0.5 * dt * spectrum.lambdas[0] > 0:
-        # LDL^T and pivoted LU are both backward stable, so their states part
-        # by at most about eps * cond(I + dt/2 A) per substep, summed over the
-        # run (measured 3.9e-15 at M = 16 and 3.5e-14 at M = 200)
-        pivoted = _banded_run(
-            prob, spectrum, y0, horizon,
-            lambda w: ps.apply_feedback(gains, w, spectrum), pivoting=True,
-        )
-        lam = spectrum.lambdas
-        cond = (1.0 + 0.5 * dt * lam[-1]) / (1.0 + 0.5 * dt * lam[0])
-        bound = (oracle.shape[0] - 1) * np.finfo(float).eps * cond
-        apart = np.linalg.norm(oracle - pivoted, axis=1) / np.linalg.norm(pivoted, axis=1)
-        assert apart.max() <= bound
+    lam = spectrum.lambdas
+    cond = (1.0 + 0.5 * dt * lam[-1]) / (1.0 + 0.5 * dt * lam[0])
+    bound = (oracle.shape[0] - 1) * np.finfo(float).eps * cond
+    apart = np.linalg.norm(oracle - pivoted, axis=1) / np.linalg.norm(pivoted, axis=1)
+    assert apart.max() <= bound
+
+
+def test_one_substep_at_T2_is_refused_naming_the_count():
+    # one substep per hold at T = 2.0 (lambda_1 = -5.13): 1 + dt lambda_1 / 2
+    # < 0, so I + dt/2 A is indefinite; floor(2 * 5.13 / 2) + 1 = 6 would do
+    prob = make_problem(period=2.0, substeps=1)
+    spectrum = make_spectrum(prob)
+    gains = quiet_gains(spectrum, (2.0,), 2.0)
+    y0 = ps.seeded_initial_state(spectrum, 11)
+    with pytest.raises(TooFewSubsteps, match=r"= 1 gives dt\*\|lambda_1\| = 10.3 >= 2, .*"
+                       r"T = 2 needs at least 6 substeps"):
+        ps.run_linear_closed_loop(prob, spectrum, gains, y0, 200)
+
+
+@pytest.mark.parametrize("run", ["linear", "open-loop", "semilinear"])
+def test_substeps_below_dt_lambda_2_are_stepped_and_above_refused(run):
+    """dt |lambda_1| = 1.98 is stepped, exactly as the LDL^T (ptsv) oracle
+    steps it; dt |lambda_1| = 2.02 is refused before the first substep."""
+    substeps = 2
+    lam1 = make_spectrum(make_problem(grid_points=16)).lambdas[0]
+    edge = 2.0 * substeps / -lam1  # the period with dt |lambda_1| = 2
+
+    def setup(period):
+        prob = make_problem(grid_points=16, period=period, substeps=substeps)
+        spectrum = make_spectrum(prob)
+        gains = None if run == "open-loop" else quiet_gains(spectrum, (2.0,), period)
+        y0 = ps.seeded_initial_state(spectrum, 3, amplitude=1e-6)
+        return prob, spectrum, gains, y0
+
+    def step(prob, spectrum, gains, y0):
+        if run == "linear":
+            return ps.run_linear_closed_loop(prob, spectrum, gains, y0, 2, snapshot_stride=1)
+        if run == "open-loop":
+            return ps.run_open_loop(prob, spectrum, y0, 2, snapshot_stride=1)
+        ye = prob.equilibrium_values[1:-1]
+        return ps.run_semilinear_closed_loop(prob, spectrum, gains, y0 + ye, 2, snapshot_stride=1)
+
+    prob, spectrum, gains, y0 = setup(0.99 * edge)
+    traj = step(prob, spectrum, gains, y0)
+    dt = prob.period / substeps
+    assert dt * -spectrum.lambdas[0] == pytest.approx(1.98)
+    ye = prob.equilibrium_values[1:-1]
+    tail = [dt * q for q in prob.spec.nonlinearity.taylor_tail(ye)] if run == "semilinear" else ()
+    control = (lambda w: 0.0) if gains is None else (
+        lambda w: ps.apply_feedback(gains, w, spectrum))
+    oracle = _banded_run(prob, spectrum, y0, 2, control, tail)
+    assert traj.blowup_time is None
+    assert np.array_equal(traj.interior, oracle + ye)
+
+    with pytest.raises(TooFewSubsteps, match=r"= 2 gives dt\*\|lambda_1\| = 2.02 >= 2, .*"
+                       r"needs at least 3 substeps"):
+        step(*setup(1.01 * edge))
+
+
+def test_multimode_at_T2_needs_86_substeps(problem95, spectrum95):
+    """a = 95 at T = 2.0: lambda_1 = -85.1, so 64 and 85 substeps are
+    refused and 86 are stepped (the open loop then blows up, as it should)."""
+    y0 = ps.seeded_initial_state(spectrum95, 7)
+    for substeps, message in ((64, r"= 64 gives dt\*\|lambda_1\| = 2.66 >= 2"), (85, "= 85 ")):
+        prob = ps.validate_spec(dataclasses.replace(
+            problem95.spec, sampling_period=2.0, substeps_per_hold=substeps))
+        with pytest.raises(TooFewSubsteps, match=f"{message}.*at least 86 substeps"):
+            ps.run_open_loop(prob, spectrum95, y0, 1)
+    prob = ps.validate_spec(dataclasses.replace(
+        problem95.spec, sampling_period=2.0, substeps_per_hold=86))
+    with pytest.raises(ps.UnstableStep):
+        ps.run_open_loop(prob, spectrum95, y0, 1)
 
 
 def test_semilinear_step_matches_banded_oracle(problem15, spectrum15, gains15):

@@ -4,16 +4,21 @@ Runs every CLI step of the three benchmark configs in perfbench/configs/
 at one seed: the five cli_default commands (synthesize, simulate
 --open-loop, verify, sweep --axis T and sweep --axis amplitude), the
 multimode synthesize at T = 0.05, 0.2, 1.0 and 2.0 plus its verify at
-T = 0.2, and the long_hold simulate.  Three more steps run edited copies
+T = 0.2, and the long_hold simulate.  Five more steps run edited copies
 of the configs, so that every run option and every float64 view of a gain
 set reaches a compared output: cli_default sweep --axis gamma with a
 [sweep] gamma list, cli_default simulate from initial = mode:1 with the
-states format, and the multimode synthesize at T = 0.2 with the matrices
-format (the N = 3 matrix dump).  Each runs once with each tree's own
-src/, one BLAS thread, and the script prints a Markdown report: for every
+states format, the multimode synthesize at T = 0.2 with the matrices
+format (the N = 3 matrix dump), and two runs with too few substeps per
+hold for Crank-Nicolson (dt*|lambda_1| >= 2): the multimode simulate at
+T = 2.0 and cli_default sweep --axis T with 30.0 added to its periods.
+Each runs once with each tree's own src/, one BLAS thread, and the script
+prints a Markdown report: a step whose exit code differs, with the last
+unindented line each tree wrote to stdout and to stderr, and for every
 output file whose bytes differ, how many of its numbers changed and the
-largest relative change |a - b| / max(|a|, |b|), with where it sits.
-Report only: the exit status is 0 whatever drifts.
+largest relative change |a - b| / max(|a|, |b|), with where it sits, and
+the head's text of a text field that differs.  Report only: the exit
+status is 0 whatever drifts.
 
     python tools/output_drift.py BASE_TREE HEAD_TREE [--seed 7]
 
@@ -24,6 +29,8 @@ temporary directory, so both trees run the same configs.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -54,6 +61,9 @@ STEPS = {
     "multimode/synthesize_matrices": ("multimode", ["synthesize"], (
         ("{period}", "0.2"), ("formats = csv,json", "formats = csv,json,matrices"),
     )),
+    "multimode/simulate_T2.0": ("multimode", ["simulate"], (("{period}", "2.0"),)),
+    "cli_default/sweep_T30": ("cli_default", ["sweep", "--axis", "T"],
+                              (("T = 0.05,0.2,1.0,2.0\n", "T = 0.05,0.2,1.0,2.0,30.0\n"),)),
 }
 RUN_CLI = "import sys; from parastab.cli import main; sys.exit(main(sys.argv[1:]))"
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -74,8 +84,9 @@ def render_configs(templates: Path, seed: int, work: Path) -> dict[str, Path]:
     return paths
 
 
-def run_tree(tree: Path, configs: dict[str, Path], out: Path) -> dict[str, int]:
-    """Exit code of every step, its outputs written under out/<step>."""
+def run_tree(tree: Path, configs: dict[str, Path], out: Path) -> dict[str, tuple]:
+    """(exit code, last stdout line, last stderr line) of every step, its
+    outputs written under out/<step>."""
     env = dict(os.environ, PYTHONPATH=str(tree.resolve() / "src"), **ONE_THREAD)
     codes = {}
     for name, (_, argv, _) in STEPS.items():
@@ -84,16 +95,33 @@ def run_tree(tree: Path, configs: dict[str, Path], out: Path) -> dict[str, int]:
              "--out", str(out / name)],
             env=env, capture_output=True, text=True,
         )
-        codes[name] = done.returncode
+        codes[name] = (done.returncode, _last_line(done.stdout), _last_line(done.stderr))
     return codes
 
 
+def _last_line(text: str) -> str:
+    """The last line that is not indented: a warning's indented source line
+    is skipped for its message."""
+    return ([line for line in text.splitlines() if line[:1].strip()] or [""])[-1]
+
+
+def _entries(cell: str) -> list[str]:
+    """A ';'-joined list of numbers as its entries, any other cell whole."""
+    parts = cell.split(";")
+    try:
+        [float(part) for part in parts]
+    except ValueError:
+        return [cell]
+    return parts
+
+
 def _csv_fields(text: str) -> list[tuple[str, str]]:
-    """(location, field) for every ',' or ';' separated field."""
+    """(location, field) for every CSV cell (a quoted cell is one field),
+    with a ';'-joined list of numbers split into its entries."""
     return [
         (f"line {i}, field {j}", field)
-        for i, line in enumerate(text.splitlines(), start=1)
-        for j, field in enumerate(line.replace(";", ",").split(","), start=1)
+        for i, row in enumerate(csv.reader(io.StringIO(text)), start=1)
+        for j, field in enumerate([e for cell in row for e in _entries(cell)], start=1)
     ]
 
 
@@ -134,10 +162,10 @@ def relative_change(a: float, b: float) -> float:
 def compare(base: Path, head: Path) -> str:
     """One table row for a file present in both trees with differing bytes."""
     if base.suffix not in (".csv", ".json"):
-        return "not a CSV or JSON file | | |"
+        return "not a CSV or JSON file | |"
     old, new = _fields(base), _fields(head)
     if [w for w, _ in old] != [w for w, _ in new]:
-        return f"layout differs ({len(old)} against {len(new)} fields) | | |"
+        return f"layout differs ({len(old)} against {len(new)} fields) | |"
     numbers = changed = 0
     worst, worst_at, text_changes = 0.0, "", []
     for (where, a), (_, b) in zip(old, new):
@@ -148,7 +176,8 @@ def compare(base: Path, head: Path) -> str:
             if change > worst:
                 worst, worst_at = change, where
         elif a != b:
-            text_changes.append(where)
+            shown = str(b).replace("|", r"\|")  # a bare | would split the table cell
+            text_changes.append(f"{where} (head: `{shown}`)")
     row = f"{changed} of {numbers} | {worst:.2g} | {worst_at}"
     if text_changes:
         row += f"; text also differs at {', '.join(text_changes[:3])}"
@@ -159,9 +188,12 @@ def report(base_root: Path, head_root: Path, base_codes: dict, head_codes: dict)
     lines = ["## CLI output drift against the base "
              "(benchmark and derived CLI steps, report only)", ""]
     for name in STEPS:
-        if base_codes[name] != head_codes[name]:
-            lines.append(f"- `{name}` exits {base_codes[name]} at the base, "
-                         f"{head_codes[name]} at the head")
+        base, head = base_codes[name], head_codes[name]
+        if base[0] != head[0]:
+            lines.append(f"- `{name}` exits {base[0]} at the base, {head[0]} at the head")
+            for tree, (_, out, err) in (("base", base), ("head", head)):
+                lines += [f"  - {tree} {stream}: `{last}`"
+                          for stream, last in (("stdout", out), ("stderr", err)) if last]
     files = sorted(
         {p.relative_to(base_root) for p in base_root.rglob("*") if p.is_file()}
         | {p.relative_to(head_root) for p in head_root.rglob("*") if p.is_file()}
