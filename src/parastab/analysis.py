@@ -320,6 +320,12 @@ class SweepResult:
     histories: tuple[NormHistory, ...]
 
 
+def _sweep_record_stride(spec: ProblemSpec) -> int:
+    """The sweeps' record rule: every max(substeps // 8, 1)-th substep, so
+    eight records per hold when substeps_per_hold is a multiple of eight."""
+    return max(spec.substeps_per_hold // 8, 1)
+
+
 def _sweep_runs(
     problem: ValidatedProblem,
     spectrum: Spectrum,
@@ -332,9 +338,8 @@ def _sweep_runs(
     """Synthesize, run and fit one (period, gammas, label) case per row.
 
     Each seeded closed loop covers ``total_time`` (finite and positive; at
-    least three holds) and records every max(substeps // 8, 1)-th substep
-    and each hold's end: eight records per hold when the problem's
-    substeps_per_hold is a multiple of eight.  A failed run or fit becomes
+    least three holds) and records by _sweep_record_stride and at each
+    hold's end.  A failed run or fit becomes
     the row's note.  With the ``continuous`` limit row (the T axis) a row
     carries its gain row's distance to it and a failed synthesis
     propagates; without it (the gamma axis) a failed synthesis is noted
@@ -344,7 +349,7 @@ def _sweep_runs(
     if not 0 < total_time < math.inf:
         raise ValueError(f"total_time must be finite and positive, got {total_time}")
     y0 = seeded_initial_state(spectrum, seed)
-    stride = max(problem.spec.substeps_per_hold // 8, 1)
+    stride = _sweep_record_stride(problem.spec)
     rows: list[SweepRow] = []
     histories: list[NormHistory] = []
     for period, gam, label in cases:

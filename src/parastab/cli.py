@@ -2,19 +2,26 @@
 
 Subcommands: synthesize | simulate | verify | sweep.  A single INI-style
 config file (sections and key=value pairs, parsed by configparser) drives
-every run; unknown sections, keys, norms and output formats are rejected
-so typos fail loudly, and so are more nonlinearity parameters than the
-kind takes, an amplitude that is not finite and 0 or positive (also as a
-[sweep] amplitude entry), a sobolev_order outside [0, 1), a [simulation]
+every run.  Each key is declared once, in _OPTIONS.  Unknown sections and
+keys are rejected so typos fail loudly, and so is a value that does not
+parse or fails its key's check; that message starts with the [section]
+key.  The checks reject unknown norms and output formats, an
+amplitude that is not finite and 0 or positive (also as a [sweep]
+amplitude entry), a sobolev_order outside [0, 1), an initial other than
+mode:K (K >= 1), random:SEED (SEED >= 0) or file:PATH, a [simulation]
 horizon, open_loop_horizon or [verify] horizon below 1, a negative
-snapshot stride, a [sweep] T entry or total_time that is not finite and
-positive, a negative bisect_iters, a [verify] tolerance that is not finite
-and 0 or positive and a [verify] limit_ratio_low above limit_ratio_high.
-validate_spec then rejects an interval_length, target_rate or
-sampling_period that is not finite and positive, a substeps below 1, and
-gammas that are not finite or not strictly increasing above target_rate.
-All defaults are echoed into the emitted metadata for reproducibility, and
-every float in CSV output carries 17 significant digits.
+snapshot stride or [verify] or [sweep] seed, a [sweep] T entry or
+total_time that is not finite and positive, a negative bisect_iters and a
+[verify] tolerance that is not finite and 0 or positive.  load_config
+then rejects more nonlinearity parameters than the kind takes and a
+[verify] limit_ratio_low above limit_ratio_high, and validate_spec an
+interval_length, target_rate or sampling_period that is not finite and
+positive, a substeps below 1, and gammas that are not finite or not
+strictly increasing above target_rate.  Every key, defaults included, is
+echoed into the emitted metadata for reproducibility; a spec key shows its
+resolved value (the nonlinearity kind and parameters, "per-node table" for
+the equilibrium, "auto" gammas).  Every float in CSV output carries 17
+significant digits.
 
 Exit codes: 0 success, 2 config or validation error (also a run refused
 for too few substeps per hold, dt*|lambda_1| >= 2), 3 singular gain
@@ -84,6 +91,7 @@ from .analysis import (
     sweep_sampling_period,
     sweep_to_csv,
     DEFAULT_VERIFY_TOLERANCES,
+    _sweep_record_stride,
 )
 
 EXIT_OK = 0
@@ -112,70 +120,97 @@ def _tokens(raw: str) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
 
 
+def _equilibrium(raw: str) -> float | np.ndarray:
+    return np.loadtxt(raw[5:], dtype=float) if raw.startswith("file:") else float(raw)
+
+
+def _initial_ok(raw: str) -> bool:
+    """mode:K with K >= 1, random:SEED with SEED >= 0 or file:PATH; the
+    upper bound of K is checked against the grid in _initial_state."""
+    kind, _, arg = raw.partition(":")
+    kind = kind.strip().lower()
+    try:
+        return kind == "file" or int(arg) >= {"mode": 1, "random": 0}[kind]
+    except (KeyError, ValueError):
+        return False
+
+
 def _listed(value):
     """The echoed form of a config value: tuples become lists."""
     return [_listed(v) for v in value] if isinstance(value, tuple) else value
 
 
 class _Option(NamedTuple):
-    field: str  # the RunConfig attribute
+    field: str  # dotted path from RunConfig: spec.*, verify_tolerances.* or a run option
     section: str
     key: str
     default: str  # as it would be written in the file
     parse: Callable[[str], Any]
     ok: Callable[[Any], bool] = lambda value: True  # for a list: each entry
-    message: str = ""  # formatted with the sorted failing entries
+    message: str = ""  # after "[section] key ", formatted with the sorted failing entries
+    show: Callable[[Any], Any] = _listed  # the echoed form of the field's value
 
 
-# Every run option, declared once: load_config reads and checks it, the
-# schema accepts its key and RunConfig.echo writes it back.  The spec keys
-# ([problem], [synthesis], substeps) are read and echoed by hand, because
-# the echo shows their resolved values.
+def _finite_and_not_negative(value: float) -> bool:
+    return 0 <= value < math.inf
+
+
+# Every config key, declared once: load_config reads, parses and checks
+# it, the schema accepts it and RunConfig.echo writes the field back.
 _OPTIONS = (
+    _Option("spec.interval_length", "problem", "interval_length", "1.0", float),
+    _Option("spec.grid_points", "problem", "grid_points", "200", int),
+    _Option("spec.nonlinearity.kind", "problem", "nonlinearity", "fisher", str),
+    _Option("spec.nonlinearity.parameters", "problem", "parameters", "", _float_list),
+    _Option("spec.equilibrium", "problem", "equilibrium", "0.0", _equilibrium,
+            show=lambda value: "per-node table"),
+    _Option("spec.target_rate", "synthesis", "target_rate", "1.0", float),
+    _Option("spec.gammas", "synthesis", "gammas", "auto",
+            lambda raw: None if raw.lower() == "auto" else _float_list(raw),
+            show=lambda gammas: "auto" if gammas is None else _listed(gammas)),
+    _Option("spec.sampling_period", "synthesis", "sampling_period", "0.2", float),
+    _Option("spec.substeps_per_hold", "simulation", "substeps", "64", int),
     _Option("horizon", "simulation", "horizon", "50", int,
-            lambda n: n >= 1, "[simulation] horizon must be at least 1, got {}"),
-    _Option("initial", "simulation", "initial", "random:7", str),
+            lambda n: n >= 1, "must be at least 1, got {}"),
+    _Option("initial", "simulation", "initial", "random:7", str, _initial_ok,
+            "must be mode:K (K >= 1), random:SEED (SEED >= 0) or file:PATH, got {!r}"),
     _Option("amplitude", "simulation", "amplitude", "1.0", float,
-            lambda a: 0 <= a < math.inf, "amplitude must be 0 or positive and finite, got {}"),
+            _finite_and_not_negative, "must be 0 or positive and finite, got {}"),
     _Option("norm", "simulation", "norm", "l2", str,
-            lambda n: n in ("l2", "sobolev"), "norm must be l2 or sobolev, got {!r}"),
+            lambda n: n in ("l2", "sobolev"), "must be l2 or sobolev, got {!r}"),
     _Option("sobolev_order", "simulation", "sobolev_order", "0.25", float,
-            lambda s: 0 <= s < 1, "sobolev_order must lie in [0, 1), got {}"),
+            lambda s: 0 <= s < 1, "must lie in [0, 1), got {}"),
     # "" is resolved from the nonlinearity in load_config
     _Option("dynamics", "simulation", "dynamics", "", str,
-            lambda d: d in ("", "linear", "semilinear"),
-            "dynamics must be linear or semilinear, got {!r}"),
+            lambda d: d in ("", "linear", "semilinear"), "must be linear or semilinear, got {!r}"),
     _Option("open_loop_horizon", "simulation", "open_loop_horizon", "5", int,
-            lambda n: n >= 1, "open_loop_horizon must be at least 1, got {}"),
+            lambda n: n >= 1, "must be at least 1, got {}"),
     _Option("out_dir", "output", "directory", "out", str),
     _Option("formats", "output", "formats", "csv,json", _tokens, _FORMATS.__contains__,
-            f"unknown output format(s) {{}}; choose from {', '.join(sorted(_FORMATS))}"),
+            f"holds unknown output format(s) {{}}; choose from {', '.join(sorted(_FORMATS))}"),
     _Option("snapshot_stride", "output", "snapshot_stride", "0", int,
-            lambda n: n >= 0, "snapshot_stride must be 0 or positive, got {}"),
+            lambda n: n >= 0, "must be 0 or positive, got {}"),
     _Option("verify_horizon", "verify", "horizon", "10", int,
-            lambda n: n >= 1, "[verify] horizon must be at least 1, got {}"),
-    _Option("verify_seed", "verify", "seed", "7", int),
+            lambda n: n >= 1, "must be at least 1, got {}"),
+    _Option("verify_seed", "verify", "seed", "7", int,
+            lambda n: n >= 0, "must be 0 or positive, got {}"),
+    *(_Option(f"verify_tolerances.{name}", "verify", name, repr(value), float,
+              _finite_and_not_negative, "must be finite and 0 or positive, got {}")
+      for name, value in DEFAULT_VERIFY_TOLERANCES.items()),
     _Option("sweep_periods", "sweep", "T", "", _float_list,
-            lambda t: 0 < t < math.inf, "[sweep] T entries must be finite and positive, got {}"),
+            lambda t: 0 < t < math.inf, "entries must be finite and positive, got {}"),
     _Option("sweep_gammas", "sweep", "gamma", "", _gamma_lists),
-    _Option("sweep_amplitudes", "sweep", "amplitude", "", _float_list,
-            lambda a: 0 <= a < math.inf,
-            "[sweep] amplitude entries must be 0 or positive and finite, got {}"),
+    _Option("sweep_amplitudes", "sweep", "amplitude", "", _float_list, _finite_and_not_negative,
+            "entries must be 0 or positive and finite, got {}"),
     _Option("sweep_total_time", "sweep", "total_time", "10.0", float,
-            lambda t: 0 < t < math.inf, "[sweep] total_time must be finite and positive, got {}"),
-    _Option("sweep_seed", "sweep", "seed", "7", int),
+            lambda t: 0 < t < math.inf, "must be finite and positive, got {}"),
+    _Option("sweep_seed", "sweep", "seed", "7", int,
+            lambda n: n >= 0, "must be 0 or positive, got {}"),
     _Option("sweep_bisect_iters", "sweep", "bisect_iters", "20", int,
-            lambda n: n >= 0, "[sweep] bisect_iters must be 0 or positive, got {}"),
+            lambda n: n >= 0, "must be 0 or positive, got {}"),
 )
 
-# the keys load_config reads by hand (the spec keys and the [verify]
-# tolerances), then every run option's key
-_SCHEMA = {
-    "problem": {"interval_length", "grid_points", "nonlinearity", "parameters", "equilibrium"},
-    "synthesis": {"target_rate", "gammas", "sampling_period"},
-    "simulation": {"substeps"},
-    "verify": set(DEFAULT_VERIFY_TOLERANCES),
-}
+_SCHEMA: dict[str, set[str]] = {}
 for _option in _OPTIONS:
     _SCHEMA.setdefault(_option.section, set()).add(_option.key)
 
@@ -183,7 +218,7 @@ for _option in _OPTIONS:
 @dataclasses.dataclass
 class RunConfig:
     """Parsed and defaulted configuration: the problem spec, one attribute
-    per run option in _OPTIONS, and the [verify] tolerances."""
+    per run option in _OPTIONS, and the [verify] tolerances by name."""
 
     spec: ProblemSpec
     horizon: int
@@ -207,26 +242,12 @@ class RunConfig:
     sweep_bisect_iters: int
 
     def echo(self) -> dict:
-        spec = self.spec
-        sections = {
-            "problem": {
-                "interval_length": spec.interval_length,
-                "grid_points": spec.grid_points,
-                "nonlinearity": spec.nonlinearity.kind,
-                "parameters": list(spec.nonlinearity.parameters),
-                "equilibrium": "per-node table",
-            },
-            "synthesis": {
-                "target_rate": spec.target_rate,
-                "gammas": "auto" if spec.gammas is None else list(spec.gammas),
-                "sampling_period": spec.sampling_period,
-            },
-            "simulation": {"substeps": spec.substeps_per_hold},
-            "verify": dict(self.verify_tolerances),
-        }
+        sections: dict = {}
         for option in _OPTIONS:
-            value = _listed(getattr(self, option.field))
-            sections.setdefault(option.section, {})[option.key] = value
+            value = self
+            for name in option.field.split("."):
+                value = value[name] if isinstance(value, dict) else getattr(value, name)
+            sections.setdefault(option.section, {})[option.key] = option.show(value)
         return sections
 
 
@@ -261,60 +282,38 @@ def load_config(path: str | Path) -> RunConfig:
         if unknown:
             raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}")
 
-    def get(section: str, key: str, default: str) -> str:
-        return parser.get(section, key, fallback=default).strip()
-
-    parameters = _float_list(get("problem", "parameters", ""))
-    nonlinearity = _build_nonlinearity(get("problem", "nonlinearity", "fisher"), parameters)
-    equilibrium_raw = get("problem", "equilibrium", "0.0")
-    if equilibrium_raw.startswith("file:"):
-        equilibrium = np.loadtxt(equilibrium_raw[5:], dtype=float)
-    else:
-        equilibrium = float(equilibrium_raw)
-    gammas_raw = get("synthesis", "gammas", "auto")
-    gammas = None if gammas_raw.lower() == "auto" else _float_list(gammas_raw)
-
-    spec = ProblemSpec(
-        nonlinearity=nonlinearity,
-        grid_points=int(get("problem", "grid_points", "200")),
-        interval_length=float(get("problem", "interval_length", "1.0")),
-        equilibrium=equilibrium,
-        sampling_period=float(get("synthesis", "sampling_period", "0.2")),
-        target_rate=float(get("synthesis", "target_rate", "1.0")),
-        gammas=gammas,
-        substeps_per_hold=int(get("simulation", "substeps", "64")),
-    )
-
-    options = {}
+    # field path -> value, grouped by the path's head: "" for a run option
+    groups: dict[str, dict] = {}
     for option in _OPTIONS:
-        value = option.parse(get(option.section, option.key, option.default))
+        raw = parser.get(option.section, option.key, fallback=option.default).strip()
+        try:
+            value = option.parse(raw)
+        except (ValueError, OSError) as exc:
+            raise ConfigError(f"[{option.section}] {option.key}: {exc}") from None
         entries = value if isinstance(value, tuple) else (value,)
         bad = sorted({str(v) for v in entries if not option.ok(v)})
         if bad:
-            raise ConfigError(option.message.format(", ".join(bad)))
-        options[option.field] = value
-    if not options["dynamics"]:
-        options["dynamics"] = "linear" if nonlinearity.kind == "linear-only" else "semilinear"
+            raise ConfigError(f"[{option.section}] {option.key} "
+                              + option.message.format(", ".join(bad)))
+        head, _, name = option.field.rpartition(".")
+        groups.setdefault(head, {})[name] = value
 
-    verify = parser["verify"] if parser.has_section("verify") else {}
-    tolerances = {key: float(verify[key]) for key in verify if key in DEFAULT_VERIFY_TOLERANCES}
-    for key, value in tolerances.items():
-        if not 0 <= value < math.inf:
-            raise ConfigError(f"[verify] {key} must be finite and 0 or positive, got {value}")
-    window = {**DEFAULT_VERIFY_TOLERANCES, **tolerances}
-    low, high = window["limit_ratio_low"], window["limit_ratio_high"]
+    options, spec, tolerances = groups[""], groups["spec"], groups["verify_tolerances"]
+    spec["nonlinearity"] = _build_nonlinearity(**groups["spec.nonlinearity"])
+    if not options["dynamics"]:
+        linear = spec["nonlinearity"].kind == "linear-only"
+        options["dynamics"] = "linear" if linear else "semilinear"
+    low, high = tolerances["limit_ratio_low"], tolerances["limit_ratio_high"]
     if low > high:
         raise ConfigError(
             f"[verify] limit_ratio_low = {low} is above [verify] limit_ratio_high = {high}"
         )
-
-    return RunConfig(spec=spec, verify_tolerances=tolerances, **options)
+    return RunConfig(spec=ProblemSpec(**spec), verify_tolerances=tolerances, **options)
 
 
 def _initial_state(config: RunConfig, spectrum: Spectrum) -> np.ndarray:
     """Deviation-from-equilibrium initial state per the config."""
-    raw = config.initial
-    kind, _, arg = raw.partition(":")
+    kind, _, arg = config.initial.partition(":")
     kind = kind.strip().lower()
     if kind == "mode":
         index = int(arg)
@@ -335,14 +334,10 @@ def _initial_state(config: RunConfig, spectrum: Spectrum) -> np.ndarray:
             norm=config.norm,
             sobolev_order=config.sobolev_order,
         )
-    if kind == "file":
-        y = np.loadtxt(arg, dtype=float)
-        if y.shape != (spectrum.m,):
-            raise ConfigError(
-                f"initial state file must hold {spectrum.m} interior values"
-            )
-        return y
-    raise ConfigError(f"initial must be mode:K, random:SEED or file:PATH, got {raw!r}")
+    y = np.loadtxt(arg, dtype=float)  # file:PATH, the one form left (_initial_ok)
+    if y.shape != (spectrum.m,):
+        raise ConfigError(f"initial state file must hold {spectrum.m} interior values")
+    return y
 
 
 def _write(out_dir: Path, name: str, text: str) -> None:
@@ -436,11 +431,9 @@ def cmd_simulate(
 
     if open_loop:
         try:
-            # the sweeps' record rule: eight records per hold when the
-            # substeps are a multiple of eight
             baseline = run_open_loop(
                 problem, spectrum, y0, config.open_loop_horizon,
-                snapshot_stride=max(problem.spec.substeps_per_hold // 8, 1),
+                snapshot_stride=_sweep_record_stride(problem.spec),
                 sobolev_order=config.sobolev_order,
             )
         except UnstableStep as exc:
@@ -484,7 +477,10 @@ def cmd_sweep(config: RunConfig, out_dir: Path, axis: str) -> int:
     }
     if axis not in values:
         raise ConfigError(f"unknown sweep axis {axis!r}")
-    problem = validate_spec(config.spec)
+    if axis == "amplitude":
+        problem, spectrum = _setup(config)
+    else:  # the T and gamma sweeps compute their own spectrum
+        problem = validate_spec(config.spec)
     if not values[axis]:
         raise ConfigError(f"sweep axis {axis} needs a non-empty [sweep] {axis} list")
     if axis == "T":
@@ -498,9 +494,6 @@ def cmd_sweep(config: RunConfig, out_dir: Path, axis: str) -> int:
             total_time=config.sweep_total_time, seed=config.sweep_seed,
         )
     else:
-        # the T and gamma sweeps compute their own spectrum; the basin needs one here
-        c = linearized_coefficient(problem)
-        spectrum = compute_spectrum(problem, c, config.spec.target_rate)
         gains = build_gains(spectrum, config.spec.gammas, config.spec.sampling_period)
         result = estimate_basin(
             problem, spectrum, gains, config.sweep_amplitudes, horizon=config.horizon,

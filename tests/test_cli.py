@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import parastab as ps
+from parastab.analysis import DEFAULT_VERIFY_TOLERANCES
 from parastab.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
@@ -132,6 +133,15 @@ def test_missing_file_exits_2(tmp_path):
         ("formats = csv,json,svg",
          "formats = csv\n[verify]\nlimit_ratio_low = 1.9\nlimit_ratio_high = 1.8",
          r"^\[verify\] limit_ratio_low = 1.9 is above \[verify\] limit_ratio_high = 1.8$"),
+        ("formats = csv,json,svg", "formats = csv\n[verify]\nseed = -1",
+         r"^\[verify\] seed must be 0 or positive, got -1$"),
+        ("formats = csv,json,svg", "formats = csv\n[sweep]\nseed = -1",
+         r"^\[sweep\] seed must be 0 or positive, got -1$"),
+        ("initial = mode:1", "initial = bogus",
+         r"^\[simulation\] initial must be .*, got 'bogus'$"),
+        ("initial = mode:1", "initial = random:x", r"^\[simulation\] initial .*'random:x'$"),
+        ("initial = mode:1", "initial = random:-1", r"^\[simulation\] initial .*'random:-1'$"),
+        ("initial = mode:1", "initial = mode:0", r"^\[simulation\] initial .*'mode:0'$"),
     ],
     ids=["norm", "formats", "open-loop-horizon", "snapshot-stride", "cubic-parameters",
          "linear-parameters", "negative-total-time", "zero-total-time", "bisect-iters",
@@ -140,7 +150,8 @@ def test_missing_file_exits_2(tmp_path):
          "inf-sweep-amplitude", "inf-total-time", "inf-sweep-period", "nan-sobolev-order",
          "unit-sobolev-order", "negative-sobolev-order", "zero-horizon", "zero-verify-horizon",
          "nan-tolerance", "inf-tolerance", "negative-tolerance", "limit-window-above-default",
-         "limit-window-inverted"],
+         "limit-window-inverted", "negative-verify-seed", "negative-sweep-seed", "bogus-initial",
+         "unparsable-random-seed", "negative-random-seed", "mode-0"],
 )
 def test_bad_norm_or_format_exits_2_before_any_output(tmp_path, line, typo, bad):
     out = tmp_path / "out"
@@ -149,9 +160,35 @@ def test_bad_norm_or_format_exits_2_before_any_output(tmp_path, line, typo, bad)
     (tmp_path / "run.ini").write_text(text)
     with pytest.raises(ConfigError, match=bad):
         load_config(tmp_path / "run.ini")
-    for command in (["synthesize"], ["simulate", "--open-loop"], ["verify"]):
+    for command in (["synthesize"], ["simulate", "--open-loop"], ["verify"], ["sweep"]):
         assert main([*command, "--config", str(tmp_path / "run.ini")]) == EXIT_CONFIG
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "line, typo, key",
+    [
+        ("grid_points = 64", "grid_points = abc", "[problem] grid_points"),
+        ("parameters = 15.0", "parameters = 15.0,a", "[problem] parameters"),
+        ("parameters = 15.0", "parameters = 15.0\nequilibrium = file:{missing}",
+         "[problem] equilibrium"),
+        ("gammas = 2.0", "gammas = two", "[synthesis] gammas"),
+        ("horizon = 12", "horizon = 1.5", "[simulation] horizon"),
+        ("formats = csv,json,svg", "formats = csv\n[verify]\nlift_identity = x",
+         "[verify] lift_identity"),
+        ("formats = csv,json,svg", "formats = csv\n[sweep]\nT = 0.2,x", "[sweep] T"),
+    ],
+    ids=["grid-points", "parameters", "missing-equilibrium-file", "gammas", "horizon",
+         "tolerance", "sweep-periods"],
+)
+def test_unparsable_value_exits_2_naming_its_key(tmp_path, capsys, line, typo, key):
+    typo = typo.format(missing=tmp_path / "missing.txt")
+    (tmp_path / "run.ini").write_text(Path(write_config(tmp_path)).read_text().replace(line, typo))
+    for command in ("synthesize", "simulate", "verify", "sweep"):
+        assert main([command, "--config", str(tmp_path / "run.ini")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -190,37 +227,90 @@ def test_node_value_equilibrium_names_both_grids(tmp_path, capsys):
 
 
 def test_every_run_option_loads_and_echoes_as_written(tmp_path):
+    doubled = {name: 2 * value for name, value in DEFAULT_VERIFY_TOLERANCES.items()}
     written = {
-        "simulation": {"horizon": 7, "initial": "mode:2", "amplitude": 0.5, "norm": "sobolev",
-                       "sobolev_order": 0.5, "dynamics": "linear", "open_loop_horizon": 3},
+        "problem": {"interval_length": 2.0, "grid_points": 48,
+                    "nonlinearity": "custom-polynomial", "parameters": [0.5, 2.0],
+                    "equilibrium": "per-node table"},
+        "synthesis": {"target_rate": 1.5, "gammas": [3.0, 5.0], "sampling_period": 0.4},
+        "simulation": {"substeps": 32, "horizon": 7, "initial": "mode:2", "amplitude": 0.5,
+                       "norm": "sobolev", "sobolev_order": 0.5, "dynamics": "linear",
+                       "open_loop_horizon": 3},
         "output": {"directory": "elsewhere", "formats": ["svg", "states"],
                    "snapshot_stride": 4},
-        "verify": {"horizon": 12, "seed": 3},
+        "verify": {"horizon": 12, "seed": 3, **doubled},
         "sweep": {"T": [0.1, 0.3], "gamma": [[2.5], [3.5, 4.5]], "amplitude": [0.02, 0.2],
                   "total_time": 4.5, "seed": 11, "bisect_iters": 5},
     }
-    # the table declares exactly these keys
+    # the table declares exactly these keys, in this order
     assert [(o.section, o.key) for o in _OPTIONS] == [
         (section, key) for section, keys in written.items() for key in keys
     ]
+    assert len(_OPTIONS) == 40
     path = tmp_path / "options.ini"
     path.write_text(
-        "[simulation]\nhorizon = 7\ninitial = mode:2\namplitude = 0.5\nnorm = sobolev\n"
-        "sobolev_order = 0.5\ndynamics = linear\nopen_loop_horizon = 3\n"
+        "[problem]\ninterval_length = 2.0\ngrid_points = 48\n"
+        "nonlinearity = custom-polynomial\nparameters = 0.5,2.0\nequilibrium = 0.25\n"
+        "[synthesis]\ntarget_rate = 1.5\ngammas = 3.0,5.0\nsampling_period = 0.4\n"
+        "[simulation]\nsubsteps = 32\nhorizon = 7\ninitial = mode:2\namplitude = 0.5\n"
+        "norm = sobolev\nsobolev_order = 0.5\ndynamics = linear\nopen_loop_horizon = 3\n"
         "[output]\ndirectory = elsewhere\nformats = svg,states\nsnapshot_stride = 4\n"
         "[verify]\nhorizon = 12\nseed = 3\n"
-        "[sweep]\nT = 0.1,0.3\ngamma = 2.5;3.5,4.5\namplitude = 0.02,0.2\n"
+        + "".join(f"{name} = {value!r}\n" for name, value in doubled.items())
+        + "[sweep]\nT = 0.1,0.3\ngamma = 2.5;3.5,4.5\namplitude = 0.02,0.2\n"
         "total_time = 4.5\nseed = 11\nbisect_iters = 5\n"
     )
     empty = tmp_path / "empty.ini"
     empty.write_text("")
     cfg = load_config(path)
     echo, defaults = cfg.echo(), load_config(empty).echo()
-    for section, values in written.items():
-        assert {key: echo[section][key] for key in values} == values
-        assert all(defaults[section][key] != value for key, value in values.items())
+    assert echo == written
+    # every value written differs from its default, bar the equilibrium,
+    # which is echoed as "per-node table" whatever it is
+    differing = {(s, k) for s, keys in written.items() for k in keys
+                 if defaults[s][k] != written[s][k]}
+    assert len(differing) == 39 and ("problem", "equilibrium") not in differing
+    assert cfg.spec.equilibrium == 0.25 and cfg.spec.substeps_per_hold == 32
+    assert cfg.spec.nonlinearity.parameters == (0.5, 2.0) and cfg.spec.gammas == (3.0, 5.0)
     assert cfg.sweep_gammas == ((2.5,), (3.5, 4.5)) and cfg.formats == ("svg", "states")
     assert cfg.out_dir == "elsewhere" and cfg.verify_seed == 3 and cfg.sweep_seed == 11
+    assert cfg.verify_tolerances == doubled
+
+
+# RunConfig.echo() of an empty config and of a linear one before the
+# [verify] tolerances joined the echo: this change adds them and nothing else
+ECHO_BEFORE_TOLERANCES = {
+    "problem": {"interval_length": 1.0, "grid_points": 200, "nonlinearity": "fisher",
+                "parameters": [15.0], "equilibrium": "per-node table"},
+    "synthesis": {"target_rate": 1.0, "gammas": "auto", "sampling_period": 0.2},
+    "simulation": {"substeps": 64, "horizon": 50, "initial": "random:7", "amplitude": 1.0,
+                   "norm": "l2", "sobolev_order": 0.25, "dynamics": "semilinear",
+                   "open_loop_horizon": 5},
+    "verify": {"horizon": 10, "seed": 7},
+    "output": {"directory": "out", "formats": ["csv", "json"], "snapshot_stride": 0},
+    "sweep": {"T": [], "gamma": [], "amplitude": [], "total_time": 10.0, "seed": 7,
+              "bisect_iters": 20},
+}
+LINEAR_ECHO_BEFORE_TOLERANCES = {
+    **ECHO_BEFORE_TOLERANCES,
+    "problem": {**ECHO_BEFORE_TOLERANCES["problem"], "nonlinearity": "linear-only",
+                "parameters": [0.0]},
+    "simulation": {**ECHO_BEFORE_TOLERANCES["simulation"], "dynamics": "linear"},
+}
+
+
+@pytest.mark.parametrize(
+    "text, before",
+    [("", ECHO_BEFORE_TOLERANCES),
+     ("[problem]\nnonlinearity = linear\n[synthesis]\ngammas = auto\n",
+      LINEAR_ECHO_BEFORE_TOLERANCES)],
+    ids=["empty", "linear-auto"],
+)
+def test_echo_is_the_earlier_echo_plus_the_tolerance_defaults(tmp_path, text, before):
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    expected = {**before, "verify": {**before["verify"], **DEFAULT_VERIFY_TOLERANCES}}
+    assert load_config(path).echo() == expected
 
 
 def test_synthesize_and_verify_share_the_algebraic_checks(tmp_path):

@@ -17,8 +17,9 @@ prints a Markdown report: a step whose exit code differs, with the last
 unindented line each tree wrote to stdout and to stderr, and for every
 output file whose bytes differ, how many of its numbers changed and the
 largest relative change |a - b| / max(|a|, |b|), with where it sits, and
-the head's text of a text field that differs.  Report only: the exit
-status is 0 whatever drifts.
+the head's text of a text field that differs; a file whose fields sit at
+other locations instead names the first three locations found in one tree
+only.  Report only: the exit status is 0 whatever drifts.
 
     python tools/output_drift.py BASE_TREE HEAD_TREE [--seed 7]
 
@@ -165,7 +166,11 @@ def compare(base: Path, head: Path) -> str:
         return "not a CSV or JSON file | |"
     old, new = _fields(base), _fields(head)
     if [w for w, _ in old] != [w for w, _ in new]:
-        return f"layout differs ({len(old)} against {len(new)} fields) | |"
+        base_at, head_at = dict(old), dict(new)
+        one_sided = [f"{w} (base only)" for w in base_at if w not in head_at]
+        one_sided += [f"{w} (head only)" for w in head_at if w not in base_at]
+        return (f"layout differs ({len(old)} against {len(new)} fields) | | "
+                f"{'; '.join(one_sided[:3])}")
     numbers = changed = 0
     worst, worst_at, text_changes = 0.0, "", []
     for (where, a), (_, b) in zip(old, new):
