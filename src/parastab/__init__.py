@@ -19,6 +19,7 @@ from .model import (
     linear_reaction,
     linearized_coefficient,
     polynomial_reaction,
+    reaction,
     validate_spec,
 )
 from .spectral import (
@@ -32,6 +33,7 @@ from .spectral import (
     eigendecompose,
     l2_norm,
     laplacian_spectrum,
+    linearized_spectrum,
     project,
     select_unstable,
     sobolev_norm,
@@ -62,6 +64,7 @@ from .simulate import (
     run_linear_closed_loop,
     run_open_loop,
     run_semilinear_closed_loop,
+    scale_to_norm,
     seeded_initial_state,
     trajectory_to_csv,
 )

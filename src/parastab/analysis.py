@@ -24,8 +24,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _exact
-from .model import ParastabError, ProblemSpec, ValidatedProblem, validate_spec, linearized_coefficient
-from .spectral import Spectrum, compute_spectrum, project
+from .model import ParastabError, ProblemSpec, ValidatedProblem, validate_spec
+from .spectral import Spectrum, linearized_spectrum, project
 from .synthesis import GainSet, build_gains, continuous_limit, exact_system, feedback_row
 from .lifting import dirichlet_lift
 from .simulate import (
@@ -405,8 +405,7 @@ def sweep_sampling_period(
     periods = [float(p) for p in periods]
     if not periods or any(not 0 < p < math.inf for p in periods):
         raise ValueError("periods must be a non-empty list of finite positive values")
-    c = linearized_coefficient(problem)
-    spectrum = compute_spectrum(problem, c, problem.spec.target_rate)
+    _, spectrum = linearized_spectrum(problem)
     gam = gammas if gammas is not None else problem.spec.gammas
     return _sweep_runs(
         problem, spectrum, [(p, gam, f"T={p:g}") for p in periods],
@@ -428,8 +427,7 @@ def sweep_gammas(
     """
     if not gamma_lists:
         raise ValueError("need at least one placement list")
-    c = linearized_coefficient(problem)
-    spectrum = compute_spectrum(problem, c, problem.spec.target_rate)
+    _, spectrum = linearized_spectrum(problem)
     cases = [
         (problem.period, gam, f"gammas={','.join(f'{g:g}' for g in gam)}")
         for gam in (tuple(float(g) for g in gam) for gam in gamma_lists)
@@ -635,20 +633,12 @@ def run_verification(
     tol = dict(DEFAULT_VERIFY_TOLERANCES)
     tol.update(tolerances or {})
     report = VerificationReport()
-    problem = validate_spec(spec)
+    prob_a, spec_a = linearized_spectrum(spec)
     report.metadata.update(
-        grid_points=problem.m,
-        sampling_period=problem.period,
+        grid_points=prob_a.m,
+        sampling_period=prob_a.period,
         target_rate=spec.target_rate,
     )
-
-    def grid_stage(points: int, substeps: int):
-        prob = validate_spec(
-            dc_replace(spec, grid_points=points, substeps_per_hold=substeps)
-        )
-        c = linearized_coefficient(prob)
-        spectrum = compute_spectrum(prob, c, spec.target_rate)
-        return prob, spectrum
 
     def add_refined(name, law, order_law, coarse, fine, tol_key, ratio_key):
         """A grid-dependent residual at M and its convergence ratio to 2M."""
@@ -662,7 +652,6 @@ def run_verification(
             details={"coarse": coarse, "fine": fine},
         )
 
-    prob_a, spec_a = grid_stage(spec.grid_points, spec.substeps_per_hold)
     report.metadata["unstable_count"] = spec_a.unstable_count
     report.add(
         "orthonormality",
@@ -674,7 +663,10 @@ def run_verification(
         report.metadata["note"] = "no unstable modes: feedback identically zero"
         return report
 
-    prob_b, spec_b = grid_stage(2 * spec.grid_points, 2 * spec.substeps_per_hold)
+    prob_b, spec_b = linearized_spectrum(
+        dc_replace(spec, grid_points=2 * spec.grid_points,
+                   substeps_per_hold=2 * spec.substeps_per_hold)
+    )
     gains_a = build_gains(spec_a, spec.gammas, spec.sampling_period)
     gains_b = build_gains(spec_b, spec.gammas, spec.sampling_period)
     report.metadata["condition_number"] = gains_a.condition_number

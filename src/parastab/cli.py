@@ -11,10 +11,12 @@ amplitude entry), a sobolev_order outside [0, 1), an initial other than
 mode:K (K >= 1), random:SEED (SEED >= 0) or file:PATH, a [simulation]
 horizon, open_loop_horizon or [verify] horizon below 1, a negative
 snapshot stride or [verify] or [sweep] seed, a [sweep] T entry or
-total_time that is not finite and positive, a negative bisect_iters and a
-[verify] tolerance that is not finite and 0 or positive.  load_config
-then rejects more nonlinearity parameters than the kind takes and a
-[verify] limit_ratio_low above limit_ratio_high, and validate_spec an
+total_time that is not finite and positive, a negative bisect_iters, a
+[verify] tolerance that is not finite and 0 or positive and a
+nonlinearity that is not a model.REACTIONS kind.  load_config then
+rejects, under "[problem] parameters: ", a parameter list the kind does
+not take (model.reaction), and a [verify] limit_ratio_low above
+limit_ratio_high, and validate_spec an
 interval_length, target_rate or sampling_period that is not finite and
 positive, a substeps below 1, and gammas that are not finite or not
 strictly increasing above target_rate.  Every key, defaults included, is
@@ -43,25 +45,8 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .model import (
-    NonlinearitySpec,
-    ParastabError,
-    ProblemSpec,
-    cubic_reaction,
-    fisher_reaction,
-    linear_reaction,
-    linearized_coefficient,
-    polynomial_reaction,
-    validate_spec,
-)
-from .spectral import (
-    Spectrum,
-    compute_spectrum,
-    l2_norm,
-    modes_to_csv,
-    sobolev_norm,
-    spectrum_to_csv,
-)
+from .model import REACTIONS, ParastabError, ProblemSpec, reaction, validate_spec
+from .spectral import Spectrum, linearized_spectrum, modes_to_csv, spectrum_to_csv
 from .synthesis import (
     SingularBSum,
     build_gains,
@@ -74,6 +59,7 @@ from .simulate import (
     run_linear_closed_loop,
     run_open_loop,
     run_semilinear_closed_loop,
+    scale_to_norm,
     seeded_initial_state,
     states_to_csv,
     trajectory_to_csv,
@@ -156,11 +142,13 @@ def _finite_and_not_negative(value: float) -> bool:
 
 
 # Every config key, declared once: load_config reads, parses and checks
-# it, the schema accepts it and RunConfig.echo writes the field back.
+# it, the schema accepts it, RunConfig takes a run option's field (no dot)
+# from it and RunConfig.echo writes the field back.
 _OPTIONS = (
     _Option("spec.interval_length", "problem", "interval_length", "1.0", float),
     _Option("spec.grid_points", "problem", "grid_points", "200", int),
-    _Option("spec.nonlinearity.kind", "problem", "nonlinearity", "fisher", str),
+    _Option("spec.nonlinearity.kind", "problem", "nonlinearity", "fisher", str.lower,
+            REACTIONS.__contains__, f"must be one of {', '.join(sorted(REACTIONS))}, got {{!r}}"),
     _Option("spec.nonlinearity.parameters", "problem", "parameters", "", _float_list),
     _Option("spec.equilibrium", "problem", "equilibrium", "0.0", _equilibrium,
             show=lambda value: "per-node table"),
@@ -215,65 +203,35 @@ for _option in _OPTIONS:
     _SCHEMA.setdefault(_option.section, set()).add(_option.key)
 
 
-@dataclasses.dataclass
-class RunConfig:
-    """Parsed and defaulted configuration: the problem spec, one attribute
-    per run option in _OPTIONS, and the [verify] tolerances by name."""
-
-    spec: ProblemSpec
-    horizon: int
-    initial: str
-    amplitude: float
-    norm: str
-    sobolev_order: float
-    dynamics: str
-    open_loop_horizon: int
-    out_dir: str
-    formats: tuple[str, ...]
-    snapshot_stride: int
-    verify_horizon: int
-    verify_seed: int
-    verify_tolerances: dict
-    sweep_periods: tuple[float, ...]
-    sweep_gammas: tuple[tuple[float, ...], ...]
-    sweep_amplitudes: tuple[float, ...]
-    sweep_total_time: float
-    sweep_seed: int
-    sweep_bisect_iters: int
-
-    def echo(self) -> dict:
-        sections: dict = {}
-        for option in _OPTIONS:
-            value = self
-            for name in option.field.split("."):
-                value = value[name] if isinstance(value, dict) else getattr(value, name)
-            sections.setdefault(option.section, {})[option.key] = option.show(value)
-        return sections
+def _echo(config) -> dict:
+    """Every key in _OPTIONS by section, in the echoed form of its field."""
+    sections: dict = {}
+    for option in _OPTIONS:
+        value = config
+        for name in option.field.split("."):
+            value = value[name] if isinstance(value, dict) else getattr(value, name)
+        sections.setdefault(option.section, {})[option.key] = option.show(value)
+    return sections
 
 
-def _build_nonlinearity(kind: str, parameters: tuple[float, ...]) -> NonlinearitySpec:
-    kind = kind.strip().lower()
-    if kind == "cubic":
-        if parameters:
-            raise ConfigError("cubic nonlinearity takes no parameters")
-        return cubic_reaction()
-    if kind in ("linear", "linear-only", "fisher"):
-        if len(parameters) > 1:
-            raise ConfigError(f"{kind} nonlinearity takes at most one parameter")
-        if kind == "fisher":
-            return fisher_reaction(parameters[0] if parameters else 15.0)
-        return linear_reaction(parameters[0] if parameters else 0.0)
-    if kind in ("polynomial", "custom-polynomial"):
-        return polynomial_reaction(parameters)
-    raise ConfigError(f"unknown nonlinearity {kind!r}")
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig",
+    [("spec", ProblemSpec), ("verify_tolerances", dict),
+     *((option.field, Any) for option in _OPTIONS if "." not in option.field)],
+    namespace={
+        "__module__": __name__,
+        "__doc__": "Parsed and defaulted configuration: the problem spec, the [verify] "
+                   "tolerances by name and one attribute per dot-free _OPTIONS field.",
+        "echo": _echo,
+    },
+)
 
 
 def load_config(path: str | Path) -> RunConfig:
     """Parse and strictly validate the INI config file."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     parser.optionxform = str  # keep key case: the sweep axis key is "T"
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"cannot read config file {path}")
     for section in parser.sections():
         if section not in _SCHEMA:
@@ -299,7 +257,10 @@ def load_config(path: str | Path) -> RunConfig:
         groups.setdefault(head, {})[name] = value
 
     options, spec, tolerances = groups[""], groups["spec"], groups["verify_tolerances"]
-    spec["nonlinearity"] = _build_nonlinearity(**groups["spec.nonlinearity"])
+    try:
+        spec["nonlinearity"] = reaction(**groups["spec.nonlinearity"])
+    except ValueError as exc:
+        raise ConfigError(f"[problem] parameters: {exc}") from None
     if not options["dynamics"]:
         linear = spec["nonlinearity"].kind == "linear-only"
         options["dynamics"] = "linear" if linear else "semilinear"
@@ -315,25 +276,15 @@ def _initial_state(config: RunConfig, spectrum: Spectrum) -> np.ndarray:
     """Deviation-from-equilibrium initial state per the config."""
     kind, _, arg = config.initial.partition(":")
     kind = kind.strip().lower()
+    scaling = dict(amplitude=config.amplitude, norm=config.norm,
+                   sobolev_order=config.sobolev_order)
     if kind == "mode":
         index = int(arg)
         if not 1 <= index <= spectrum.m:
             raise ConfigError(f"mode index {index} out of range 1..{spectrum.m}")
-        y = spectrum.modes[:, index - 1].copy()
-        scale = (
-            l2_norm(y, spectrum.h)
-            if config.norm == "l2"
-            else sobolev_norm(y, config.sobolev_order, spectrum.h)
-        )
-        return y * (config.amplitude / scale)
+        return scale_to_norm(spectrum.modes[:, index - 1], spectrum.h, **scaling)
     if kind == "random":
-        return seeded_initial_state(
-            spectrum,
-            int(arg),
-            amplitude=config.amplitude,
-            norm=config.norm,
-            sobolev_order=config.sobolev_order,
-        )
+        return seeded_initial_state(spectrum, int(arg), **scaling)
     y = np.loadtxt(arg, dtype=float)  # file:PATH, the one form left (_initial_ok)
     if y.shape != (spectrum.m,):
         raise ConfigError(f"initial state file must hold {spectrum.m} interior values")
@@ -356,15 +307,8 @@ def _report_checks(report: VerificationReport) -> int:
     return EXIT_OK
 
 
-def _setup(config: RunConfig):
-    problem = validate_spec(config.spec)
-    c = linearized_coefficient(problem)
-    spectrum = compute_spectrum(problem, c, config.spec.target_rate)
-    return problem, spectrum
-
-
 def cmd_synthesize(config: RunConfig, out_dir: Path) -> int:
-    problem, spectrum = _setup(config)
+    _, spectrum = linearized_spectrum(config.spec)
     report = VerificationReport()
     report.metadata["config"] = config.echo()
     report.metadata["unstable_count"] = spectrum.unstable_count
@@ -388,7 +332,7 @@ def cmd_synthesize(config: RunConfig, out_dir: Path) -> int:
 def cmd_simulate(
     config: RunConfig, out_dir: Path, *, open_loop: bool, expect_decay: bool
 ) -> int:
-    problem, spectrum = _setup(config)
+    problem, spectrum = linearized_spectrum(config.spec)
     y0 = _initial_state(config, spectrum)
     metadata: dict = {"config": config.echo()}
 
@@ -477,10 +421,7 @@ def cmd_sweep(config: RunConfig, out_dir: Path, axis: str) -> int:
     }
     if axis not in values:
         raise ConfigError(f"unknown sweep axis {axis!r}")
-    if axis == "amplitude":
-        problem, spectrum = _setup(config)
-    else:  # the T and gamma sweeps compute their own spectrum
-        problem = validate_spec(config.spec)
+    problem = validate_spec(config.spec)
     if not values[axis]:
         raise ConfigError(f"sweep axis {axis} needs a non-empty [sweep] {axis} list")
     if axis == "T":
@@ -493,7 +434,8 @@ def cmd_sweep(config: RunConfig, out_dir: Path, axis: str) -> int:
             problem, config.sweep_gammas,
             total_time=config.sweep_total_time, seed=config.sweep_seed,
         )
-    else:
+    else:  # amplitude; the T and gamma sweeps compute their own spectrum
+        _, spectrum = linearized_spectrum(problem)
         gains = build_gains(spectrum, config.spec.gammas, config.spec.sampling_period)
         result = estimate_basin(
             problem, spectrum, gains, config.sweep_amplitudes, horizon=config.horizon,

@@ -6,6 +6,10 @@ reaction term is a polynomial in y given by its power-series coefficients,
 from which f, f_y and the exact Taylor tail of f about the equilibrium are
 evaluated; the equilibrium profile about which the dynamics are linearized
 is given by the user (this package never solves for equilibria).
+
+The reaction catalogue is here too: REACTIONS maps each kind and alias to
+its factory and parameter defaults, and reaction(kind, parameters), which
+the CLI calls, is the one constructor that checks a parameter count.
 """
 
 from __future__ import annotations
@@ -108,6 +112,34 @@ def polynomial_reaction(coefficients: Sequence[float]) -> NonlinearitySpec:
     """f(y) = sum_j coefficients[j] * y**j (independent of x)."""
     coeffs = tuple(float(c) for c in coefficients)
     return NonlinearitySpec("custom-polynomial", coeffs, coeffs)
+
+
+# kind or alias -> (factory, defaults of the parameters it takes at most);
+# None: the factory takes the whole parameter list
+REACTIONS = {
+    "linear": (linear_reaction, (0.0,)),
+    "linear-only": (linear_reaction, (0.0,)),
+    "fisher": (fisher_reaction, (15.0,)),
+    "cubic": (cubic_reaction, ()),
+    "polynomial": (polynomial_reaction, None),
+    "custom-polynomial": (polynomial_reaction, None),
+}
+
+
+def reaction(kind: str, parameters: Sequence[float] = ()) -> NonlinearitySpec:
+    """The reaction of a REACTIONS kind from its user-facing parameters; an
+    omitted parameter takes its default.  Raises ValueError for an unknown
+    kind, more parameters than the kind takes or an empty polynomial."""
+    if kind not in REACTIONS:
+        raise ValueError(f"unknown nonlinearity {kind!r}")
+    factory, defaults = REACTIONS[kind]
+    parameters = tuple(parameters)
+    if defaults is None:
+        return factory(parameters)
+    if len(parameters) > len(defaults):
+        takes = "at most one parameter" if defaults else "no parameters"
+        raise ValueError(f"{kind} nonlinearity takes {takes}")
+    return factory(*(parameters or defaults))
 
 
 Equilibrium = Union[float, np.ndarray, Callable[[np.ndarray], np.ndarray]]

@@ -277,11 +277,21 @@ def seeded_initial_state(
     rng = np.random.default_rng(seed)
     n = min(_INITIAL_MODES, spectrum.m)
     coeffs = rng.uniform(-1.0, 1.0, size=n)
-    y = spectrum.modes[:, :n] @ coeffs
+    return scale_to_norm(
+        spectrum.modes[:, :n] @ coeffs, spectrum.h,
+        amplitude=amplitude, norm=norm, sobolev_order=sobolev_order,
+    )
+
+
+def scale_to_norm(
+    y: np.ndarray, h: float, *, amplitude: float, norm: str = "l2",
+    sobolev_order: float = DEFAULT_SOBOLEV_ORDER,
+) -> np.ndarray:
+    """y scaled to the given amplitude in the "l2" or "sobolev" norm."""
     if norm == "l2":
-        scale = l2_norm(y, spectrum.h)
+        scale = l2_norm(y, h)
     elif norm == "sobolev":
-        scale = sobolev_norm(y, sobolev_order, spectrum.h)
+        scale = sobolev_norm(y, sobolev_order, h)
     else:
         raise ValueError(f"unknown norm {norm!r}")
     if scale == 0.0:

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import dstevd
-from .model import ParastabError, ValidatedProblem
+from .model import (
+    ParastabError, ProblemSpec, ValidatedProblem, linearized_coefficient, validate_spec,
+)
 
 RHO_GAP_TOLERANCE = 1e-9
 DEGENERATE_GAP_WARNING = 1e-8
@@ -155,16 +157,17 @@ def compute_spectrum(
     """Assemble, decompose and classify: the one-stop spectral pipeline."""
     op = assemble_operator(problem, c)
     lam, vec = eigendecompose(op)
-    flux = boundary_flux(vec, op.h)
     n = select_unstable(lam, rho)
-    return Spectrum(
-        lambdas=lam,
-        modes=vec,
-        boundary_flux=flux,
-        unstable_count=n,
-        rho=float(rho),
-        operator=op,
-    )
+    return Spectrum(lambdas=lam, modes=vec, boundary_flux=boundary_flux(vec, op.h),
+                    unstable_count=n, rho=float(rho), operator=op)
+
+
+def linearized_spectrum(spec: ProblemSpec | ValidatedProblem) -> tuple[ValidatedProblem, Spectrum]:
+    """The validated problem and the spectrum of its linearization about the
+    equilibrium, classified at its target_rate."""
+    problem = validate_spec(spec)
+    c = linearized_coefficient(problem)
+    return problem, compute_spectrum(problem, c, problem.spec.target_rate)
 
 
 def laplacian_spectrum(problem: ValidatedProblem) -> Spectrum:
@@ -174,15 +177,8 @@ def laplacian_spectrum(problem: ValidatedProblem) -> Spectrum:
     """
     op = assemble_operator(problem, np.zeros(problem.m))
     lam, vec = eigendecompose(op)
-    flux = boundary_flux(vec, op.h)
-    return Spectrum(
-        lambdas=lam,
-        modes=vec,
-        boundary_flux=flux,
-        unstable_count=0,
-        rho=0.0,
-        operator=op,
-    )
+    return Spectrum(lambdas=lam, modes=vec, boundary_flux=boundary_flux(vec, op.h),
+                    unstable_count=0, rho=0.0, operator=op)
 
 
 def l2_norm(y: np.ndarray, h: float) -> float:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -16,6 +17,7 @@ from parastab.cli import (
     EXIT_SINGULAR,
     EXIT_VERIFY,
     ConfigError,
+    RunConfig,
     _OPTIONS,
     load_config,
     main,
@@ -224,6 +226,52 @@ def test_node_value_equilibrium_names_both_grids(tmp_path, capsys):
     for argv in (["synthesize", "--refine"], ["verify"]):
         assert main([*argv, "--config", str(tmp_path / "run.ini")]) == EXIT_CONFIG
         assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("nonlinearity = cubicc",
+         "[problem] nonlinearity must be one of cubic, custom-polynomial, fisher, linear, "
+         "linear-only, polynomial, got 'cubicc'"),
+        ("nonlinearity = cubic\nparameters = 1.0",
+         "[problem] parameters: cubic nonlinearity takes no parameters"),
+        ("nonlinearity = polynomial\nparameters =",
+         "[problem] parameters: polynomial reaction needs at least one coefficient"),
+        ("nonlinearity = fisher\nparameters = 1,2",
+         "[problem] parameters: fisher nonlinearity takes at most one parameter"),
+    ],
+    ids=["unknown-kind", "cubic-one", "polynomial-none", "fisher-two"],
+)
+def test_reaction_errors_exit_2_naming_their_key(tmp_path, capsys, lines, message):
+    text = Path(write_config(tmp_path)).read_text()
+    (tmp_path / "run.ini").write_text(
+        text.replace("nonlinearity = fisher\nparameters = 15.0", lines)
+    )
+    for command in (["synthesize"], ["simulate", "--open-loop"], ["verify"], ["sweep"]):
+        assert main([*command, "--config", str(tmp_path / "run.ini")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "written, kind, parameters",
+    [("Fisher", "fisher", [15.0]), ("linear", "linear-only", [0.0]),
+     ("polynomial\nparameters = 0.5,2.0", "custom-polynomial", [0.5, 2.0])],
+)
+def test_reaction_kinds_and_aliases_load(tmp_path, written, kind, parameters):
+    path = tmp_path / "run.ini"
+    path.write_text(f"[problem]\nnonlinearity = {written}\n")
+    echo = load_config(path).echo()["problem"]
+    assert (echo["nonlinearity"], echo["parameters"]) == (kind, parameters)
+
+
+def test_run_config_fields_are_the_table_fields():
+    """A run option is one _OPTIONS entry: RunConfig declares no field of its own."""
+    run_options = [option.field for option in _OPTIONS if "." not in option.field]
+    assert len(run_options) == 18
+    fields = [field.name for field in dataclasses.fields(RunConfig)]
+    assert fields == ["spec", "verify_tolerances", *run_options]
 
 
 def test_every_run_option_loads_and_echoes_as_written(tmp_path):

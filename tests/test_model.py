@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import parastab as ps
-from parastab.model import MIN_GRID_POINTS, _violations, gamma_ordering_error
+from parastab.model import MIN_GRID_POINTS, REACTIONS, _violations, gamma_ordering_error
 
 
 def test_validate_derives_grid_spacing():
@@ -192,3 +192,41 @@ def test_polynomial_reaction_matches_fisher():
 def test_unknown_nonlinearity_kind_rejected():
     with pytest.raises(ValueError):
         ps.NonlinearitySpec(kind="mystery", parameters=(), coefficients=(0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "kind, parameters, expected",
+    [
+        ("linear", (), ps.linear_reaction(0.0)),
+        ("linear-only", (-3.0,), ps.linear_reaction(-3.0)),
+        ("fisher", (), ps.fisher_reaction(15.0)),
+        ("fisher", (7.0,), ps.fisher_reaction(7.0)),
+        ("cubic", (), ps.cubic_reaction()),
+        ("polynomial", (0.5, 2.0), ps.polynomial_reaction((0.5, 2.0))),
+        ("custom-polynomial", (1.0,), ps.polynomial_reaction((1.0,))),
+    ],
+)
+def test_reaction_builds_each_kind_and_alias(kind, parameters, expected):
+    assert ps.reaction(kind, parameters) == expected
+
+
+def test_reaction_catalogue_covers_every_kind():
+    built = {ps.reaction(kind, (1.0,) if defaults is None else ()).kind
+             for kind, (_, defaults) in REACTIONS.items()}
+    assert built == set(ps.NonlinearitySpec._KINDS)
+
+
+@pytest.mark.parametrize(
+    "kind, parameters, message",
+    [
+        ("cubicc", (), "^unknown nonlinearity 'cubicc'$"),
+        ("Fisher", (), "^unknown nonlinearity 'Fisher'$"),
+        ("cubic", (1.0,), "^cubic nonlinearity takes no parameters$"),
+        ("fisher", (1.0, 2.0), "^fisher nonlinearity takes at most one parameter$"),
+        ("linear", (1.0, 2.0), "^linear nonlinearity takes at most one parameter$"),
+        ("polynomial", (), "^polynomial reaction needs at least one coefficient$"),
+    ],
+)
+def test_reaction_rejects_unknown_kinds_and_parameter_counts(kind, parameters, message):
+    with pytest.raises(ValueError, match=message):
+        ps.reaction(kind, parameters)

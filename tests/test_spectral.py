@@ -341,3 +341,23 @@ def test_near_degenerate_gap_warns():
     op = TridiagonalOperator(diag=np.array([1.0, 1.0 + 1e-12]), offdiag=np.zeros(1), h=0.1)
     with pytest.warns(UserWarning):
         ps.eigendecompose(op)
+
+
+@pytest.mark.parametrize(
+    "equilibrium", [0.0, lambda x: 0.2 * np.sin(np.pi * x)], ids=["constant", "callable"]
+)
+def test_linearized_spectrum_is_the_three_call_recipe(equilibrium):
+    spec = ps.ProblemSpec(
+        nonlinearity=ps.fisher_reaction(15.0), grid_points=64, equilibrium=equilibrium
+    )
+    problem = ps.validate_spec(spec)
+    c = ps.linearized_coefficient(problem)
+    assert (np.ptp(c) > 1.0) == callable(equilibrium)  # a constant potential, or not
+    expected = ps.compute_spectrum(problem, c, spec.target_rate)
+    got_problem, got = ps.linearized_spectrum(spec)
+    assert np.array_equal(got_problem.equilibrium_values, problem.equilibrium_values)
+    for name in ("lambdas", "modes", "boundary_flux"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name))
+    assert (got.unstable_count, got.rho) == (expected.unstable_count, expected.rho)
+    # a validated problem is used as it is
+    assert ps.linearized_spectrum(problem)[0] is problem
