@@ -1,12 +1,14 @@
 """Quantitative checks, decay-rate fits, parameter sweeps, reporting.
 
-Every structural identity of the synthesized loop is re-verified here on
-the computed objects: the resolution of the identity by the normalized
-Gram terms, the sampled closed-loop matrix identity, the contraction bound
-in the inverse-Gram metric, the lift trace identity, the half-state
-identity at samples, and the small-period limit of the gain row.  Checks
-return measured residuals; the report records them alongside the
-tolerances (or windows) they were held to.
+Every record of synthesize and verify is one _RECORDS entry: its name and
+law, its stage, the measure of its residual on one grid (a _Grid), and its
+bound, a [verify] tolerance key with its default or a (low, high) window
+of two keys.  An entry with ``refine`` adds a "-convergence" twin: the
+ratio of the residual at M to the one on the doubled grid (2M nodes, twice
+the substeps), held to a lower bound.  DEFAULT_VERIFY_TOLERANCES, hence
+the [verify] config keys, come from the table.  verify runs the _STAGES in
+order and stops after the spectrum when nothing is unstable; synthesize
+runs the algebra stage on its gains.
 
 The T and gamma sweeps share one row type, SweepRow, built in _sweep_runs,
 and one writer, sweep_to_csv(rows, axis), whose columns are declared once
@@ -19,7 +21,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace as dc_replace, asdict
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,8 +38,6 @@ from .simulate import (
     run_semilinear_closed_loop,
     seeded_initial_state,
 )
-
-CONTRACTION_SLACK = 1e-8
 
 
 class DegenerateFit(ParastabError):
@@ -171,37 +172,13 @@ def check_resolution(gains: GainSet) -> float:
 def add_algebraic_checks(
     report: VerificationReport, gains: GainSet, tolerances: dict
 ) -> None:
-    """Add the resolution, recursion-matrix and contraction records.
-
-    All three are evaluated on the adaptive-precision system the gains
-    were rounded from; ``tolerances`` override DEFAULT_VERIFY_TOLERANCES.
-    The contraction record therefore checks the exact algebra, and at a
-    nonnegative slack it cannot fail on a system that builds: it does not
-    see the float64 gain or the stepped plant (see
-    _exact.contraction_bound).
-    """
-    tol = {**DEFAULT_VERIFY_TOLERANCES, **tolerances}
-    exact = exact_system(gains)
-    report.add(
-        "resolution-identity",
-        "gram-sum-times-inverse",
-        _exact.resolution_residual(exact),
-        tol["resolution_identity"],
-    )
-    report.add(
-        "recursion-identity",
-        "sampled-modal-recursion-matrix",
-        _exact.identity_residual(exact),
-        tol["recursion_identity"],
-    )
-    radius, bound, ratio = _exact.contraction_bound(exact)
-    report.add(
-        "contraction-bound",
-        "symmetrized-update-spectral-radius",
-        ratio - 1.0,
-        tol["contraction_slack"],
-        details={"spectral_radius": radius, "bound": bound},
-    )
+    """Add the algebra stage of _RECORDS (the resolution, recursion-matrix
+    and contraction records), evaluated on the adaptive-precision system
+    the gains were rounded from; ``tolerances`` override the defaults.  At
+    a nonnegative slack the contraction record cannot fail on a system
+    that builds: it sees neither the float64 gain nor the stepped plant
+    (see _exact.contraction_bound)."""
+    _add_stage(report, "algebra", _Grid(None, gains=gains), tolerances)
 
 
 def check_lift_identity(spectrum: Spectrum, gains: GainSet) -> tuple[float, np.ndarray]:
@@ -593,136 +570,155 @@ def basin_to_csv(report: BasinReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-DEFAULT_VERIFY_TOLERANCES = {
-    "orthonormality": 1e-12,
-    "resolution_identity": 1e-10,
-    "recursion_identity": 1e-10,
-    "contraction_slack": CONTRACTION_SLACK,
-    "lift_identity": 1e-2,
-    "lift_ratio": 3.0,
-    "half_identity": 1e-2,
-    "half_ratio": 1.0,
-    "trajectory_recursion": 5e-3,
-    "trajectory_ratio": 3.0,
-    "limit_distance": 1e-5,
-    "limit_ratio_low": 1.6,
-    "limit_ratio_high": 2.4,
-}
-
-
 def orthonormality_residual(spectrum: Spectrum) -> float:
     gram = spectrum.h * (spectrum.modes.T @ spectrum.modes)
     return float(np.abs(gram - np.eye(spectrum.m)).max())
 
 
-def run_verification(
-    spec: ProblemSpec,
-    *,
-    tolerances: dict | None = None,
-    horizon: int = 10,
-    seed: int = 7,
-) -> VerificationReport:
-    """Full identity suite at the configured grid plus one refinement (2M).
+class _Grid:
+    """What the records read on one grid, each built on first read: the
+    problem and spectrum of ``spec``, its gains and their exact system, the
+    seeded closed-loop run over ``horizon`` holds, the continuous-limit row
+    and ``fine``, the doubled grid (2M nodes, twice the substeps).  Gains
+    passed in are taken as built."""
 
-    Grid-dependent residuals (lift trace identity, half-state identity,
-    sampled recursion along a stepped trajectory) are measured at M and 2M
-    to demonstrate their convergence order; algebraic identities are
-    checked in adaptive precision.  With no unstable modes the suite
-    reduces to the spectral checks.
-    """
-    tol = dict(DEFAULT_VERIFY_TOLERANCES)
-    tol.update(tolerances or {})
+    def __init__(self, spec: ProblemSpec | None, horizon: int = 10, seed: int = 7,
+                 gains: GainSet | None = None):
+        self.spec, self.horizon, self.seed = spec, horizon, seed
+        if gains is not None:
+            self.gains = gains
+
+    linearized = cached_property(lambda g: linearized_spectrum(g.spec))
+    spectrum = cached_property(lambda g: g.linearized[1])
+    gains = cached_property(
+        lambda g: build_gains(g.spectrum, g.spec.gammas, g.spec.sampling_period))
+    exact = cached_property(lambda g: exact_system(g.gains))
+    continuous = cached_property(lambda g: continuous_limit(g.spectrum, g.spec.gammas))
+    trajectory = cached_property(lambda g: run_linear_closed_loop(
+        *g.linearized, g.gains, seeded_initial_state(g.spectrum, g.seed), g.horizon))
+    fine = cached_property(lambda g: _Grid(dc_replace(
+        g.spec, grid_points=2 * g.spec.grid_points, substeps_per_hold=2 * g.spec.substeps_per_hold,
+    ), g.horizon, g.seed))
+
+
+def _ratio(coarse: float, fine: float) -> tuple[float, dict]:
+    return coarse / fine if fine > 0 else np.inf, {"coarse": coarse, "fine": fine}
+
+
+def _contraction(grid: _Grid) -> tuple[float, dict]:
+    radius, bound, ratio = _exact.contraction_bound(grid.exact)
+    return ratio - 1.0, {"spectral_radius": radius, "bound": bound}
+
+
+def _small_period_order(grid: _Grid) -> tuple[float, dict]:
+    return _ratio(*(gain_limit_distance(grid.spectrum, grid.spec.gammas, period, grid.continuous)
+                    for period in (1e-2, 5e-3)))
+
+
+class _Record(NamedTuple):
+    name: str
+    law: str
+    stage: str  # a _STAGES key; the table is in stage order
+    measure: Callable[[_Grid], float | tuple[float, dict]]  # residual or (residual, details)
+    bound: dict[str, float]  # tolerance key -> default; two keys: a (low, high) window
+    refine: tuple[str, str, float] | None = None  # (order law, ratio key, ratio default)
+
+
+# Every record of synthesize and verify, in report order.  The measures
+# call the public checks by their module names, so a wrapper put on one
+# of those names sees the call.
+_RECORDS = (
+    _Record("orthonormality", "modes-h-orthonormal", "spectrum",
+            lambda g: orthonormality_residual(g.spectrum), {"orthonormality": 1e-12}),
+    _Record("resolution-identity", "gram-sum-times-inverse", "algebra",
+            lambda g: _exact.resolution_residual(g.exact), {"resolution_identity": 1e-10}),
+    _Record("recursion-identity", "sampled-modal-recursion-matrix", "algebra",
+            lambda g: _exact.identity_residual(g.exact), {"recursion_identity": 1e-10}),
+    _Record("contraction-bound", "symmetrized-update-spectral-radius", "algebra",
+            _contraction, {"contraction_slack": 1e-8}),
+    _Record("lift-identity", "lift-trace-identity", "grid",
+            lambda g: check_lift_identity(g.spectrum, g.gains)[0], {"lift_identity": 1e-2},
+            ("lift-trace-identity-order", "lift_ratio", 3.0)),
+    _Record("trajectory-recursion", "sampled-modal-recursion-trajectory", "trajectory",
+            lambda g: _trajectory_recursion(g.gains, g.spectrum, g.trajectory)[0],
+            {"trajectory_recursion": 5e-3},
+            ("sampled-modal-recursion-order", "trajectory_ratio", 3.0)),
+    _Record("half-identity", "sampled-state-doubling", "trajectory",
+            lambda g: check_half_identity(g.trajectory, g.gains, g.spectrum),
+            {"half_identity": 1e-2}, ("sampled-state-doubling-order", "half_ratio", 1.0)),
+    _Record("small-period-limit", "gain-row-limit-distance", "limit",
+            lambda g: gain_limit_distance(g.spectrum, g.spec.gammas, 1e-6, g.continuous),
+            {"limit_distance": 1e-5}),
+    _Record("small-period-order", "gain-row-first-order-in-period", "limit",
+            _small_period_order, {"limit_ratio_low": 1.6, "limit_ratio_high": 2.4}),
+)
+
+# stage -> None, or the (name, law) of the one record, held to the first
+# record's tolerance, that replaces the stage's records on a ParastabError
+_STAGES = {"spectrum": None, "algebra": None, "grid": None,
+           "trajectory": ("trajectory-suite", "closed-loop-run"), "limit": None}
+
+
+def _default_tolerances() -> dict[str, float]:
+    """Every tolerance key of _RECORDS with its default, in table order."""
+    defaults: dict[str, float] = {}
+    for record in _RECORDS:
+        defaults.update(record.bound)
+        if record.refine:
+            defaults[record.refine[1]] = record.refine[2]
+    return defaults
+
+
+DEFAULT_VERIFY_TOLERANCES = _default_tolerances()
+
+
+def _add_stage(report: VerificationReport, stage: str, grid: _Grid, tolerances: dict) -> None:
+    """Add the stage's records of _RECORDS, each refine twin after its
+    record; ``tolerances`` override the table's defaults."""
+    tol = {**_default_tolerances(), **tolerances}
+    records = [record for record in _RECORDS if record.stage == stage]
+    part = VerificationReport()
+    try:
+        for record in records:
+            measured = record.measure(grid)
+            residual, details = measured if isinstance(measured, tuple) else (measured, {})
+            limits = [tol[key] for key in record.bound]
+            bound = {"window": tuple(limits)} if len(limits) == 2 else {"tolerance": limits[0]}
+            part.add(record.name, record.law, residual, details=details, **bound)
+            if record.refine:
+                order_law, ratio_key, _ = record.refine
+                fine = record.measure(grid.fine)
+                ratio, details = _ratio(residual, fine[0] if isinstance(fine, tuple) else fine)
+                part.add(f"{record.name}-convergence", order_law, ratio, tol[ratio_key],
+                         larger_is_worse=False, details=details)
+    except ParastabError as exc:
+        if _STAGES[stage] is None:
+            raise
+        part.checks.clear()
+        part.add(*_STAGES[stage], np.inf, tol[next(iter(records[0].bound))],
+                 details={"error": f"{type(exc).__name__}: {exc}"})
+    report.checks += part.checks
+
+
+def run_verification(spec: ProblemSpec, *, tolerances: dict | None = None,
+                     horizon: int = 10, seed: int = 7) -> VerificationReport:
+    """Every record of _RECORDS at the configured grid (M), each refine
+    twin from the doubled grid (2M).  Algebraic identities are checked in
+    adaptive precision.  With no unstable modes the suite reduces to the
+    spectrum stage."""
+    grid = _Grid(spec, horizon, seed)
     report = VerificationReport()
-    prob_a, spec_a = linearized_spectrum(spec)
-    report.metadata.update(
-        grid_points=prob_a.m,
-        sampling_period=prob_a.period,
-        target_rate=spec.target_rate,
-    )
-
-    def add_refined(name, law, order_law, coarse, fine, tol_key, ratio_key):
-        """A grid-dependent residual at M and its convergence ratio to 2M."""
-        report.add(name, law, coarse, tol[tol_key])
-        report.add(
-            f"{name}-convergence",
-            order_law,
-            coarse / fine if fine > 0 else np.inf,
-            tol[ratio_key],
-            larger_is_worse=False,
-            details={"coarse": coarse, "fine": fine},
-        )
-
-    report.metadata["unstable_count"] = spec_a.unstable_count
-    report.add(
-        "orthonormality",
-        "modes-h-orthonormal",
-        orthonormality_residual(spec_a),
-        tol["orthonormality"],
-    )
-    if spec_a.unstable_count == 0:
+    problem, spectrum = grid.linearized
+    report.metadata.update(grid_points=problem.m, sampling_period=problem.period,
+                           target_rate=spec.target_rate, unstable_count=spectrum.unstable_count)
+    first, *rest = _STAGES
+    _add_stage(report, first, grid, tolerances or {})
+    if spectrum.unstable_count == 0:
         report.metadata["note"] = "no unstable modes: feedback identically zero"
         return report
-
-    prob_b, spec_b = linearized_spectrum(
-        dc_replace(spec, grid_points=2 * spec.grid_points,
-                   substeps_per_hold=2 * spec.substeps_per_hold)
-    )
-    gains_a = build_gains(spec_a, spec.gammas, spec.sampling_period)
-    gains_b = build_gains(spec_b, spec.gammas, spec.sampling_period)
-    report.metadata["condition_number"] = gains_a.condition_number
-    add_algebraic_checks(report, gains_a, tol)
-
-    lift_a, _ = check_lift_identity(spec_a, gains_a)
-    lift_b, _ = check_lift_identity(spec_b, gains_b)
-    add_refined(
-        "lift-identity", "lift-trace-identity", "lift-trace-identity-order",
-        lift_a, lift_b, "lift_identity", "lift_ratio",
-    )
-
-    y0_a = seeded_initial_state(spec_a, seed)
-    y0_b = seeded_initial_state(spec_b, seed)
-    try:
-        traj_a = run_linear_closed_loop(prob_a, spec_a, gains_a, y0_a, horizon)
-        traj_b = run_linear_closed_loop(prob_b, spec_b, gains_b, y0_b, horizon)
-        rec_a, _ = _trajectory_recursion(gains_a, spec_a, traj_a)
-        rec_b, _ = _trajectory_recursion(gains_b, spec_b, traj_b)
-        add_refined(
-            "trajectory-recursion", "sampled-modal-recursion-trajectory",
-            "sampled-modal-recursion-order", rec_a, rec_b,
-            "trajectory_recursion", "trajectory_ratio",
-        )
-        half_a = check_half_identity(traj_a, gains_a, spec_a)
-        half_b = check_half_identity(traj_b, gains_b, spec_b)
-        add_refined(
-            "half-identity", "sampled-state-doubling", "sampled-state-doubling-order",
-            half_a, half_b, "half_identity", "half_ratio",
-        )
-    except ParastabError as exc:
-        report.add(
-            "trajectory-suite",
-            "closed-loop-run",
-            np.inf,
-            tol["trajectory_recursion"],
-            details={"error": f"{type(exc).__name__}: {exc}"},
-        )
-
-    continuous = continuous_limit(spec_a, spec.gammas)
-    dist_tiny = gain_limit_distance(spec_a, spec.gammas, 1e-6, continuous)
-    report.add(
-        "small-period-limit",
-        "gain-row-limit-distance",
-        dist_tiny,
-        tol["limit_distance"],
-    )
-    dist_coarse = gain_limit_distance(spec_a, spec.gammas, 1e-2, continuous)
-    dist_fine = gain_limit_distance(spec_a, spec.gammas, 5e-3, continuous)
-    report.add(
-        "small-period-order",
-        "gain-row-first-order-in-period",
-        dist_coarse / dist_fine if dist_fine > 0 else np.inf,
-        window=(tol["limit_ratio_low"], tol["limit_ratio_high"]),
-        details={"coarse": dist_coarse, "fine": dist_fine},
-    )
+    report.metadata["condition_number"] = grid.gains.condition_number
+    for stage in rest:
+        _add_stage(report, stage, grid, tolerances or {})
     return report
 
 

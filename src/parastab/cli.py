@@ -15,15 +15,16 @@ total_time that is not finite and positive, a negative bisect_iters, a
 [verify] tolerance that is not finite and 0 or positive and a
 nonlinearity that is not a model.REACTIONS kind.  load_config then
 rejects, under "[problem] parameters: ", a parameter list the kind does
-not take (model.reaction), and a [verify] limit_ratio_low above
-limit_ratio_high, and validate_spec an
+not take (model.reaction), and a [verify] window (analysis._RECORDS)
+whose low key is above its high key, and validate_spec an
 interval_length, target_rate or sampling_period that is not finite and
 positive, a substeps below 1, and gammas that are not finite or not
 strictly increasing above target_rate.  Every key, defaults included, is
 echoed into the emitted metadata for reproducibility; a spec key shows its
 resolved value (the nonlinearity kind and parameters, "per-node table" for
 the equilibrium, "auto" gammas).  Every float in CSV output carries 17
-significant digits.
+significant digits.  A library warning is printed as one stderr line,
+"warning: <message>".
 
 Exit codes: 0 success, 2 config or validation error (also a run refused
 for too few substeps per hold, dt*|lambda_1| >= 2), 3 singular gain
@@ -40,6 +41,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -77,6 +79,7 @@ from .analysis import (
     sweep_sampling_period,
     sweep_to_csv,
     DEFAULT_VERIFY_TOLERANCES,
+    _RECORDS,
     _sweep_record_stride,
 )
 
@@ -264,11 +267,10 @@ def load_config(path: str | Path) -> RunConfig:
     if not options["dynamics"]:
         linear = spec["nonlinearity"].kind == "linear-only"
         options["dynamics"] = "linear" if linear else "semilinear"
-    low, high = tolerances["limit_ratio_low"], tolerances["limit_ratio_high"]
-    if low > high:
-        raise ConfigError(
-            f"[verify] limit_ratio_low = {low} is above [verify] limit_ratio_high = {high}"
-        )
+    for low, high in (tuple(r.bound) for r in _RECORDS if len(r.bound) == 2):
+        if tolerances[low] > tolerances[high]:
+            raise ConfigError(f"[verify] {low} = {tolerances[low]} is above "
+                              f"[verify] {high} = {tolerances[high]}")
     return RunConfig(spec=ProblemSpec(**spec), verify_tolerances=tolerances, **options)
 
 
@@ -315,8 +317,7 @@ def cmd_synthesize(config: RunConfig, out_dir: Path) -> int:
     _write(out_dir, "spectrum.csv", spectrum_to_csv(spectrum))
     if "modes" in config.formats:
         _write(out_dir, "modes.csv", modes_to_csv(spectrum))
-    if spectrum.unstable_count == 0:
-        print("no unstable modes: feedback is identically zero", file=sys.stderr)
+    if spectrum.unstable_count == 0:  # linearized_spectrum has warned
         _write(out_dir, "verification.json", report.to_json())
         return EXIT_OK
     gains = build_gains(spectrum, config.spec.gammas, config.spec.sampling_period)
@@ -471,30 +472,33 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    try:
-        config = load_config(args.config)
-        if args.refine:
-            config.spec = dataclasses.replace(
-                config.spec,
-                grid_points=2 * config.spec.grid_points,
-                substeps_per_hold=2 * config.spec.substeps_per_hold,
-            )
-        out_dir = Path(args.out or config.out_dir)
-        if args.command == "synthesize":
-            return cmd_synthesize(config, out_dir)
-        if args.command == "simulate":
-            return cmd_simulate(
-                config, out_dir, open_loop=args.open_loop, expect_decay=args.expect_decay
-            )
-        if args.command == "verify":
-            return cmd_verify(config, out_dir)
-        return cmd_sweep(config, out_dir, args.axis)
-    except SingularBSum as exc:
-        print(f"singular gain algebra: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except (ConfigError, ParastabError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    with warnings.catch_warnings():
+        # one line per library warning, without its file, line or source
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            config = load_config(args.config)
+            if args.refine:
+                config.spec = dataclasses.replace(
+                    config.spec,
+                    grid_points=2 * config.spec.grid_points,
+                    substeps_per_hold=2 * config.spec.substeps_per_hold,
+                )
+            out_dir = Path(args.out or config.out_dir)
+            if args.command == "synthesize":
+                return cmd_synthesize(config, out_dir)
+            if args.command == "simulate":
+                return cmd_simulate(
+                    config, out_dir, open_loop=args.open_loop, expect_decay=args.expect_decay
+                )
+            if args.command == "verify":
+                return cmd_verify(config, out_dir)
+            return cmd_sweep(config, out_dir, args.axis)
+        except SingularBSum as exc:
+            print(f"singular gain algebra: {exc}", file=sys.stderr)
+            return EXIT_SINGULAR
+        except (ConfigError, ParastabError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
 
 
 if __name__ == "__main__":

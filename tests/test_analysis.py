@@ -463,6 +463,72 @@ def test_run_verification_no_unstable_modes_reduces():
     assert "note" in report.metadata
 
 
+PASSING_RECORDS = [
+    "orthonormality", "resolution-identity", "recursion-identity", "contraction-bound",
+    "lift-identity", "lift-identity-convergence",
+    "trajectory-recursion", "trajectory-recursion-convergence",
+    "half-identity", "half-identity-convergence",
+    "small-period-limit", "small-period-order",
+]
+
+
+@pytest.mark.filterwarnings("ignore:no eigenvalue below rho")
+@pytest.mark.parametrize(
+    "spec, horizon, names",
+    [
+        (make_problem(grid_points=64).spec, 10, PASSING_RECORDS),
+        (dataclasses.replace(make_problem(grid_points=64).spec,
+                             nonlinearity=ps.linear_reaction(-10.0), gammas=None),
+         10, ["orthonormality"]),
+        # 1e13 holds cannot be allocated: one record stands in for the stage
+        (make_problem(grid_points=32, substeps=8).spec, 10**13,
+         PASSING_RECORDS[:6] + ["trajectory-suite"] + PASSING_RECORDS[-2:]),
+    ],
+    ids=["fisher64", "no-unstable-mode", "unallocatable-horizon"],
+)
+def test_run_verification_record_order(spec, horizon, names):
+    report = ps.run_verification(spec, horizon=horizon)
+    assert [c.name for c in report.checks] == names
+    assert report.passed == ("trajectory-suite" not in names)
+
+
+def test_record_table_is_in_stage_order_and_declares_every_tolerance():
+    stages = list(analysis._STAGES)
+    order = [stages.index(record.stage) for record in analysis._RECORDS]
+    assert order == sorted(order)
+    assert len({record.name for record in analysis._RECORDS}) == len(analysis._RECORDS)
+    # the defaults of the [verify] keys, as they were before the table
+    assert analysis.DEFAULT_VERIFY_TOLERANCES == {
+        "orthonormality": 1e-12, "resolution_identity": 1e-10, "recursion_identity": 1e-10,
+        "contraction_slack": 1e-8, "lift_identity": 1e-2, "lift_ratio": 3.0,
+        "half_identity": 1e-2, "half_ratio": 1.0, "trajectory_recursion": 5e-3,
+        "trajectory_ratio": 3.0, "limit_distance": 1e-5, "limit_ratio_low": 1.6,
+        "limit_ratio_high": 2.4,
+    }
+
+
+def test_a_record_is_one_table_entry(monkeypatch):
+    """An entry added to _RECORDS is measured at its table position, with
+    its 2M twin, and held to its own defaults or to an override."""
+    records = list(analysis._RECORDS)
+    at = [record.name for record in records].index("lift-identity") + 1
+    extra = analysis._Record(
+        "grid-step", "h-of-the-grid", "grid", lambda g: g.spectrum.h,
+        {"grid_step": 0.1}, ("grid-step-order", "grid_step_ratio", 1.5),
+    )
+    monkeypatch.setattr(analysis, "_RECORDS", tuple(records[:at] + [extra] + records[at:]))
+    spec = make_problem(grid_points=64).spec
+    checks = ps.run_verification(spec).checks
+    names = [c.name for c in checks]
+    assert names == PASSING_RECORDS[:6] + ["grid-step", "grid-step-convergence"] \
+        + PASSING_RECORDS[6:]
+    step, ratio = checks[6], checks[7]
+    assert (step.residual, step.tolerance, step.passed) == (1 / 65, 0.1, True)
+    assert ratio.residual == pytest.approx(129 / 65) and ratio.tolerance == 1.5 and ratio.passed
+    overridden = ps.run_verification(spec, tolerances={"grid_step": 1e-3}).checks[6]
+    assert overridden.tolerance == 1e-3 and not overridden.passed
+
+
 def test_lognorm_svg_renders(problem15, spectrum15, gains15):
     y0 = ps.seeded_initial_state(spectrum15, 2)
     traj = ps.run_linear_closed_loop(

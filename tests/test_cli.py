@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import parastab as ps
-from parastab.analysis import DEFAULT_VERIFY_TOLERANCES
+from parastab.analysis import DEFAULT_VERIFY_TOLERANCES, _RECORDS
 from parastab.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
@@ -19,6 +19,7 @@ from parastab.cli import (
     ConfigError,
     RunConfig,
     _OPTIONS,
+    _SCHEMA,
     load_config,
     main,
 )
@@ -431,6 +432,28 @@ def test_readme_config_block_is_the_defaults(tmp_path):
     assert echo == defaults
 
 
+def test_readme_lists_every_verify_record():
+    """One README line per _RECORDS entry: name, tolerance key(s), 2M twin."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    bullet = readme.split("- `verify` runs", 1)[1].split("\n- `sweep`", 1)[0]
+    documented = [line for line in bullet.splitlines() if line.startswith("  - `")]
+
+    def line(record):
+        keys = [f"`{key}`" for key in record.bound]
+        bound = keys[0] if len(keys) == 1 else f"window {keys[0]} to {keys[1]}"
+        twin = f"2M twin `{record.refine[1]}`" if record.refine else "no 2M twin"
+        return f"  - `{record.name}`: {bound}; {twin}"
+
+    assert documented == [line(record) for record in _RECORDS]
+
+
+def test_verify_schema_is_horizon_seed_and_the_table_keys():
+    keys = {key for record in _RECORDS for key in record.bound}
+    keys |= {record.refine[1] for record in _RECORDS if record.refine}
+    assert _SCHEMA["verify"] == {"horizon", "seed"} | keys
+    assert len(keys) == 13
+
+
 def test_readme_python_block_runs_as_documented(capsys):
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     block = readme.split("```python\n", 1)[1].split("```", 1)[0]
@@ -557,16 +580,33 @@ def test_verify_passes_and_fails_on_tight_override(tmp_path):
     assert checks["orthonormality"]["passed"] is False
 
 
-def test_verify_no_unstable_modes_passes_with_warning(tmp_path):
+NO_UNSTABLE_MODES = "warning: no eigenvalue below rho: the feedback is identically zero\n"
+
+
+@pytest.mark.filterwarnings("default::UserWarning")  # as outside the suite
+def test_verify_no_unstable_modes_passes_with_warning(tmp_path, capsys):
     path = tmp_path / "stable.ini"
     path.write_text(
         "[problem]\ngrid_points = 64\nnonlinearity = linear\nparameters = -10.0\n"
         "[synthesis]\ntarget_rate = 1.0\nsampling_period = 0.2\n"
         f"[output]\ndirectory = {tmp_path / 'ver0'}\n"
     )
-    with pytest.warns(UserWarning):
-        code = main(["verify", "--config", str(path)])
+    capsys.readouterr()
+    code = main(["verify", "--config", str(path)])
     assert code == EXIT_OK
+    assert capsys.readouterr().err == NO_UNSTABLE_MODES
+
+
+@pytest.mark.filterwarnings("default::UserWarning")
+def test_synthesize_prints_a_library_warning_as_one_line(tmp_path, capsys):
+    """No path, line number or source line, and no second line of its own."""
+    path = tmp_path / "linear.ini"
+    path.write_text(f"[problem]\ngrid_points = 32\nnonlinearity = linear\n"
+                    f"[output]\ndirectory = {tmp_path / 'syn'}\n")
+    capsys.readouterr()
+    assert main(["synthesize", "--config", str(path)]) == EXIT_OK
+    assert capsys.readouterr().err == NO_UNSTABLE_MODES
+    assert (tmp_path / "syn" / "verification.json").is_file()
 
 
 def test_gamma_ordering_violation_exits_2(tmp_path):
