@@ -5,10 +5,11 @@ law, its stage, the measure of its residual on one grid (a _Grid), and its
 bound, a [verify] tolerance key with its default or a (low, high) window
 of two keys.  An entry with ``refine`` adds a "-convergence" twin: the
 ratio of the residual at M to the one on the doubled grid (2M nodes, twice
-the substeps), held to a lower bound.  DEFAULT_VERIFY_TOLERANCES, hence
-the [verify] config keys, come from the table.  verify runs the _STAGES in
-order and stops after the spectrum when nothing is unstable; synthesize
-runs the algebra stage on its gains.
+the substeps), held to a lower bound.  The [verify] keys (with their
+defaults, DEFAULT_VERIFY_TOLERANCES, and windows, VERIFY_WINDOWS) come from
+the table.  verify runs the _STAGES in order, stops after the spectrum when
+nothing is unstable and records a trajectory stage that raises as one
+suite record; synthesize runs the algebra stage on its gains.
 
 The T and gamma sweeps share one row type, SweepRow, built in _sweep_runs,
 and one writer, sweep_to_csv(rows, axis), whose columns are declared once
@@ -618,7 +619,7 @@ def _small_period_order(grid: _Grid) -> tuple[float, dict]:
 class _Record(NamedTuple):
     name: str
     law: str
-    stage: str  # a _STAGES key; the table is in stage order
+    stage: str  # one of _STAGES; the table is in stage order
     measure: Callable[[_Grid], float | tuple[float, dict]]  # residual or (residual, details)
     bound: dict[str, float]  # tolerance key -> default; two keys: a (low, high) window
     refine: tuple[str, str, float] | None = None  # (order law, ratio key, ratio default)
@@ -653,10 +654,7 @@ _RECORDS = (
             _small_period_order, {"limit_ratio_low": 1.6, "limit_ratio_high": 2.4}),
 )
 
-# stage -> None, or the (name, law) of the one record, held to the first
-# record's tolerance, that replaces the stage's records on a ParastabError
-_STAGES = {"spectrum": None, "algebra": None, "grid": None,
-           "trajectory": ("trajectory-suite", "closed-loop-run"), "limit": None}
+_STAGES = ("spectrum", "algebra", "grid", "trajectory", "limit")
 
 
 def _default_tolerances() -> dict[str, float]:
@@ -670,12 +668,13 @@ def _default_tolerances() -> dict[str, float]:
 
 
 DEFAULT_VERIFY_TOLERANCES = _default_tolerances()
+VERIFY_WINDOWS = tuple(tuple(record.bound) for record in _RECORDS if len(record.bound) == 2)
 
 
 def _add_stage(report: VerificationReport, stage: str, grid: _Grid, tolerances: dict) -> None:
     """Add the stage's records of _RECORDS, each refine twin after its
     record; ``tolerances`` override the table's defaults."""
-    tol = {**_default_tolerances(), **tolerances}
+    tol = {**DEFAULT_VERIFY_TOLERANCES, **tolerances}
     records = [record for record in _RECORDS if record.stage == stage]
     part = VerificationReport()
     try:
@@ -692,10 +691,10 @@ def _add_stage(report: VerificationReport, stage: str, grid: _Grid, tolerances: 
                 part.add(f"{record.name}-convergence", order_law, ratio, tol[ratio_key],
                          larger_is_worse=False, details=details)
     except ParastabError as exc:
-        if _STAGES[stage] is None:
+        if stage != "trajectory":
             raise
         part.checks.clear()
-        part.add(*_STAGES[stage], np.inf, tol[next(iter(records[0].bound))],
+        part.add("trajectory-suite", "closed-loop-run", np.inf, tol[next(iter(records[0].bound))],
                  details={"error": f"{type(exc).__name__}: {exc}"})
     report.checks += part.checks
 

@@ -15,7 +15,7 @@ total_time that is not finite and positive, a negative bisect_iters, a
 [verify] tolerance that is not finite and 0 or positive and a
 nonlinearity that is not a model.REACTIONS kind.  load_config then
 rejects, under "[problem] parameters: ", a parameter list the kind does
-not take (model.reaction), and a [verify] window (analysis._RECORDS)
+not take (model.reaction), and a [verify] window (analysis.VERIFY_WINDOWS)
 whose low key is above its high key, and validate_spec an
 interval_length, target_rate or sampling_period that is not finite and
 positive, a substeps below 1, and gammas that are not finite or not
@@ -79,7 +79,7 @@ from .analysis import (
     sweep_sampling_period,
     sweep_to_csv,
     DEFAULT_VERIFY_TOLERANCES,
-    _RECORDS,
+    VERIFY_WINDOWS,
     _sweep_record_stride,
 )
 
@@ -267,7 +267,7 @@ def load_config(path: str | Path) -> RunConfig:
     if not options["dynamics"]:
         linear = spec["nonlinearity"].kind == "linear-only"
         options["dynamics"] = "linear" if linear else "semilinear"
-    for low, high in (tuple(r.bound) for r in _RECORDS if len(r.bound) == 2):
+    for low, high in VERIFY_WINDOWS:
         if tolerances[low] > tolerances[high]:
             raise ConfigError(f"[verify] {low} = {tolerances[low]} is above "
                               f"[verify] {high} = {tolerances[high]}")

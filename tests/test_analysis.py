@@ -437,10 +437,22 @@ def test_run_verification_baseline_passes():
     assert "lift-identity-convergence" in names
 
 
+PASSING_RECORDS = [
+    "orthonormality", "resolution-identity", "recursion-identity", "contraction-bound",
+    "lift-identity", "lift-identity-convergence",
+    "trajectory-recursion", "trajectory-recursion-convergence",
+    "half-identity", "half-identity-convergence",
+    "small-period-limit", "small-period-order",
+]
+
+
 def test_run_verification_records_an_unallocatable_record_block():
     # 1e13 holds x 1 record x M = 32 doubles is about 2.3 PiB
     spec = make_problem(grid_points=32, substeps=8).spec
     report = ps.run_verification(spec, horizon=10**13)
+    # one record stands in for the trajectory stage
+    assert [c.name for c in report.checks] == \
+        PASSING_RECORDS[:6] + ["trajectory-suite"] + PASSING_RECORDS[-2:]
     (suite,) = [c for c in report.checks if c.name == "trajectory-suite"]
     assert not suite.passed and suite.residual == np.inf
     assert suite.details["error"].startswith(
@@ -463,38 +475,14 @@ def test_run_verification_no_unstable_modes_reduces():
     assert "note" in report.metadata
 
 
-PASSING_RECORDS = [
-    "orthonormality", "resolution-identity", "recursion-identity", "contraction-bound",
-    "lift-identity", "lift-identity-convergence",
-    "trajectory-recursion", "trajectory-recursion-convergence",
-    "half-identity", "half-identity-convergence",
-    "small-period-limit", "small-period-order",
-]
-
-
-@pytest.mark.filterwarnings("ignore:no eigenvalue below rho")
-@pytest.mark.parametrize(
-    "spec, horizon, names",
-    [
-        (make_problem(grid_points=64).spec, 10, PASSING_RECORDS),
-        (dataclasses.replace(make_problem(grid_points=64).spec,
-                             nonlinearity=ps.linear_reaction(-10.0), gammas=None),
-         10, ["orthonormality"]),
-        # 1e13 holds cannot be allocated: one record stands in for the stage
-        (make_problem(grid_points=32, substeps=8).spec, 10**13,
-         PASSING_RECORDS[:6] + ["trajectory-suite"] + PASSING_RECORDS[-2:]),
-    ],
-    ids=["fisher64", "no-unstable-mode", "unallocatable-horizon"],
-)
-def test_run_verification_record_order(spec, horizon, names):
-    report = ps.run_verification(spec, horizon=horizon)
-    assert [c.name for c in report.checks] == names
-    assert report.passed == ("trajectory-suite" not in names)
+def test_run_verification_record_order():
+    report = ps.run_verification(make_problem(grid_points=64).spec)
+    assert [c.name for c in report.checks] == PASSING_RECORDS
+    assert report.passed
 
 
 def test_record_table_is_in_stage_order_and_declares_every_tolerance():
-    stages = list(analysis._STAGES)
-    order = [stages.index(record.stage) for record in analysis._RECORDS]
+    order = [analysis._STAGES.index(record.stage) for record in analysis._RECORDS]
     assert order == sorted(order)
     assert len({record.name for record in analysis._RECORDS}) == len(analysis._RECORDS)
     # the defaults of the [verify] keys, as they were before the table
@@ -517,6 +505,7 @@ def test_a_record_is_one_table_entry(monkeypatch):
         {"grid_step": 0.1}, ("grid-step-order", "grid_step_ratio", 1.5),
     )
     monkeypatch.setattr(analysis, "_RECORDS", tuple(records[:at] + [extra] + records[at:]))
+    monkeypatch.setattr(analysis, "DEFAULT_VERIFY_TOLERANCES", analysis._default_tolerances())
     spec = make_problem(grid_points=64).spec
     checks = ps.run_verification(spec).checks
     names = [c.name for c in checks]
