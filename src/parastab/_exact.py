@@ -31,19 +31,23 @@ exponential is formed, so nothing overflows), bounds the condition number
 before anything is built: the precision is fixed once and the system is
 assembled once.
 
-The arithmetic runs on plain lists of mpf, and ExactGains holds those lists
-(a vector as a list, a matrix as a list of rows); the weights and the Gram
-sum are summed in the rounding order of the mp.matrix operators (one fdot
-per product entry, sums over k accumulated from k = 0).  mp.matrix is built
-only for the two mp.eigsy calls: the Gram sum's condition and the
-contraction bound.  The precision sizing and the gain row formula are
-shared by two entry points:
+The arithmetic runs on plain lists of mpf (a vector as a list, a matrix
+as a list of rows), summed in the rounding order of the mp.matrix
+operators (one fdot per product entry, sums over k accumulated from
+k = 0); mp.matrix is built only for the two mp.eigsy calls: the Gram
+sum's condition and the contraction bound.  ``_hold`` computes the
+one-hold map once (the inputs, the points x_i, the hold integrals, the
+differences x_i - mu_k and the weights).  Two entry points share it, the
+precision sizing and the gain row formula:
 
-- ``gain_system`` builds the whole system (weights, Gram sum and its
-  condition, gain row, component rows, Gram inverse, closed-loop map).
-  Every GainSet holds one; synthesis.build_gains is its only caller.
-- ``gain_row`` computes the float64 gain row alone, for readers that need
-  nothing else: the continuous limit and the small-period distances.
+- ``gain_system`` builds an ExactGains, that map extended by the placed
+  points mu_k and the Gram-sum fields (the Gram sum and its condition,
+  gain row, component rows, Gram inverse, closed-loop map).  Every
+  GainSet holds one; synthesis.build_gains is its only caller.  The
+  checks read x_i and mu_k from it: a build and its checks form 2N
+  exponentials.
+- ``gain_row`` computes the float64 gain row from the map alone, for the
+  continuous limit and the small-period distances.
 
 One 50-digit full build at N = 3 takes about 2 ms on a 2-vCPU box:
 ``mp.eigsy`` of the Gram sum (about 0.7 ms, for the condition number and
@@ -79,26 +83,48 @@ def _decay_integral(lam: mp.mpf, T: mp.mpf) -> mp.mpf:
 
 
 @dataclass
-class ExactGains:
-    """The sampled gain construction (or its T -> 0 limit) as lists of mpf."""
+class _Hold:
+    """The one-hold map of the unstable modes at the working precision: the
+    inputs as mpf, the points x_i = e^{-lambda_i T} (None in the T -> 0
+    limit), the hold integrals (1 in the limit), the differences
+    cross[i][k] = x_i - mu_k and the weights lam_table[i][k] =
+    integral_diag[i] / cross[i][k].  A row read needs this alone."""
 
     lambdas: list
     flux: list
     gammas: list
     period: object  # mp.mpf or None for the continuous-time limit
-    dps: int
-    lam_table: list  # N x N: [i][k] is entry i of the k-th diagonal weight
+    points: list  # N points x_i
     integral_diag: list  # N hold integrals (identity weights at T -> 0)
+    cross: list  # N x N
+    lam_table: list  # N x N: [i][k] is entry i of the k-th diagonal weight
+
+    @property
+    def n(self) -> int:
+        return len(self.lambdas)
+
+    def gain(self) -> list:
+        """g_i = prod_k (x_i - mu_k) / (beta_i prod_{l != i} (x_i - x_l))."""
+        x_spread = _pair_products(self.lambdas, self.points, self.period)
+        return [mp.fprod(c) / (w * b * s)
+                for c, w, b, s in zip(self.cross, self.integral_diag, self.flux, x_spread)]
+
+
+@dataclass
+class ExactGains(_Hold):
+    """The full build, as lists of mpf: the one-hold map it extends,
+    computed once by _hold, plus the placed points mu_k = e^{-gamma_k T}
+    (1 in the T -> 0 limit) and the Gram-sum fields.  The checks below
+    read the points from here and form no exponential of their own."""
+
+    placed: list  # N
+    dps: int
     gram_sum: list  # N x N sum of weighted Gram terms
     gram_inverse: list  # N x N
     gain_row: list  # N
     gain_rows_k: list  # N x N: column k is the k-th component row
     closed_loop: list  # N x N sampled modal update matrix
     condition: mp.mpf
-
-    @property
-    def n(self) -> int:
-        return len(self.lambdas)
 
 
 def _log_gap(r: float, s: float, T: float | None) -> float:
@@ -179,29 +205,6 @@ def _log10_condition_bound(lambdas, flux, gammas, T) -> float:
     return (_log_sum_exp(v_logs) + _log_sum_exp(inv_logs)) / math.log(10)
 
 
-@dataclass
-class _Hold:
-    """The gain row's data at the working precision: the inputs as mpf, the
-    points x_i = e^{-lambda_i T} (None in the T -> 0 limit), the hold
-    integrals (1 in the limit), the differences cross[i][k] = x_i - mu_k
-    and the weights table[i][k] = integral_i / cross[i][k]."""
-
-    lam: list
-    b: list
-    gam: list
-    period: object
-    decay: list
-    integral: list
-    cross: list
-    table: list
-
-    def gain(self) -> list:
-        """g_i = prod_k (x_i - mu_k) / (beta_i prod_{l != i} (x_i - x_l))."""
-        x_spread = _pair_products(self.lam, self.decay, self.period)
-        return [mp.fprod(c) / (w * b * s)
-                for c, w, b, s in zip(self.cross, self.integral, self.b, x_spread)]
-
-
 def _hold(lambdas, flux, gammas, T) -> _Hold:
     """The hold data at the current working precision; a weight outside the
     float64 range raises ExactAlgebraError."""
@@ -213,13 +216,13 @@ def _hold(lambdas, flux, gammas, T) -> _Hold:
     # the differences need no points in the limit
     if period is None:
         integral = [mp.mpf(1)] * n
-        decay = [None] * n
+        points = [None] * n
     else:
-        decay = [mp.exp(-x * period) for x in lam]
+        points = [mp.exp(-x * period) for x in lam]
         integral = [_decay_integral(x, period) for x in lam]
 
     # cross[i][k] = x_i - mu_k, nonzero: _log_gap rejected equal values
-    cross = [[_gap(lam[i], gam[k], decay[i], period) for k in range(n)]
+    cross = [[_gap(lam[i], gam[k], points[i], period) for k in range(n)]
              for i in range(n)]
     table = [[integral[i] / cross[i][k] for k in range(n)] for i in range(n)]
     for i in range(n):
@@ -231,15 +234,15 @@ def _hold(lambdas, flux, gammas, T) -> _Hold:
                     f"weight {mp.nstr(w, 5)} at i={i}, k={k} is outside "
                     "the float64 range"
                 )
-    return _Hold(lam, b, gam, period, decay, integral, cross, table)
+    return _Hold(lam, b, gam, period, points, integral, cross, table)
 
 
 def _assemble(lambdas, flux, gammas, T, dps: int) -> ExactGains:
     n = len(lambdas)
     with mp.workdps(dps):
         hold = _hold(lambdas, flux, gammas, T)
-        lam, b, gam, period = hold.lam, hold.b, hold.gam, hold.period
-        cross, table = hold.cross, hold.table
+        b, gam, period = hold.flux, hold.gammas, hold.period
+        cross, table = hold.cross, hold.lam_table
         # placed: the points mu_k = e^{-gamma_k T}, 1 in the limit
         if period is None:
             placed = [mp.mpf(1)] * n
@@ -270,13 +273,9 @@ def _assemble(lambdas, flux, gammas, T, dps: int) -> ExactGains:
         ]
 
         return ExactGains(
-            lambdas=lam,
-            flux=b,
-            gammas=gam,
-            period=period,
+            **vars(hold),
+            placed=placed,
             dps=dps,
-            lam_table=table,
-            integral_diag=hold.integral,
             gram_sum=gram,
             gram_inverse=inverse,
             gain_row=gain,
@@ -380,9 +379,8 @@ def identity_residual(exact: ExactGains) -> float:
         diff = []
         for i in range(n):
             scale = exact.integral_diag[i] * exact.flux[i]
-            decay = mp.exp(-exact.lambdas[i] * exact.period)
             diff.append([
-                ((decay if i == j else 0) - scale * gain[j]) - closed[i][j]
+                ((exact.points[i] if i == j else 0) - scale * gain[j]) - closed[i][j]
                 for j in range(n)
             ])
         return float(_frobenius(diff) / _frobenius(closed))
@@ -413,9 +411,8 @@ def _symmetrized_update(exact: ExactGains) -> list:
             v = exact.lam_table[i][k] * exact.flux[i]
             w.append((v - mp.fdot(low[i][:i], w)) / low[i][i])
         ws.append(w)
-    placed = [mp.exp(-g * exact.period) for g in exact.gammas]
     return [
-        [mp.fdot((placed[k] * ws[k][i], ws[k][j]) for k in range(n)) for j in range(n)]
+        [mp.fdot((exact.placed[k] * ws[k][i], ws[k][j]) for k in range(n)) for j in range(n)]
         for i in range(n)
     ]
 
@@ -442,6 +439,6 @@ def contraction_bound(exact: ExactGains) -> tuple[float, float, float]:
     with mp.workdps(exact.dps):
         sym = mp.matrix(_symmetrized_update(exact))
         lam_max = max(mp.mpf(e) for e in mp.eigsy(sym, eigvals_only=True))
-        bound = mp.exp(-exact.gammas[0] * exact.period)
+        bound = exact.placed[0]
         return float(lam_max), float(bound), float(lam_max / bound)
 

@@ -1,7 +1,7 @@
 """Quantitative checks, decay-rate fits, parameter sweeps, reporting.
 
 Every record of synthesize and verify is one _RECORDS entry: its name and
-law, its stage, the measure of its residual on one grid (a _Grid), and its
+law, its stage, the measure of its residual on one grid (a Grid), and its
 bound, a [verify] tolerance key with its default or a (low, high) window
 of two keys.  An entry with ``refine`` adds a "-convergence" twin: the
 ratio of the residual at M to the one on the doubled grid (2M nodes, twice
@@ -28,7 +28,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import _exact
-from .model import ParastabError, ProblemSpec, ValidatedProblem, validate_spec
+from .model import ParastabError, ProblemSpec, ValidatedProblem, refined, validate_spec
 from .spectral import Spectrum, linearized_spectrum, project
 from .synthesis import GainSet, build_gains, continuous_limit, exact_system, feedback_row
 from .lifting import dirichlet_lift
@@ -179,7 +179,7 @@ def add_algebraic_checks(
     a nonnegative slack the contraction record cannot fail on a system
     that builds: it sees neither the float64 gain nor the stepped plant
     (see _exact.contraction_bound)."""
-    _add_stage(report, "algebra", _Grid(None, gains=gains), tolerances)
+    _add_stage(report, "algebra", Grid(None, gains=gains), tolerances)
 
 
 def check_lift_identity(spectrum: Spectrum, gains: GainSet) -> tuple[float, np.ndarray]:
@@ -218,7 +218,11 @@ def gain_limit_distance(
     row = feedback_row(spectrum, gammas, float(period))
     if continuous is None:
         continuous = continuous_limit(spectrum, gammas)
-    return float(np.linalg.norm(row - continuous) / np.linalg.norm(continuous))
+    return _relative_distance(row, continuous)
+
+
+def _relative_distance(row: np.ndarray, reference: np.ndarray) -> float:
+    return float(np.linalg.norm(row - reference) / np.linalg.norm(reference))
 
 
 @dataclass(frozen=True)
@@ -356,9 +360,8 @@ def _sweep_runs(
             fitted_rate=rate,
             condition_number=np.nan if shown is None else shown.condition_number,
             note=note,
-            gain_distance=None if continuous is None else float(
-                np.linalg.norm(gains.gain_row - continuous) / np.linalg.norm(continuous)
-            ),
+            gain_distance=(None if continuous is None
+                           else _relative_distance(gains.gain_row, continuous)),
         ))
     return SweepResult(rows=tuple(rows), histories=tuple(histories))
 
@@ -576,12 +579,12 @@ def orthonormality_residual(spectrum: Spectrum) -> float:
     return float(np.abs(gram - np.eye(spectrum.m)).max())
 
 
-class _Grid:
-    """What the records read on one grid, each built on first read: the
-    problem and spectrum of ``spec``, its gains and their exact system, the
-    seeded closed-loop run over ``horizon`` holds, the continuous-limit row
-    and ``fine``, the doubled grid (2M nodes, twice the substeps).  Gains
-    passed in are taken as built."""
+class Grid:
+    """What the commands and records read on one grid, each built on first
+    read: the validated problem and spectrum of ``spec`` (``linearized``),
+    its gains at the spec's gammas and period, the continuous-limit row,
+    the seeded closed-loop run over ``horizon`` holds and ``fine``, the grid
+    of model.refined(spec).  Gains passed in are taken as built."""
 
     def __init__(self, spec: ProblemSpec | None, horizon: int = 10, seed: int = 7,
                  gains: GainSet | None = None):
@@ -593,25 +596,22 @@ class _Grid:
     spectrum = cached_property(lambda g: g.linearized[1])
     gains = cached_property(
         lambda g: build_gains(g.spectrum, g.spec.gammas, g.spec.sampling_period))
-    exact = cached_property(lambda g: exact_system(g.gains))
     continuous = cached_property(lambda g: continuous_limit(g.spectrum, g.spec.gammas))
     trajectory = cached_property(lambda g: run_linear_closed_loop(
         *g.linearized, g.gains, seeded_initial_state(g.spectrum, g.seed), g.horizon))
-    fine = cached_property(lambda g: _Grid(dc_replace(
-        g.spec, grid_points=2 * g.spec.grid_points, substeps_per_hold=2 * g.spec.substeps_per_hold,
-    ), g.horizon, g.seed))
+    fine = cached_property(lambda g: Grid(refined(g.spec), g.horizon, g.seed))
 
 
 def _ratio(coarse: float, fine: float) -> tuple[float, dict]:
     return coarse / fine if fine > 0 else np.inf, {"coarse": coarse, "fine": fine}
 
 
-def _contraction(grid: _Grid) -> tuple[float, dict]:
-    radius, bound, ratio = _exact.contraction_bound(grid.exact)
+def _contraction(grid: Grid) -> tuple[float, dict]:
+    radius, bound, ratio = _exact.contraction_bound(exact_system(grid.gains))
     return ratio - 1.0, {"spectral_radius": radius, "bound": bound}
 
 
-def _small_period_order(grid: _Grid) -> tuple[float, dict]:
+def _small_period_order(grid: Grid) -> tuple[float, dict]:
     return _ratio(*(gain_limit_distance(grid.spectrum, grid.spec.gammas, period, grid.continuous)
                     for period in (1e-2, 5e-3)))
 
@@ -620,21 +620,23 @@ class _Record(NamedTuple):
     name: str
     law: str
     stage: str  # one of _STAGES; the table is in stage order
-    measure: Callable[[_Grid], float | tuple[float, dict]]  # residual or (residual, details)
+    measure: Callable[[Grid], float | tuple[float, dict]]  # residual or (residual, details)
     bound: dict[str, float]  # tolerance key -> default; two keys: a (low, high) window
     refine: tuple[str, str, float] | None = None  # (order law, ratio key, ratio default)
 
 
-# Every record of synthesize and verify, in report order.  The measures
-# call the public checks by their module names, so a wrapper put on one
-# of those names sees the call.
+# Every record of synthesize and verify, in report order.  A measure calls
+# a public function by its module name, so a wrapper on that name sees the
+# call, except contraction-bound (it needs the working-precision ratio that
+# check_contraction drops) and trajectory-recursion (no matrix rebuild).
 _RECORDS = (
     _Record("orthonormality", "modes-h-orthonormal", "spectrum",
             lambda g: orthonormality_residual(g.spectrum), {"orthonormality": 1e-12}),
     _Record("resolution-identity", "gram-sum-times-inverse", "algebra",
-            lambda g: _exact.resolution_residual(g.exact), {"resolution_identity": 1e-10}),
+            lambda g: check_resolution(g.gains), {"resolution_identity": 1e-10}),
     _Record("recursion-identity", "sampled-modal-recursion-matrix", "algebra",
-            lambda g: _exact.identity_residual(g.exact), {"recursion_identity": 1e-10}),
+            lambda g: check_modal_recursion(g.gains).matrix_residual,
+            {"recursion_identity": 1e-10}),
     _Record("contraction-bound", "symmetrized-update-spectral-radius", "algebra",
             _contraction, {"contraction_slack": 1e-8}),
     _Record("lift-identity", "lift-trace-identity", "grid",
@@ -671,7 +673,7 @@ DEFAULT_VERIFY_TOLERANCES = _default_tolerances()
 VERIFY_WINDOWS = tuple(tuple(record.bound) for record in _RECORDS if len(record.bound) == 2)
 
 
-def _add_stage(report: VerificationReport, stage: str, grid: _Grid, tolerances: dict) -> None:
+def _add_stage(report: VerificationReport, stage: str, grid: Grid, tolerances: dict) -> None:
     """Add the stage's records of _RECORDS, each refine twin after its
     record; ``tolerances`` override the table's defaults."""
     tol = {**DEFAULT_VERIFY_TOLERANCES, **tolerances}
@@ -705,7 +707,7 @@ def run_verification(spec: ProblemSpec, *, tolerances: dict | None = None,
     twin from the doubled grid (2M).  Algebraic identities are checked in
     adaptive precision.  With no unstable modes the suite reduces to the
     spectrum stage."""
-    grid = _Grid(spec, horizon, seed)
+    grid = Grid(spec, horizon, seed)
     report = VerificationReport()
     problem, spectrum = grid.linearized
     report.metadata.update(grid_points=problem.m, sampling_period=problem.period,

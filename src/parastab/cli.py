@@ -27,10 +27,11 @@ significant digits.  A library warning is printed as one stderr line,
 "warning: <message>".
 
 Exit codes: 0 success, 2 config or validation error (also a run refused
-for too few substeps per hold, dt*|lambda_1| >= 2), 3 singular gain
-algebra (a Gram sum or a cancellation that needs more than 400 working
-digits, or a weight outside the float64 range), 4 blow-up under
---expect-decay, 5 failed verification checks.
+for too few substeps per hold, dt*|lambda_1| >= 2, and a warning raised
+as an error under python -W error, printed as "error: <message>"), 3
+singular gain algebra (a Gram sum or a cancellation that needs more than
+400 working digits, or a weight outside the float64 range), 4 blow-up
+under --expect-decay, 5 failed verification checks.
 """
 
 from __future__ import annotations
@@ -47,15 +48,9 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .model import REACTIONS, ParastabError, ProblemSpec, reaction, validate_spec
-from .spectral import Spectrum, linearized_spectrum, modes_to_csv, spectrum_to_csv
-from .synthesis import (
-    SingularBSum,
-    build_gains,
-    continuous_limit,
-    gain_matrices_to_csv,
-    gains_to_json,
-)
+from .model import REACTIONS, ParastabError, ProblemSpec, reaction, refined, validate_spec
+from .spectral import Spectrum, modes_to_csv, spectrum_to_csv
+from .synthesis import SingularBSum, gain_matrices_to_csv, gains_to_json
 from .simulate import (
     UnstableStep,
     run_linear_closed_loop,
@@ -68,6 +63,7 @@ from .simulate import (
 )
 from .analysis import (
     DegenerateFit,
+    Grid,
     VerificationReport,
     add_algebraic_checks,
     estimate_basin,
@@ -310,22 +306,21 @@ def _report_checks(report: VerificationReport) -> int:
 
 
 def cmd_synthesize(config: RunConfig, out_dir: Path) -> int:
-    _, spectrum = linearized_spectrum(config.spec)
+    grid = Grid(config.spec)
+    spectrum = grid.spectrum
     report = VerificationReport()
     report.metadata["config"] = config.echo()
     report.metadata["unstable_count"] = spectrum.unstable_count
     _write(out_dir, "spectrum.csv", spectrum_to_csv(spectrum))
     if "modes" in config.formats:
         _write(out_dir, "modes.csv", modes_to_csv(spectrum))
-    if spectrum.unstable_count == 0:  # linearized_spectrum has warned
+    if spectrum.unstable_count == 0:  # select_unstable has warned
         _write(out_dir, "verification.json", report.to_json())
         return EXIT_OK
-    gains = build_gains(spectrum, config.spec.gammas, config.spec.sampling_period)
-    continuous = continuous_limit(spectrum, config.spec.gammas)
-    _write(out_dir, "gains.json", gains_to_json(gains, continuous))
+    _write(out_dir, "gains.json", gains_to_json(grid.gains, grid.continuous))
     if "matrices" in config.formats:
-        _write(out_dir, "gain_matrices.csv", gain_matrices_to_csv(gains))
-    add_algebraic_checks(report, gains, config.verify_tolerances)
+        _write(out_dir, "gain_matrices.csv", gain_matrices_to_csv(grid.gains))
+    add_algebraic_checks(report, grid.gains, config.verify_tolerances)
     _write(out_dir, "verification.json", report.to_json())
     return _report_checks(report)
 
@@ -333,13 +328,11 @@ def cmd_synthesize(config: RunConfig, out_dir: Path) -> int:
 def cmd_simulate(
     config: RunConfig, out_dir: Path, *, open_loop: bool, expect_decay: bool
 ) -> int:
-    problem, spectrum = linearized_spectrum(config.spec)
+    grid = Grid(config.spec)
+    problem, spectrum = grid.linearized
     y0 = _initial_state(config, spectrum)
     metadata: dict = {"config": config.echo()}
-
-    gains = None
-    if spectrum.unstable_count > 0:
-        gains = build_gains(spectrum, config.spec.gammas, config.spec.sampling_period)
+    gains = grid.gains if spectrum.unstable_count > 0 else None
 
     options = {"snapshot_stride": config.snapshot_stride, "sobolev_order": config.sobolev_order}
     try:
@@ -436,10 +429,9 @@ def cmd_sweep(config: RunConfig, out_dir: Path, axis: str) -> int:
             total_time=config.sweep_total_time, seed=config.sweep_seed,
         )
     else:  # amplitude; the T and gamma sweeps compute their own spectrum
-        _, spectrum = linearized_spectrum(problem)
-        gains = build_gains(spectrum, config.spec.gammas, config.spec.sampling_period)
+        grid = Grid(config.spec)
         result = estimate_basin(
-            problem, spectrum, gains, config.sweep_amplitudes, horizon=config.horizon,
+            *grid.linearized, grid.gains, config.sweep_amplitudes, horizon=config.horizon,
             seed=config.sweep_seed, bisect_iters=config.sweep_bisect_iters,
         )
     table = basin_to_csv(result) if axis == "amplitude" else sweep_to_csv(result.rows, axis)
@@ -478,11 +470,7 @@ def main(argv=None) -> int:
         try:
             config = load_config(args.config)
             if args.refine:
-                config.spec = dataclasses.replace(
-                    config.spec,
-                    grid_points=2 * config.spec.grid_points,
-                    substeps_per_hold=2 * config.spec.substeps_per_hold,
-                )
+                config.spec = refined(config.spec)
             out_dir = Path(args.out or config.out_dir)
             if args.command == "synthesize":
                 return cmd_synthesize(config, out_dir)
@@ -496,7 +484,7 @@ def main(argv=None) -> int:
         except SingularBSum as exc:
             print(f"singular gain algebra: {exc}", file=sys.stderr)
             return EXIT_SINGULAR
-        except (ConfigError, ParastabError, ValueError, OSError) as exc:
+        except (ConfigError, ParastabError, ValueError, OSError, Warning) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
 

@@ -170,6 +170,13 @@ class ProblemSpec:
     substeps_per_hold: int = 64
 
 
+def refined(spec: ProblemSpec) -> ProblemSpec:
+    """The spec on the doubled grid (2M nodes, twice the substeps): the one
+    refinement rule, of --refine and of verify's 2M twins."""
+    return replace(spec, grid_points=2 * spec.grid_points,
+                   substeps_per_hold=2 * spec.substeps_per_hold)
+
+
 @dataclass(frozen=True)
 class ValidatedProblem:
     """A ProblemSpec with derived grid quantities attached.

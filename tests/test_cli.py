@@ -377,13 +377,19 @@ def test_synthesize_and_verify_share_the_algebraic_checks(tmp_path):
         assert records["synthesize"][name] == records["verify"][name]
 
 
-def test_synthesize_assembles_one_gain_system(tmp_path, monkeypatch):
-    """The gains at T; the continuous-limit row in gains.json is read alone."""
+@pytest.mark.parametrize("argv", [["synthesize"], ["simulate"], ["sweep", "--axis", "amplitude"]],
+                         ids=["synthesize", "simulate", "sweep-amplitude"])
+def test_synthesize_assembles_one_gain_system(tmp_path, monkeypatch, argv):
+    """The gains at T, built once by analysis.Grid; the continuous-limit
+    row in gains.json is read alone."""
+    cfg = write_config(tmp_path, extra="[sweep]\namplitude = 0.01\nbisect_iters = 0\n")
     counts = count_builds(monkeypatch)
-    out = tmp_path / "syn"
-    assert main(["synthesize", "--config", write_config(tmp_path), "--out", str(out)]) == EXIT_OK
+    out = tmp_path / "out"
+    assert main([*argv, "--config", cfg, "--out", str(out)]) == EXIT_OK
     assert counts["assemble"] == 1
-    assert json.loads((out / "gains.json").read_text())["continuous_gain_row"] is not None
+    if argv == ["synthesize"]:
+        gains = json.loads((out / "gains.json").read_text())
+        assert gains["continuous_gain_row"] is not None
 
 
 def test_synthesize_writes_artifacts(tmp_path):
@@ -607,6 +613,18 @@ def test_synthesize_prints_a_library_warning_as_one_line(tmp_path, capsys):
     assert main(["synthesize", "--config", str(path)]) == EXIT_OK
     assert capsys.readouterr().err == NO_UNSTABLE_MODES
     assert (tmp_path / "syn" / "verification.json").is_file()
+
+
+def test_a_warning_raised_as_an_error_exits_2(tmp_path, capsys):
+    """Under the suite's filterwarnings = error, as under python -W error:
+    one error line, exit 2, nothing written."""
+    path = tmp_path / "linear.ini"
+    path.write_text(f"[problem]\ngrid_points = 32\nnonlinearity = linear\n"
+                    f"[output]\ndirectory = {tmp_path / 'syn'}\n")
+    capsys.readouterr()
+    assert main(["synthesize", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == NO_UNSTABLE_MODES.replace("warning:", "error:")
+    assert not (tmp_path / "syn").exists()
 
 
 def test_gamma_ordering_violation_exits_2(tmp_path):

@@ -2,10 +2,11 @@
 
 The oracle below is the Gram/LU formulation with mp.matrix operators, kept
 as the reference; the system under test holds plain lists of mpf, so its
-fields are compared with the oracle's matrices read as lists.  The fields the closed form leaves alone (the weights,
-the hold integrals, the Gram sum, its condition and the contraction bound)
-must come out equal to the oracle's at the same precision, not close.  The
-inverted fields (gain row, gain rows, Gram inverse, closed-loop map) are
+fields are compared with the oracle's matrices read as lists.  The fields
+the closed form leaves alone (the weights, the hold integrals, the
+differences x_i - mu_k, the placed points mu_k, the Gram sum, its
+condition and the contraction bound) must come out equal to the oracle's
+at the same precision, not close.  The inverted fields (gain row, gain rows, Gram inverse, closed-loop map) are
 held to the float64 rounding of the oracle run at three times the digits:
 the closed form is more accurate entry by entry than the Gram/LU route at
 the working precision, so its mpf bits legitimately differ.  The row read
@@ -29,7 +30,7 @@ PERIODS = (None, 1e-8, 1e-6, 5e-3, 0.05, 0.2, 0.7, 1.0, 2.0)
 # N unstable modes: reaction strength a and grid points of the spectrum
 SPECTRA = {1: (15.0, 200), 2: (45.0, 128), 3: (95.0, 200), 4: (200.0, 128)}
 # fields assembled as the oracle assembles them, and fields from the closed form
-SAME_FIELDS = ("lam_table", "integral_diag", "gram_sum")
+SAME_FIELDS = ("lam_table", "integral_diag", "cross", "placed", "gram_sum")
 ROUNDED_FIELDS = ("gain_row", "gain_rows_k", "gram_inverse", "closed_loop")
 # past the 400-digit limit before anything is built
 OVER_LIMIT = {(4, 2.0)}
@@ -44,13 +45,15 @@ def oracle_assemble(lambdas, flux, gammas, T, dps):
         gam = [mp.mpf(float(v)) for v in gammas]
         period = None if T is None else mp.mpf(float(T))
 
-        table = mp.zeros(n, n)
+        table, cross = mp.zeros(n, n), mp.zeros(n, n)
+        points = [None if period is None else mp.exp(-x * period) for x in lam]
         for i in range(n):
             for k in range(n):
                 if period is None:
-                    w = 1 / (gam[k] - lam[i])
+                    cross[i, k] = gam[k] - lam[i]
+                    w = 1 / cross[i, k]
                 else:
-                    den = -mp.exp(-lam[i] * period) * mp.expm1(-(gam[k] - lam[i]) * period)
+                    den = cross[i, k] = -points[i] * mp.expm1(-(gam[k] - lam[i]) * period)
                     if den == 0:
                         raise _exact.ExactAlgebraError(
                             f"degenerate weight denominator at i={i}, k={k}"
@@ -85,17 +88,17 @@ def oracle_assemble(lambdas, flux, gammas, T, dps):
         gain = gram_inv * lam_total
         rows_k = mp.zeros(n, n)
         closed = mp.zeros(n, n)
+        placed = mp.matrix([1 if period is None else mp.exp(-g * period) for g in gam])
         for k in range(n):
             gk = gram_inv * vs[k]
             for i in range(n):
                 rows_k[i, k] = gk[i]
-            weight = mp.mpf(1) if period is None else mp.exp(-gam[k] * period)
-            closed += (vs[k] * (vs[k].T * gram_inv)) * weight
+            closed += (vs[k] * (vs[k].T * gram_inv)) * placed[k]
 
         return _exact.ExactGains(
-            lambdas=lam, flux=b, gammas=gam, period=period, dps=dps,
-            lam_table=table, integral_diag=integral, gram_sum=gram_sum,
-            gram_inverse=gram_inv, gain_row=gain, gain_rows_k=rows_k,
+            lambdas=lam, flux=b, gammas=gam, period=period, points=points, dps=dps,
+            lam_table=table, integral_diag=integral, cross=cross, placed=placed,
+            gram_sum=gram_sum, gram_inverse=gram_inv, gain_row=gain, gain_rows_k=rows_k,
             closed_loop=closed, condition=condition,
         )
 
@@ -244,6 +247,23 @@ def test_gain_system_builds_once(unstable_data, monkeypatch, n, period):
         assert isinstance(got, _exact.ExactAlgebraError) and calls == []
     else:
         assert calls == [got.dps]
+
+
+def test_build_and_checks_form_each_point_once(unstable_data, monkeypatch):
+    """x_i and mu_k are formed in the build only: a sampled build plus
+    identity_residual plus contraction_bound takes 2N exponentials."""
+    calls = []
+    exp = mp.exp
+
+    def counted(x):
+        calls.append(x)
+        return exp(x)
+
+    monkeypatch.setattr(mp, "exp", counted)
+    got = _exact.gain_system(*unstable_data[3], 0.2)
+    _exact.identity_residual(got)
+    _exact.contraction_bound(got)
+    assert len(calls) == 2 * 3
 
 
 @CASES
