@@ -206,12 +206,14 @@ def _log10_condition_bound(lambdas, flux, gammas, T) -> float:
 
 
 def _hold(lambdas, flux, gammas, T) -> _Hold:
-    """The hold data at the current working precision; a weight outside the
-    float64 range raises ExactAlgebraError."""
+    """The hold data at the current working precision, an mpf input rounded
+    to it rather than to float64 (so simulate.stepped_modes' rates keep
+    their digits); a weight outside the float64 range raises
+    ExactAlgebraError."""
     n = len(lambdas)
-    lam = [mp.mpf(float(v)) for v in lambdas]
-    b = [mp.mpf(float(v)) for v in flux]
-    gam = [mp.mpf(float(v)) for v in gammas]
+    lam = [mp.mpf(v) for v in lambdas]
+    b = [mp.mpf(v) for v in flux]
+    gam = [mp.mpf(v) for v in gammas]
     period = None if T is None else mp.mpf(float(T))
     # the differences need no points in the limit
     if period is None:

@@ -11,10 +11,14 @@ the table.  verify runs the _STAGES in order, stops after the spectrum when
 nothing is unstable and records a trajectory stage that raises as one
 suite record; synthesize runs the algebra stage on its gains.
 
-The T and gamma sweeps share one row type, SweepRow, built in _sweep_runs,
-and one writer, sweep_to_csv(rows, axis), whose columns are declared once
-in _SWEEP_COLUMNS; the amplitude sweep (estimate_basin) has its own rows
-and basin_to_csv.
+The T and gamma sweeps run on a base Grid.  Each of their rows is the
+Grid of a row spec, the base spec at the row's period or gammas, on the
+base grid's spectrum.  So Grid.gains builds every gain set and
+Grid.trajectory runs every seeded closed loop, at one record rule, and a
+new axis is one more row-spec edit.  The rows share one type, SweepRow,
+fitted and noted in _sweep_runs, and one writer, sweep_to_csv(rows,
+axis), whose columns are declared once in _SWEEP_COLUMNS; the amplitude
+sweep (estimate_basin) has its own rows and basin_to_csv.
 """
 
 from __future__ import annotations
@@ -302,55 +306,43 @@ class SweepResult:
     histories: tuple[NormHistory, ...]
 
 
-def _sweep_record_stride(spec: ProblemSpec) -> int:
-    """The sweeps' record rule: every max(substeps // 8, 1)-th substep, so
-    eight records per hold when substeps_per_hold is a multiple of eight."""
-    return max(spec.substeps_per_hold // 8, 1)
-
-
 def _sweep_runs(
-    problem: ValidatedProblem,
-    spectrum: Spectrum,
-    cases: Iterable[tuple[float, Sequence[float] | None, str]],
+    grid: Grid,
+    cases: Iterable[tuple[ProblemSpec, str]],
     *,
     total_time: float,
-    seed: int,
     continuous: np.ndarray | None = None,
 ) -> SweepResult:
-    """Synthesize, run and fit one (period, gammas, label) case per row.
+    """Fit one (row spec, label) case per row.
 
-    Each seeded closed loop covers ``total_time`` (finite and positive; at
-    least three holds) and records by _sweep_record_stride and at each
-    hold's end.  A failed run or fit becomes
-    the row's note.  With the ``continuous`` limit row (the T axis) a row
-    carries its gain row's distance to it and a failed synthesis
-    propagates; without it (the gamma axis) a failed synthesis is noted
-    too, and a noted row shows no gain row and a NaN condition number.
-    The norm histories of the fitted runs come back with the rows.
+    A row is the Grid of its spec on grid's spectrum, at grid's seed, over
+    total_time (finite and positive; at least three holds): its gains and
+    seeded run come from that Grid.  A failed run or fit becomes the row's
+    note.  With the ``continuous`` limit row (the T axis) a row carries its
+    gain row's distance to it and a failed synthesis propagates; without it
+    (the gamma axis) a failed synthesis is noted too, and a noted row shows
+    no gain row and a NaN condition number.  The norm histories of the
+    fitted runs come back with the rows.
     """
     if not 0 < total_time < math.inf:
         raise ValueError(f"total_time must be finite and positive, got {total_time}")
-    y0 = seeded_initial_state(spectrum, seed)
-    stride = _sweep_record_stride(problem.spec)
     rows: list[SweepRow] = []
     histories: list[NormHistory] = []
-    for period, gam, label in cases:
-        prob = validate_spec(dc_replace(problem.spec, sampling_period=period))
+    for spec, label in cases:
+        period = spec.sampling_period
+        row = Grid(spec, max(int(np.ceil(total_time / period)), 3), grid.seed,
+                   spectrum=grid.spectrum)
         gains = rate = None
         note = ""
         try:
-            gains = build_gains(spectrum, gam, period)
-            horizon = max(int(np.ceil(total_time / period)), 3)
-            traj = run_linear_closed_loop(
-                prob, spectrum, gains, y0, horizon, snapshot_stride=stride
-            )
-            rate = fit_decay_rate(traj).rate
-            histories.append((label, traj.times, traj.l2_norms))
+            gains = row.gains
+            rate = fit_decay_rate(row.trajectory).rate
+            histories.append((label, row.trajectory.times, row.trajectory.l2_norms))
         except ParastabError as exc:
             if gains is None and continuous is not None:
                 raise
             note = f"{type(exc).__name__}: {exc}"
-        placed = gam if gains is None else gains.gammas
+        placed = spec.gammas if gains is None else gains.gammas
         shown = None if note and continuous is None else gains
         rows.append(SweepRow(
             period=period,
@@ -367,17 +359,13 @@ def _sweep_runs(
 
 
 def sweep_sampling_period(
-    problem: ValidatedProblem,
-    periods: Iterable[float],
-    *,
-    gammas: Sequence[float] | None = None,
-    total_time: float = 10.0,
-    seed: int = 7,
+    grid: Grid, periods: Iterable[float], *, total_time: float = 10.0
 ) -> SweepResult:
-    """Gain behavior and closed-loop rate across sampling periods.
+    """Gain behavior and closed-loop rate across sampling periods, at the
+    grid's gammas and seed.
 
     The spectrum (hence the continuous-time limit) is period-independent
-    and computed once; each row synthesizes, runs a seeded closed loop
+    and the grid's; each row synthesizes, runs a seeded closed loop
     covering ``total_time``, and fits the decay rate.  Rows with failed
     runs carry a note instead of a rate; a failed synthesis raises, and so
     does a period or total_time that is not finite and positive.  Norm
@@ -386,34 +374,26 @@ def sweep_sampling_period(
     periods = [float(p) for p in periods]
     if not periods or any(not 0 < p < math.inf for p in periods):
         raise ValueError("periods must be a non-empty list of finite positive values")
-    _, spectrum = linearized_spectrum(problem)
-    gam = gammas if gammas is not None else problem.spec.gammas
-    return _sweep_runs(
-        problem, spectrum, [(p, gam, f"T={p:g}") for p in periods],
-        total_time=total_time, seed=seed, continuous=continuous_limit(spectrum, gam),
-    )
+    cases = [(dc_replace(grid.spec, sampling_period=p), f"T={p:g}") for p in periods]
+    return _sweep_runs(grid, cases, total_time=total_time, continuous=grid.continuous)
 
 
 def sweep_gammas(
-    problem: ValidatedProblem,
-    gamma_lists: Sequence[Sequence[float]],
-    *,
-    total_time: float = 10.0,
-    seed: int = 7,
+    grid: Grid, gamma_lists: Sequence[Sequence[float]], *, total_time: float = 10.0
 ) -> SweepResult:
-    """Closed-loop behavior across placement-rate choices at the configured T.
+    """Closed-loop behavior across placement-rate choices at the grid's T
+    and seed.
 
     A list that fails to synthesize, run or fit gives a row with a note and
     no gain row.
     """
     if not gamma_lists:
         raise ValueError("need at least one placement list")
-    _, spectrum = linearized_spectrum(problem)
     cases = [
-        (problem.period, gam, f"gammas={','.join(f'{g:g}' for g in gam)}")
+        (dc_replace(grid.spec, gammas=gam), f"gammas={','.join(f'{g:g}' for g in gam)}")
         for gam in (tuple(float(g) for g in gam) for gam in gamma_lists)
     ]
-    return _sweep_runs(problem, spectrum, cases, total_time=total_time, seed=seed)
+    return _sweep_runs(grid, cases, total_time=total_time)
 
 
 @dataclass(frozen=True)
@@ -580,25 +560,34 @@ def orthonormality_residual(spectrum: Spectrum) -> float:
 
 
 class Grid:
-    """What the commands and records read on one grid, each built on first
-    read: the validated problem and spectrum of ``spec`` (``linearized``),
-    its gains at the spec's gammas and period, the continuous-limit row,
-    the seeded closed-loop run over ``horizon`` holds and ``fine``, the grid
-    of model.refined(spec).  Gains passed in are taken as built."""
+    """What the commands, the records and the sweep rows read on one grid,
+    each built on first read: the validated ``problem`` of ``spec`` and the
+    spectrum of its linearization (the two as ``linearized``), its gains at
+    the spec's gammas and period, the continuous-limit row, the seeded
+    closed-loop run over ``horizon`` holds and ``fine``, the grid of
+    model.refined(spec).  A spectrum or gains passed in are taken as built.
+    The seeded run records at the sweeps' rule, ``record_stride``."""
 
     def __init__(self, spec: ProblemSpec | None, horizon: int = 10, seed: int = 7,
-                 gains: GainSet | None = None):
+                 gains: GainSet | None = None, spectrum: Spectrum | None = None):
         self.spec, self.horizon, self.seed = spec, horizon, seed
         if gains is not None:
             self.gains = gains
+        if spectrum is not None:
+            self.spectrum = spectrum
 
-    linearized = cached_property(lambda g: linearized_spectrum(g.spec))
-    spectrum = cached_property(lambda g: g.linearized[1])
+    problem = cached_property(lambda g: validate_spec(g.spec))
+    spectrum = cached_property(lambda g: linearized_spectrum(g.problem)[1])
+    linearized = property(lambda g: (g.problem, g.spectrum))
     gains = cached_property(
         lambda g: build_gains(g.spectrum, g.spec.gammas, g.spec.sampling_period))
     continuous = cached_property(lambda g: continuous_limit(g.spectrum, g.spec.gammas))
+    # every max(substeps // 8, 1)-th substep: eight records per hold when
+    # the substeps are a multiple of eight
+    record_stride = property(lambda g: max(g.spec.substeps_per_hold // 8, 1))
     trajectory = cached_property(lambda g: run_linear_closed_loop(
-        *g.linearized, g.gains, seeded_initial_state(g.spectrum, g.seed), g.horizon))
+        *g.linearized, g.gains, seeded_initial_state(g.spectrum, g.seed), g.horizon,
+        snapshot_stride=g.record_stride))
     fine = cached_property(lambda g: Grid(refined(g.spec), g.horizon, g.seed))
 
 

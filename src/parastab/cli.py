@@ -48,7 +48,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .model import REACTIONS, ParastabError, ProblemSpec, reaction, refined, validate_spec
+from .model import REACTIONS, ParastabError, ProblemSpec, reaction, refined
 from .spectral import Spectrum, modes_to_csv, spectrum_to_csv
 from .synthesis import SingularBSum, gain_matrices_to_csv, gains_to_json
 from .simulate import (
@@ -76,7 +76,6 @@ from .analysis import (
     sweep_to_csv,
     DEFAULT_VERIFY_TOLERANCES,
     VERIFY_WINDOWS,
-    _sweep_record_stride,
 )
 
 EXIT_OK = 0
@@ -371,7 +370,7 @@ def cmd_simulate(
         try:
             baseline = run_open_loop(
                 problem, spectrum, y0, config.open_loop_horizon,
-                snapshot_stride=_sweep_record_stride(problem.spec),
+                snapshot_stride=grid.record_stride,
                 sobolev_order=config.sobolev_order,
             )
         except UnstableStep as exc:
@@ -415,25 +414,19 @@ def cmd_sweep(config: RunConfig, out_dir: Path, axis: str) -> int:
     }
     if axis not in values:
         raise ConfigError(f"unknown sweep axis {axis!r}")
-    problem = validate_spec(config.spec)
+    grid = Grid(config.spec, config.horizon, config.sweep_seed)
+    grid.problem  # a spec that fails validation exits 2 before an empty list
     if not values[axis]:
         raise ConfigError(f"sweep axis {axis} needs a non-empty [sweep] {axis} list")
     if axis == "T":
-        result = sweep_sampling_period(
-            problem, config.sweep_periods, gammas=config.spec.gammas,
-            total_time=config.sweep_total_time, seed=config.sweep_seed,
-        )
+        result = sweep_sampling_period(grid, config.sweep_periods,
+                                       total_time=config.sweep_total_time)
     elif axis == "gamma":
-        result = sweep_gammas(
-            problem, config.sweep_gammas,
-            total_time=config.sweep_total_time, seed=config.sweep_seed,
-        )
-    else:  # amplitude; the T and gamma sweeps compute their own spectrum
-        grid = Grid(config.spec)
-        result = estimate_basin(
-            *grid.linearized, grid.gains, config.sweep_amplitudes, horizon=config.horizon,
-            seed=config.sweep_seed, bisect_iters=config.sweep_bisect_iters,
-        )
+        result = sweep_gammas(grid, config.sweep_gammas, total_time=config.sweep_total_time)
+    else:
+        result = estimate_basin(*grid.linearized, grid.gains, config.sweep_amplitudes,
+                                horizon=grid.horizon, seed=grid.seed,
+                                bisect_iters=config.sweep_bisect_iters)
     table = basin_to_csv(result) if axis == "amplitude" else sweep_to_csv(result.rows, axis)
     _write(out_dir, f"sweep_{axis}.csv", table)
     if "svg" in config.formats and result.histories:

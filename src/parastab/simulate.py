@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Sequence
 
+import mpmath as mp
 import numpy as np
 
 from ._lapack import dpttrf, dpttrs
@@ -312,6 +313,58 @@ def _check_substeps(period: float, substeps: int, lambda_1: float) -> None:
             f"flip the sign of unstable mode 1 every substep; T = {period:g} "
             f"needs at least {needed} substeps (floor(T*|lambda_1|/2) + 1)"
         )
+
+
+def stepped_modes(spectrum: Spectrum, period: float, substeps: int,
+                  start: int = 0) -> tuple[list, list]:
+    """(lambda~, b~) of the unstable modes, as mpf at the working precision:
+    the one-hold map the kernel steps, with ``start`` backward-Euler (BE)
+    substeps at the start of each hold and Crank-Nicolson (CN) for the rest.
+
+    Over a hold with held value u the kernel maps mode i as
+    c_i -> r_i c_i - (1 - r_i) / lambda_i * b~_i u, with b~_i = -phi_i[M] / h
+    and r_i the product of the substep multipliers, (1 - a_i) / (1 + a_i)
+    per CN substep and 1 / (1 + 2 a_i) per BE substep, a_i = dt lambda_i / 2
+    from the kernel's dt = period / substeps and the spectrum's lambda_i.
+    That is the paper's one-hold map at the effective rate
+    lambda~_i = -ln(r_i) / period with the flux b~_i lambda~_i / lambda_i, so
+    _exact.gain_system(lambda~, b~ lambda~ / lambda, gammas, period) places
+    the gain against the stepped plant.
+
+    lambda~ is real only if every multiplier of an unstable mode is
+    positive: CN needs dt |lambda_1| < 2 (_check_substeps), a BE substep
+    dt |lambda_1| < 1, and CN on the last unstable mode, when its lambda_N
+    is positive, dt lambda_N < 2.  Each failure raises TooFewSubsteps
+    naming the smallest count that works.
+    """
+    if not 0 <= start <= substeps:
+        raise ValueError(f"start must lie in [0, {substeps}], got {start}")
+    n = spectrum.unstable_count
+    lambda_1, lambda_n = spectrum.lambdas[0], spectrum.lambdas[n - 1]
+    _check_substeps(period, substeps, lambda_1)
+    needed = math.floor(-period * lambda_1) + 1
+    if start and substeps < needed:
+        raise TooFewSubsteps(
+            f"substeps_per_hold = {substeps} gives dt*|lambda_1| = "
+            f"{-lambda_1 * period / substeps:.3g} >= 1, so a backward-Euler substep "
+            f"would flip the sign of unstable mode 1; T = {period:g} needs at "
+            f"least {needed} substeps (floor(T*|lambda_1|) + 1)"
+        )
+    needed = math.floor(0.5 * period * lambda_n) + 1
+    if substeps < needed:
+        raise TooFewSubsteps(
+            f"substeps_per_hold = {substeps} gives dt*lambda_{n} = "
+            f"{lambda_n * period / substeps:.3g} >= 2, so Crank-Nicolson would flip "
+            f"the sign of unstable mode {n} every substep; T = {period:g} needs at "
+            f"least {needed} substeps (floor(T*lambda_{n}/2) + 1)"
+        )
+    dt, T = mp.mpf(period / substeps), mp.mpf(period)
+    rates = []
+    for lam in spectrum.lambdas[:n]:
+        a = dt * mp.mpf(lam) / 2
+        log_r = (substeps - start) * (mp.log1p(-a) - mp.log1p(a)) - start * mp.log1p(2 * a)
+        rates.append(-log_r / T)
+    return rates, [-mp.mpf(phi) / mp.mpf(spectrum.h) for phi in spectrum.modes[-1, :n]]
 
 
 def _advance(

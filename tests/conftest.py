@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import parastab as ps
-from parastab import _exact
+from parastab import _exact, spectral
 from parastab.lifting import _shift_coefficients
 
 
@@ -33,10 +33,10 @@ def quiet_gains(spectrum, gammas, period):
 
 
 def count_builds(monkeypatch) -> dict:
-    """Count full gain-system assemblies and mpmath symmetric eigenvalue
-    solves from here on."""
-    counts = {"assemble": 0, "eigsy": 0}
-    assemble, eigsy = _exact._assemble, mp.eigsy
+    """Count full gain-system assemblies, mpmath symmetric eigenvalue solves
+    and operator eigendecompositions (one per spectrum) from here on."""
+    counts = {"assemble": 0, "eigsy": 0, "eigendecompose": 0}
+    assemble, eigsy, eigendecompose = _exact._assemble, mp.eigsy, spectral.eigendecompose
 
     def counted_assemble(*args):
         counts["assemble"] += 1
@@ -46,8 +46,13 @@ def count_builds(monkeypatch) -> dict:
         counts["eigsy"] += 1
         return eigsy(*args, **kwargs)
 
+    def counted_eigendecompose(operator):
+        counts["eigendecompose"] += 1
+        return eigendecompose(operator)
+
     monkeypatch.setattr(_exact, "_assemble", counted_assemble)
     monkeypatch.setattr(mp, "eigsy", counted_eigsy)
+    monkeypatch.setattr(spectral, "eigendecompose", counted_eigendecompose)
     return counts
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import parastab as ps
 from parastab.analysis import (
+    Grid,
     SweepRow,
     basin_to_csv,
     sweep_to_csv,
@@ -106,7 +107,7 @@ def test_gain_limit_distance_shrinks(spectrum15):
 
 def test_sweep_sampling_period_stabilizes(problem15):
     result = ps.sweep_sampling_period(
-        problem15, (0.05, 0.2, 1.0), total_time=6.0, seed=3
+        Grid(problem15.spec, seed=3), (0.05, 0.2, 1.0), total_time=6.0
     )
     assert [r.period for r in result.rows] == [0.05, 0.2, 1.0]
     for row in result.rows:
@@ -121,7 +122,7 @@ def test_sweep_sampling_period_stabilizes(problem15):
 
 def test_sweep_gain_distance_is_first_order(problem15):
     result = ps.sweep_sampling_period(
-        problem15, (1e-2, 5e-3, 2.5e-3), total_time=1.0, seed=3
+        Grid(problem15.spec, seed=3), (1e-2, 5e-3, 2.5e-3), total_time=1.0
     )
     d = [row.gain_distance for row in result.rows]
     assert d[0] / d[1] == pytest.approx(2.0, rel=0.2)
@@ -131,18 +132,18 @@ def test_sweep_gain_distance_is_first_order(problem15):
 def test_sweep_rejects_empty_or_negative():
     prob = make_problem()
     with pytest.raises(ValueError):
-        ps.sweep_sampling_period(prob, ())
+        ps.sweep_sampling_period(Grid(prob.spec), ())
     with pytest.raises(ValueError):
-        ps.sweep_sampling_period(prob, (0.1, -0.2))
+        ps.sweep_sampling_period(Grid(prob.spec), (0.1, -0.2))
     with pytest.raises(ValueError, match="positive"):
-        ps.sweep_sampling_period(prob, (0.1, float("nan")))
+        ps.sweep_sampling_period(Grid(prob.spec), (0.1, float("nan")))
     with pytest.raises(ValueError, match="finite positive"):
-        ps.sweep_sampling_period(prob, (0.1, float("inf")))
+        ps.sweep_sampling_period(Grid(prob.spec), (0.1, float("inf")))
     for total_time in (float("inf"), float("nan"), 0.0):
         with pytest.raises(ValueError, match="total_time must be finite and positive"):
-            ps.sweep_sampling_period(prob, (0.1,), total_time=total_time)
+            ps.sweep_sampling_period(Grid(prob.spec), (0.1,), total_time=total_time)
         with pytest.raises(ValueError, match="total_time must be finite and positive"):
-            ps.sweep_gammas(prob, [(2.0,)], total_time=total_time)
+            ps.sweep_gammas(Grid(prob.spec), [(2.0,)], total_time=total_time)
 
 
 @pytest.mark.parametrize("amplitude", [-0.5, float("nan"), float("inf")],
@@ -153,7 +154,7 @@ def test_estimate_basin_rejects_bad_amplitudes(problem15, spectrum15, gains15, a
 
 
 def test_sweep_gammas(problem15):
-    result = ps.sweep_gammas(problem15, [(2.0,), (4.0,), (8.0,)], total_time=5.0)
+    result = ps.sweep_gammas(Grid(problem15.spec), [(2.0,), (4.0,), (8.0,)], total_time=5.0)
     rates = [row.fitted_rate for row in result.rows]
     assert all(r is not None and r > 0.0 for r in rates)
     # faster placement decays faster until stepping error bites
@@ -165,7 +166,7 @@ def test_sweep_gammas(problem15):
 def test_sweep_synthesis_error_policies(problem15):
     # two rates for one unstable mode cannot be synthesized: a noted row in
     # the gamma sweep, an exception in the T sweep
-    result = ps.sweep_gammas(problem15, [(2.0,), (2.0, 3.0)], total_time=2.0)
+    result = ps.sweep_gammas(Grid(problem15.spec), [(2.0,), (2.0, 3.0)], total_time=2.0)
     ok, bad = result.rows
     assert ok.note == "" and len(ok.gain_row) == 1
     assert bad.note == "ParastabError: need 1 placement rates, got 2"
@@ -178,23 +179,23 @@ def test_sweep_synthesis_error_policies(problem15):
     # the row loop of both sweeps
     fast = make_problem(a=5.0, rho=6.0, gammas=(7.0,))
     with pytest.raises(ps.SingularBSum):
-        ps.sweep_sampling_period(fast, (0.2, 200.0), total_time=2.0)
+        ps.sweep_sampling_period(Grid(fast.spec), (0.2, 200.0), total_time=2.0)
     slow = make_problem(a=5.0, rho=6.0, gammas=(7.0,), period=200.0)
-    (row,) = ps.sweep_gammas(slow, [(7.0,)], total_time=2.0).rows
+    (row,) = ps.sweep_gammas(Grid(slow.spec), [(7.0,)], total_time=2.0).rows
     assert row.note.startswith("SingularBSum: ")
 
 
 def test_sweep_rows_note_an_unallocatable_record_block(problem15):
     # T = 1e-12 over total_time 1 needs 1e12 holds x 8 records x M = 200
     # doubles, about 11 PiB: beyond any address space, so nothing is allocated
-    result = ps.sweep_sampling_period(problem15, (1e-12,), total_time=1.0)
+    result = ps.sweep_sampling_period(Grid(problem15.spec), (1e-12,), total_time=1.0)
     (row,) = result.rows
     assert row.note.startswith("ParastabError: cannot allocate the record block")
     assert "horizon 1000000000000 x 8 records per hold) x M = 200 doubles" in row.note
     assert row.fitted_rate is None and len(row.gain_row) == 1
     assert row.gain_distance < 1e-9 and result.histories == ()
     tiny = make_problem(period=1e-12)
-    (row,) = ps.sweep_gammas(tiny, [(2.0,)], total_time=1.0).rows
+    (row,) = ps.sweep_gammas(Grid(tiny.spec), [(2.0,)], total_time=1.0).rows
     assert row.note.startswith("ParastabError: cannot allocate the record block")
     assert row.gain_row == () and np.isnan(row.condition_number)
     assert row.gain_distance is None
@@ -329,7 +330,7 @@ def test_sweep_computes_no_sobolev_history(monkeypatch, problem15):
     calls = []
     real = simulate.sobolev_norm
     monkeypatch.setattr(simulate, "sobolev_norm", lambda *a: calls.append(a) or real(*a))
-    result = ps.sweep_sampling_period(problem15, (0.2, 1.0), total_time=4.0, seed=3)
+    result = ps.sweep_sampling_period(Grid(problem15.spec, seed=3), (0.2, 1.0), total_time=4.0)
     assert all(row.fitted_rate is not None for row in result.rows)
     assert reads["l2_norms"] > 0
     assert reads["sobolev_norms"] == 0
@@ -347,7 +348,7 @@ def test_basin_computes_no_l2_history(monkeypatch, problem15, spectrum15, gains1
 
 
 def test_sweep_csv_roundtrip(problem15):
-    result = ps.sweep_sampling_period(problem15, (0.2,), total_time=4.0)
+    result = ps.sweep_sampling_period(Grid(problem15.spec), (0.2,), total_time=4.0)
     text = sweep_to_csv(result.rows, "T")
     header, row = text.strip().split("\n")
     assert header.split(",")[0] == "T"
@@ -355,8 +356,8 @@ def test_sweep_csv_roundtrip(problem15):
 
 
 def test_sweep_rows_independent_of_order(problem15):
-    fwd = ps.sweep_sampling_period(problem15, (0.05, 0.2), total_time=3.0)
-    rev = ps.sweep_sampling_period(problem15, (0.2, 0.05), total_time=3.0)
+    fwd = ps.sweep_sampling_period(Grid(problem15.spec), (0.05, 0.2), total_time=3.0)
+    rev = ps.sweep_sampling_period(Grid(problem15.spec), (0.2, 0.05), total_time=3.0)
     assert fwd.rows[0] == rev.rows[1]
     assert fwd.rows[1] == rev.rows[0]
 
@@ -406,7 +407,7 @@ def test_row_readers_build_no_gain_system(monkeypatch, spectrum95):
     for period in (1e-6, 1e-2, 5e-3):
         ps.gain_limit_distance(spectrum95, gammas, period, cont)
     ps.gain_limit_distance(spectrum95, gammas, 1e-2)
-    assert counts == {"assemble": 0, "eigsy": 0}
+    assert counts == {"assemble": 0, "eigsy": 0, "eigendecompose": 0}
     with pytest.raises(ValueError, match="period must be finite and positive"):
         ps.gain_limit_distance(spectrum95, gammas, 0.0, cont)
 
@@ -447,7 +448,8 @@ PASSING_RECORDS = [
 
 
 def test_run_verification_records_an_unallocatable_record_block():
-    # 1e13 holds x 1 record x M = 32 doubles is about 2.3 PiB
+    # 1e13 holds x 8 records x M = 32 doubles is about 18 PiB: the seeded
+    # run records at the sweeps' rule, every max(8 // 8, 1) = 1 substep
     spec = make_problem(grid_points=32, substeps=8).spec
     report = ps.run_verification(spec, horizon=10**13)
     # one record stands in for the trajectory stage
@@ -457,7 +459,7 @@ def test_run_verification_records_an_unallocatable_record_block():
     assert not suite.passed and suite.residual == np.inf
     assert suite.details["error"].startswith(
         "ParastabError: cannot allocate the record block of (1 + horizon 10000000000000 x "
-        "1 records per hold) x M = 32 doubles"
+        "8 records per hold) x M = 32 doubles"
     )
 
 

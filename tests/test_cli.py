@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import parastab as ps
+from parastab import analysis, cli, model, spectral
 from parastab.analysis import DEFAULT_VERIFY_TOLERANCES, _RECORDS
 from parastab.cli import (
     EXIT_BLOWUP,
@@ -377,19 +378,52 @@ def test_synthesize_and_verify_share_the_algebraic_checks(tmp_path):
         assert records["synthesize"][name] == records["verify"][name]
 
 
-@pytest.mark.parametrize("argv", [["synthesize"], ["simulate"], ["sweep", "--axis", "amplitude"]],
-                         ids=["synthesize", "simulate", "sweep-amplitude"])
-def test_synthesize_assembles_one_gain_system(tmp_path, monkeypatch, argv):
-    """The gains at T, built once by analysis.Grid; the continuous-limit
-    row in gains.json is read alone."""
-    cfg = write_config(tmp_path, extra="[sweep]\namplitude = 0.01\nbisect_iters = 0\n")
+SWEEPS = "[sweep]\namplitude = 0.01\nbisect_iters = 0\nT = 0.1,0.2\ngamma = 2.0;3.0\ntotal_time = 2.0\n"
+COMMANDS = [
+    pytest.param(["synthesize"], 1, id="synthesize"),
+    pytest.param(["simulate"], 1, id="simulate"),
+    pytest.param(["sweep", "--axis", "amplitude"], 1, id="sweep-amplitude"),
+    pytest.param(["sweep", "--axis", "T"], 2, id="sweep-T"),
+    pytest.param(["sweep", "--axis", "gamma"], 2, id="sweep-gamma"),
+]
+
+
+@pytest.mark.parametrize("argv, rows", COMMANDS)
+def test_synthesize_assembles_one_gain_system(tmp_path, monkeypatch, argv, rows):
+    """One spectrum per command and the gains of each row (one, or one per
+    sweep row), built once by analysis.Grid; the continuous-limit row in
+    gains.json and sweep_T.csv is read alone."""
+    cfg = write_config(tmp_path, extra=SWEEPS)
     counts = count_builds(monkeypatch)
     out = tmp_path / "out"
     assert main([*argv, "--config", cfg, "--out", str(out)]) == EXIT_OK
-    assert counts["assemble"] == 1
+    assert counts["eigendecompose"] == 1
+    assert counts["assemble"] == rows
     if argv == ["synthesize"]:
         gains = json.loads((out / "gains.json").read_text())
         assert gains["continuous_gain_row"] is not None
+
+
+@pytest.mark.parametrize("axis, runs", [("amplitude", 1), ("T", 3), ("gamma", 3)])
+def test_sweep_validates_each_spec_once(tmp_path, monkeypatch, axis, runs):
+    """validate_spec checks a ProblemSpec in full once per spec a sweep
+    runs: the configured one, and on the T and gamma axes each of the two
+    rows' (its period or gammas)."""
+    specs = []
+    validate = model.validate_spec
+
+    def counted(spec):
+        if isinstance(spec, ps.ProblemSpec):
+            specs.append(spec)
+        return validate(spec)
+
+    for module in (model, spectral, analysis, cli):
+        if getattr(module, "validate_spec", None) is validate:
+            monkeypatch.setattr(module, "validate_spec", counted)
+    cfg = write_config(tmp_path, extra=SWEEPS)
+    assert main(["sweep", "--axis", axis, "--config", cfg, "--out", str(tmp_path / "out")]) \
+        == EXIT_OK
+    assert len(specs) == runs
 
 
 def test_synthesize_writes_artifacts(tmp_path):

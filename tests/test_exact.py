@@ -23,6 +23,7 @@ import pytest
 
 import parastab as ps
 from parastab import _exact
+from parastab.simulate import stepped_modes
 
 from conftest import make_problem, make_spectrum, quiet_gains
 
@@ -147,11 +148,17 @@ def oracle_contraction_bound(exact):
 
 
 @pytest.fixture(scope="module")
-def unstable_data():
+def spectra():
+    """The spectrum with N unstable modes, per N."""
+    return {n: make_spectrum(make_problem(a=a, grid_points=grid_points))
+            for n, (a, grid_points) in SPECTRA.items()}
+
+
+@pytest.fixture(scope="module")
+def unstable_data(spectra):
     """(lambdas, flux, gammas) of the unstable modes, per N."""
     data = {}
-    for n, (a, grid_points) in SPECTRA.items():
-        spectrum = make_spectrum(make_problem(a=a, grid_points=grid_points))
+    for n, spectrum in spectra.items():
         assert spectrum.unstable_count == n
         data[n] = (spectrum.lambdas[:n], spectrum.boundary_flux[:n],
                    ps.default_gammas(1.0, n))
@@ -341,6 +348,37 @@ def test_condition_bound_brackets_the_condition(unstable_data, n, period):
     with mp.workdps(exact.dps):
         digits = float(mp.log10(exact.condition))
     assert digits - 1e-9 <= bound <= digits + 2 * np.log10(n) + 1e-9
+
+
+@pytest.mark.parametrize("start", [0, 2], ids=lambda s: f"start{s}")
+@pytest.mark.parametrize("period", PERIODS[1:], ids=lambda t: f"T{t}")
+@MODES
+def test_stepped_gain_places_the_stepped_plant(spectra, n, period, start):
+    """gain_system on the effective rates of stepped_modes, (lambda~,
+    b~ lambda~ / lambda), places the eigenvalues of the stepped one-hold map
+    diag(r) + beta g^T, r_i = e^{-lambda~_i T} and beta_i = -(1 - r_i) /
+    lambda_i b~_i, at e^{-gamma_k T}, in mpmath.  The substeps keep
+    dt |lambda_1| <= 1/2, so a backward-Euler start substep is allowed."""
+    spectrum = spectra[n]
+    substeps = max(64, 2 * (math.floor(-period * spectrum.lambdas[0]) + 1))
+    gammas = ps.default_gammas(1.0, n)
+    with mp.workdps(_exact.MAX_DPS):
+        rates, inputs = stepped_modes(spectrum, period, substeps, start)
+        lambdas = [mp.mpf(v) for v in spectrum.lambdas[:n]]
+        flux = [b * x / lam for b, x, lam in zip(inputs, rates, lambdas)]
+    got = _build(rates, flux, gammas, period)
+    if (n, period) in OVER_LIMIT:
+        assert isinstance(got, _exact.ExactAlgebraError)
+        return
+    with mp.workdps(got.dps):
+        T = mp.mpf(period)
+        r = [mp.exp(-x * T) for x in rates]
+        beta = [-(1 - ri) / lam * b for ri, lam, b in zip(r, lambdas, inputs)]
+        hold = mp.matrix([[(r[i] if i == j else 0) + beta[i] * got.gain_row[j]
+                           for j in range(n)] for i in range(n)])
+        eigenvalues = sorted(mp.eig(hold, left=True)[0], key=lambda z: -abs(z))
+        placed = [mp.exp(-g * T) for g in gammas]
+        assert max(abs(e - p) / p for e, p in zip(eigenvalues, placed)) <= 1e-16
 
 
 def test_condition_bound_does_not_overflow():

@@ -18,6 +18,7 @@ from parastab.simulate import (
     _cn_solver,
     _CNKernel,
     problem_fingerprint,
+    stepped_modes,
 )
 
 from conftest import extended_lift, hold_profiles, make_problem, make_spectrum, quiet_gains
@@ -231,6 +232,84 @@ def test_multimode_at_T2_needs_86_substeps(problem95, spectrum95):
         problem95.spec, sampling_period=2.0, substeps_per_hold=86))
     with pytest.raises(ps.UnstableStep):
         ps.run_open_loop(prob, spectrum95, y0, 1)
+
+
+@pytest.mark.parametrize("start", [0, 2], ids=lambda s: f"start{s}")
+@pytest.mark.parametrize("period", [0.2, 1.0, 2.0])
+def test_stepped_modes_match_the_kernel_recursion(spectrum95, period, start):
+    """(r, beta) of stepped_modes, r_i = e^{-lambda~_i T} and beta_i =
+    -(1 - r_i) / lambda_i b~_i, against the unstable coordinates of one hold
+    of the kernel's substeps recurred at 40 digits: (1 + 2a) c' = c + dt
+    phi[M] / h u per backward-Euler start substep and (1 + a) c' = (1 - a) c
+    + dt phi[M] / h u per Crank-Nicolson substep, a = dt lambda / 2.  From
+    c = 1 with u = 0 the hold gives r, from c = 0 with u = 1 it gives beta."""
+    substeps = 192  # dt |lambda_1| = 0.89 at T = 2
+    with mpmath.workdps(40):
+        rates, inputs = stepped_modes(spectrum95, period, substeps, start)
+        dt, h = mpmath.mpf(period / substeps), mpmath.mpf(spectrum95.h)
+        for i, (rate, b) in enumerate(zip(rates, inputs)):
+            lam = mpmath.mpf(spectrum95.lambdas[i])
+            a, drive = dt * lam / 2, dt * mpmath.mpf(spectrum95.modes[-1, i]) / h
+            c, d = mpmath.mpf(1), mpmath.mpf(0)
+            for j in range(substeps):
+                if j < start:
+                    c, d = c / (1 + 2 * a), (d + drive) / (1 + 2 * a)
+                else:
+                    c, d = (1 - a) * c / (1 + a), ((1 - a) * d + drive) / (1 + a)
+            r = mpmath.exp(-rate * period)
+            assert abs(c - r) <= 1e-30 * abs(r)
+            assert abs(d + (1 - r) / lam * b) <= 1e-30 * abs(d)
+
+
+def test_stepped_modes_match_the_float64_kernel(spectrum95):
+    """One hold of _CNKernel itself, projected on the unstable modes: from
+    phi_i with u = 0 mode i comes out as r_i, and from 0 with u = 1 the
+    unstable coordinates come out as beta, to 1e-10 of the largest one (the
+    float64 eigenpairs couple the modes at roundoff, which mode 1 amplifies
+    by e^{-lambda~_1 T} = 2.7e7)."""
+    period, substeps, n = 0.2, 64, spectrum95.unstable_count
+    dt = period / substeps
+    rates, inputs = stepped_modes(spectrum95, period, substeps)
+    r = np.array([float(mpmath.exp(-x * period)) for x in rates])
+    beta = -(1 - r) / spectrum95.lambdas[:n] * np.array([float(b) for b in inputs])
+    for i in range(n):
+        kernel = _CNKernel(spectrum95.operator, dt, (), spectrum95.modes[:, i])
+        assert kernel.advance(substeps, 0.0) == 0
+        assert ps.project(kernel.w, spectrum95, n)[i] == pytest.approx(r[i], rel=1e-10)
+    kernel = _CNKernel(spectrum95.operator, dt, (), np.zeros(spectrum95.m))
+    assert kernel.advance(substeps, dt / spectrum95.h**2) == 0
+    assert np.abs(ps.project(kernel.w, spectrum95, n) - beta).max() <= 1e-10 * np.abs(beta).max()
+
+
+def test_stepped_modes_refuse_a_sign_flipping_substep(spectrum95):
+    """lambda_1 = -85.1: at T = 1.0 Crank-Nicolson steps 64 substeps, but a
+    backward-Euler start substep needs dt |lambda_1| < 1, so 86; at T = 2.0
+    Crank-Nicolson itself needs 86 (the _check_substeps message)."""
+    stepped_modes(spectrum95, 1.0, 64)
+    for substeps, message in ((64, r"= 64 gives dt\*\|lambda_1\| = 1.33 >= 1, "), (85, "= 85 ")):
+        with pytest.raises(TooFewSubsteps,
+                           match=f"{message}.*backward-Euler.*at least 86 substeps"):
+            stepped_modes(spectrum95, 1.0, substeps, start=2)
+    stepped_modes(spectrum95, 1.0, 86, start=2)
+    with pytest.raises(TooFewSubsteps, match=r"= 64 gives dt\*\|lambda_1\| = 2.66 >= 2, "
+                       r".*Crank-Nicolson.*at least 86 substeps"):
+        stepped_modes(spectrum95, 2.0, 64)
+    with pytest.raises(ValueError, match="start must lie in"):
+        stepped_modes(spectrum95, 1.0, 86, start=87)
+
+
+def test_stepped_modes_refuse_a_sign_flipping_last_mode():
+    """A target_rate above 2/dt makes a mode with lambda > 0 unstable: f = 0
+    on 64 nodes at rho = 900 has nine, lambda_9 = 786.9, so with 64 substeps
+    dt lambda_9 = 2.46 and CN flips its sign; 79 substeps step it."""
+    spectrum = make_spectrum(ps.validate_spec(ps.ProblemSpec(
+        nonlinearity=ps.linear_reaction(0.0), grid_points=64, target_rate=900.0)))
+    assert spectrum.unstable_count == 9
+    with pytest.raises(TooFewSubsteps, match=r"= 64 gives dt\*lambda_9 = 2.46 >= 2, .*"
+                       r"unstable mode 9 .*at least 79 substeps"):
+        stepped_modes(spectrum, 0.2, 64)
+    rates, _ = stepped_modes(spectrum, 0.2, 79)
+    assert all(isinstance(x, mpmath.mpf) for x in rates)
 
 
 def test_semilinear_step_matches_banded_oracle(problem15, spectrum15, gains15):
