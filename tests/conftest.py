@@ -3,6 +3,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 import parastab as ps
 from parastab import _exact, spectral
@@ -24,6 +25,21 @@ def make_problem(a=15.0, grid_points=200, period=0.2, rho=1.0, gammas=(2.0,), su
 def make_spectrum(problem):
     c = ps.linearized_coefficient(problem)
     return ps.compute_spectrum(problem, c, problem.spec.target_rate)
+
+
+def sine_potential(m):
+    """A non-constant potential, so the operator goes to LAPACK."""
+    return 15.0 + 40.0 * np.sin(3.0 * np.linspace(0.0, np.pi, m)) ** 2
+
+
+def stevd_eigenpairs(operator):
+    """LAPACK's eigenpairs of the operator (scipy's eigh_tridiagonal with
+    stevd), scaled to h-orthonormal with positive first components: the
+    eigensolver reference for the closed form that eigendecompose takes at
+    a constant potential."""
+    lam, vec = eigh_tridiagonal(operator.diag, operator.offdiag, lapack_driver="stevd")
+    vec *= np.where(vec[0] < 0.0, -1.0, 1.0) / np.sqrt(operator.h)
+    return lam, vec
 
 
 def quiet_gains(spectrum, gammas, period):

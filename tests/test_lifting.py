@@ -6,15 +6,16 @@ import pytest
 import parastab as ps
 from conftest import (
     extended_lift, hold_profiles, lift_matrix, make_problem, make_spectrum, quiet_gains,
+    sine_potential,
 )
 
 # Relative max-norm error of a unit lift against extended_lift at M = 200,
-# per case below and placement: a dense LU solve of the same system reads
-# 2.1e-14 to 1.24e-13 (depending on the BLAS thread count),
-# dirichlet_lift 1.2e-14 to 5.3e-14, and its eigenbasis solve without the
-# refinement step 2.6e-13 to 1.4e-12.  The bound is the dense solve's
-# worst, rounded up.
-LIFT_ACCURACY = 1.5e-13
+# per case below and placement, with one and two BLAS threads: a dense LU
+# solve of the same system reads 5.3e-14 to 5.2e-13, dirichlet_lift
+# 1.8e-16 to 1.3e-15.  With T psi formed from the raw entries of the
+# operator, 2/h^2 - c and -1/h^2, the same refinement step reads 1.1e-14
+# to 7.9e-14.  The bound sits between the two.
+LIFT_ACCURACY = 1e-14
 
 
 def test_lift_satisfies_discrete_equation(spectrum15, gains15):
@@ -27,11 +28,16 @@ def test_lift_satisfies_discrete_equation(spectrum15, gains15):
 
 
 @pytest.mark.parametrize(
-    "a, period, gammas", [(15.0, 0.2, (2.0,)), (95.0, 0.05, (2.0, 3.0, 4.0))],
-    ids=["N1", "N3"],
+    "a, period, gammas, potential",
+    [(15.0, 0.2, (2.0,), None), (95.0, 0.05, (2.0, 3.0, 4.0), None),
+     (15.0, 0.2, (2.0,), sine_potential)],
+    ids=["N1", "N3", "N1-sine-potential"],
 )
-def test_lift_matches_extended_precision_solve(a, period, gammas):
-    spectrum = make_spectrum(make_problem(a=a, period=period, gammas=gammas))
+def test_lift_matches_extended_precision_solve(a, period, gammas, potential):
+    # a constant potential has closed-form modes, the sine potential LAPACK's
+    problem = make_problem(a=a, period=period, gammas=gammas)
+    c = ps.linearized_coefficient(problem) if potential is None else potential(problem.m)
+    spectrum = ps.compute_spectrum(problem, c, problem.spec.target_rate)
     gains = quiet_gains(spectrum, gammas, period)
     assert gains.n == len(gammas)
     for k in range(1, gains.n + 1):

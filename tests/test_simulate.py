@@ -990,8 +990,8 @@ def test_decompose_matches_per_sample_lifts(sampled_run):
     # carry the lifts' last-digit differences at up to 6e-9 relative
     assert np.abs(dec.z_samples - z).max() <= 1e-10 * np.abs(z).max()
     # the half identity amplifies those differences: at a = 95 the dense
-    # oracle's own residual at sample 0 is 1.8e-9 to 2.8e-9 from the
-    # extended-precision one, the eigenbasis lift's 5.8e-10
+    # oracle's own residual at sample 0 is 8.2e-10 to 2.1e-9 from the
+    # extended-precision one, the eigenbasis lift's 4.5e-12
     np.testing.assert_allclose(
         dec.half_identity_residuals, _extended_half_identity(traj, gains, spectrum),
         rtol=0, atol=1e-9,

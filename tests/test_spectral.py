@@ -7,7 +7,7 @@ import pytest
 import parastab as ps
 from parastab.spectral import SOBOLEV_BLOCK_ROWS, TridiagonalOperator, _sobolev_weights
 
-from conftest import make_problem, make_spectrum
+from conftest import make_problem, make_spectrum, stevd_eigenpairs
 
 
 def tiny_problem(m=3, length=1.0):
@@ -63,28 +63,32 @@ def test_eigenvalue_grid_convergence_second_order():
 
 
 def test_eigenvalues_match_closed_form_exactly():
+    # eigendecompose takes the closed form here, so LAPACK is the reference
     prob = make_problem(a=0.0, grid_points=128, gammas=None)
     op = ps.assemble_operator(prob, np.zeros(prob.m))
     lam, _ = ps.eigendecompose(op)
-    oracle = discrete_laplacian_eigs(prob.m, prob.h)
-    assert np.allclose(lam, oracle, rtol=1e-12)
+    ref, _ = stevd_eigenpairs(op)
+    assert np.allclose(lam, ref, rtol=1e-12)
+    assert np.allclose(ref, discrete_laplacian_eigs(prob.m, prob.h), rtol=1e-12)
 
 
 def test_modes_match_sine_samples():
     prob = make_problem(a=0.0, gammas=None)
     op = ps.assemble_operator(prob, np.zeros(prob.m))
     _, modes = ps.eigendecompose(op)
+    _, ref = stevd_eigenpairs(op)
     x = prob.interior_nodes
     for i in (1, 2, 3):
         analytic = np.sqrt(2.0) * np.sin(i * np.pi * x)
-        assert np.max(np.abs(modes[:, i - 1] - analytic)) < 1e-3
+        assert np.max(np.abs(ref[:, i - 1] - analytic)) < 1e-3
+        assert np.max(np.abs(modes[:, i - 1] - ref[:, i - 1])) < 1e-10
 
 
 def test_shift_equivariance():
     prob = make_problem(a=0.0, gammas=None)
     op0 = ps.assemble_operator(prob, np.zeros(prob.m))
     opk = ps.assemble_operator(prob, np.full(prob.m, 15.0))
-    lam0, modes0 = ps.eigendecompose(op0)
+    lam0, modes0 = stevd_eigenpairs(op0)
     lamk, modesk = ps.eigendecompose(opk)
     # absolute tolerance for the low modes, relative slack for the 1/h^2-scale tail
     assert np.allclose(lamk, lam0 - 15.0, rtol=1e-12, atol=1e-10)
@@ -97,20 +101,23 @@ def test_orthonormality_in_h_inner_product(spectrum15):
 
 def test_fine_grid_spectrum_matches_closed_form():
     # constant c = 15 at M = 1000: eigenpairs are the shifted discrete sine
-    # modes; a backward-stable solver is within p(M) eps ||T|| of each
-    # eigenvalue and p(M) eps ||T|| / gap of each mode, taking p(M) = sqrt(M)
+    # modes, which eigendecompose returns in closed form; the backward-stable
+    # LAPACK solver is within p(M) eps ||T|| of each eigenvalue and
+    # p(M) eps ||T|| / gap of each mode, taking p(M) = sqrt(M)
     spectrum = make_spectrum(make_problem(a=15.0, grid_points=1000))
     m, h = spectrum.m, spectrum.h
     assert np.all(spectrum.operator.diag == 2.0 / h**2 - 15.0)
     assert ps.orthonormality_residual(spectrum) <= 1e-12
-    lam = discrete_laplacian_eigs(m, h) - 15.0
+    lam, modes = stevd_eigenpairs(spectrum.operator)
     err = np.sqrt(m) * np.finfo(float).eps * (4.0 / h**2)
     assert np.max(np.abs(spectrum.lambdas - lam)) <= err
+    assert np.max(np.abs(discrete_laplacian_eigs(m, h) - 15.0 - lam)) <= err
     gaps = np.minimum(np.diff(lam)[:10], np.diff(lam, prepend=-np.inf)[:10])
     x = np.arange(1, m + 1) * h
     for j in range(10):
         sine = np.sqrt(2.0) * np.sin((j + 1) * np.pi * x)
-        assert ps.l2_norm(spectrum.modes[:, j] - sine, h) <= err / gaps[j]
+        assert ps.l2_norm(spectrum.modes[:, j] - modes[:, j], h) <= err / gaps[j]
+        assert ps.l2_norm(sine - modes[:, j], h) <= err / gaps[j]
 
 
 def test_sign_convention_first_component_positive(spectrum15):
@@ -208,14 +215,14 @@ def test_sobolev_norm_zero_order_is_l2(problem15):
 
 @pytest.mark.parametrize("m", [16, 200, 1000])
 def test_sobolev_norm_matches_eigenbasis_sum(m):
-    # the eigensolver basis of the pure -Laplacian is the reference
+    # LAPACK's eigenbasis of the pure -Laplacian is the reference
     prob = make_problem(a=0.0, grid_points=m, gammas=None)
-    lap = ps.laplacian_spectrum(prob)
+    lambdas, modes = stevd_eigenpairs(ps.assemble_operator(prob, np.zeros(m)))
     rng = np.random.default_rng(m)
     for y in rng.standard_normal((3, m)):
-        coords = prob.h * (lap.modes.T @ y)
+        coords = prob.h * (modes.T @ y)
         for s in (0.0, 0.25, 0.5, 0.9):
-            expected = np.sqrt(np.sum(lap.lambdas**s * coords**2))
+            expected = np.sqrt(np.sum(lambdas**s * coords**2))
             assert ps.sobolev_norm(y, s, prob.h) == pytest.approx(expected, rel=1e-12)
 
 
