@@ -13,15 +13,24 @@ A run with fewer substeps per hold than that needs, which would flip the
 sign of an unstable mode 1 every substep instead of growing it, is refused
 with TooFewSubsteps before anything is factored.
 
-One in-place kernel (_CNKernel) steps every run: it alternates between two
-zero-padded state buffers and allocates nothing per substep.  The
-right-hand side of a substep is one fused product,
-(rd + w (dt q_2 + w (dt q_3 + ...))) w - off (w_+ + w_-) plus the boundary
-input, with rd = 1 - dt/2 diag(A) and the scalar off = dt/2 times A's
-constant off-diagonal (an operator whose off-diagonal varies is
-rejected).  _advance drives the kernel in blocks from one record point to
-the next and tests the overflow guard after every substep, so a blow-up is
-timed to its substep.
+Two engines step a run, and one condition picks between them: a linear
+run (no Taylor tail) whose operator is Toeplitz (spectral._is_toeplitz, the
+constant potential of every config the tool ships) is stepped in its
+eigen-coordinates, in closed form (_ModalStepper); every other run, a
+semilinear one or a linear one on a non-constant potential, by one
+in-place Crank-Nicolson kernel (_CNKernel).  The modal engine takes the same
+Crank-Nicolson substeps: a Toeplitz operator's eigenvectors are exact
+sines, in which each substep is one multiplier per mode, so k substeps are
+one multiplier per mode as well and a whole record block is one update.
+
+The kernel alternates between two zero-padded state buffers and allocates
+nothing per substep.  The right-hand side of a substep is one fused
+product, (rd + w (dt q_2 + w (dt q_3 + ...))) w - off (w_+ + w_-) plus the
+boundary input, with rd = 1 - dt/2 diag(A) and the scalar off = dt/2 times
+A's constant off-diagonal (an operator whose off-diagonal varies is
+rejected).  _advance drives either engine in blocks from one record point
+to the next, and both test the overflow guard at every substep, so a
+blow-up is timed to its substep.
 
 Runs operate on the deviation from the equilibrium: for the linearized
 loops the deviation *is* the state.  A Trajectory stores the recorded
@@ -44,7 +53,9 @@ import numpy as np
 
 from ._lapack import dpttrf, dpttrs
 from .model import ParastabError, ValidatedProblem
-from .spectral import Spectrum, TridiagonalOperator, l2_norm, project, sobolev_norm
+from .spectral import (
+    Spectrum, TridiagonalOperator, _is_toeplitz, _odd_sine_blocks, l2_norm, project, sobolev_norm,
+)
 from .synthesis import DimensionMismatch, GainSet, _check_consistent, component_feedback
 from .lifting import dirichlet_lift
 
@@ -261,6 +272,83 @@ class _CNKernel:
         return 0
 
 
+class _ModalStepper:
+    """Crank-Nicolson substeps dt of a linear run on a Toeplitz operator,
+    in closed form in its eigen-coordinates c = h Phi^T w.
+
+    The operator's eigenvectors are the sines sin(i j pi / (M+1)), so c is
+    a scaled DST-I of w and back (_odd_sine_blocks).  A substep multiplies
+    c_i by r_i = (1 - a_i) / (1 + a_i), a_i = dt lambda_i / 2, and adds the
+    boundary input; over k substeps with the value u held
+
+        c_i -> r_i^k c_i + (1 - r_i^k) s_i u,   s_i = phi_i[M] / (h lambda_i).
+
+    r_i^k and 1 - r_i^k come from k log|r_i|, with log1p on the side near 1
+    (|a_i| < 1) and from -(a_i - 1) / (a_i + 1) for a stiff mode, where
+    a_i > 1 flips the sign; _check_substeps has refused a_1 <= -1.  The
+    maps are formed once per block length.  ``c`` is the state.
+
+    The guard l2_norm(w) = |c| <= BLOWUP_GUARD holds at every substep of a
+    block when the bound |c_i - s_i u| max(1, |r_i^k|) + |s_i u| on each
+    |c_i| along it passes.  Otherwise, and for a block of one substep, the
+    block is stepped one multiplier at a time and stops at the first
+    substep that fails (a NaN or inf state fails the bound as well).
+    """
+
+    def __init__(self, spectrum: Spectrum, dt: float, w0: np.ndarray):
+        h, m = spectrum.h, spectrum.m
+        a = 0.5 * dt * spectrum.lambdas
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.log_r = np.where(np.abs(a) < 1.0, np.log1p(-a) - np.log1p(a),
+                                  np.log1p(-2.0 / (1.0 + a)))
+        self.s = spectrum.modes[-1] / (h * spectrum.lambdas)
+        self.flip = a > 1.0
+        self.guard_sq = BLOWUP_GUARD**2
+        self.maps: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # w = Phi c and c = h Phi^T w, Phi the sines times sqrt(2 / (h (M+1)));
+        # _odd_sine_blocks gives -2 times the sine sums
+        self.to_nodes = -0.5 * math.sqrt(2.0 / (h * (m + 1)))
+        [(_, sines)] = _odd_sine_blocks(w0[None])
+        self.c = sines[0] * (h * self.to_nodes)
+
+    def _map(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(r^k, (1 - r^k) s, max(1, |r^k|)) for a block of k substeps."""
+        if k not in self.maps:
+            kl = k * self.log_r
+            size = np.exp(kl)
+            negative = self.flip & bool(k % 2)
+            r_k = np.where(negative, -size, size)
+            lost = np.where(negative, 1.0 + size, -np.expm1(kl))
+            self.maps[k] = (r_k, lost * self.s, np.maximum(1.0, size))
+        return self.maps[k]
+
+    def advance(self, n: int, u: float) -> int:
+        """Take n substeps with u held; return the 1-based substep of the
+        first state that fails the overflow guard, else 0."""
+        c = self.c
+        if n > 1:
+            r_n, input_n, grow = self._map(n)
+            su = self.s * u
+            bound = np.abs(c - su) * grow + np.abs(su)
+            if bound.dot(bound) <= self.guard_sq:
+                self.c = r_n * c + input_n * u
+                return 0
+        r_1, input_1, _ = self._map(1)
+        for j in range(1, n + 1):
+            c = r_1 * c + input_1 * u
+            if not c.dot(c) <= self.guard_sq:
+                break
+        else:
+            j = 0
+        self.c = c
+        return j
+
+    def node_rows(self, block: np.ndarray) -> None:
+        """Overwrite a block of recorded coefficient rows with w = Phi c."""
+        for start, sines in _odd_sine_blocks(block):
+            np.multiply(sines, self.to_nodes, out=block[start : start + len(sines)])
+
+
 def seeded_initial_state(
     spectrum: Spectrum,
     seed: int,
@@ -318,14 +406,14 @@ def _check_substeps(period: float, substeps: int, lambda_1: float) -> None:
 def stepped_modes(spectrum: Spectrum, period: float, substeps: int,
                   start: int = 0) -> tuple[list, list]:
     """(lambda~, b~) of the unstable modes, as mpf at the working precision:
-    the one-hold map the kernel steps, with ``start`` backward-Euler (BE)
+    the one-hold map the engine steps, with ``start`` backward-Euler (BE)
     substeps at the start of each hold and Crank-Nicolson (CN) for the rest.
 
-    Over a hold with held value u the kernel maps mode i as
+    Over a hold with held value u the engine maps mode i as
     c_i -> r_i c_i - (1 - r_i) / lambda_i * b~_i u, with b~_i = -phi_i[M] / h
     and r_i the product of the substep multipliers, (1 - a_i) / (1 + a_i)
     per CN substep and 1 / (1 + 2 a_i) per BE substep, a_i = dt lambda_i / 2
-    from the kernel's dt = period / substeps and the spectrum's lambda_i.
+    from the engine's dt = period / substeps and the spectrum's lambda_i.
     That is the paper's one-hold map at the effective rate
     lambda~_i = -ln(r_i) / period with the flux b~_i lambda~_i / lambda_i, so
     _exact.gain_system(lambda~, b~ lambda~ / lambda, gammas, period) places
@@ -383,29 +471,36 @@ def _advance(
 ) -> Trajectory:
     """Shared hold-interval stepping engine.
 
-    The callers vary three arguments: ``control`` maps the sampled
-    deviation to the held value (the feedback in run_linear_closed_loop and
-    run_semilinear_closed_loop, zero in run_open_loop); ``tail`` holds the
-    coefficients q_2 ... q_d of the explicit nonlinear remainder
-    sum_j q_j w^j (run_semilinear_closed_loop only; empty means none) and
-    ``offset`` the equilibrium on all M+2 nodes (likewise; None means zero).
-    The deviation y0 - offset is stepped and each record point copies it
-    into one preallocated (records x M) block; held values are shifted by
-    offset[-1].  Norms and node rows are left to the Trajectory, which
-    derives them on first read.  ``gains`` only enters the setup checks,
-    made here once per run, and the fingerprint.
+    The callers vary three arguments: ``control`` maps the unstable
+    coordinates of the sampled deviation, its first gains.n modal
+    coordinates (none without gains), to the held value (the feedback in
+    run_linear_closed_loop and run_semilinear_closed_loop, zero in
+    run_open_loop); ``tail`` holds the coefficients q_2 ... q_d of the
+    explicit nonlinear remainder sum_j q_j w^j (run_semilinear_closed_loop
+    only; empty means none) and ``offset`` the equilibrium on all M+2 nodes
+    (likewise; None means zero).  The deviation y0 - offset is stepped and
+    each record point copies it into one preallocated (records x M) block;
+    held values are shifted by offset[-1].  Norms and node rows are left to
+    the Trajectory, which derives them on first read.  ``gains`` only
+    enters the setup checks, made here once per run, and the fingerprint.
     A blow-up is reported through ``blowup_time``; the linear wrappers
     raise it as UnstableStep.  A hold with too few substeps for
     Crank-Nicolson, dt*|lambda_1| >= 2, raises TooFewSubsteps before the
     first substep.
+
+    A run without a tail on a Toeplitz operator (spectral._is_toeplitz) is
+    stepped by _ModalStepper: it records coefficient rows, turned into node
+    rows in place at the end, and record 0 is the deviation itself.  Every
+    other run is stepped by _CNKernel, whose node state is projected on the
+    unstable modes for the control.
 
     Each hold interval takes problem.spec.substeps_per_hold substeps, the
     one count of the run (validate_spec made it at least 1, and the
     problem fingerprint hashes it).  It samples the control once, then
     steps in blocks that end at its record points: every
     ``snapshot_stride`` substeps and the hold's end (the sample).  Times
-    and the record decision are made once per block; the kernel tests the
-    guard after every substep and stops at the first state that fails it,
+    and the record decision are made once per block; the engine tests the
+    guard at every substep and stops at the first state that fails it,
     which is not recorded.  A negative ``snapshot_stride`` is rejected; 0
     records the samples only.  A record block too large to allocate
     raises ParastabError before the first substep.
@@ -433,8 +528,17 @@ def _advance(
     period, substeps = problem.period, problem.spec.substeps_per_hold
     dt = period / substeps
     _check_substeps(period, substeps, spectrum.lambdas[0])
-    kernel = _CNKernel(spectrum.operator, dt, [dt * q for q in tail], w)
-    h2 = spectrum.h**2
+    n = 0 if gains is None else gains.n
+    modal = not tail and _is_toeplitz(spectrum.operator)
+    if modal:
+        stepper = _ModalStepper(spectrum, dt, w)
+        state = lambda: stepper.c  # noqa: E731
+        advance = stepper.advance
+    else:
+        kernel = _CNKernel(spectrum.operator, dt, [dt * q for q in tail], w)
+        h2 = spectrum.h**2
+        state = lambda: kernel.w  # noqa: E731
+        advance = lambda k, u: kernel.advance(k, dt * (u / h2))  # noqa: E731
     # record points of a hold: every snapshot_stride substeps, and its end
     stops = list(range(snapshot_stride, substeps, snapshot_stride)) if snapshot_stride else []
     stops.append(substeps)
@@ -452,18 +556,18 @@ def _advance(
     blowup_time: float | None = None
 
     def record(t: float) -> None:
-        deviations[len(times)] = kernel.w
+        deviations[len(times)] = state()
         times.append(t)
 
     record(0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(horizon):
-            u = control(kernel.w)
+            row = state()
+            u = control(row[:n] if modal else project(row, spectrum, n))
             held.append(u)
-            dt_bc = dt * (u / h2)
             done = 0
             for stop in stops:
-                tripped = kernel.advance(stop - done, dt_bc)
+                tripped = advance(stop - done, u)
                 if tripped:
                     blowup_time = i * period + (done + tripped) * dt
                     break
@@ -477,11 +581,15 @@ def _advance(
     # in hold r // len(stops) or is the sample that starts it; the final
     # sample starts no hold and carries the last value (left limit)
     n_rec, per_hold = len(times), len(stops)
+    deviations = deviations[:n_rec]
+    if modal:
+        stepper.node_rows(deviations)
+        deviations[0] = w
 
     return Trajectory(
         kind=kind,
         times=np.array(times),
-        deviations=deviations[:n_rec],
+        deviations=deviations,
         offset=offset,
         record_holds=np.minimum(np.arange(n_rec) // per_hold, len(held) - 1),
         h=spectrum.h,
@@ -495,12 +603,13 @@ def _advance(
     )
 
 
-def _feedback(gains: GainSet | None, spectrum: Spectrum) -> Callable[[np.ndarray], float]:
-    """apply_feedback without its consistency check, which _advance makes
-    once per run; zero without gains."""
+def _feedback(gains: GainSet | None) -> Callable[[np.ndarray], float]:
+    """apply_feedback on the unstable coordinates _advance passes, without
+    its consistency check, which _advance makes once per run; zero without
+    gains."""
     if gains is None:
-        return lambda w: 0.0
-    return lambda w: float(np.dot(gains.gain_row, project(w, spectrum, gains.n)))
+        return lambda c: 0.0
+    return lambda c: float(np.dot(gains.gain_row, c))
 
 
 def _raise_on_blowup(trajectory: Trajectory) -> Trajectory:
@@ -529,7 +638,7 @@ def run_linear_closed_loop(
     inconsistent setup rather than expected behavior.
     """
     return _raise_on_blowup(_advance(
-        problem, spectrum, gains, y0, horizon, _feedback(gains, spectrum),
+        problem, spectrum, gains, y0, horizon, _feedback(gains),
         kind="linear-closed-loop", snapshot_stride=snapshot_stride,
         sobolev_order=sobolev_order,
     ))
@@ -550,7 +659,7 @@ def run_open_loop(
     overflow guard trips.
     """
     return _raise_on_blowup(_advance(
-        problem, spectrum, None, y0, horizon, lambda w: 0.0,
+        problem, spectrum, None, y0, horizon, lambda c: 0.0,
         kind="open-loop", snapshot_stride=snapshot_stride,
         sobolev_order=sobolev_order,
     ))
@@ -581,7 +690,7 @@ def run_semilinear_closed_loop(
     ye = problem.equilibrium_values
     tail = problem.spec.nonlinearity.taylor_tail(ye[1:-1])
     return _advance(
-        problem, spectrum, gains, y0, horizon, _feedback(gains, spectrum), tail, ye,
+        problem, spectrum, gains, y0, horizon, _feedback(gains), tail, ye,
         kind="semilinear-closed-loop", snapshot_stride=snapshot_stride,
         sobolev_order=sobolev_order,
     )

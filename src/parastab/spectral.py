@@ -26,7 +26,7 @@ from .model import (
 
 RHO_GAP_TOLERANCE = 1e-9
 DEGENERATE_GAP_WARNING = 1e-8
-SOBOLEV_BLOCK_ROWS = 64  # rows per rfft call of sobolev_norm
+SOBOLEV_BLOCK_ROWS = 64  # rows per rfft call of _odd_sine_blocks
 
 
 class EigenSolverFailure(ParastabError):
@@ -42,8 +42,8 @@ class TridiagonalOperator:
     """Symmetric tridiagonal discretization of -Laplacian - c(x).
 
     diag has length M (2/h^2 - c(x_j)); offdiag has length M-1 (-1/h^2).
-    The stepping engine reads the off-diagonal as one scalar and rejects
-    an operator whose off-diagonal is not constant.
+    The Crank-Nicolson kernel reads the off-diagonal as one scalar and
+    rejects an operator whose off-diagonal is not constant.
     """
 
     diag: np.ndarray
@@ -105,8 +105,7 @@ def eigendecompose(operator: TridiagonalOperator) -> tuple[np.ndarray, np.ndarra
     diag, offdiag = operator.diag, operator.offdiag
     if not (np.isfinite(diag).all() and np.isfinite(offdiag).all()):
         raise EigenSolverFailure("the tridiagonal operator has a non-finite entry")
-    constant = offdiag.size and (diag == diag[0]).all() and (offdiag == offdiag[0]).all()
-    if constant and offdiag[0] < 0.0:
+    if _is_toeplitz(operator):
         lam, vec = _toeplitz_eigenpairs(diag[0], offdiag[0], diag.size, operator.h)
     else:
         lam, vec = _lapack_eigenpairs(operator)
@@ -119,6 +118,17 @@ def eigendecompose(operator: TridiagonalOperator) -> tuple[np.ndarray, np.ndarra
             stacklevel=2,
         )
     return lam, vec
+
+
+def _is_toeplitz(operator: TridiagonalOperator) -> bool:
+    """Whether the operator is Toeplitz with a negative off-diagonal and
+    M > 1: one diagonal value, one off-diagonal value e < 0.  Its
+    eigenvectors are then the sine modes whatever the two values, so
+    eigendecompose takes them in closed form and the stepping engine
+    steps such a linear run in their coordinates."""
+    diag, offdiag = operator.diag, operator.offdiag
+    return bool(offdiag.size and offdiag[0] < 0.0
+                and (diag == diag[0]).all() and (offdiag == offdiag[0]).all())
 
 
 def _toeplitz_eigenpairs(d: float, e: float, m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -242,9 +252,9 @@ def sobolev_norm(y: np.ndarray, s: float, h: float) -> float | np.ndarray:
     odd extension of y.
 
     y is one row (a float is returned) or an (n, M) stack of rows (n norms
-    are returned).  The DST-I of a stack is one rfft per block of
-    SOBOLEV_BLOCK_ROWS rows, which bounds the scratch memory; each row's
-    norm is the same arithmetic as a one-row call, bit for bit.
+    are returned).  The DST-I of a stack is taken in blocks of
+    SOBOLEV_BLOCK_ROWS rows (_odd_sine_blocks); each row's norm is the same
+    arithmetic as a one-row call, bit for bit.
     """
     if not 0.0 <= s < 1.0:
         raise ValueError(f"s must lie in [0, 1), got {s}")
@@ -252,14 +262,27 @@ def sobolev_norm(y: np.ndarray, s: float, h: float) -> float | np.ndarray:
     m = rows.shape[1]
     mu_s = _sobolev_weights(m, h, s)
     weighted = []
-    for block in np.split(rows, range(SOBOLEV_BLOCK_ROWS, len(rows), SOBOLEV_BLOCK_ROWS)):
-        zero = np.zeros((len(block), 1))
-        # the FFT of (0, y, 0, -reversed y) has imaginary part
-        # -2 sum_i y_i sin(j pi i / (M+1)), and <y, e_j>_h^2 is h/(2(M+1)) times its square
-        sines = np.fft.rfft(np.hstack((zero, block, zero, -block[:, ::-1])))[:, 1 : m + 1].imag
+    for _, sines in _odd_sine_blocks(rows):
+        # <y, e_j>_h^2 is h/(2(M+1)) times the square of -2 sum_i y_i sin(i j pi / (M+1))
         weighted += [np.dot(mu_s, row) for row in sines * sines]
     norms = np.sqrt(h / (2.0 * (m + 1)) * np.array(weighted))
     return float(norms[0]) if np.ndim(y) == 1 else norms
+
+
+def _odd_sine_blocks(rows: np.ndarray):
+    """Yield (start, S) for the consecutive blocks of SOBOLEV_BLOCK_ROWS rows
+    of an (n, M) stack, S[k, j - 1] = -2 sum_i rows[start + k, i - 1]
+    sin(i j pi / (M+1)) for j = 1..M: -2 times the DST-I of each row, read
+    off as the imaginary part of the FFT of its odd extension
+    (0, y, 0, -reversed y).  One rfft per block bounds the scratch memory,
+    and a row's S is the same arithmetic in any block, bit for bit.  Each
+    block is transformed before it is yielded, so the caller may overwrite
+    rows[start:start + len(S)]."""
+    m = rows.shape[1]
+    for start in range(0, len(rows), SOBOLEV_BLOCK_ROWS):
+        block = rows[start : start + SOBOLEV_BLOCK_ROWS]
+        zero = np.zeros((len(block), 1))
+        yield start, np.fft.rfft(np.hstack((zero, block, zero, -block[:, ::-1])))[:, 1 : m + 1].imag
 
 
 @functools.lru_cache(maxsize=32)

@@ -21,7 +21,9 @@ from parastab.simulate import (
     stepped_modes,
 )
 
-from conftest import extended_lift, hold_profiles, make_problem, make_spectrum, quiet_gains
+from conftest import (
+    extended_lift, hold_profiles, make_problem, make_spectrum, quiet_gains, sine_potential,
+)
 
 
 def _banded_step(spectrum, dt, w, forcing, dt_tail=(), pivoting=False):
@@ -138,14 +140,35 @@ def test_zoh_modal_update_matches_oracle_and_converges():
     assert errors[200] / errors[400] > 3.0
 
 
+def _cn_roundoff_bound(spectrum, dt, substeps):
+    """eps * cond(I + dt/2 A) per substep, summed over ``substeps``: how far
+    two backward-stable Crank-Nicolson solvers of the same recursion, or one
+    of them and the exact recursion, may part, relative to the state."""
+    lam = spectrum.lambdas
+    cond = (1.0 + 0.5 * dt * lam[-1]) / (1.0 + 0.5 * dt * lam[0])
+    return substeps * np.finfo(float).eps * cond
+
+
+def _relative_apart(rows, oracle):
+    return np.linalg.norm(rows - oracle, axis=1) / np.linalg.norm(oracle, axis=1)
+
+
 @pytest.mark.parametrize(
-    "grid_points, period, substeps, horizon",
-    [(16, 0.2, 64, 4), (200, 0.2, 64, 4)],
-    ids=["M16", "M200"],
+    "grid_points, period, substeps, horizon, potential",
+    [(16, 0.2, 64, 4, None), (200, 0.2, 64, 4, None), (200, 0.2, 64, 4, sine_potential)],
+    ids=["M16", "M200", "M200-sine-potential"],
 )
-def test_linear_step_matches_banded_oracle(grid_points, period, substeps, horizon):
+def test_linear_step_matches_banded_oracle(grid_points, period, substeps, horizon, potential):
+    """At a constant potential the modal engine's rows stay within the
+    Crank-Nicolson roundoff bound of the LDL^T (ptsv) oracle's (measured
+    8.4e-14 against 1.6e-13 at M = 16 and 6.2e-13 against 1.5e-11 at
+    M = 200; the boundary forcing scaled by 1 + 1e-5 moves them by 1e-4);
+    at the sine potential the kernel's rows are the oracle's, bit for bit."""
     prob = make_problem(grid_points=grid_points, period=period, substeps=substeps)
-    spectrum = make_spectrum(prob)
+    if potential is None:
+        spectrum = make_spectrum(prob)
+    else:
+        spectrum = ps.compute_spectrum(prob, potential(grid_points), prob.spec.target_rate)
     gains = quiet_gains(spectrum, (2.0,), period)
     y0 = ps.seeded_initial_state(spectrum, 11)
     traj = ps.run_linear_closed_loop(
@@ -154,17 +177,16 @@ def test_linear_step_matches_banded_oracle(grid_points, period, substeps, horizo
     feedback = lambda w: ps.apply_feedback(gains, w, spectrum)  # noqa: E731
     oracle = _banded_run(prob, spectrum, y0, horizon, feedback)
     assert oracle.shape[0] - 1 >= 200
-    assert np.array_equal(traj.interior, oracle)
+    bound = _cn_roundoff_bound(spectrum, period / substeps, oracle.shape[0] - 1)
+    if potential is None:
+        assert _relative_apart(traj.interior, oracle).max() <= bound
+    else:
+        assert np.array_equal(traj.interior, oracle)
     # LDL^T and pivoted LU are both backward stable, so their states part
-    # by at most about eps * cond(I + dt/2 A) per substep, summed over the
-    # run (measured 3.9e-15 at M = 16 and 3.5e-14 at M = 200)
+    # by at most the same bound (measured 3.9e-15 at M = 16 and 3.5e-14 at
+    # M = 200)
     pivoted = _banded_run(prob, spectrum, y0, horizon, feedback, pivoting=True)
-    dt = period / substeps
-    lam = spectrum.lambdas
-    cond = (1.0 + 0.5 * dt * lam[-1]) / (1.0 + 0.5 * dt * lam[0])
-    bound = (oracle.shape[0] - 1) * np.finfo(float).eps * cond
-    apart = np.linalg.norm(oracle - pivoted, axis=1) / np.linalg.norm(pivoted, axis=1)
-    assert apart.max() <= bound
+    assert _relative_apart(oracle, pivoted).max() <= bound
 
 
 def test_one_substep_at_T2_is_refused_naming_the_count():
@@ -181,8 +203,10 @@ def test_one_substep_at_T2_is_refused_naming_the_count():
 
 @pytest.mark.parametrize("run", ["linear", "open-loop", "semilinear"])
 def test_substeps_below_dt_lambda_2_are_stepped_and_above_refused(run):
-    """dt |lambda_1| = 1.98 is stepped, exactly as the LDL^T (ptsv) oracle
-    steps it; dt |lambda_1| = 2.02 is refused before the first substep."""
+    """dt |lambda_1| = 1.98 is stepped as the LDL^T (ptsv) oracle steps it:
+    bit for bit by the kernel (semilinear), to roundoff by the modal engine
+    (linear, open loop); dt |lambda_1| = 2.02 is refused before the first
+    substep."""
     substeps = 2
     lam1 = make_spectrum(make_problem(grid_points=16)).lambdas[0]
     edge = 2.0 * substeps / -lam1  # the period with dt |lambda_1| = 2
@@ -212,7 +236,14 @@ def test_substeps_below_dt_lambda_2_are_stepped_and_above_refused(run):
         lambda w: ps.apply_feedback(gains, w, spectrum))
     oracle = _banded_run(prob, spectrum, y0, 2, control, tail)
     assert traj.blowup_time is None
-    assert np.array_equal(traj.interior, oracle + ye)
+    if run == "semilinear":
+        assert np.array_equal(traj.interior, oracle + ye)
+    else:
+        # the modal engine, within the roundoff bound of the oracle's
+        # (cond(I + dt/2 A) = 2.2e4 here; measured 9.2e-12 linear and
+        # 2.0e-12 open loop against 1.9e-11)
+        bound = _cn_roundoff_bound(spectrum, dt, 2 * substeps)
+        assert _relative_apart(traj.interior, oracle).max() <= bound
 
     with pytest.raises(TooFewSubsteps, match=r"= 2 gives dt\*\|lambda_1\| = 2.02 >= 2, .*"
                        r"needs at least 3 substeps"):
@@ -353,7 +384,9 @@ def _record_substeps(substeps, horizon, stride):
 def test_block_recording_matches_banded_oracle(loop, problem15, spectrum15, gains15):
     """The engine steps from one record point to the next in one block; every
     row it records is the oracle's state at that substep, whatever the stride
-    (10 does not divide the 64 substeps of a hold)."""
+    (10 does not divide the 64 substeps of a hold): bit for bit from the
+    kernel (Fisher), within the Crank-Nicolson roundoff bound from the modal
+    engine (linear), whose block maps differ with the stride."""
     horizon = 4
     substeps = problem15.spec.substeps_per_hold
     dt = problem15.period / substeps
@@ -362,6 +395,10 @@ def test_block_recording_matches_banded_oracle(loop, problem15, spectrum15, gain
     if loop == "linear":
         offset = np.zeros(problem15.m)
         oracle = _banded_run(problem15, spectrum15, y0, horizon, feedback)
+        bound = _cn_roundoff_bound(spectrum15, dt, substeps * horizon)
+
+        def same(rows, reference):
+            return _relative_apart(rows, reference).max() <= bound
 
         def run(stride):
             return ps.run_linear_closed_loop(
@@ -371,6 +408,7 @@ def test_block_recording_matches_banded_oracle(loop, problem15, spectrum15, gain
         offset = problem15.equilibrium_values[1:-1]
         (q2,) = problem15.spec.nonlinearity.taylor_tail(offset)
         oracle = _banded_run(problem15, spectrum15, y0, horizon, feedback, [dt * q2])
+        same = np.array_equal
 
         def run(stride):
             return ps.run_semilinear_closed_loop(
@@ -384,13 +422,12 @@ def test_block_recording_matches_banded_oracle(loop, problem15, spectrum15, gain
         assert traj.blowup_time is None
         assert traj.times.size == len(recorded)
         assert np.allclose(traj.times, np.array(recorded) * dt, rtol=0, atol=1e-12)
-        for row, n in zip(traj.interior, recorded):
-            assert np.array_equal(row, oracle[n] + offset)
+        assert same(traj.interior, oracle[recorded] + offset)
         hold_ends = range(0, len(oracle), substeps)
         assert np.array_equal(traj.sample_indices, [recorded.index(n) for n in hold_ends])
         samples[stride] = traj.sample_states()
     for stride in (1, 8, 10):
-        assert np.array_equal(samples[stride], samples[0])
+        assert same(samples[stride], samples[0])
 
 
 TAIL_REACTIONS = [
@@ -517,7 +554,9 @@ def test_sample_l2_history_matches_extended_precision_cn(loop):
     order, (I - dt/2 A) w from a diagonal and two off-diagonal products plus
     a separate (w w)(dt q_2) tail, measured 1.9e-14 and 9.1e-15.  The bound
     is five times the larger of those two.  Rows rescaled so the neighbour
-    coefficient is exactly 1 measured 2.1e-12 on both runs."""
+    coefficient is exactly 1 measured 2.1e-12 on both runs.  The linear run
+    takes the modal engine (a constant potential): 9.5e-15, where the kernel
+    reads 1.3e-14 on the same machine."""
     prob = make_problem(grid_points=64, period=0.2, substeps=32)
     spectrum = make_spectrum(prob)
     gains = quiet_gains(spectrum, (2.0,), prob.period)
@@ -534,6 +573,65 @@ def test_sample_l2_history_matches_extended_precision_cn(loop):
     reference = _decimal_cn_sample_l2(prob, spectrum, gains, y0, horizon, tail)
     assert traj.l2_norms.shape == reference.shape == (horizon + 1,)
     assert np.max(np.abs(traj.l2_norms - reference) / reference) <= 1e-13
+
+
+def _sine_basis_cn_sample_l2(problem, spectrum, gains, y0, horizon, dps=40):
+    """L2 norm at every sample of the zero-order-hold CN recursion of a
+    linear run on a Toeplitz operator, at dps digits in the operator's exact
+    eigenbasis: mode j is sin(i j pi / (M+1)) scaled to unit h-norm, with
+    lambda_j = d + 2e cos(j pi / (M+1)) of the float64 d and e, and each
+    substep maps its coordinate as (1 + a_j) c' = (1 - a_j) c + dt phi_j[M]
+    / h u, a_j = dt lambda_j / 2.  y0, dt, h and the gain row are the
+    engine's float64 values taken as exact; u = g . c_N is sampled from the
+    recursion's own coordinates at the start of each hold, and the L2 norm
+    is |c| (Parseval)."""
+    op, m = spectrum.operator, spectrum.m
+    q, substeps = m + 1, problem.spec.substeps_per_hold
+    with mpmath.workdps(dps):
+        h, dt = mpmath.mpf(spectrum.h), mpmath.mpf(problem.period / substeps)
+        d, e = mpmath.mpf(op.diag[0]), mpmath.mpf(op.offdiag[0])
+        scale = mpmath.sqrt(2 / (h * q))
+        sines = [scale * mpmath.sin(k * mpmath.pi / q) for k in range(2 * q)]
+        y = [mpmath.mpf(v) for v in y0]
+        c = [h * mpmath.fsum(y[i - 1] * sines[i * j % (2 * q)] for i in range(1, q))
+             for j in range(1, q)]
+        multipliers, inputs = [], []
+        for j in range(1, q):
+            a = dt * (d + 2 * e * mpmath.cos(j * mpmath.pi / q)) / 2
+            multipliers.append((1 - a) / (1 + a))
+            inputs.append(dt * sines[m * j % (2 * q)] / (h * (1 + a)))
+        gain = [mpmath.mpf(v) for v in gains.gain_row]
+        norms = []
+        for hold in range(horizon + 1):
+            norms.append(float(mpmath.sqrt(mpmath.fsum(v * v for v in c))))
+            if hold == horizon:
+                break
+            u = mpmath.fsum(g * v for g, v in zip(gain, c))
+            for _ in range(substeps):
+                c = [r * v + b * u for r, v, b in zip(multipliers, c, inputs)]
+        return np.array(norms)
+
+
+@pytest.mark.parametrize(
+    "a, period, gammas, horizon",
+    [(15.0, 2.0, (2.0,), 5), (95.0, 0.05, (2.0, 3.0, 4.0), 10)],
+    ids=["M200-T2", "a95-N3-T0.05"],
+)
+def test_linear_l2_history_matches_sine_basis_cn(a, period, gammas, horizon):
+    """Accuracy guard of the modal engine: the largest relative error of the
+    sample L2 history against the CN recursion at 40 digits in the exact
+    sine eigenbasis (M = 200, 64 substeps, seed 23).  The modal engine
+    measured 8.7e-12 at T = 2 and 4.9e-13 at a = 95; node-space
+    Crank-Nicolson (the kernel) measured 5.1e-10 and 7.2e-10, its own
+    roundoff amplified by the unstable modes."""
+    prob = make_problem(a=a, period=period, gammas=gammas)
+    spectrum = make_spectrum(prob)
+    gains = quiet_gains(spectrum, gammas, period)
+    y0 = ps.seeded_initial_state(spectrum, 23, amplitude=0.1)
+    traj = ps.run_linear_closed_loop(prob, spectrum, gains, y0, horizon)
+    reference = _sine_basis_cn_sample_l2(prob, spectrum, gains, y0, horizon)
+    assert traj.l2_norms.shape == reference.shape == (horizon + 1,)
+    assert np.max(np.abs(traj.l2_norms - reference) / reference) <= 1e-10
 
 
 def test_linear_only_semilinear_run_is_the_linear_run():
@@ -582,13 +680,20 @@ def _poisoning_solver(monkeypatch, poisoned, bad):
     return calls
 
 
+@pytest.fixture(scope="module")
+def sine_spectrum15(problem15):
+    """problem15's grid at the sine potential: its linear runs take the
+    Crank-Nicolson kernel, not the modal engine."""
+    return ps.compute_spectrum(problem15, sine_potential(problem15.m), problem15.spec.target_rate)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_guard_trips_on_nonfinite_state(monkeypatch, problem15, spectrum15, bad):
+def test_guard_trips_on_nonfinite_state(monkeypatch, problem15, sine_spectrum15, bad):
     substeps = problem15.spec.substeps_per_hold
     poisoned = substeps + 6  # hold 1, substep 6
     calls = _poisoning_solver(monkeypatch, poisoned, bad)
     traj = _advance(
-        problem15, spectrum15, None, ps.seeded_initial_state(spectrum15, 2), 4,
+        problem15, sine_spectrum15, None, ps.seeded_initial_state(sine_spectrum15, 2), 4,
         control=lambda w: 0.0,
         kind="semilinear-closed-loop", snapshot_stride=1,
     )
@@ -604,7 +709,7 @@ def test_guard_trips_on_nonfinite_state(monkeypatch, problem15, spectrum15, bad)
     assert np.all(np.isfinite(traj.l2_norms))
 
 
-def test_guard_trips_inside_a_record_block(monkeypatch, problem15, spectrum15):
+def test_guard_trips_inside_a_record_block(monkeypatch, problem15, sine_spectrum15):
     """The guard is checked after every substep, not once per block of
     snapshot_stride substeps: a state poisoned at hold 1, substep 6 stops the
     run there although the next record point is substep 8."""
@@ -613,7 +718,7 @@ def test_guard_trips_inside_a_record_block(monkeypatch, problem15, spectrum15):
     dt = period / substeps
     calls = _poisoning_solver(monkeypatch, substeps + 6, np.inf)
     traj = _advance(
-        problem15, spectrum15, None, ps.seeded_initial_state(spectrum15, 2), 4,
+        problem15, sine_spectrum15, None, ps.seeded_initial_state(sine_spectrum15, 2), 4,
         control=lambda w: 0.0,
         kind="semilinear-closed-loop", snapshot_stride=8,
     )
@@ -626,6 +731,58 @@ def test_guard_trips_inside_a_record_block(monkeypatch, problem15, spectrum15):
     assert np.array_equal(traj.sample_indices, [0, per_hold])
     assert traj.schedule.held_values.shape == (2,)
     assert np.all(np.isfinite(traj.states))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_modal_guard_trips_on_nonfinite_control(problem15, spectrum15, bad):
+    """A held value that is NaN or inf, from the control at hold 1, fails
+    the modal engine's guard at that hold's first substep; the records stop
+    at the sample that starts the hold."""
+    substeps = problem15.spec.substeps_per_hold
+    period = problem15.period
+    calls = []
+
+    def control(coords):
+        calls.append(None)
+        return bad if len(calls) == 2 else 0.0
+
+    traj = _advance(
+        problem15, spectrum15, None, ps.seeded_initial_state(spectrum15, 2), 4, control,
+        kind="open-loop", snapshot_stride=8,
+    )
+    assert len(calls) == 2
+    assert traj.blowup_time == 1 * period + 1 * (period / substeps)
+    per_hold = substeps // 8
+    assert traj.times.size == traj.deviations.shape[0] == per_hold + 1
+    assert traj.times[-1] == 1 * period
+    assert np.all(np.isfinite(traj.deviations))
+    assert np.all(np.isfinite(traj.l2_norms))
+
+
+def test_modal_guard_trips_inside_a_record_block(problem15, spectrum15):
+    """The modal engine bounds a whole block at once but times a blow-up to
+    its substep: an open loop from a large mode-1 state first fails the
+    guard at hold 1, substep 14, inside the block that ends at substep 16,
+    where the oracle's state first fails it; the records stop at the record
+    point before it."""
+    substeps, horizon, stride = problem15.spec.substeps_per_hold, 2, 8
+    period = problem15.period
+    dt = period / substeps
+    y0 = 2.9e11 * spectrum15.modes[:, 0]
+    oracle = _banded_run(problem15, spectrum15, y0, horizon, lambda w: 0.0)
+    norms = np.sqrt(problem15.h) * np.linalg.norm(oracle, axis=1)
+    first = int(np.argmax(norms > BLOWUP_GUARD))
+    assert first == substeps + 14
+    with pytest.raises(ps.UnstableStep) as info:
+        ps.run_open_loop(problem15, spectrum15, y0, horizon, snapshot_stride=stride)
+    traj = info.value.trajectory
+    assert traj.blowup_time == 1 * period + 14 * dt
+    recorded = [n for n in _record_substeps(substeps, horizon, stride) if n < first]
+    assert recorded[-1] == substeps + 8
+    assert np.allclose(traj.times, np.array(recorded) * dt, rtol=0, atol=1e-12)
+    bound = _cn_roundoff_bound(spectrum15, dt, first)
+    assert _relative_apart(traj.interior, oracle[recorded]).max() <= bound
+    assert traj.l2_norms.max() <= BLOWUP_GUARD
 
 
 @pytest.mark.parametrize("horizon", [10**12, 10**18], ids=["out-of-memory", "beyond-numpy"])

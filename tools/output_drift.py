@@ -12,6 +12,11 @@ states format, the multimode synthesize at T = 0.2 with the matrices
 format (the N = 3 matrix dump), and two runs with too few substeps per
 hold for Crank-Nicolson (dt*|lambda_1| >= 2): the multimode simulate at
 T = 2.0 and cli_default sweep --axis T with 30.0 added to its periods.
+One more, cli_default simulate --open-loop with dynamics = linear about
+the equilibrium profile 0.1 sin(pi x) read from a file, steps linear runs
+on a non-constant potential: the node-space Crank-Nicolson path, which no
+benchmark config reaches (their constant potentials are stepped in
+closed form in the eigenbasis).
 Each runs once with each tree's own src/, one BLAS thread, and the script
 prints a Markdown report: a step whose exit code differs, with the last
 unindented line each tree wrote to stdout and to stderr, and for every
@@ -35,6 +40,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -42,7 +48,7 @@ from pathlib import Path
 
 MULTIMODE_PERIODS = ("0.05", "0.2", "1.0", "2.0")
 # step name -> (config template, CLI arguments, (old, new) text edits of
-# the template); {seed} is filled in after the edits
+# the template); {seed} and {profile} are filled in after the edits
 STEPS = {
     "cli_default/synthesize": ("cli_default", ["synthesize"], ()),
     "cli_default/simulate": ("cli_default", ["simulate", "--open-loop"], ()),
@@ -65,6 +71,10 @@ STEPS = {
     "multimode/simulate_T2.0": ("multimode", ["simulate"], (("{period}", "2.0"),)),
     "cli_default/sweep_T30": ("cli_default", ["sweep", "--axis", "T"],
                               (("T = 0.05,0.2,1.0,2.0\n", "T = 0.05,0.2,1.0,2.0,30.0\n"),)),
+    "cli_default/simulate_linear_profile": ("cli_default", ["simulate", "--open-loop"], (
+        ("dynamics = semilinear", "dynamics = linear"),
+        ("equilibrium = 0.0", "equilibrium = file:{profile}"),
+    )),
 }
 RUN_CLI = "import sys; from parastab.cli import main; sys.exit(main(sys.argv[1:]))"
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -72,7 +82,8 @@ ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THRE
 
 def render_configs(templates: Path, seed: int, work: Path) -> dict[str, Path]:
     """One filled config per step, keyed by step name; the templates are
-    only read."""
+    only read.  {profile} is a file of 0.1 sin(pi x) on the M + 2 nodes of
+    the step's grid, one value per line."""
     paths = {}
     for name, (template, _, edits) in STEPS.items():
         text = (templates / f"{template}.ini").read_text()
@@ -81,6 +92,12 @@ def render_configs(templates: Path, seed: int, work: Path) -> dict[str, Path]:
                 raise SystemExit(f"{name}: {template}.ini has no {old!r} to edit")
             text = text.replace(old, new)
         paths[name] = work / f"{name.replace('/', '_')}.ini"
+        if "{profile}" in text:
+            nodes = int(re.search(r"^grid_points = (\d+)$", text, re.M).group(1)) + 2
+            profile = paths[name].with_suffix(".profile")
+            profile.write_text("".join(
+                f"{0.1 * math.sin(math.pi * i / (nodes - 1)):.17g}\n" for i in range(nodes)))
+            text = text.replace("{profile}", str(profile))
         paths[name].write_text(text.replace("{seed}", str(seed)))
     return paths
 
