@@ -279,7 +279,7 @@ def _initial_state(config: RunConfig, spectrum: Spectrum) -> np.ndarray:
         index = int(arg)
         if not 1 <= index <= spectrum.m:
             raise ConfigError(f"mode index {index} out of range 1..{spectrum.m}")
-        return scale_to_norm(spectrum.modes[:, index - 1], spectrum.h, **scaling)
+        return scale_to_norm(spectrum.columns(index)[:, -1], spectrum.h, **scaling)
     if kind == "random":
         return seeded_initial_state(spectrum, int(arg), **scaling)
     y = np.loadtxt(arg, dtype=float)  # file:PATH, the one form left (_initial_ok)

@@ -12,9 +12,11 @@ the held boundary data to the modal recursion.
 
 The corrected operator is diagonal in the eigenbasis the Spectrum already
 stores: its eigenvalue is 1/weight_{ik} on unstable mode i and lambda_i on
-every stable one.  A lift is therefore solved by two products with the
-mode matrix and one division, plus one residual-refinement step; no M x M
-operator is ever formed.
+every stable one.  A lift is therefore solved by the two products
+Spectrum.nodal and Spectrum.modal and one division, plus one
+residual-refinement step.  No M x M operator is ever formed, and on a
+constant potential, whose modes are sines, each product is one DST-I and
+no M x M mode matrix is read either.
 """
 
 from __future__ import annotations
@@ -64,19 +66,19 @@ def dirichlet_lift(spectrum: Spectrum, gains: GainSet, k: int) -> np.ndarray:
     """
     if not 1 <= k <= gains.n:
         raise ValueError(f"k must be in 1..{gains.n}, got {k}")
-    n, h = gains.n, spectrum.h
-    modes, op = spectrum.modes, spectrum.operator
+    n, h, op = gains.n, spectrum.h, spectrum.operator
+    unstable = spectrum.columns(n)
     mu = spectrum.lambdas.copy()
     mu[:n] = 1.0 / gains.lambda_diags[:, k - 1]
     shift_h = _shift_coefficients(gains)[:, k - 1] * h
 
     # h Phi^T e_M / h^2 is the last row of Phi over h
-    psi = modes @ (modes[-1] / (h * mu))
+    psi = spectrum.nodal(spectrum.last_row / (h * mu))
     e = op.offdiag[0]
     residual = -(op.diag + 2.0 * e) * psi - e * np.diff(psi, n=2, prepend=0.0, append=0.0)
-    residual -= modes[:, :n] @ (shift_h * (modes[:, :n].T @ psi))
+    residual -= unstable @ (shift_h * (unstable.T @ psi))
     residual[-1] += 1.0 / h**2
-    psi += modes @ (h * (modes.T @ residual) / mu)
+    psi += spectrum.nodal(spectrum.modal(residual) / mu)
     if not np.all(np.isfinite(psi)):
         raise SingularLiftSystem("lift solve produced non-finite values")
     return psi

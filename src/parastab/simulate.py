@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property, partial
 from typing import Callable, Sequence
 
@@ -54,7 +54,7 @@ import numpy as np
 from ._lapack import dpttrf, dpttrs
 from .model import ParastabError, ValidatedProblem
 from .spectral import (
-    Spectrum, TridiagonalOperator, _is_toeplitz, _odd_sine_blocks, l2_norm, project, sobolev_norm,
+    Spectrum, TridiagonalOperator, _is_toeplitz, l2_norm, project, sobolev_norm,
 )
 from .synthesis import DimensionMismatch, GainSet, _check_consistent, component_feedback
 from .lifting import dirichlet_lift
@@ -110,7 +110,9 @@ class Trajectory:
     ``states``, the full node rows (boundary columns included) whose column
     at x = L is the active held value.  sample_indices locate t = 0, T, 2T,
     ... in ``times``.  blowup_time is set (and the records end at the last
-    state that passed the guard) when the overflow guard tripped.
+    state that passed the guard) when the overflow guard tripped.  A run
+    stepped in the sine eigenbasis passes its recorded sine ``coordinates``,
+    which give the Sobolev history without a transform.
     """
 
     kind: str
@@ -126,6 +128,10 @@ class Trajectory:
     problem_hash: str
     gains_hash: str
     blowup_time: float | None = None
+    coordinates: InitVar[np.ndarray | None] = None
+
+    def __post_init__(self, coordinates: np.ndarray | None) -> None:
+        object.__setattr__(self, "_coordinates", coordinates)
 
     @cached_property
     def l2_norms(self) -> np.ndarray:
@@ -134,6 +140,8 @@ class Trajectory:
 
     @cached_property
     def sobolev_norms(self) -> np.ndarray:
+        if self._coordinates is not None:
+            return sobolev_norm(self._coordinates, self.sobolev_order, self.h, coordinates=True)
         return sobolev_norm(self.deviations, self.sobolev_order, self.h)
 
     @cached_property
@@ -277,9 +285,10 @@ class _ModalStepper:
     in closed form in its eigen-coordinates c = h Phi^T w.
 
     The operator's eigenvectors are the sines sin(i j pi / (M+1)), so c is
-    a scaled DST-I of w and back (_odd_sine_blocks).  A substep multiplies
-    c_i by r_i = (1 - a_i) / (1 + a_i), a_i = dt lambda_i / 2, and adds the
-    boundary input; over k substeps with the value u held
+    a scaled DST-I of w and back (Spectrum.modal and Spectrum.nodal).  A
+    substep multiplies c_i by r_i = (1 - a_i) / (1 + a_i), a_i = dt
+    lambda_i / 2, and adds the boundary input; over k substeps with the
+    value u held
 
         c_i -> r_i^k c_i + (1 - r_i^k) s_i u,   s_i = phi_i[M] / (h lambda_i).
 
@@ -296,20 +305,15 @@ class _ModalStepper:
     """
 
     def __init__(self, spectrum: Spectrum, dt: float, w0: np.ndarray):
-        h, m = spectrum.h, spectrum.m
         a = 0.5 * dt * spectrum.lambdas
         with np.errstate(divide="ignore", invalid="ignore"):
             self.log_r = np.where(np.abs(a) < 1.0, np.log1p(-a) - np.log1p(a),
                                   np.log1p(-2.0 / (1.0 + a)))
-        self.s = spectrum.modes[-1] / (h * spectrum.lambdas)
+        self.s = spectrum.last_row / (spectrum.h * spectrum.lambdas)
         self.flip = a > 1.0
         self.guard_sq = BLOWUP_GUARD**2
         self.maps: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        # w = Phi c and c = h Phi^T w, Phi the sines times sqrt(2 / (h (M+1)));
-        # _odd_sine_blocks gives -2 times the sine sums
-        self.to_nodes = -0.5 * math.sqrt(2.0 / (h * (m + 1)))
-        [(_, sines)] = _odd_sine_blocks(w0[None])
-        self.c = sines[0] * (h * self.to_nodes)
+        self.c = spectrum.modal(w0)
 
     def _map(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(r^k, (1 - r^k) s, max(1, |r^k|)) for a block of k substeps."""
@@ -343,11 +347,6 @@ class _ModalStepper:
         self.c = c
         return j
 
-    def node_rows(self, block: np.ndarray) -> None:
-        """Overwrite a block of recorded coefficient rows with w = Phi c."""
-        for start, sines in _odd_sine_blocks(block):
-            np.multiply(sines, self.to_nodes, out=block[start : start + len(sines)])
-
 
 def seeded_initial_state(
     spectrum: Spectrum,
@@ -367,7 +366,7 @@ def seeded_initial_state(
     n = min(_INITIAL_MODES, spectrum.m)
     coeffs = rng.uniform(-1.0, 1.0, size=n)
     return scale_to_norm(
-        spectrum.modes[:, :n] @ coeffs, spectrum.h,
+        spectrum.columns(n) @ coeffs, spectrum.h,
         amplitude=amplitude, norm=norm, sobolev_order=sobolev_order,
     )
 
@@ -452,7 +451,7 @@ def stepped_modes(spectrum: Spectrum, period: float, substeps: int,
         a = dt * mp.mpf(lam) / 2
         log_r = (substeps - start) * (mp.log1p(-a) - mp.log1p(a)) - start * mp.log1p(2 * a)
         rates.append(-log_r / T)
-    return rates, [-mp.mpf(phi) / mp.mpf(spectrum.h) for phi in spectrum.modes[-1, :n]]
+    return rates, [-mp.mpf(phi) / mp.mpf(spectrum.h) for phi in spectrum.last_row[:n]]
 
 
 def _advance(
@@ -489,10 +488,11 @@ def _advance(
     first substep.
 
     A run without a tail on a Toeplitz operator (spectral._is_toeplitz) is
-    stepped by _ModalStepper: it records coefficient rows, turned into node
-    rows in place at the end, and record 0 is the deviation itself.  Every
-    other run is stepped by _CNKernel, whose node state is projected on the
-    unstable modes for the control.
+    stepped by _ModalStepper: it records coefficient rows, which the
+    Trajectory keeps beside the node rows made from them at the end, and
+    record 0 is the deviation itself.  Every other run is stepped by
+    _CNKernel, whose node state is projected on the unstable modes for the
+    control.
 
     Each hold interval takes problem.spec.substeps_per_hold substeps, the
     one count of the run (validate_spec made it at least 1, and the
@@ -533,11 +533,13 @@ def _advance(
     if modal:
         stepper = _ModalStepper(spectrum, dt, w)
         state = lambda: stepper.c  # noqa: E731
+        sampled = lambda: stepper.c[:n]  # noqa: E731
         advance = stepper.advance
     else:
         kernel = _CNKernel(spectrum.operator, dt, [dt * q for q in tail], w)
-        h2 = spectrum.h**2
+        h2, unstable = spectrum.h**2, spectrum.columns(n)  # project's, gathered once
         state = lambda: kernel.w  # noqa: E731
+        sampled = lambda: spectrum.h * (unstable.T @ kernel.w)  # noqa: E731
         advance = lambda k, u: kernel.advance(k, dt * (u / h2))  # noqa: E731
     # record points of a hold: every snapshot_stride substeps, and its end
     stops = list(range(snapshot_stride, substeps, snapshot_stride)) if snapshot_stride else []
@@ -562,8 +564,7 @@ def _advance(
     record(0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(horizon):
-            row = state()
-            u = control(row[:n] if modal else project(row, spectrum, n))
+            u = control(sampled())
             held.append(u)
             done = 0
             for stop in stops:
@@ -582,8 +583,9 @@ def _advance(
     # sample starts no hold and carries the last value (left limit)
     n_rec, per_hold = len(times), len(stops)
     deviations = deviations[:n_rec]
+    coordinates = None
     if modal:
-        stepper.node_rows(deviations)
+        coordinates, deviations = deviations, spectrum.nodal(deviations)
         deviations[0] = w
 
     return Trajectory(
@@ -600,6 +602,7 @@ def _advance(
         problem_hash=problem_fingerprint(problem),
         gains_hash=gains_fingerprint(gains),
         blowup_time=blowup_time,
+        coordinates=coordinates,
     )
 
 

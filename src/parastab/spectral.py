@@ -3,17 +3,18 @@
 The operator -u'' - c(x) u with Dirichlet ends is discretized by second
 order central differences on the uniform interior grid, giving a symmetric
 tridiagonal matrix.  A constant potential makes it Toeplitz, with the
-shifted discrete sines as closed-form eigenpairs; any other potential is
-decomposed by LAPACK's dstevd.  Eigenvectors are normalized in the discrete
-inner product <u, v>_h = h * sum(u_j v_j), which makes them orthonormal
-without any mass-matrix machinery, and their sign is fixed so the first
-interior component is positive.
+shifted discrete sines as closed-form eigenpairs, kept as one table of
+sines; any other potential is decomposed by LAPACK's dstevd.  Eigenvectors
+are normalized in the discrete inner product <u, v>_h = h * sum(u_j v_j),
+which makes them orthonormal without any mass-matrix machinery, and their
+sign is fixed so the first interior component is positive.
 """
 
 from __future__ import annotations
 
 import functools
 import io
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -60,15 +61,21 @@ class Spectrum:
     """Eigenvalues, h-orthonormal modes and boundary fluxes of the operator.
 
     lambdas         ascending eigenvalues (1/time).
-    modes           (M, M) array, column i is mode i on the interior nodes.
+    basis           the modes as stored: dstevd's (M, M) matrix, or a
+                    Toeplitz operator's 2(M+1) sines (_toeplitz_eigenpairs).
     boundary_flux   outward normal derivative of each mode at x = L.
     unstable_count  N with lambda_N < rho <= lambda_{N+1}.
     rho             the selection rate used for unstable_count.
     operator        the discretized operator (kept for rebuilds and lifts).
+
+    Readers take columns(n), last_row, nodal (Phi c) or modal (h Phi^T w),
+    gathered from a sine table or one DST-I each, and never ask which basis
+    is stored.  ``modes``, the (M, M) matrix, is built on first read and
+    cached; no other reader falls back on it.
     """
 
     lambdas: np.ndarray
-    modes: np.ndarray
+    basis: np.ndarray
     boundary_flux: np.ndarray
     unstable_count: int
     rho: float
@@ -81,6 +88,36 @@ class Spectrum:
     @property
     def m(self) -> int:
         return self.lambdas.shape[0]
+
+    @functools.cached_property
+    def modes(self) -> np.ndarray:
+        """(M, M) array, column i is mode i on the interior nodes."""
+        return self.basis if self.basis.ndim == 2 else _sines(self.basis, self.m)
+
+    def columns(self, n: int) -> np.ndarray:
+        """Modes 1..n as the columns of an (M, n) array."""
+        if self.basis.ndim == 2:
+            return self.basis[:, :n]
+        # one column wider, so a product with the block takes numpy's path
+        # for a slice of a wider matrix: the bits a slice of ``modes`` gives
+        return _sines(self.basis, n + 1)[:, :n]
+
+    @property
+    def last_row(self) -> np.ndarray:
+        """phi_i[M] for every mode i."""
+        return _last_rows(self.basis, 1)[0]
+
+    def nodal(self, coeffs: np.ndarray) -> np.ndarray:
+        """Phi c: node values of modal coordinates (a vector or row stack)."""
+        if self.basis.ndim == 2:
+            return coeffs @ self.basis.T
+        return _sine_products(coeffs, self.h, 1.0)
+
+    def modal(self, w: np.ndarray) -> np.ndarray:
+        """h Phi^T w: all M coordinates of node values (a vector or row stack)."""
+        if self.basis.ndim == 2:
+            return self.h * (w @ self.basis)
+        return _sine_products(w, self.h, self.h)
 
 
 def assemble_operator(problem: ValidatedProblem, c: np.ndarray) -> TridiagonalOperator:
@@ -99,25 +136,32 @@ def eigendecompose(operator: TridiagonalOperator) -> tuple[np.ndarray, np.ndarra
 
     Returns ascending eigenvalues and h-orthonormal eigenvectors (columns),
     each flipped so its first interior component is positive.  A constant
-    potential gives a Toeplitz operator with closed-form eigenpairs; any
-    other operator goes to LAPACK.
+    potential gives a Toeplitz operator with closed-form eigenpairs, the
+    matrix gathered from their sine table; any other goes to LAPACK.
     """
+    lam, basis = _eigenbasis(operator)
+    return lam, basis if basis.ndim == 2 else _sines(basis, operator.m)
+
+
+def _eigenbasis(operator: TridiagonalOperator) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of eigendecompose and its modes as a Spectrum stores
+    them: the sine table of a Toeplitz operator, dstevd's matrix otherwise."""
     diag, offdiag = operator.diag, operator.offdiag
     if not (np.isfinite(diag).all() and np.isfinite(offdiag).all()):
         raise EigenSolverFailure("the tridiagonal operator has a non-finite entry")
     if _is_toeplitz(operator):
-        lam, vec = _toeplitz_eigenpairs(diag[0], offdiag[0], diag.size, operator.h)
+        lam, basis = _toeplitz_eigenpairs(diag[0], offdiag[0], diag.size, operator.h)
     else:
-        lam, vec = _lapack_eigenpairs(operator)
+        lam, basis = _lapack_eigenpairs(operator)
 
     gaps = np.diff(lam)
     if gaps.size and gaps.min() < DEGENERATE_GAP_WARNING:
         warnings.warn(
             f"near-degenerate eigenvalue gap {gaps.min():.3e}; "
             "1-D problems have simple spectra, check the grid",
-            stacklevel=2,
+            stacklevel=3,
         )
-    return lam, vec
+    return lam, basis
 
 
 def _is_toeplitz(operator: TridiagonalOperator) -> bool:
@@ -132,27 +176,40 @@ def _is_toeplitz(operator: TridiagonalOperator) -> bool:
 
 
 def _toeplitz_eigenpairs(d: float, e: float, m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the M x M tridiagonal Toeplitz matrix (d; e < 0).
+    """Eigenvalues and sine table of the M x M Toeplitz matrix (d; e < 0).
 
     lambda_j = d + 2e cos(j pi / (M+1)), written as (d + 2e) - 4e sin^2(j pi
     / (2(M+1))): d + 2e is exact when d and -2e lie within a factor 2 of each
-    other (Sterbenz), so sin^2 and one add are the only roundings.  Mode j
-    has entries sin(i j pi / (M+1)), gathered from one table of the 2(M+1)
-    sines at (i j) mod 2(M+1) and scaled to unit h-norm; every first entry
-    sin(j pi / (M+1)) is positive.  At M = 1000 (one BLAS thread, 2-vCPU KVM
-    machine) this takes about 7.5 ms against 37 ms for dstevd, and each
-    lambda is within 2.3 eps relative of a 40-digit evaluation of the
-    float64 operator's (dstevd: 1.1e-11), each mode entry within 1.2 eps.
+    other (Sterbenz), so sin^2 and one add are the only roundings.  Entry i
+    of mode j, sin(i j pi / (M+1)) scaled to unit h-norm, is entry (i j) mod
+    2(M+1) of the table of the 2(M+1) sines, each from an argument in
+    [0, pi/2]; every first entry is positive.  Each lambda is within 2.3 eps
+    relative of a 40-digit evaluation of the float64 operator's (dstevd:
+    1.1e-11), each mode entry within 1.2 eps.  At M = 1000 (one BLAS thread,
+    2-vCPU KVM machine) this takes 0.1 ms; the (M, M) gather 7.5 ms more.
     """
     q = m + 1
     lam = (d + 2.0 * e) + (-4.0 * e) * np.sin(np.arange(1, q) * (np.pi / (2 * q))) ** 2
-    # sin(k pi / q) for k = 0..2q-1, each from an argument in [0, pi/2]
     k = np.arange(q + 1)
     half = np.sin(np.minimum(k, q - k) * (np.pi / q))
-    table = np.concatenate((half, -half[1:q])) * np.sqrt(2.0 / (h * q))
-    index = np.multiply.outer(k[1:q], k[1:q])
-    np.remainder(index, 2 * q, out=index)
-    return lam, table.take(index)
+    return lam, np.concatenate((half, -half[1:q])) * np.sqrt(2.0 / (h * q))
+
+
+def _last_rows(basis: np.ndarray, k: int) -> np.ndarray:
+    """Rows M - k + 1 .. M of the modes a Spectrum stores as ``basis``."""
+    if basis.ndim == 2:
+        return basis[-k:]
+    m = basis.size // 2 - 1
+    return _sines(basis, m, np.arange(m - k + 1, m + 1))
+
+
+def _sines(table: np.ndarray, n: int, nodes: np.ndarray | None = None) -> np.ndarray:
+    """Modes 1..n at the 1-based ``nodes`` (all M by default), gathered from
+    a sine table: entry i of mode j is its entry (i j) mod 2(M+1)."""
+    nodes = np.arange(1, table.size // 2) if nodes is None else nodes
+    index = np.multiply.outer(nodes, np.arange(1, n + 1))
+    np.remainder(index, table.size, out=index)
+    return table.take(index)
 
 
 def _lapack_eigenpairs(operator: TridiagonalOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -205,10 +262,10 @@ def compute_spectrum(
 ) -> Spectrum:
     """Assemble, decompose and classify: the one-stop spectral pipeline."""
     op = assemble_operator(problem, c)
-    lam, vec = eigendecompose(op)
-    n = select_unstable(lam, rho)
-    return Spectrum(lambdas=lam, modes=vec, boundary_flux=boundary_flux(vec, op.h),
-                    unstable_count=n, rho=float(rho), operator=op)
+    lam, basis = _eigenbasis(op)
+    flux = boundary_flux(_last_rows(basis, 2), op.h)
+    return Spectrum(lambdas=lam, basis=basis, boundary_flux=flux,
+                    unstable_count=select_unstable(lam, rho), rho=float(rho), operator=op)
 
 
 def linearized_spectrum(spec: ProblemSpec | ValidatedProblem) -> tuple[ValidatedProblem, Spectrum]:
@@ -226,9 +283,10 @@ def laplacian_spectrum(problem: ValidatedProblem) -> Spectrum:
     sobolev_norm, in closed form.
     """
     op = assemble_operator(problem, np.zeros(problem.m))
-    lam, vec = eigendecompose(op)
-    return Spectrum(lambdas=lam, modes=vec, boundary_flux=boundary_flux(vec, op.h),
-                    unstable_count=0, rho=0.0, operator=op)
+    lam, basis = _eigenbasis(op)
+    flux = boundary_flux(_last_rows(basis, 2), op.h)
+    return Spectrum(lambdas=lam, basis=basis, boundary_flux=flux, unstable_count=0, rho=0.0,
+                    operator=op)
 
 
 def l2_norm(y: np.ndarray, h: float) -> float:
@@ -239,10 +297,11 @@ def project(y: np.ndarray, spectrum: Spectrum, n: int | None = None) -> np.ndarr
     """First n modal coordinates <y, phi_i>_h (default: the unstable ones)."""
     if n is None:
         n = spectrum.unstable_count
-    return spectrum.h * (spectrum.modes[:, :n].T @ y)
+    return spectrum.h * (spectrum.columns(n).T @ y)
 
 
-def sobolev_norm(y: np.ndarray, s: float, h: float) -> float | np.ndarray:
+def sobolev_norm(y: np.ndarray, s: float, h: float, *,
+                 coordinates: bool = False) -> float | np.ndarray:
     """Fractional norm sqrt(sum_j mu_j^s <y, e_j>_h^2) over all M modes.
 
     mu_j = (4/h^2) sin^2(j pi / (2(M+1))) and e_j are the eigenvalues and
@@ -254,13 +313,16 @@ def sobolev_norm(y: np.ndarray, s: float, h: float) -> float | np.ndarray:
     y is one row (a float is returned) or an (n, M) stack of rows (n norms
     are returned).  The DST-I of a stack is taken in blocks of
     SOBOLEV_BLOCK_ROWS rows (_odd_sine_blocks); each row's norm is the same
-    arithmetic as a one-row call, bit for bit.
+    arithmetic as a one-row call, bit for bit.  With ``coordinates`` the
+    rows are the <y, e_j>_h themselves, and no transform is taken.
     """
     if not 0.0 <= s < 1.0:
         raise ValueError(f"s must lie in [0, 1), got {s}")
     rows = np.atleast_2d(y)
     m = rows.shape[1]
     mu_s = _sobolev_weights(m, h, s)
+    if coordinates:
+        return np.sqrt((rows * rows) @ mu_s)
     weighted = []
     for _, sines in _odd_sine_blocks(rows):
         # <y, e_j>_h^2 is h/(2(M+1)) times the square of -2 sum_i y_i sin(i j pi / (M+1))
@@ -275,14 +337,25 @@ def _odd_sine_blocks(rows: np.ndarray):
     sin(i j pi / (M+1)) for j = 1..M: -2 times the DST-I of each row, read
     off as the imaginary part of the FFT of its odd extension
     (0, y, 0, -reversed y).  One rfft per block bounds the scratch memory,
-    and a row's S is the same arithmetic in any block, bit for bit.  Each
-    block is transformed before it is yielded, so the caller may overwrite
-    rows[start:start + len(S)]."""
+    and a row's S is the same arithmetic in any block, bit for bit."""
     m = rows.shape[1]
     for start in range(0, len(rows), SOBOLEV_BLOCK_ROWS):
         block = rows[start : start + SOBOLEV_BLOCK_ROWS]
         zero = np.zeros((len(block), 1))
         yield start, np.fft.rfft(np.hstack((zero, block, zero, -block[:, ::-1])))[:, 1 : m + 1].imag
+
+
+def _sine_products(y: np.ndarray, h: float, factor: float) -> np.ndarray:
+    """factor * Phi y for one row y or each row of an (n, M) stack, with
+    the symmetric sine modes Phi = sqrt(2 / (h (M+1))) sin(i j pi / (M+1)):
+    Spectrum's nodal (factor 1) and modal (factor h) products."""
+    rows = np.atleast_2d(y)
+    # _odd_sine_blocks gives -2 times the sine sums
+    scale = factor * (-0.5 * math.sqrt(2.0 / (h * (rows.shape[1] + 1))))
+    out = np.empty(rows.shape)
+    for start, sines in _odd_sine_blocks(rows):
+        np.multiply(sines, scale, out=out[start : start + len(sines)])
+    return out if np.ndim(y) == 2 else out[0]
 
 
 @functools.lru_cache(maxsize=32)

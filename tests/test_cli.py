@@ -397,7 +397,7 @@ def test_synthesize_assembles_one_gain_system(tmp_path, monkeypatch, argv, rows)
     counts = count_builds(monkeypatch)
     out = tmp_path / "out"
     assert main([*argv, "--config", cfg, "--out", str(out)]) == EXIT_OK
-    assert counts["eigendecompose"] == 1
+    assert counts["compute_spectrum"] == 1
     assert counts["assemble"] == rows
     if argv == ["synthesize"]:
         gains = json.loads((out / "gains.json").read_text())

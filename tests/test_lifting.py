@@ -61,6 +61,32 @@ def test_lift_allocates_no_dense_operator():
     assert peak < m * m * 8 / 10
 
 
+def test_constant_potential_pipeline_builds_no_dense_modes():
+    """Spectrum, gains, seeded run and z-decomposition at M = 1000 read the
+    sine table alone: far less memory than one M x M float array, and the
+    mode matrix is never built."""
+    m = 1000
+    problem = make_problem(grid_points=m)
+
+    def pipeline():
+        spectrum = ps.compute_spectrum(problem, ps.linearized_coefficient(problem), 1.0)
+        gains = ps.build_gains(spectrum, (2.0,), 0.2)
+        y0 = ps.seeded_initial_state(spectrum, 7)
+        run = ps.run_linear_closed_loop(problem, spectrum, gains, y0, 2)
+        ps.decompose_z(run, gains, spectrum)
+        return spectrum
+
+    pipeline()  # warm the caches of mpmath and the FFT
+    tracemalloc.start()
+    try:
+        spectrum = pipeline()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * m * 8 / 10
+    assert "modes" not in vars(spectrum)
+
+
 def test_lift_trace_identity_and_convergence():
     residuals = {}
     for m in (200, 400):

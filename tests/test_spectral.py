@@ -120,6 +120,38 @@ def test_fine_grid_spectrum_matches_closed_form():
         assert ps.l2_norm(sine - modes[:, j], h) <= err / gaps[j]
 
 
+@pytest.mark.parametrize("m", [16, 200, 1000])
+def test_sine_table_reads_are_slices_of_the_eigendecomposition(m):
+    """A constant potential's spectrum stores the 2(M+1) sines, not the
+    modes: its columns, its last row and its modes, built on first read,
+    are bit for bit eigendecompose's matrix."""
+    spectrum = make_spectrum(make_problem(grid_points=m))
+    assert spectrum.basis.shape == (2 * (m + 1),)
+    _, modes = ps.eigendecompose(spectrum.operator)
+    for n in (1, spectrum.unstable_count, 10, m):
+        assert np.array_equal(spectrum.columns(n), modes[:, :n])
+    assert np.array_equal(spectrum.last_row, modes[-1])
+    assert np.array_equal(spectrum.boundary_flux, ps.boundary_flux(modes, spectrum.h))
+    assert "modes" not in vars(spectrum)
+    assert np.array_equal(spectrum.modes, modes)
+
+
+def test_sine_products_match_the_dense_modes(spectrum15):
+    """Phi x and h Phi^T w on the sine table (one DST-I each) agree with the
+    products with the dense modes to a few eps sqrt(M), and a stack of rows
+    gives each row's one-row result bit for bit."""
+    m, h = spectrum15.m, spectrum15.h
+    rows = np.random.default_rng(5).standard_normal((SOBOLEV_BLOCK_ROWS + 6, m))
+    x, w = rows[0], rows[1]
+    tol = 4.0 * np.finfo(float).eps * np.sqrt(m)
+    for got, dense in ((spectrum15.nodal(x), spectrum15.modes @ x),
+                       (spectrum15.modal(w), h * (spectrum15.modes.T @ w))):
+        assert np.linalg.norm(got - dense) <= tol * np.linalg.norm(dense)
+    for product in (spectrum15.nodal, spectrum15.modal):
+        stacked = product(rows)
+        assert all(np.array_equal(stacked[i], product(row)) for i, row in enumerate(rows))
+
+
 def test_sign_convention_first_component_positive(spectrum15):
     assert np.all(spectrum15.modes[0, :] > 0.0)
 
@@ -336,7 +368,8 @@ def test_modes_csv_is_the_per_value_format(spectrum15):
 
     modes = spectrum15.modes.copy()
     modes[3, : len(ODD_VALUES)] = ODD_VALUES
-    for spectrum in (spectrum15, dataclasses.replace(spectrum15, modes=modes)):
+    # a spectrum that stores the odd matrix as its dense basis
+    for spectrum in (spectrum15, dataclasses.replace(spectrum15, basis=modes)):
         expected = "".join(
             ",".join(format(v, ".17g") for v in row) + "\n" for row in spectrum.modes
         )
