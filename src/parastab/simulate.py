@@ -21,20 +21,22 @@ semilinear one or a linear one on a non-constant potential, by one
 in-place Crank-Nicolson kernel (_CNKernel).  The modal engine takes the same
 Crank-Nicolson substeps: a Toeplitz operator's eigenvectors are exact
 sines, in which each substep is one multiplier per mode, so k substeps are
-one multiplier per mode as well and a whole record block is one update.
+one multiplier per mode as well, and every record of a hold is one update
+of the hold's sample.
 
 The kernel alternates between two zero-padded state buffers and allocates
 nothing per substep.  The right-hand side of a substep is one fused
 product, (rd + w (dt q_2 + w (dt q_3 + ...))) w - off (w_+ + w_-) plus the
 boundary input, with rd = 1 - dt/2 diag(A) and the scalar off = dt/2 times
 A's constant off-diagonal (an operator whose off-diagonal varies is
-rejected).  _advance drives either engine in blocks from one record point
-to the next, and both test the overflow guard at every substep, so a
-blow-up is timed to its substep.
+rejected).  _advance drives either engine one hold at a time, and both
+keep the overflow guard at every substep, so a blow-up is timed to its
+substep.
 
 Runs operate on the deviation from the equilibrium: for the linearized
-loops the deviation *is* the state.  A Trajectory stores the recorded
-deviations as one block, written at the record points, and derives the rest
+loops the deviation *is* the state.  A Trajectory stores the records as one
+block, written at the record points: node rows, or the sine coordinates of
+a modal run, whose node rows are built only when read.  It derives the rest
 on first read: the norm histories always track the deviation, which is the
 quantity that decays, and the node rows of the semilinear loop are physical
 (deviation plus equilibrium).
@@ -94,6 +96,41 @@ class HoldSchedule:
 
 
 @dataclass(frozen=True)
+class _SineRecords:
+    """A modal run's records as _ModalStepper writes them: one row of sine
+    coordinates c = h Phi^T w per record, the Spectrum whose ``nodal``
+    maps them to node rows, and the initial deviation, node row 0 as
+    given."""
+
+    coordinates: np.ndarray
+    spectrum: Spectrum
+    initial: np.ndarray
+
+    def nodal(self, index) -> np.ndarray:
+        """Node rows of the records ``index`` selects, record 0 first."""
+        rows = self.spectrum.nodal(self.coordinates[index])
+        rows[0] = self.initial
+        return rows
+
+
+class _NodeRows:
+    """The ``deviations`` field of a Trajectory: the rows it was given, or,
+    given None by a modal run, the node rows of its sine records, built on
+    first read by one Spectrum.nodal and kept."""
+
+    def __get__(self, traj, owner=None):
+        if traj is None:
+            raise AttributeError("deviations")  # no class default: the field stays required
+        rows = traj.__dict__["_node_rows"]
+        if rows is None:
+            rows = traj.__dict__["_node_rows"] = traj._sines.nodal(slice(None))
+        return rows
+
+    def __set__(self, traj, rows):
+        traj.__dict__["_node_rows"] = rows
+
+
+@dataclass(frozen=True)
 class Trajectory:
     """Records of one run.
 
@@ -103,21 +140,25 @@ class Trajectory:
     all M + 2 nodes (None for the linearized loops, whose deviation is the
     state); ``record_holds``, the index into schedule.held_values of the
     value active at each record, the final record carrying the last
-    interval's value (left limit); and the grid step ``h``.
+    interval's value (left limit); and the grid step ``h``.  A run stepped
+    in the sine eigenbasis passes ``sines``, its records as coordinate
+    rows, and ``deviations=None``: its node rows are built from them on
+    first read (record 0 is the initial deviation itself).
 
     Derived on first read, then cached: ``l2_norms`` and ``sobolev_norms``,
     the norm histories of the deviation (never of states minus offset), and
     ``states``, the full node rows (boundary columns included) whose column
-    at x = L is the active held value.  sample_indices locate t = 0, T, 2T,
-    ... in ``times``.  blowup_time is set (and the records end at the last
-    state that passed the guard) when the overflow guard tripped.  A run
-    stepped in the sine eigenbasis passes its recorded sine ``coordinates``,
-    which give the Sobolev history without a transform.
+    at x = L is the active held value.  A modal run's norms are read from
+    its coordinates (|c| is the h-norm of the modes' h-orthonormality) and
+    its ``sample_states()`` transform only the sample rows, so neither
+    builds the node rows.  sample_indices locate t = 0, T, 2T, ... in
+    ``times``.  blowup_time is set (and the records end at the last state
+    that passed the guard) when the overflow guard tripped.
     """
 
     kind: str
     times: np.ndarray
-    deviations: np.ndarray
+    deviations: np.ndarray | None = _NodeRows()  # required; None: built on read
     offset: np.ndarray | None
     record_holds: np.ndarray
     h: float
@@ -128,20 +169,23 @@ class Trajectory:
     problem_hash: str
     gains_hash: str
     blowup_time: float | None = None
-    coordinates: InitVar[np.ndarray | None] = None
+    sines: InitVar[_SineRecords | None] = None
 
-    def __post_init__(self, coordinates: np.ndarray | None) -> None:
-        object.__setattr__(self, "_coordinates", coordinates)
+    def __post_init__(self, sines: _SineRecords | None) -> None:
+        object.__setattr__(self, "_sines", sines)
 
     @cached_property
     def l2_norms(self) -> np.ndarray:
         # np.linalg.norm's arithmetic for one row: sqrt(w.w)
+        if self._sines is not None:
+            return np.sqrt([row.dot(row) for row in self._sines.coordinates])
         return np.sqrt(self.h) * np.sqrt([row.dot(row) for row in self.deviations])
 
     @cached_property
     def sobolev_norms(self) -> np.ndarray:
-        if self._coordinates is not None:
-            return sobolev_norm(self._coordinates, self.sobolev_order, self.h, coordinates=True)
+        if self._sines is not None:
+            return sobolev_norm(self._sines.coordinates, self.sobolev_order, self.h,
+                                coordinates=True)
         return sobolev_norm(self.deviations, self.sobolev_order, self.h)
 
     @cached_property
@@ -155,6 +199,8 @@ class Trajectory:
         return self.states[:, 1:-1]
 
     def sample_states(self) -> np.ndarray:
+        if self._sines is not None:
+            return self._interior_of(self._sines.nodal(self.sample_indices))
         return self._interior_of(self.deviations[self.sample_indices])
 
     def _interior_of(self, rows: np.ndarray) -> np.ndarray:
@@ -282,7 +328,8 @@ class _CNKernel:
 
 class _ModalStepper:
     """Crank-Nicolson substeps dt of a linear run on a Toeplitz operator,
-    in closed form in its eigen-coordinates c = h Phi^T w.
+    in closed form in its eigen-coordinates c = h Phi^T w, one hold at a
+    time.
 
     The operator's eigenvectors are the sines sin(i j pi / (M+1)), so c is
     a scaled DST-I of w and back (Spectrum.modal and Spectrum.nodal).  A
@@ -294,54 +341,57 @@ class _ModalStepper:
 
     r_i^k and 1 - r_i^k come from k log|r_i|, with log1p on the side near 1
     (|a_i| < 1) and from -(a_i - 1) / (a_i + 1) for a stiff mode, where
-    a_i > 1 flips the sign; _check_substeps has refused a_1 <= -1.  The
-    maps are formed once per block length.  ``c`` is the state.
+    a_i > 1 flips the sign; _check_substeps has refused a_1 <= -1.  A hold
+    writes its R record rows at once, row j from the sample c at the record
+    offset k_j of ``stops`` (k_R = K, the substeps of a hold, so row R is
+    the next sample), from two (R, M) tables of r^k_j and (1 - r^k_j) s
+    formed once per run.  ``c`` is the state.
 
     The guard l2_norm(w) = |c| <= BLOWUP_GUARD holds at every substep of a
-    block when the bound |c_i - s_i u| max(1, |r_i^k|) + |s_i u| on each
-    |c_i| along it passes.  Otherwise, and for a block of one substep, the
-    block is stepped one multiplier at a time and stops at the first
-    substep that fails (a NaN or inf state fails the bound as well).
+    hold when the bound |c_i - s_i u| max(1, |r_i|^K) + |s_i u| on each
+    |c_i| along it passes: |r_i|^k is monotone in k.  Otherwise the hold is
+    stepped one multiplier at a time, written at its record points, and
+    stops at the first substep that fails (a NaN or inf state fails the
+    bound as well).
     """
 
-    def __init__(self, spectrum: Spectrum, dt: float, w0: np.ndarray):
+    def __init__(self, spectrum: Spectrum, dt: float, stops: Sequence[int], w0: np.ndarray):
         a = 0.5 * dt * spectrum.lambdas
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.log_r = np.where(np.abs(a) < 1.0, np.log1p(-a) - np.log1p(a),
-                                  np.log1p(-2.0 / (1.0 + a)))
-        self.s = spectrum.last_row / (spectrum.h * spectrum.lambdas)
-        self.flip = a > 1.0
-        self.guard_sq = BLOWUP_GUARD**2
-        self.maps: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # one row for a single substep, then one per record offset
+        k = np.array([1, *stops])[:, None]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            kl = k * np.where(np.abs(a) < 1.0, np.log1p(-a) - np.log1p(a),
+                              np.log1p(-2.0 / (1.0 + a)))
+            size = np.exp(kl)
+            negative = (a > 1.0) & (k % 2 == 1)
+            s = spectrum.last_row / (spectrum.h * spectrum.lambdas)
+            powers = np.where(negative, -size, size)
+            inputs = np.where(negative, 1.0 + size, -np.expm1(kl)) * s
+        self.s, self.stops, self.guard_sq = s, stops, BLOWUP_GUARD**2
+        self.step = powers[0], inputs[0]
+        self.powers, self.inputs = powers[1:], inputs[1:]
+        self.grow = np.maximum(1.0, size[-1])
         self.c = spectrum.modal(w0)
 
-    def _map(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(r^k, (1 - r^k) s, max(1, |r^k|)) for a block of k substeps."""
-        if k not in self.maps:
-            kl = k * self.log_r
-            size = np.exp(kl)
-            negative = self.flip & bool(k % 2)
-            r_k = np.where(negative, -size, size)
-            lost = np.where(negative, 1.0 + size, -np.expm1(kl))
-            self.maps[k] = (r_k, lost * self.s, np.maximum(1.0, size))
-        return self.maps[k]
-
-    def advance(self, n: int, u: float) -> int:
-        """Take n substeps with u held; return the 1-based substep of the
-        first state that fails the overflow guard, else 0."""
-        c = self.c
-        if n > 1:
-            r_n, input_n, grow = self._map(n)
-            su = self.s * u
-            bound = np.abs(c - su) * grow + np.abs(su)
-            if bound.dot(bound) <= self.guard_sq:
-                self.c = r_n * c + input_n * u
-                return 0
-        r_1, input_1, _ = self._map(1)
-        for j in range(1, n + 1):
+    def hold(self, u: float, out: np.ndarray) -> int:
+        """Step one hold with u held, writing its record rows into ``out``;
+        return the 1-based substep of the first state that fails the
+        overflow guard (rows from there on are left unwritten), else 0."""
+        c, su = self.c, self.s * u
+        bound = np.abs(c - su) * self.grow + np.abs(su)
+        if bound.dot(bound) <= self.guard_sq:
+            np.multiply(self.powers, c, out=out)
+            out += self.inputs * u
+            self.c = out[-1]
+            return 0
+        (r_1, input_1), stops, row = self.step, self.stops, 0
+        for j in range(1, stops[-1] + 1):
             c = r_1 * c + input_1 * u
             if not c.dot(c) <= self.guard_sq:
                 break
+            if j == stops[row]:
+                out[row] = c
+                row += 1
         else:
             j = 0
         self.c = c
@@ -478,7 +528,7 @@ def _advance(
     explicit nonlinear remainder sum_j q_j w^j (run_semilinear_closed_loop
     only; empty means none) and ``offset`` the equilibrium on all M+2 nodes
     (likewise; None means zero).  The deviation y0 - offset is stepped and
-    each record point copies it into one preallocated (records x M) block;
+    each record point writes it into one preallocated (records x M) block;
     held values are shifted by offset[-1].  Norms and node rows are left to
     the Trajectory, which derives them on first read.  ``gains`` only
     enters the setup checks, made here once per run, and the fingerprint.
@@ -488,22 +538,23 @@ def _advance(
     first substep.
 
     A run without a tail on a Toeplitz operator (spectral._is_toeplitz) is
-    stepped by _ModalStepper: it records coefficient rows, which the
-    Trajectory keeps beside the node rows made from them at the end, and
-    record 0 is the deviation itself.  Every other run is stepped by
+    stepped by _ModalStepper: it records sine coordinate rows, which the
+    Trajectory keeps as the run's state (its node rows are built when
+    read, node row 0 the deviation itself).  Every other run is stepped by
     _CNKernel, whose node state is projected on the unstable modes for the
-    control.
+    control, in blocks from one record point to the next.
 
     Each hold interval takes problem.spec.substeps_per_hold substeps, the
     one count of the run (validate_spec made it at least 1, and the
-    problem fingerprint hashes it).  It samples the control once, then
-    steps in blocks that end at its record points: every
-    ``snapshot_stride`` substeps and the hold's end (the sample).  Times
-    and the record decision are made once per block; the engine tests the
-    guard at every substep and stops at the first state that fails it,
-    which is not recorded.  A negative ``snapshot_stride`` is rejected; 0
-    records the samples only.  A record block too large to allocate
-    raises ParastabError before the first substep.
+    problem fingerprint hashes it).  It samples the control once, then the
+    engine steps the hold and writes its records: every
+    ``snapshot_stride`` substeps and the hold's end (the sample).  The
+    engine keeps the guard at every substep and stops at the first state
+    that fails it, which is not recorded; the records before it are.  The
+    times are made at the end, i T + k dt for the record at substep k of
+    hold i.  A negative ``snapshot_stride`` is rejected; 0 records the
+    samples only.  A record block too large to allocate raises
+    ParastabError before the first substep.
     """
     if spectrum.m != problem.m:
         raise DimensionMismatch("spectrum grid does not match the problem grid")
@@ -529,71 +580,73 @@ def _advance(
     dt = period / substeps
     _check_substeps(period, substeps, spectrum.lambdas[0])
     n = 0 if gains is None else gains.n
-    modal = not tail and _is_toeplitz(spectrum.operator)
-    if modal:
-        stepper = _ModalStepper(spectrum, dt, w)
-        state = lambda: stepper.c  # noqa: E731
-        sampled = lambda: stepper.c[:n]  # noqa: E731
-        advance = stepper.advance
-    else:
-        kernel = _CNKernel(spectrum.operator, dt, [dt * q for q in tail], w)
-        h2, unstable = spectrum.h**2, spectrum.columns(n)  # project's, gathered once
-        state = lambda: kernel.w  # noqa: E731
-        sampled = lambda: spectrum.h * (unstable.T @ kernel.w)  # noqa: E731
-        advance = lambda k, u: kernel.advance(k, dt * (u / h2))  # noqa: E731
     # record points of a hold: every snapshot_stride substeps, and its end
     stops = list(range(snapshot_stride, substeps, snapshot_stride)) if snapshot_stride else []
     stops.append(substeps)
-
+    per_hold = len(stops)
     try:
-        deviations = np.empty((1 + horizon * len(stops), m))
+        records = np.empty((1 + horizon * per_hold, m))
     except (MemoryError, ValueError):  # ValueError: beyond numpy's largest size
         raise ParastabError(
             f"cannot allocate the record block of (1 + horizon {horizon} x "
-            f"{len(stops)} records per hold) x M = {m} doubles "
-            f"({8 * (1 + horizon * len(stops)) * m / 2**30:.3g} GiB)"
+            f"{per_hold} records per hold) x M = {m} doubles "
+            f"({8 * (1 + horizon * per_hold) * m / 2**30:.3g} GiB)"
         ) from None
-    times: list[float] = []
+
+    modal = not tail and _is_toeplitz(spectrum.operator)
+    if modal:
+        stepper = _ModalStepper(spectrum, dt, stops, w)
+        records[0] = stepper.c
+        sampled = lambda: stepper.c[:n]  # noqa: E731
+        hold = stepper.hold
+    else:
+        kernel = _CNKernel(spectrum.operator, dt, [dt * q for q in tail], w)
+        records[0] = kernel.w
+        h2, unstable = spectrum.h**2, spectrum.columns(n)  # project's, gathered once
+        sampled = lambda: spectrum.h * (unstable.T @ kernel.w)  # noqa: E731
+
+        def hold(u: float, out: np.ndarray) -> int:
+            dt_bc, done = dt * (u / h2), 0
+            for row, stop in enumerate(stops):
+                tripped = kernel.advance(stop - done, dt_bc)
+                if tripped:
+                    return done + tripped
+                done = stop
+                out[row] = kernel.w
+            return 0
+
     held: list[float] = []
-    blowup_time: float | None = None
-
-    def record(t: float) -> None:
-        deviations[len(times)] = state()
-        times.append(t)
-
-    record(0.0)
+    tripped = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(horizon):
             u = control(sampled())
             held.append(u)
-            done = 0
-            for stop in stops:
-                tripped = advance(stop - done, u)
-                if tripped:
-                    blowup_time = i * period + (done + tripped) * dt
-                    break
-                done = stop
-                record(i * period + stop * dt)
-            if blowup_time is not None:
+            tripped = hold(u, records[1 + i * per_hold : 1 + (i + 1) * per_hold])
+            if tripped:
                 break
 
+    holds = len(held)
+    blowup_time = None
+    n_rec = 1 + holds * per_hold
+    if tripped:
+        # the tripped hold keeps the records before its failing substep
+        blowup_time = (holds - 1) * period + tripped * dt
+        n_rec -= sum(stop >= tripped for stop in stops)
+    # record r >= 1 is at substep stops[(r - 1) % per_hold] of hold
+    # (r - 1) // per_hold, at i T + stop dt as a Python float would round it
+    times = np.append(0.0, np.add.outer(np.arange(holds) * period, np.array(stops) * dt))
     held_arr = np.array(held) + (0.0 if offset is None else float(offset[-1]))
-    # every hold adds len(stops) records, its sample last, so record r lies
-    # in hold r // len(stops) or is the sample that starts it; the final
+    # every hold adds per_hold records, its sample last, so record r lies
+    # in hold r // per_hold or is the sample that starts it; the final
     # sample starts no hold and carries the last value (left limit)
-    n_rec, per_hold = len(times), len(stops)
-    deviations = deviations[:n_rec]
-    coordinates = None
-    if modal:
-        coordinates, deviations = deviations, spectrum.nodal(deviations)
-        deviations[0] = w
+    records = records[:n_rec]
 
     return Trajectory(
         kind=kind,
-        times=np.array(times),
-        deviations=deviations,
+        times=times[:n_rec],
+        deviations=None if modal else records,
         offset=offset,
-        record_holds=np.minimum(np.arange(n_rec) // per_hold, len(held) - 1),
+        record_holds=np.minimum(np.arange(n_rec) // per_hold, holds - 1),
         h=spectrum.h,
         schedule=HoldSchedule(period=period, held_values=held_arr),
         sobolev_order=sobolev_order,
@@ -602,7 +655,7 @@ def _advance(
         problem_hash=problem_fingerprint(problem),
         gains_hash=gains_fingerprint(gains),
         blowup_time=blowup_time,
-        coordinates=coordinates,
+        sines=_SineRecords(records, spectrum, w) if modal else None,
     )
 
 

@@ -4,14 +4,17 @@ Runs every CLI step of the three benchmark configs in perfbench/configs/
 at one seed: the five cli_default commands (synthesize, simulate
 --open-loop, verify, sweep --axis T and sweep --axis amplitude), the
 multimode synthesize at T = 0.05, 0.2, 1.0 and 2.0 plus its verify at
-T = 0.2, and the long_hold simulate.  Five more steps run edited copies
+T = 0.2, and the long_hold simulate.  Six more steps run edited copies
 of the configs, so that every run option and every float64 view of a gain
 set reaches a compared output: cli_default sweep --axis gamma with a
 [sweep] gamma list, cli_default simulate from initial = mode:1 with the
-states format, the multimode synthesize at T = 0.2 with the matrices
-format (the N = 3 matrix dump), and two runs with too few substeps per
-hold for Crank-Nicolson (dt*|lambda_1| >= 2): the multimode simulate at
-T = 2.0 and cli_default sweep --axis T with 30.0 added to its periods.
+states format (a semilinear run), cli_default simulate with dynamics =
+linear and the states format (the node rows of a run stepped in the sine
+eigenbasis, which the run builds only when they are read), the multimode
+synthesize at T = 0.2 with the matrices format (the N = 3 matrix dump),
+and two runs with too few substeps per hold for Crank-Nicolson
+(dt*|lambda_1| >= 2): the multimode simulate at T = 2.0 and cli_default
+sweep --axis T with 30.0 added to its periods.
 One more, cli_default simulate --open-loop with dynamics = linear about
 the equilibrium profile 0.1 sin(pi x) read from a file, steps linear runs
 on a non-constant potential: the node-space Crank-Nicolson path, which no
@@ -63,6 +66,10 @@ STEPS = {
                                 (("[sweep]\n", "[sweep]\ngamma = 2.0;4.0\n"),)),
     "cli_default/simulate_states": ("cli_default", ["simulate"], (
         ("initial = random:{seed}", "initial = mode:1"),
+        ("formats = csv,json,svg,modes,matrices", "formats = csv,json,states"),
+    )),
+    "cli_default/simulate_linear_states": ("cli_default", ["simulate"], (
+        ("dynamics = semilinear", "dynamics = linear"),
         ("formats = csv,json,svg,modes,matrices", "formats = csv,json,states"),
     )),
     "multimode/synthesize_matrices": ("multimode", ["synthesize"], (
