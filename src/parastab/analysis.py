@@ -3,9 +3,8 @@
 Every record of synthesize and verify is one _RECORDS entry: its name and
 law, its stage, the measure of its residual on one grid (a Grid), and its
 bound, a [verify] tolerance key with its default or a (low, high) window
-of two keys.  An entry with ``refine`` adds a "-convergence" twin: the
-ratio of the residual at M to the one on the doubled grid (2M nodes, twice
-the substeps), held to a lower bound.  The [verify] keys (with their
+of two keys.  Space convergence is pde-gain's alone: it compares gain rows
+on the doubled grids and steps nothing.  The [verify] keys (with their
 defaults, DEFAULT_VERIFY_TOLERANCES, and windows, VERIFY_WINDOWS) come from
 the table.  verify runs the _STAGES in order, stops after the spectrum when
 nothing is unstable and records a trajectory stage that raises as one
@@ -75,19 +74,17 @@ class VerificationReport:
         residual: float,
         tolerance: float | None = None,
         *,
-        larger_is_worse: bool = True,
         window: tuple[float, float] | None = None,
         details: dict | None = None,
     ) -> CheckResult:
-        """Record a residual held to ``tolerance`` (an upper bound, or a lower
-        one if not ``larger_is_worse``) or to ``window`` = (low, high): it
-        passes inside low <= residual <= high, with tolerance high."""
+        """Record a residual held to the upper bound ``tolerance`` or to
+        ``window`` = (low, high), tolerance high, inside which it passes."""
         if window is not None:
             low, tolerance = window
             passed = low <= residual <= tolerance
             details = {"window": [low, tolerance], **(details or {})}
         else:
-            passed = residual <= tolerance if larger_is_worse else residual >= tolerance
+            passed = residual <= tolerance
         result = CheckResult(
             name=name,
             law=law,
@@ -605,13 +602,23 @@ def _small_period_order(grid: Grid) -> tuple[float, dict]:
                     for period in (1e-2, 5e-3)))
 
 
+def _pde_gain_order(grid: Grid) -> tuple[float, dict]:
+    """|g_M - g_2M| / |g_2M - g_4M| of the gain rows on the grid and its two
+    refinements, about 4 at second order in h: spectra and rows only.  A
+    refinement that moves an eigenvalue across target_rate reads inf."""
+    g_m, g_2m, g_4m = rows = [feedback_row(g.spectrum, g.spec.gammas, g.spec.sampling_period)
+                              for g in (grid, grid.fine, grid.fine.fine)]
+    if not g_m.size == g_2m.size == g_4m.size:
+        return np.inf, {"unstable_counts": [row.size for row in rows]}
+    return _ratio(float(np.linalg.norm(g_m - g_2m)), float(np.linalg.norm(g_2m - g_4m)))
+
+
 class _Record(NamedTuple):
     name: str
     law: str
     stage: str  # one of _STAGES; the table is in stage order
     measure: Callable[[Grid], float | tuple[float, dict]]  # residual or (residual, details)
     bound: dict[str, float]  # tolerance key -> default; two keys: a (low, high) window
-    refine: tuple[str, str, float] | None = None  # (order law, ratio key, ratio default)
 
 
 # Every record of synthesize and verify, in report order.  A measure calls
@@ -629,15 +636,15 @@ _RECORDS = (
     _Record("contraction-bound", "symmetrized-update-spectral-radius", "algebra",
             _contraction, {"contraction_slack": 1e-8}),
     _Record("lift-identity", "lift-trace-identity", "grid",
-            lambda g: check_lift_identity(g.spectrum, g.gains)[0], {"lift_identity": 1e-2},
-            ("lift-trace-identity-order", "lift_ratio", 3.0)),
+            lambda g: check_lift_identity(g.spectrum, g.gains)[0], {"lift_identity": 1e-2}),
+    _Record("pde-gain", "gain-row-second-order-in-h", "grid",
+            _pde_gain_order, {"pde_ratio_low": 3.2, "pde_ratio_high": 4.8}),
     _Record("trajectory-recursion", "sampled-modal-recursion-trajectory", "trajectory",
             lambda g: _trajectory_recursion(g.gains, g.spectrum, g.trajectory)[0],
-            {"trajectory_recursion": 5e-3},
-            ("sampled-modal-recursion-order", "trajectory_ratio", 3.0)),
+            {"trajectory_recursion": 5e-3}),
     _Record("half-identity", "sampled-state-doubling", "trajectory",
             lambda g: check_half_identity(g.trajectory, g.gains, g.spectrum),
-            {"half_identity": 1e-2}, ("sampled-state-doubling-order", "half_ratio", 1.0)),
+            {"half_identity": 1e-2}),
     _Record("small-period-limit", "gain-row-limit-distance", "limit",
             lambda g: gain_limit_distance(g.spectrum, g.spec.gammas, 1e-6, g.continuous),
             {"limit_distance": 1e-5}),
@@ -648,23 +655,15 @@ _RECORDS = (
 _STAGES = ("spectrum", "algebra", "grid", "trajectory", "limit")
 
 
-def _default_tolerances() -> dict[str, float]:
-    """Every tolerance key of _RECORDS with its default, in table order."""
-    defaults: dict[str, float] = {}
-    for record in _RECORDS:
-        defaults.update(record.bound)
-        if record.refine:
-            defaults[record.refine[1]] = record.refine[2]
-    return defaults
-
-
-DEFAULT_VERIFY_TOLERANCES = _default_tolerances()
+# every tolerance key of _RECORDS with its default, in table order
+DEFAULT_VERIFY_TOLERANCES = {key: value for record in _RECORDS
+                             for key, value in record.bound.items()}
 VERIFY_WINDOWS = tuple(tuple(record.bound) for record in _RECORDS if len(record.bound) == 2)
 
 
 def _add_stage(report: VerificationReport, stage: str, grid: Grid, tolerances: dict) -> None:
-    """Add the stage's records of _RECORDS, each refine twin after its
-    record; ``tolerances`` override the table's defaults."""
+    """Add the stage's records of _RECORDS; ``tolerances`` override the
+    table's defaults."""
     tol = {**DEFAULT_VERIFY_TOLERANCES, **tolerances}
     records = [record for record in _RECORDS if record.stage == stage]
     part = VerificationReport()
@@ -675,12 +674,6 @@ def _add_stage(report: VerificationReport, stage: str, grid: Grid, tolerances: d
             limits = [tol[key] for key in record.bound]
             bound = {"window": tuple(limits)} if len(limits) == 2 else {"tolerance": limits[0]}
             part.add(record.name, record.law, residual, details=details, **bound)
-            if record.refine:
-                order_law, ratio_key, _ = record.refine
-                fine = record.measure(grid.fine)
-                ratio, details = _ratio(residual, fine[0] if isinstance(fine, tuple) else fine)
-                part.add(f"{record.name}-convergence", order_law, ratio, tol[ratio_key],
-                         larger_is_worse=False, details=details)
     except ParastabError as exc:
         if stage != "trajectory":
             raise
@@ -692,8 +685,8 @@ def _add_stage(report: VerificationReport, stage: str, grid: Grid, tolerances: d
 
 def run_verification(spec: ProblemSpec, *, tolerances: dict | None = None,
                      horizon: int = 10, seed: int = 7) -> VerificationReport:
-    """Every record of _RECORDS at the configured grid (M), each refine
-    twin from the doubled grid (2M).  Algebraic identities are checked in
+    """Every record of _RECORDS at the configured grid (M); pde-gain also
+    reads the spectra at 2M and 4M.  Algebraic identities are checked in
     adaptive precision.  With no unstable modes the suite reduces to the
     spectrum stage."""
     grid = Grid(spec, horizon, seed)

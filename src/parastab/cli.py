@@ -3,9 +3,9 @@
 Subcommands: synthesize | simulate | verify | sweep.  A single INI-style
 config file (sections and key=value pairs, parsed by configparser) drives
 every run.  Each key is declared once, in _OPTIONS.  Unknown sections and
-keys are rejected so typos fail loudly, and so is a value that does not
-parse or fails its key's check; that message starts with the [section]
-key.  The checks reject unknown norms and output formats, an
+keys are rejected so typos fail loudly (the _RETIRED [verify] keys load
+with one warning), and so is a value that does not parse or fails its
+key's check; that message starts with the [section] key.  The checks reject unknown norms and output formats, an
 amplitude that is not finite and 0 or positive (also as a [sweep]
 amplitude entry), a sobolev_order outside [0, 1), an initial other than
 mode:K (K >= 1), random:SEED (SEED >= 0) or file:PATH, a [simulation]
@@ -26,7 +26,7 @@ the equilibrium, "auto" gammas).  Every float in CSV output carries 17
 significant digits.  A library warning is printed as one stderr line,
 "warning: <message>".
 
-Exit codes: 0 success, 2 config or validation error (also a run refused
+Exit codes: 0 success, 2 config or validation error (also a CN run refused
 for too few substeps per hold, dt*|lambda_1| >= 2, and a warning raised
 as an error under python -W error, printed as "error: <message>"), 3
 singular gain algebra (a Gram sum or a cancellation that needs more than
@@ -200,6 +200,10 @@ _SCHEMA: dict[str, set[str]] = {}
 for _option in _OPTIONS:
     _SCHEMA.setdefault(_option.section, set()).add(_option.key)
 
+# [verify] keys of the 2M convergence records verify no longer makes:
+# accepted, read by nothing, not echoed and named in one warning
+_RETIRED = frozenset({"lift_ratio", "trajectory_ratio", "half_ratio"})
+
 
 def _echo(config) -> dict:
     """Every key in _OPTIONS by section, in the echoed form of its field."""
@@ -235,8 +239,14 @@ def load_config(path: str | Path) -> RunConfig:
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
         unknown = set(parser[section]) - _SCHEMA[section]
+        if section == "verify":
+            unknown -= _RETIRED
         if unknown:
             raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}")
+    retired = sorted(_RETIRED & set(parser["verify"])) if parser.has_section("verify") else []
+    if retired:
+        warnings.warn(f"[verify] {', '.join(retired)}: retired key(s), read by nothing "
+                      "(verify no longer steps the doubled grid)", stacklevel=2)
 
     # field path -> value, grouped by the path's head: "" for a run option
     groups: dict[str, dict] = {}

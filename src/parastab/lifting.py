@@ -7,8 +7,10 @@ plus a rank-N correction acting on the unstable modes (the shift
 boundary value psi_k(L) = 1, psi_k(0) = 0; the problem is linear in its
 datum, so the lift a hold needs is psi_k scaled by the k-th feedback
 component at the sample.  The modal coordinates of psi_k satisfy
-<psi_k, phi_i>_h = -weight_{ik} * flux_i up to O(h^2), which is what ties
-the held boundary data to the modal recursion.
+<psi_k, phi_i>_h = -weight_{ik} * flux_i to roundoff, since the datum's
+coordinate h phi_i[M] / h^2 is -flux_i (spectral.boundary_flux), the
+coupling the gain is placed against; this ties the held boundary data to
+the modal recursion.
 
 The corrected operator is diagonal in the eigenbasis the Spectrum already
 stores: its eigenvalue is 1/weight_{ik} on unstable mode i and lambda_i on
@@ -72,8 +74,8 @@ def dirichlet_lift(spectrum: Spectrum, gains: GainSet, k: int) -> np.ndarray:
     mu[:n] = 1.0 / gains.lambda_diags[:, k - 1]
     shift_h = _shift_coefficients(gains)[:, k - 1] * h
 
-    # h Phi^T e_M / h^2 is the last row of Phi over h
-    psi = spectrum.nodal(spectrum.last_row / (h * mu))
+    # h Phi^T e_M / h^2 is minus the flux
+    psi = spectrum.nodal(-spectrum.boundary_flux / mu)
     e = op.offdiag[0]
     residual = -(op.diag + 2.0 * e) * psi - e * np.diff(psi, n=2, prepend=0.0, append=0.0)
     residual -= unstable @ (shift_h * (unstable.T @ psi))

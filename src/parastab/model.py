@@ -172,7 +172,7 @@ class ProblemSpec:
 
 def refined(spec: ProblemSpec) -> ProblemSpec:
     """The spec on the doubled grid (2M nodes, twice the substeps): the one
-    refinement rule, of --refine and of verify's 2M twins."""
+    refinement rule, of --refine and of the doubled grids pde-gain reads."""
     return replace(spec, grid_points=2 * spec.grid_points,
                    substeps_per_hold=2 * spec.substeps_per_hold)
 

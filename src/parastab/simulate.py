@@ -9,20 +9,19 @@ remainder is the exact Taylor tail of the polynomial reaction about the
 equilibrium, sum_{j>=2} q_j w^j in the deviation w, with the q_j formed
 once per run.  The CN matrix I + dt/2 A is factored once per run, as
 LDL^T (LAPACK pttrf): it is positive definite when 1 + dt lambda_1 / 2 > 0.
-A run with fewer substeps per hold than that needs, which would flip the
-sign of an unstable mode 1 every substep instead of growing it, is refused
-with TooFewSubsteps before anything is factored.
+A CN run with fewer substeps per hold than that needs, which would flip
+the sign of an unstable mode 1 every substep instead of growing it, is
+refused with TooFewSubsteps before anything is factored.
 
 Two engines step a run, and one condition picks between them: a linear
 run (no Taylor tail) whose operator is Toeplitz (spectral._is_toeplitz, the
 constant potential of every config the tool ships) is stepped in its
 eigen-coordinates, in closed form (_ModalStepper); every other run, a
 semilinear one or a linear one on a non-constant potential, by one
-in-place Crank-Nicolson kernel (_CNKernel).  The modal engine takes the same
-Crank-Nicolson substeps: a Toeplitz operator's eigenvectors are exact
-sines, in which each substep is one multiplier per mode, so k substeps are
-one multiplier per mode as well, and every record of a hold is one update
-of the hold's sample.
+in-place Crank-Nicolson kernel (_CNKernel).  The modal engine takes the
+exact hold, the one-hold map the gain is placed against: in the exact sine
+eigenvectors of a Toeplitz operator k substeps are one exponential per
+mode, so a record is one update of the hold's sample.
 
 The kernel alternates between two zero-padded state buffers and allocates
 nothing per substep.  The right-hand side of a substep is one fused
@@ -327,50 +326,42 @@ class _CNKernel:
 
 
 class _ModalStepper:
-    """Crank-Nicolson substeps dt of a linear run on a Toeplitz operator,
-    in closed form in its eigen-coordinates c = h Phi^T w, one hold at a
-    time.
+    """The exact zero-order hold of a linear run on a Toeplitz operator, in
+    closed form in its eigen-coordinates c = h Phi^T w, one hold at a time.
 
     The operator's eigenvectors are the sines sin(i j pi / (M+1)), so c is
-    a scaled DST-I of w and back (Spectrum.modal and Spectrum.nodal).  A
-    substep multiplies c_i by r_i = (1 - a_i) / (1 + a_i), a_i = dt
-    lambda_i / 2, and adds the boundary input; over k substeps with the
-    value u held
+    a scaled DST-I of w and back (Spectrum.modal and Spectrum.nodal).  With
+    u held, the plant dc_i/dt = -lambda_i c_i - flux_i u moves mode i over
+    k substeps dt as
 
-        c_i -> r_i^k c_i + (1 - r_i^k) s_i u,   s_i = phi_i[M] / (h lambda_i).
+        c_i -> r_i^k c_i + (1 - r_i^k) s_i u,   s_i = -flux_i / lambda_i,
 
-    r_i^k and 1 - r_i^k come from k log|r_i|, with log1p on the side near 1
-    (|a_i| < 1) and from -(a_i - 1) / (a_i + 1) for a stiff mode, where
-    a_i > 1 flips the sign; _check_substeps has refused a_1 <= -1.  A hold
-    writes its R record rows at once, row j from the sample c at the record
-    offset k_j of ``stops`` (k_R = K, the substeps of a hold, so row R is
-    the next sample), from two (R, M) tables of r^k_j and (1 - r^k_j) s
-    formed once per run.  ``c`` is the state.
+    r_i^k = e^{-k dt lambda_i}, 1 - r_i^k = -expm1(-k dt lambda_i): the map
+    the gain is placed against, so the substeps only place the record
+    points and the guard.  A hold writes its R record rows at once, row j
+    from the sample c at the record offset k_j of ``stops`` (k_R = K, the
+    substeps of a hold, so row R is the next sample), from two (R, M)
+    tables of r^k_j and (1 - r^k_j) s formed once per run.  ``c`` is the
+    state.
 
     The guard l2_norm(w) = |c| <= BLOWUP_GUARD holds at every substep of a
-    hold when the bound |c_i - s_i u| max(1, |r_i|^K) + |s_i u| on each
-    |c_i| along it passes: |r_i|^k is monotone in k.  Otherwise the hold is
-    stepped one multiplier at a time, written at its record points, and
-    stops at the first substep that fails (a NaN or inf state fails the
-    bound as well).
+    hold when the bound |c_i - s_i u| max(1, r_i^K) + |s_i u| on each |c_i|
+    along it passes: r_i^k is monotone in k.  Otherwise the hold is stepped
+    one substep at a time, written at its record points, and stops at the
+    first substep that fails (a NaN or inf state fails the bound as well).
     """
 
     def __init__(self, spectrum: Spectrum, dt: float, stops: Sequence[int], w0: np.ndarray):
-        a = 0.5 * dt * spectrum.lambdas
-        # one row for a single substep, then one per record offset
-        k = np.array([1, *stops])[:, None]
+        # log r^k: one row for a single substep, then one per record offset
+        kl = np.array([1, *stops])[:, None] * (-dt * spectrum.lambdas)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            kl = k * np.where(np.abs(a) < 1.0, np.log1p(-a) - np.log1p(a),
-                              np.log1p(-2.0 / (1.0 + a)))
-            size = np.exp(kl)
-            negative = (a > 1.0) & (k % 2 == 1)
-            s = spectrum.last_row / (spectrum.h * spectrum.lambdas)
-            powers = np.where(negative, -size, size)
-            inputs = np.where(negative, 1.0 + size, -np.expm1(kl)) * s
+            s = -spectrum.boundary_flux / spectrum.lambdas
+            powers = np.exp(kl)
+            inputs = -np.expm1(kl) * s
         self.s, self.stops, self.guard_sq = s, stops, BLOWUP_GUARD**2
         self.step = powers[0], inputs[0]
         self.powers, self.inputs = powers[1:], inputs[1:]
-        self.grow = np.maximum(1.0, size[-1])
+        self.grow = np.maximum(1.0, powers[-1])
         self.c = spectrum.modal(w0)
 
     def hold(self, u: float, out: np.ndarray) -> int:
@@ -438,10 +429,11 @@ def scale_to_norm(
 
 
 def _check_substeps(period: float, substeps: int, lambda_1: float) -> None:
-    """Refuse dt = period / substeps with 1 + dt lambda_1 / 2 <= 0: the CN
-    multiplier (1 - dt lambda_1 / 2) / (1 + dt lambda_1 / 2) of mode 1 is
-    then negative (or infinite), not the growth e^{-dt lambda_1}.  The
-    smallest count that works is floor(T |lambda_1| / 2) + 1."""
+    """Refuse, for a run _CNKernel steps, dt = period / substeps with
+    1 + dt lambda_1 / 2 <= 0: the CN multiplier (1 - dt lambda_1 / 2) /
+    (1 + dt lambda_1 / 2) of mode 1 is then negative (or infinite), not the
+    growth e^{-dt lambda_1}.  The smallest count that works is
+    floor(T |lambda_1| / 2) + 1."""
     needed = math.floor(-0.5 * period * lambda_1) + 1
     if substeps < needed:
         raise TooFewSubsteps(
@@ -458,11 +450,12 @@ def stepped_modes(spectrum: Spectrum, period: float, substeps: int,
     the one-hold map the engine steps, with ``start`` backward-Euler (BE)
     substeps at the start of each hold and Crank-Nicolson (CN) for the rest.
 
-    Over a hold with held value u the engine maps mode i as
+    Over a hold with held value u _CNKernel maps mode i as
     c_i -> r_i c_i - (1 - r_i) / lambda_i * b~_i u, with b~_i = -phi_i[M] / h
-    and r_i the product of the substep multipliers, (1 - a_i) / (1 + a_i)
-    per CN substep and 1 / (1 + 2 a_i) per BE substep, a_i = dt lambda_i / 2
-    from the engine's dt = period / substeps and the spectrum's lambda_i.
+    (boundary_flux at the working precision) and r_i the product of the
+    substep multipliers, (1 - a_i) / (1 + a_i) per CN substep and
+    1 / (1 + 2 a_i) per BE substep, a_i = dt lambda_i / 2 from the
+    engine's dt = period / substeps and the spectrum's lambda_i.
     That is the paper's one-hold map at the effective rate
     lambda~_i = -ln(r_i) / period with the flux b~_i lambda~_i / lambda_i, so
     _exact.gain_system(lambda~, b~ lambda~ / lambda, gammas, period) places
@@ -533,22 +526,21 @@ def _advance(
     the Trajectory, which derives them on first read.  ``gains`` only
     enters the setup checks, made here once per run, and the fingerprint.
     A blow-up is reported through ``blowup_time``; the linear wrappers
-    raise it as UnstableStep.  A hold with too few substeps for
-    Crank-Nicolson, dt*|lambda_1| >= 2, raises TooFewSubsteps before the
-    first substep.
+    raise it as UnstableStep.
 
     A run without a tail on a Toeplitz operator (spectral._is_toeplitz) is
-    stepped by _ModalStepper: it records sine coordinate rows, which the
-    Trajectory keeps as the run's state (its node rows are built when
-    read, node row 0 the deviation itself).  Every other run is stepped by
-    _CNKernel, whose node state is projected on the unstable modes for the
-    control, in blocks from one record point to the next.
+    stepped by _ModalStepper, the exact hold: it records sine coordinate
+    rows, which the Trajectory keeps as the run's state (its node rows are
+    built when read, node row 0 the deviation itself).  Every other run is
+    stepped by _CNKernel, whose node state is projected on the unstable
+    modes for the control, in blocks from one record point to the next; it
+    raises TooFewSubsteps before the first substep if dt*|lambda_1| >= 2.
 
     Each hold interval takes problem.spec.substeps_per_hold substeps, the
     one count of the run (validate_spec made it at least 1, and the
     problem fingerprint hashes it).  It samples the control once, then the
     engine steps the hold and writes its records: every
-    ``snapshot_stride`` substeps and the hold's end (the sample).  The
+    ``snapshot_stride`` substeps and the hold's end (the sample).  Either
     engine keeps the guard at every substep and stops at the first state
     that fails it, which is not recorded; the records before it are.  The
     times are made at the end, i T + k dt for the record at substep k of
@@ -578,7 +570,9 @@ def _advance(
 
     period, substeps = problem.period, problem.spec.substeps_per_hold
     dt = period / substeps
-    _check_substeps(period, substeps, spectrum.lambdas[0])
+    modal = not tail and _is_toeplitz(spectrum.operator)
+    if not modal:
+        _check_substeps(period, substeps, spectrum.lambdas[0])
     n = 0 if gains is None else gains.n
     # record points of a hold: every snapshot_stride substeps, and its end
     stops = list(range(snapshot_stride, substeps, snapshot_stride)) if snapshot_stride else []
@@ -593,7 +587,6 @@ def _advance(
             f"({8 * (1 + horizon * per_hold) * m / 2**30:.3g} GiB)"
         ) from None
 
-    modal = not tail and _is_toeplitz(spectrum.operator)
     if modal:
         stepper = _ModalStepper(spectrum, dt, stops, w)
         records[0] = stepper.c

@@ -63,7 +63,7 @@ class Spectrum:
     lambdas         ascending eigenvalues (1/time).
     basis           the modes as stored: dstevd's (M, M) matrix, or a
                     Toeplitz operator's 2(M+1) sines (_toeplitz_eigenpairs).
-    boundary_flux   outward normal derivative of each mode at x = L.
+    boundary_flux   each mode's coupling to the boundary input (derived).
     unstable_count  N with lambda_N < rho <= lambda_{N+1}.
     rho             the selection rate used for unstable_count.
     operator        the discretized operator (kept for rebuilds and lifts).
@@ -76,7 +76,6 @@ class Spectrum:
 
     lambdas: np.ndarray
     basis: np.ndarray
-    boundary_flux: np.ndarray
     unstable_count: int
     rho: float
     operator: TridiagonalOperator
@@ -105,7 +104,14 @@ class Spectrum:
     @property
     def last_row(self) -> np.ndarray:
         """phi_i[M] for every mode i."""
-        return _last_rows(self.basis, 1)[0]
+        if self.basis.ndim == 2:
+            return self.basis[-1]
+        return _sines(self.basis, self.m, np.array([self.m]))[0]
+
+    @functools.cached_property
+    def boundary_flux(self) -> np.ndarray:
+        """boundary_flux of every mode, read from last_row."""
+        return boundary_flux(self.last_row[np.newaxis], self.h)
 
     def nodal(self, coeffs: np.ndarray) -> np.ndarray:
         """Phi c: node values of modal coordinates (a vector or row stack)."""
@@ -195,14 +201,6 @@ def _toeplitz_eigenpairs(d: float, e: float, m: int, h: float) -> tuple[np.ndarr
     return lam, np.concatenate((half, -half[1:q])) * np.sqrt(2.0 / (h * q))
 
 
-def _last_rows(basis: np.ndarray, k: int) -> np.ndarray:
-    """Rows M - k + 1 .. M of the modes a Spectrum stores as ``basis``."""
-    if basis.ndim == 2:
-        return basis[-k:]
-    m = basis.size // 2 - 1
-    return _sines(basis, m, np.arange(m - k + 1, m + 1))
-
-
 def _sines(table: np.ndarray, n: int, nodes: np.ndarray | None = None) -> np.ndarray:
     """Modes 1..n at the 1-based ``nodes`` (all M by default), gathered from
     a sine table: entry i of mode j is its entry (i j) mod 2(M+1)."""
@@ -247,13 +245,15 @@ def select_unstable(lambdas: np.ndarray, rho: float) -> int:
 
 
 def boundary_flux(mode: np.ndarray, h: float) -> float | np.ndarray:
-    """Outward normal derivative of a Dirichlet mode at x = L.
+    """The coupling of a Dirichlet mode to the boundary input, -phi_M / h.
 
-    Second-order one-sided difference using phi(L) = 0:
-    (3*0 - 4*phi_M + phi_{M-1}) / (2h).  A float for one mode, an array
-    (one entry per column) for a matrix of modes.
+    The plant adds its boundary value u to the last node as u / h^2, which
+    drives <w, phi>_h by h phi_M u / h^2 = -flux u, so the gain is placed
+    against the flux the engines step.  With phi(L) = phi''(L) = 0 it is
+    also a second-order approximation of the outward normal derivative.
+    A float for one mode, an array (one entry per column) for a matrix.
     """
-    flux = (-4.0 * mode[-1] + mode[-2]) / (2.0 * h)
+    flux = -mode[-1] / h
     return flux if np.ndim(flux) else float(flux)
 
 
@@ -263,9 +263,8 @@ def compute_spectrum(
     """Assemble, decompose and classify: the one-stop spectral pipeline."""
     op = assemble_operator(problem, c)
     lam, basis = _eigenbasis(op)
-    flux = boundary_flux(_last_rows(basis, 2), op.h)
-    return Spectrum(lambdas=lam, basis=basis, boundary_flux=flux,
-                    unstable_count=select_unstable(lam, rho), rho=float(rho), operator=op)
+    return Spectrum(lambdas=lam, basis=basis, unstable_count=select_unstable(lam, rho),
+                    rho=float(rho), operator=op)
 
 
 def linearized_spectrum(spec: ProblemSpec | ValidatedProblem) -> tuple[ValidatedProblem, Spectrum]:
@@ -284,9 +283,7 @@ def laplacian_spectrum(problem: ValidatedProblem) -> Spectrum:
     """
     op = assemble_operator(problem, np.zeros(problem.m))
     lam, basis = _eigenbasis(op)
-    flux = boundary_flux(_last_rows(basis, 2), op.h)
-    return Spectrum(lambdas=lam, basis=basis, boundary_flux=flux, unstable_count=0, rho=0.0,
-                    operator=op)
+    return Spectrum(lambdas=lam, basis=basis, unstable_count=0, rho=0.0, operator=op)
 
 
 def l2_norm(y: np.ndarray, h: float) -> float:

@@ -170,3 +170,84 @@ def hold_profiles(gains, spectrum, y_sample):
         rhs[-1] = data[k - 1] / spectrum.h**2
         profiles.append(np.linalg.solve(lift_matrix(spectrum, gains, k), rhs))
     return profiles
+
+
+class ExactHold:
+    """The exact zero-order hold of a Toeplitz operator's linear plant over a
+    step dt, at dps digits, in the operator's exact eigenbasis: mode j is
+    sin(i j pi / (M+1)) scaled to unit h-norm, with lambda_j = d + 2e cos(j
+    pi / (M+1)) of the float64 d and e.  The float64 d, e, h and dt are
+    taken as exact.  ``step`` maps coordinates c = h Phi^T w as c_j ->
+    r_j c_j + (1 - r_j) / lambda_j f_j with r_j = e^{-lambda_j dt}, the
+    plant dc_j/dt = -lambda_j c_j + f_j with the forcing f held; the
+    boundary value u held at x = L is the forcing f_j = phi_j[M] / h u."""
+
+    def __init__(self, spectrum, dt, dps=40):
+        op, m = spectrum.operator, spectrum.m
+        q = m + 1
+        self.dps, self.m = dps, m
+        with mp.workdps(dps):
+            h, dt = mp.mpf(spectrum.h), mp.mpf(dt)
+            d, e = mp.mpf(op.diag[0]), mp.mpf(op.offdiag[0])
+            scale = mp.sqrt(2 / (h * q))
+            self.sines = [scale * mp.sin(k * mp.pi / q) for k in range(2 * q)]
+            self.h = h
+            lam = [d + 2 * e * mp.cos(j * mp.pi / q) for j in range(1, q)]
+            self.powers = [mp.exp(-x * dt) for x in lam]
+            self.integrals = [-mp.expm1(-x * dt) / x for x in lam]
+            self.inputs = [self.sines[m * j % (2 * q)] / h for j in range(1, q)]
+
+    def coordinates(self, y):
+        """h Phi^T y of float64 node values y, at dps digits."""
+        q = self.m + 1
+        with mp.workdps(self.dps):
+            y = [mp.mpf(v) for v in y]
+            return [self.h * mp.fsum(y[i - 1] * self.sines[i * j % (2 * q)]
+                                         for i in range(1, q)) for j in range(1, q)]
+
+    def step(self, c, forcing):
+        """One exact step of coordinates c under the held ``forcing`` (one
+        entry per mode; a shorter list forces the leading modes only)."""
+        forcing = list(forcing) + [0] * (self.m - len(forcing))
+        with mp.workdps(self.dps):
+            return [r * v + g * f for r, v, g, f in zip(self.powers, c, self.integrals, forcing)]
+
+    def boundary(self, u):
+        """The forcing of the boundary value u held at x = L."""
+        with mp.workdps(self.dps):
+            return [b * u for b in self.inputs]
+
+
+def exact_hold_run(problem, spectrum, y0, horizon, gains=None, samples_only=False, dps=40):
+    """Sine coordinates of the exact zero-order-hold run of a linear loop on
+    a Toeplitz operator, at dps digits, rounded to float64: after every
+    substep of the engine's dt (row k is substep k), or with
+    ``samples_only`` at the samples, one ExactHold over the period each.
+    y0 and the gain row are the engine's float64 values taken as exact;
+    u = g . c_N is sampled from the recursion's own coordinates at the
+    start of each hold (u = 0 without gains), as the engine samples its
+    own."""
+    substeps = 1 if samples_only else problem.spec.substeps_per_hold
+    hold = ExactHold(spectrum, problem.period / substeps, dps)
+    c = hold.coordinates(y0)
+    gain = [] if gains is None else [mp.mpf(v) for v in gains.gain_row]
+    rows = [c]
+    with mp.workdps(dps):
+        for _ in range(horizon):
+            forcing = hold.boundary(mp.fsum(g * v for g, v in zip(gain, c)))
+            for _ in range(substeps):
+                c = hold.step(c, forcing)
+                rows.append(c)
+    return np.array([[float(v) for v in row] for row in rows])
+
+
+def exact_hold_roundoff_bound(spectrum, period, holds, gains=None):
+    """4 eps holds e^{(|lambda_1| + gamma_1) T} (|lambda_1| of an unstable
+    mode 1, else 0): how far a float64 run of
+    the exact hold may part from ExactHold's, relative to the state.  Each
+    hold rounds terms that mode 1 amplified by e^{|lambda_1| T}, to a few
+    eps, while the placed loop contracts the state by e^{-gamma_1 T}
+    (gamma_1 = 0 without gains); the holds' errors add up."""
+    gamma = 0.0 if gains is None else gains.gammas[0]
+    growth = max(-spectrum.lambdas[0], 0.0)
+    return 4 * holds * np.finfo(float).eps * np.exp((growth + gamma) * period)

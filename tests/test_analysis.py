@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import re
 import warnings
 
 import numpy as np
@@ -413,13 +414,16 @@ def test_row_readers_build_no_gain_system(monkeypatch, spectrum95):
 
 
 def test_run_verification_assembles_one_system_per_grid(monkeypatch, problem95):
-    """The gains at M and 2M; the small-period records read rows only."""
+    """The gains at M alone; pde-gain reads the spectra at M, 2M and 4M and
+    their rows, and the small-period records read rows only."""
     counts = count_builds(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = ps.run_verification(problem95.spec)
-    assert counts["assemble"] == 2
-    assert {"small-period-limit", "small-period-order"} <= {c.name for c in report.checks}
+    assert counts["assemble"] == 1
+    assert counts["compute_spectrum"] == 3
+    assert {"pde-gain", "small-period-limit", "small-period-order"} <= \
+        {c.name for c in report.checks}
 
 
 def test_run_verification_baseline_passes():
@@ -435,14 +439,12 @@ def test_run_verification_baseline_passes():
     assert report.passed, [c.name for c in report.failures()]
     names = {c.name for c in report.checks}
     assert "recursion-identity" in names
-    assert "lift-identity-convergence" in names
+    assert "pde-gain" in names
 
 
 PASSING_RECORDS = [
     "orthonormality", "resolution-identity", "recursion-identity", "contraction-bound",
-    "lift-identity", "lift-identity-convergence",
-    "trajectory-recursion", "trajectory-recursion-convergence",
-    "half-identity", "half-identity-convergence",
+    "lift-identity", "pde-gain", "trajectory-recursion", "half-identity",
     "small-period-limit", "small-period-order",
 ]
 
@@ -487,36 +489,37 @@ def test_record_table_is_in_stage_order_and_declares_every_tolerance():
     order = [analysis._STAGES.index(record.stage) for record in analysis._RECORDS]
     assert order == sorted(order)
     assert len({record.name for record in analysis._RECORDS}) == len(analysis._RECORDS)
-    # the defaults of the [verify] keys, as they were before the table
+    # the defaults of the [verify] keys: those of the records before the
+    # table, less the three ratio keys of the retired 2M twins, plus the
+    # pde-gain window
     assert analysis.DEFAULT_VERIFY_TOLERANCES == {
         "orthonormality": 1e-12, "resolution_identity": 1e-10, "recursion_identity": 1e-10,
-        "contraction_slack": 1e-8, "lift_identity": 1e-2, "lift_ratio": 3.0,
-        "half_identity": 1e-2, "half_ratio": 1.0, "trajectory_recursion": 5e-3,
-        "trajectory_ratio": 3.0, "limit_distance": 1e-5, "limit_ratio_low": 1.6,
-        "limit_ratio_high": 2.4,
+        "contraction_slack": 1e-8, "lift_identity": 1e-2, "pde_ratio_low": 3.2,
+        "pde_ratio_high": 4.8, "half_identity": 1e-2, "trajectory_recursion": 5e-3,
+        "limit_distance": 1e-5, "limit_ratio_low": 1.6, "limit_ratio_high": 2.4,
     }
+    assert analysis.VERIFY_WINDOWS == (("pde_ratio_low", "pde_ratio_high"),
+                                       ("limit_ratio_low", "limit_ratio_high"))
 
 
 def test_a_record_is_one_table_entry(monkeypatch):
-    """An entry added to _RECORDS is measured at its table position, with
-    its 2M twin, and held to its own defaults or to an override."""
+    """An entry added to _RECORDS is measured at its table position and held
+    to its own defaults or to an override."""
     records = list(analysis._RECORDS)
     at = [record.name for record in records].index("lift-identity") + 1
     extra = analysis._Record(
-        "grid-step", "h-of-the-grid", "grid", lambda g: g.spectrum.h,
-        {"grid_step": 0.1}, ("grid-step-order", "grid_step_ratio", 1.5),
+        "grid-step", "h-of-the-grid", "grid", lambda g: g.spectrum.h, {"grid_step": 0.1},
     )
     monkeypatch.setattr(analysis, "_RECORDS", tuple(records[:at] + [extra] + records[at:]))
-    monkeypatch.setattr(analysis, "DEFAULT_VERIFY_TOLERANCES", analysis._default_tolerances())
+    monkeypatch.setattr(analysis, "DEFAULT_VERIFY_TOLERANCES",
+                        {**analysis.DEFAULT_VERIFY_TOLERANCES, **extra.bound})
     spec = make_problem(grid_points=64).spec
     checks = ps.run_verification(spec).checks
     names = [c.name for c in checks]
-    assert names == PASSING_RECORDS[:6] + ["grid-step", "grid-step-convergence"] \
-        + PASSING_RECORDS[6:]
-    step, ratio = checks[6], checks[7]
+    assert names == PASSING_RECORDS[:at] + ["grid-step"] + PASSING_RECORDS[at:]
+    step = checks[at]
     assert (step.residual, step.tolerance, step.passed) == (1 / 65, 0.1, True)
-    assert ratio.residual == pytest.approx(129 / 65) and ratio.tolerance == 1.5 and ratio.passed
-    overridden = ps.run_verification(spec, tolerances={"grid_step": 1e-3}).checks[6]
+    overridden = ps.run_verification(spec, tolerances={"grid_step": 1e-3}).checks[at]
     assert overridden.tolerance == 1e-3 and not overridden.passed
 
 
@@ -530,3 +533,50 @@ def test_lognorm_svg_renders(problem15, spectrum15, gains15):
     assert "polyline" in svg
     with pytest.raises(ValueError):
         ps.lognorm_svg([("empty", np.array([0.0]), np.array([0.0]))])
+
+
+def test_pde_gain_fails_its_window_on_a_first_order_flux(monkeypatch):
+    """pde-gain reads about 4 on a flux that converges at second order in h
+    (3.977 at M = 200); a flux with a first-order error, -phi_M / h times
+    1 + h, reads about 2 and fails its window, while the identities, which
+    read the same flux, still pass."""
+    from parastab import spectral
+
+    spec = make_problem().spec
+    (record,) = [c for c in ps.run_verification(spec).checks if c.name == "pde-gain"]
+    assert record.passed and 3.9 < record.residual < 4.0
+    assert record.details["window"] == [3.2, 4.8]
+    real = spectral.boundary_flux
+    monkeypatch.setattr(spectral, "boundary_flux", lambda mode, h: real(mode, h) * (1.0 + h))
+    report = ps.run_verification(spec)
+    (record,) = [c for c in report.checks if c.name == "pde-gain"]
+    assert not record.passed and record.residual < 2.5
+    assert [c.name for c in report.failures()] == ["pde-gain"]
+
+
+def test_a_refused_crank_nicolson_run_is_recorded():
+    """On a non-constant potential (an equilibrium -0.1 sin(pi x)) the linear
+    runs are stepped by Crank-Nicolson: at T = 2.0 with 4 substeps it is
+    refused, and verify records the refusal as its trajectory-suite and the
+    T sweep as the row's note."""
+    spec = dataclasses.replace(make_problem(grid_points=64, period=2.0, substeps=4).spec,
+                               equilibrium=lambda x: -0.1 * np.sin(np.pi * x))
+    refusal = r"TooFewSubsteps: substeps_per_hold = 4 gives dt\*\|lambda_1\| = .* >= 2"
+    report = ps.run_verification(spec)
+    (suite,) = [c for c in report.checks if c.name == "trajectory-suite"]
+    assert re.match(refusal, suite.details["error"])
+    assert [c.name for c in report.failures()] == ["trajectory-suite"]
+    rows = ps.sweep_sampling_period(Grid(spec), [0.2, 2.0], total_time=10.0).rows
+    assert rows[0].note == "" and re.match(refusal, rows[1].note)
+
+
+def test_pde_gain_reads_inf_when_refinement_changes_the_unstable_count():
+    """target_rate 24.4 lies between lambda_2 at M = 32 (24.36) and at
+    M = 64 (24.45): the grid has two unstable modes, its refinements one,
+    and pde-gain fails naming the counts instead of subtracting rows of
+    different lengths."""
+    spec = ps.ProblemSpec(nonlinearity=ps.fisher_reaction(15.0), grid_points=32,
+                          target_rate=24.4)
+    (record,) = [c for c in ps.run_verification(spec).checks if c.name == "pde-gain"]
+    assert record.residual == np.inf and not record.passed
+    assert record.details["unstable_counts"] == [2, 1, 1]

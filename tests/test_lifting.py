@@ -88,15 +88,16 @@ def test_constant_potential_pipeline_builds_no_dense_modes():
 
 
 def test_lift_trace_identity_and_convergence():
-    residuals = {}
+    """The lift's coordinate on mode 1 is -weight flux to roundoff at every
+    grid: the datum enters through the flux's coupling, so there is no
+    discretization gap left to converge (measured 2.1 eps at M = 200 and
+    0.68 eps at M = 400)."""
     for m in (200, 400):
         prob = make_problem(grid_points=m)
         spectrum = make_spectrum(prob)
         gains = ps.build_gains(spectrum, (2.0,), 0.2)
         worst, _ = ps.check_lift_identity(spectrum, gains)
-        residuals[m] = worst
-    assert residuals[200] <= 1e-2
-    assert residuals[200] / residuals[400] > 3.0
+        assert worst <= 8 * np.finfo(float).eps
 
 
 def test_lift_trace_identity_three_modes(spectrum95, gains95):

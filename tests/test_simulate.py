@@ -15,14 +15,14 @@ from parastab.simulate import (
     BLOWUP_GUARD,
     TooFewSubsteps,
     _advance,
-    _cn_solver,
     _CNKernel,
     problem_fingerprint,
     stepped_modes,
 )
 
 from conftest import (
-    extended_lift, hold_profiles, make_problem, make_spectrum, quiet_gains, sine_potential,
+    ExactHold, exact_hold_roundoff_bound, exact_hold_run, extended_lift, hold_profiles,
+    make_problem, make_spectrum, quiet_gains, sine_potential,
 )
 
 
@@ -114,8 +114,12 @@ def test_unstable_mode_contracts_at_placed_rate(problem15, spectrum15, gains15):
 
 
 def test_zoh_modal_update_matches_oracle_and_converges():
-    """One hold interval with a frozen control follows the exact modal map."""
-    errors = {}
+    """One hold interval with a frozen control follows the exact modal map,
+    c -> e^{-lambda T} c - (1 - e^{-lambda T}) / lambda flux u, to roundoff
+    at M = 200 and 400: within 8 eps e^{|lambda_1| T} relative, the
+    amplified rounding of mode 1's term (measured 0.68 and 0.59 in those
+    units).  It converges to nothing: the engine steps the plant the gain
+    is placed against, the exact hold of the flux's coupling."""
     for m, substeps in ((200, 64), (400, 128)):
         prob = make_problem(grid_points=m, substeps=substeps)
         spectrum = make_spectrum(prob)
@@ -135,9 +139,8 @@ def test_zoh_modal_update_matches_oracle_and_converges():
         oracle = np.exp(-lam * period) * ps.project(y0, spectrum, n) - integral * flux * u
         got = ps.project(traj.sample_states()[-1], spectrum, n)
         assert traj.substeps == prob.spec.substeps_per_hold == substeps
-        errors[m] = np.linalg.norm(got - oracle) / np.linalg.norm(oracle)
-    assert errors[200] < 5e-3
-    assert errors[200] / errors[400] > 3.0
+        error = np.linalg.norm(got - oracle) / np.linalg.norm(oracle)
+        assert error <= 8 * np.finfo(float).eps * np.exp(-lam[0] * period)
 
 
 def _cn_roundoff_bound(spectrum, dt, substeps):
@@ -159,11 +162,12 @@ def _relative_apart(rows, oracle):
     ids=["M16", "M200", "M200-sine-potential"],
 )
 def test_linear_step_matches_banded_oracle(grid_points, period, substeps, horizon, potential):
-    """At a constant potential the modal engine's rows stay within the
-    Crank-Nicolson roundoff bound of the LDL^T (ptsv) oracle's (measured
-    8.4e-14 against 1.6e-13 at M = 16 and 6.2e-13 against 1.5e-11 at
-    M = 200; the boundary forcing scaled by 1 + 1e-5 moves them by 1e-4);
-    at the sine potential the kernel's rows are the oracle's, bit for bit."""
+    """At a constant potential the modal engine's rows, every substep, stay
+    within the exact-hold roundoff bound of the 40-digit exact hold's
+    (exact_hold_run; measured 3.5e-15 against 1.5e-14 at M = 16 and
+    1.4e-15 against 1.5e-14 at M = 200); at the sine potential the
+    kernel's rows are the LDL^T (ptsv) Crank-Nicolson oracle's, bit for
+    bit."""
     prob = make_problem(grid_points=grid_points, period=period, substeps=substeps)
     if potential is None:
         spectrum = make_spectrum(prob)
@@ -177,11 +181,13 @@ def test_linear_step_matches_banded_oracle(grid_points, period, substeps, horizo
     feedback = lambda w: ps.apply_feedback(gains, w, spectrum)  # noqa: E731
     oracle = _banded_run(prob, spectrum, y0, horizon, feedback)
     assert oracle.shape[0] - 1 >= 200
-    bound = _cn_roundoff_bound(spectrum, period / substeps, oracle.shape[0] - 1)
     if potential is None:
-        assert _relative_apart(traj.interior, oracle).max() <= bound
+        exact = spectrum.nodal(exact_hold_run(prob, spectrum, y0, horizon, gains))
+        bound = exact_hold_roundoff_bound(spectrum, period, horizon, gains)
+        assert _relative_apart(traj.interior, exact).max() <= bound
     else:
         assert np.array_equal(traj.interior, oracle)
+    bound = _cn_roundoff_bound(spectrum, period / substeps, oracle.shape[0] - 1)
     # LDL^T and pivoted LU are both backward stable, so their states part
     # by at most the same bound (measured 3.9e-15 at M = 16 and 3.5e-14 at
     # M = 200)
@@ -191,29 +197,38 @@ def test_linear_step_matches_banded_oracle(grid_points, period, substeps, horizo
 
 def test_one_substep_at_T2_is_refused_naming_the_count():
     # one substep per hold at T = 2.0 (lambda_1 = -5.13): 1 + dt lambda_1 / 2
-    # < 0, so I + dt/2 A is indefinite; floor(2 * 5.13 / 2) + 1 = 6 would do
+    # < 0, so I + dt/2 A is indefinite; floor(2 * 5.13 / 2) + 1 = 6 would do.
+    # The semilinear run is stepped by Crank-Nicolson and refused; the
+    # linear run takes the exact hold, for which one substep is enough.
     prob = make_problem(period=2.0, substeps=1)
     spectrum = make_spectrum(prob)
     gains = quiet_gains(spectrum, (2.0,), 2.0)
     y0 = ps.seeded_initial_state(spectrum, 11)
     with pytest.raises(TooFewSubsteps, match=r"= 1 gives dt\*\|lambda_1\| = 10.3 >= 2, .*"
                        r"T = 2 needs at least 6 substeps"):
-        ps.run_linear_closed_loop(prob, spectrum, gains, y0, 200)
+        ps.run_semilinear_closed_loop(prob, spectrum, gains, y0, 200)
+    assert ps.run_linear_closed_loop(prob, spectrum, gains, y0, 200).blowup_time is None
 
 
 @pytest.mark.parametrize("run", ["linear", "open-loop", "semilinear"])
 def test_substeps_below_dt_lambda_2_are_stepped_and_above_refused(run):
-    """dt |lambda_1| = 1.98 is stepped as the LDL^T (ptsv) oracle steps it:
-    bit for bit by the kernel (semilinear), to roundoff by the modal engine
-    (linear, open loop); dt |lambda_1| = 2.02 is refused before the first
-    substep."""
+    """dt |lambda_1| = 1.98 is stepped as the LDL^T (ptsv) oracle steps it,
+    bit for bit by the kernel; dt |lambda_1| = 2.02 is refused before the
+    first substep.  The linear runs are on the sine potential, where the
+    kernel steps them too (a constant potential's take the exact hold)."""
     substeps = 2
-    lam1 = make_spectrum(make_problem(grid_points=16)).lambdas[0]
+
+    def spectrum_of(prob):
+        if run == "semilinear":
+            return make_spectrum(prob)
+        return ps.compute_spectrum(prob, sine_potential(prob.m), prob.spec.target_rate)
+
+    lam1 = spectrum_of(make_problem(grid_points=16)).lambdas[0]
     edge = 2.0 * substeps / -lam1  # the period with dt |lambda_1| = 2
 
     def setup(period):
         prob = make_problem(grid_points=16, period=period, substeps=substeps)
-        spectrum = make_spectrum(prob)
+        spectrum = spectrum_of(prob)
         gains = None if run == "open-loop" else quiet_gains(spectrum, (2.0,), period)
         y0 = ps.seeded_initial_state(spectrum, 3, amplitude=1e-6)
         return prob, spectrum, gains, y0
@@ -236,14 +251,7 @@ def test_substeps_below_dt_lambda_2_are_stepped_and_above_refused(run):
         lambda w: ps.apply_feedback(gains, w, spectrum))
     oracle = _banded_run(prob, spectrum, y0, 2, control, tail)
     assert traj.blowup_time is None
-    if run == "semilinear":
-        assert np.array_equal(traj.interior, oracle + ye)
-    else:
-        # the modal engine, within the roundoff bound of the oracle's
-        # (cond(I + dt/2 A) = 2.2e4 here; measured 9.2e-12 linear and
-        # 2.0e-12 open loop against 1.9e-11)
-        bound = _cn_roundoff_bound(spectrum, dt, 2 * substeps)
-        assert _relative_apart(traj.interior, oracle).max() <= bound
+    assert np.array_equal(traj.interior, oracle + ye)
 
     with pytest.raises(TooFewSubsteps, match=r"= 2 gives dt\*\|lambda_1\| = 2.02 >= 2, .*"
                        r"needs at least 3 substeps"):
@@ -251,18 +259,21 @@ def test_substeps_below_dt_lambda_2_are_stepped_and_above_refused(run):
 
 
 def test_multimode_at_T2_needs_86_substeps(problem95, spectrum95):
-    """a = 95 at T = 2.0: lambda_1 = -85.1, so 64 and 85 substeps are
-    refused and 86 are stepped (the open loop then blows up, as it should)."""
+    """a = 95 at T = 2.0: lambda_1 = -85.1, so a semilinear run (stepped by
+    Crank-Nicolson) with 64 or 85 substeps is refused and one with 86 is
+    stepped (without feedback it then blows up, as it should).  The linear
+    open loop takes the exact hold and is refused at no count."""
     y0 = ps.seeded_initial_state(spectrum95, 7)
     for substeps, message in ((64, r"= 64 gives dt\*\|lambda_1\| = 2.66 >= 2"), (85, "= 85 ")):
         prob = ps.validate_spec(dataclasses.replace(
             problem95.spec, sampling_period=2.0, substeps_per_hold=substeps))
         with pytest.raises(TooFewSubsteps, match=f"{message}.*at least 86 substeps"):
+            ps.run_semilinear_closed_loop(prob, spectrum95, None, y0, 1)
+        with pytest.raises(ps.UnstableStep):
             ps.run_open_loop(prob, spectrum95, y0, 1)
     prob = ps.validate_spec(dataclasses.replace(
         problem95.spec, sampling_period=2.0, substeps_per_hold=86))
-    with pytest.raises(ps.UnstableStep):
-        ps.run_open_loop(prob, spectrum95, y0, 1)
+    assert ps.run_semilinear_closed_loop(prob, spectrum95, None, y0, 1).blowup_time is not None
 
 
 @pytest.mark.parametrize("start", [0, 2], ids=lambda s: f"start{s}")
@@ -384,10 +395,11 @@ def _record_substeps(substeps, horizon, stride):
 def test_block_recording_matches_banded_oracle(loop, problem15, spectrum15, gains15):
     """Every row the engine records is the oracle's state at that substep,
     whatever the stride (10 does not divide the 64 substeps of a hold): bit
-    for bit from the kernel (Fisher), which steps from one record point to
-    the next, within the Crank-Nicolson roundoff bound from the modal
-    engine (linear), which maps each record from the hold's sample.  Either
-    way the samples do not depend on the stride, bit for bit."""
+    for bit the Crank-Nicolson oracle's from the kernel (Fisher), which
+    steps from one record point to the next, within the exact-hold
+    roundoff bound of the 40-digit exact hold's from the modal engine
+    (linear), which maps each record from the hold's sample.  Either way
+    the samples do not depend on the stride, bit for bit."""
     horizon = 4
     substeps = problem15.spec.substeps_per_hold
     dt = problem15.period / substeps
@@ -395,8 +407,8 @@ def test_block_recording_matches_banded_oracle(loop, problem15, spectrum15, gain
     feedback = lambda w: ps.apply_feedback(gains15, w, spectrum15)  # noqa: E731
     if loop == "linear":
         offset = np.zeros(problem15.m)
-        oracle = _banded_run(problem15, spectrum15, y0, horizon, feedback)
-        bound = _cn_roundoff_bound(spectrum15, dt, substeps * horizon)
+        oracle = spectrum15.nodal(exact_hold_run(problem15, spectrum15, y0, horizon, gains15))
+        bound = exact_hold_roundoff_bound(spectrum15, problem15.period, horizon, gains15)
 
         def same(rows, reference):
             return _relative_apart(rows, reference).max() <= bound
@@ -556,61 +568,25 @@ def test_sample_l2_history_matches_extended_precision_cn(loop):
     a separate (w w)(dt q_2) tail, measured 1.9e-14 and 9.1e-15.  The bound
     is five times the larger of those two.  Rows rescaled so the neighbour
     coefficient is exactly 1 measured 2.1e-12 on both runs.  The linear run
-    takes the modal engine (a constant potential): 9.5e-15, where the kernel
-    reads 1.3e-14 on the same machine."""
+    takes the modal engine (a constant potential), the exact hold, so its
+    reference is the 40-digit exact hold (exact_hold_run): 1.2e-14."""
     prob = make_problem(grid_points=64, period=0.2, substeps=32)
     spectrum = make_spectrum(prob)
     gains = quiet_gains(spectrum, (2.0,), prob.period)
     y0 = ps.seeded_initial_state(spectrum, 23, amplitude=0.1)
     horizon = 10
     if loop == "linear":
-        tail = ()
         traj = ps.run_linear_closed_loop(prob, spectrum, gains, y0, horizon)
+        exact = exact_hold_run(prob, spectrum, y0, horizon, gains, samples_only=True)
+        reference = np.sqrt((exact * exact).sum(axis=1))
     else:
         ye = prob.equilibrium_values[1:-1]
         tail = prob.spec.nonlinearity.taylor_tail(ye)
         traj = ps.run_semilinear_closed_loop(prob, spectrum, gains, y0 + ye, horizon)
         assert traj.blowup_time is None
-    reference = _decimal_cn_sample_l2(prob, spectrum, gains, y0, horizon, tail)
+        reference = _decimal_cn_sample_l2(prob, spectrum, gains, y0, horizon, tail)
     assert traj.l2_norms.shape == reference.shape == (horizon + 1,)
     assert np.max(np.abs(traj.l2_norms - reference) / reference) <= 1e-13
-
-
-def _sine_basis_cn_sample_l2(problem, spectrum, gains, y0, horizon, dps=40):
-    """L2 norm at every sample of the zero-order-hold CN recursion of a
-    linear run on a Toeplitz operator, at dps digits in the operator's exact
-    eigenbasis: mode j is sin(i j pi / (M+1)) scaled to unit h-norm, with
-    lambda_j = d + 2e cos(j pi / (M+1)) of the float64 d and e, and each
-    substep maps its coordinate as (1 + a_j) c' = (1 - a_j) c + dt phi_j[M]
-    / h u, a_j = dt lambda_j / 2.  y0, dt, h and the gain row are the
-    engine's float64 values taken as exact; u = g . c_N is sampled from the
-    recursion's own coordinates at the start of each hold, and the L2 norm
-    is |c| (Parseval)."""
-    op, m = spectrum.operator, spectrum.m
-    q, substeps = m + 1, problem.spec.substeps_per_hold
-    with mpmath.workdps(dps):
-        h, dt = mpmath.mpf(spectrum.h), mpmath.mpf(problem.period / substeps)
-        d, e = mpmath.mpf(op.diag[0]), mpmath.mpf(op.offdiag[0])
-        scale = mpmath.sqrt(2 / (h * q))
-        sines = [scale * mpmath.sin(k * mpmath.pi / q) for k in range(2 * q)]
-        y = [mpmath.mpf(v) for v in y0]
-        c = [h * mpmath.fsum(y[i - 1] * sines[i * j % (2 * q)] for i in range(1, q))
-             for j in range(1, q)]
-        multipliers, inputs = [], []
-        for j in range(1, q):
-            a = dt * (d + 2 * e * mpmath.cos(j * mpmath.pi / q)) / 2
-            multipliers.append((1 - a) / (1 + a))
-            inputs.append(dt * sines[m * j % (2 * q)] / (h * (1 + a)))
-        gain = [mpmath.mpf(v) for v in gains.gain_row]
-        norms = []
-        for hold in range(horizon + 1):
-            norms.append(float(mpmath.sqrt(mpmath.fsum(v * v for v in c))))
-            if hold == horizon:
-                break
-            u = mpmath.fsum(g * v for g, v in zip(gain, c))
-            for _ in range(substeps):
-                c = [r * v + b * u for r, v, b in zip(multipliers, c, inputs)]
-        return np.array(norms)
 
 
 @pytest.mark.parametrize(
@@ -620,19 +596,23 @@ def _sine_basis_cn_sample_l2(problem, spectrum, gains, y0, horizon, dps=40):
 )
 def test_linear_l2_history_matches_sine_basis_cn(a, period, gammas, horizon):
     """Accuracy guard of the modal engine: the largest relative error of the
-    sample L2 history against the CN recursion at 40 digits in the exact
-    sine eigenbasis (M = 200, 64 substeps, seed 23).  The modal engine
-    measured 8.7e-12 at T = 2 and 4.9e-13 at a = 95; node-space
-    Crank-Nicolson (the kernel) measured 5.1e-10 and 7.2e-10, its own
-    roundoff amplified by the unstable modes."""
+    sample L2 history against the exact zero-order hold at 40 digits in the
+    exact sine eigenbasis (exact_hold_run; M = 200, 64 substeps, seed 23),
+    held to the exact-hold roundoff bound: measured 1.9e-9 against 6.9e-9
+    at T = 2 and 2.9e-13 against 6.9e-13 at a = 95.  The error is the
+    float64 floor of the placed loop: each hold rounds terms that mode 1
+    amplified by e^{|lambda_1| T}, while the loop contracts the state by
+    e^{-gamma_1 T}."""
     prob = make_problem(a=a, period=period, gammas=gammas)
     spectrum = make_spectrum(prob)
     gains = quiet_gains(spectrum, gammas, period)
     y0 = ps.seeded_initial_state(spectrum, 23, amplitude=0.1)
     traj = ps.run_linear_closed_loop(prob, spectrum, gains, y0, horizon)
-    reference = _sine_basis_cn_sample_l2(prob, spectrum, gains, y0, horizon)
+    exact = exact_hold_run(prob, spectrum, y0, horizon, gains, samples_only=True)
+    reference = np.sqrt((exact * exact).sum(axis=1))
     assert traj.l2_norms.shape == reference.shape == (horizon + 1,)
-    assert np.max(np.abs(traj.l2_norms - reference) / reference) <= 1e-10
+    bound = exact_hold_roundoff_bound(spectrum, period, horizon, gains)
+    assert np.max(np.abs(traj.l2_norms - reference) / reference) <= bound
 
 
 def test_linear_only_semilinear_run_is_the_linear_run():
@@ -764,14 +744,15 @@ def test_modal_guard_trips_inside_a_record_block(problem15, spectrum15):
     """The modal engine bounds a whole block at once but times a blow-up to
     its substep: an open loop from a large mode-1 state first fails the
     guard at hold 1, substep 14, inside the block that ends at substep 16,
-    where the oracle's state first fails it; the records stop at the record
-    point before it."""
+    where the 40-digit exact hold's state first fails it; the records stop
+    at the record point before it."""
     substeps, horizon, stride = problem15.spec.substeps_per_hold, 2, 8
     period = problem15.period
     dt = period / substeps
     y0 = 2.9e11 * spectrum15.modes[:, 0]
-    oracle = _banded_run(problem15, spectrum15, y0, horizon, lambda w: 0.0)
-    norms = np.sqrt(problem15.h) * np.linalg.norm(oracle, axis=1)
+    exact = exact_hold_run(problem15, spectrum15, y0, horizon)
+    oracle = spectrum15.nodal(exact)
+    norms = np.sqrt((exact * exact).sum(axis=1))
     first = int(np.argmax(norms > BLOWUP_GUARD))
     assert first == substeps + 14
     with pytest.raises(ps.UnstableStep) as info:
@@ -781,7 +762,7 @@ def test_modal_guard_trips_inside_a_record_block(problem15, spectrum15):
     recorded = [n for n in _record_substeps(substeps, horizon, stride) if n < first]
     assert recorded[-1] == substeps + 8
     assert np.allclose(traj.times, np.array(recorded) * dt, rtol=0, atol=1e-12)
-    bound = _cn_roundoff_bound(spectrum15, dt, first)
+    bound = exact_hold_roundoff_bound(spectrum15, period, horizon)
     assert _relative_apart(traj.interior, oracle[recorded]).max() <= bound
     assert traj.l2_norms.max() <= BLOWUP_GUARD
 
@@ -792,11 +773,9 @@ def test_modal_hold_fallback_matches_the_one_map(monkeypatch, problem15, spectru
     loop's bounds (|c_i - s_i u| max(1, |r_i|^K) + |s_i u| mode by mode,
     well above |c| when the feedback opposes the sample) fail while no
     substep trips.  Its rows are those of the one-map holds to within the
-    Crank-Nicolson roundoff bound, though not bit for bit (the substeps are
+    exact-hold roundoff bound, though not bit for bit (the substeps are
     chained), and it reports no blow-up."""
     horizon, stride = 4, 8
-    substeps = problem15.spec.substeps_per_hold
-    dt = problem15.period / substeps
     y0 = ps.seeded_initial_state(spectrum15, 19)
 
     def run(snapshot_stride):
@@ -811,7 +790,7 @@ def test_modal_hold_fallback_matches_the_one_map(monkeypatch, problem15, spectru
     assert stepped.blowup_time is None
     assert np.array_equal(stepped.times, one_map.times)
     assert not np.array_equal(stepped.interior, one_map.interior)
-    bound = _cn_roundoff_bound(spectrum15, dt, substeps * horizon)
+    bound = exact_hold_roundoff_bound(spectrum15, problem15.period, horizon, gains15)
     assert _relative_apart(stepped.interior, one_map.interior).max() <= bound
 
 
@@ -1119,35 +1098,32 @@ def _modal_image_residuals(trajectory, gains, spectrum, dec):
     return np.divide(err, denom, out=np.zeros_like(denom), where=denom > 0).max(axis=1)
 
 
+def _exact_z_hold(hold, spectrum, z, source):
+    """z after one hold of the exact plant (an ExactHold over the period)
+    with the interior source whose coordinates on the leading modes are
+    ``source``, held: from z's float64 coordinates, rounded back to node
+    values."""
+    c = hold.step([mpmath.mpf(v) for v in spectrum.modal(z)],
+                  [mpmath.mpf(v) for v in source])
+    return spectrum.nodal(np.array([float(v) for v in c]))
+
+
 def _jump_residuals(trajectory, gains, spectrum, dec):
     """Re-step z through its impulse evolution and compare at the samples.
 
-    Between samples z is stepped by the engine's CN factorization with the
-    interior source of the frozen lift profiles, then jumps by the change
-    of the lifts; entry j is the relative distance of the result from
-    dec.z_samples[j + 1].
+    Between samples z follows the exact hold of the plant, as the engine
+    steps it, with the interior source of the frozen lift profiles, then
+    jumps by the change of the lifts; entry j is the relative distance of
+    the result from dec.z_samples[j + 1].
     """
     n = gains.n
-    modes = spectrum.modes[:, :n]
-    lift_coords = spectrum.h * (dec.lift_samples @ modes)  # (H+1, N lifts, n modes)
+    lift_coords = spectrum.h * (dec.lift_samples @ spectrum.modes[:, :n])  # (H+1, N, n)
     source_coords = np.einsum("jki,ik->ji", lift_coords, _shift_coefficients(gains))
-    dt = trajectory.schedule.period / trajectory.substeps
-    op = spectrum.operator
-    solve = _cn_solver(op, dt)
-    off = 0.5 * dt * op.offdiag
-    right_diag = 1.0 - 0.5 * dt * op.diag
-    dt_sources = dt * (source_coords @ modes.T)
+    hold = ExactHold(spectrum, trajectory.schedule.period)
     lifted = dec.lift_samples.sum(axis=1)
     res = np.empty(dec.z_samples.shape[0] - 1)
     for j in range(res.size):
-        z = dec.z_samples[j]
-        for _ in range(trajectory.substeps):
-            rhs = right_diag * z
-            rhs[:-1] -= off * z[1:]
-            rhs[1:] -= off * z[:-1]
-            rhs += dt_sources[j]
-            solve(rhs, 1)
-            z = rhs
+        z = _exact_z_hold(hold, spectrum, dec.z_samples[j], source_coords[j])
         target = dec.z_samples[j + 1]
         res[j] = np.linalg.norm(z + lifted[j] - lifted[j + 1] - target) / np.linalg.norm(target)
     return res
@@ -1184,17 +1160,14 @@ def _per_sample_decomposition(traj, gains, spectrum):
             / np.linalg.norm(bkb[k] @ yn)
             for k in range(n)
         ))
-    dt = traj.schedule.period / traj.substeps
+    hold = ExactHold(spectrum, traj.schedule.period)
     jumps = []
     for j in range(samples.shape[0] - 1):
-        source = np.zeros(spectrum.m)
+        source = np.zeros(n)
         for k in range(n):
             shift = 1.0 / gains.lambda_diags[:, k] - gains.lambdas
-            coords = ps.project(lifts[j, k], spectrum, n)
-            source += spectrum.modes[:, :n] @ (shift * coords)
-        w = z[j]
-        for _ in range(traj.substeps):
-            w = _banded_step(spectrum, dt, w, source)
+            source += shift * ps.project(lifts[j, k], spectrum, n)
+        w = _exact_z_hold(hold, spectrum, z[j], source)
         jumped = w + lifts[j].sum(axis=0) - lifts[j + 1].sum(axis=0)
         jumps.append(np.linalg.norm(jumped - z[j + 1]) / np.linalg.norm(z[j + 1]))
     return lifts, z, np.array(image), np.array(jumps)
