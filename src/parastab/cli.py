@@ -26,9 +26,11 @@ the equilibrium, "auto" gammas).  Every float in CSV output carries 17
 significant digits.  A library warning is printed as one stderr line,
 "warning: <message>".
 
-Exit codes: 0 success, 2 config or validation error (also a CN run refused
-for too few substeps per hold, dt*|lambda_1| >= 2, and a warning raised
-as an error under python -W error, printed as "error: <message>"), 3
+Exit codes: 0 success, 2 config or validation error (also a semilinear
+run, which Crank-Nicolson steps, refused for too few substeps per hold,
+dt*|lambda_1| >= 2; a linear run takes the exact hold at any count; and
+a warning raised as an error under python -W error, printed as
+"error: <message>"), 3
 singular gain algebra (a Gram sum or a cancellation that needs more than
 400 working digits, or a weight outside the float64 range), 4 blow-up
 under --expect-decay, 5 failed verification checks.

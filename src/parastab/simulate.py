@@ -1,27 +1,24 @@
 """Time stepping under zero-order-hold boundary control.
 
 The boundary value is recomputed from the sampled state at t = iT and held
-constant on the right-open interval [iT, (i+1)T).  The interior is advanced
-by Crank-Nicolson (unconditionally stable, second order); the semilinear
-run treats the diffusion plus linearized reaction implicitly and the
-nonlinear remainder explicitly, so every solve stays tridiagonal.  That
-remainder is the exact Taylor tail of the polynomial reaction about the
-equilibrium, sum_{j>=2} q_j w^j in the deviation w, with the q_j formed
-once per run.  The CN matrix I + dt/2 A is factored once per run, as
-LDL^T (LAPACK pttrf): it is positive definite when 1 + dt lambda_1 / 2 > 0.
-A CN run with fewer substeps per hold than that needs, which would flip
-the sign of an unstable mode 1 every substep instead of growing it, is
-refused with TooFewSubsteps before anything is factored.
+constant on the right-open interval [iT, (i+1)T).
 
-Two engines step a run, and one condition picks between them: a linear
-run (no Taylor tail) whose operator is Toeplitz (spectral._is_toeplitz, the
-constant potential of every config the tool ships) is stepped in its
-eigen-coordinates, in closed form (_ModalStepper); every other run, a
-semilinear one or a linear one on a non-constant potential, by one
-in-place Crank-Nicolson kernel (_CNKernel).  The modal engine takes the
-exact hold, the one-hold map the gain is placed against: in the exact sine
-eigenvectors of a Toeplitz operator k substeps are one exponential per
-mode, so a record is one update of the hold's sample.
+Two engines step a run, and the dynamics alone picks between them.  A
+linear run (no Taylor tail) is stepped in the eigen-coordinates of the
+Spectrum, in closed form (_ModalStepper): the exact hold, the one-hold map
+the gain is placed against, whatever basis the Spectrum stores.  k
+substeps are one exponential per mode, so a record is one update of the
+hold's sample.  A semilinear run is stepped by one in-place
+Crank-Nicolson kernel (_CNKernel), second order: the diffusion plus
+linearized reaction implicitly and the nonlinear remainder explicitly, so
+every solve stays tridiagonal.  That remainder is the exact Taylor tail of
+the polynomial reaction about the equilibrium, sum_{j>=2} q_j w^j in the
+deviation w, with the q_j formed once per run.  The CN matrix I + dt/2 A
+is factored once per run, as LDL^T (LAPACK pttrf): it is positive
+definite when 1 + dt lambda_1 / 2 > 0.  A CN run with fewer substeps per
+hold than that needs, which would flip the sign of an unstable mode 1
+every substep instead of growing it, is refused with TooFewSubsteps
+before anything is factored.
 
 The kernel alternates between two zero-padded state buffers and allocates
 nothing per substep.  The right-hand side of a substep is one fused
@@ -34,8 +31,8 @@ substep.
 
 Runs operate on the deviation from the equilibrium: for the linearized
 loops the deviation *is* the state.  A Trajectory stores the records as one
-block, written at the record points: node rows, or the sine coordinates of
-a modal run, whose node rows are built only when read.  It derives the rest
+block, written at the record points: node rows, or the modal coordinates
+of a modal run, whose node rows are built only when read.  It derives the rest
 on first read: the norm histories always track the deviation, which is the
 quantity that decays, and the node rows of the semilinear loop are physical
 (deviation plus equilibrium).
@@ -54,9 +51,7 @@ import numpy as np
 
 from ._lapack import dpttrf, dpttrs
 from .model import ParastabError, ValidatedProblem
-from .spectral import (
-    Spectrum, TridiagonalOperator, _is_toeplitz, l2_norm, project, sobolev_norm,
-)
+from .spectral import Spectrum, TridiagonalOperator, l2_norm, project, sobolev_norm
 from .synthesis import DimensionMismatch, GainSet, _check_consistent, component_feedback
 from .lifting import dirichlet_lift
 
@@ -95,11 +90,11 @@ class HoldSchedule:
 
 
 @dataclass(frozen=True)
-class _SineRecords:
-    """A modal run's records as _ModalStepper writes them: one row of sine
-    coordinates c = h Phi^T w per record, the Spectrum whose ``nodal``
-    maps them to node rows, and the initial deviation, node row 0 as
-    given."""
+class _ModalRecords:
+    """A modal run's records as _ModalStepper writes them: one row of modal
+    coordinates c = h Phi^T w per record, in the basis of the Spectrum
+    whose ``nodal`` maps them to node rows, and the initial deviation, node
+    row 0 as given."""
 
     coordinates: np.ndarray
     spectrum: Spectrum
@@ -114,7 +109,7 @@ class _SineRecords:
 
 class _NodeRows:
     """The ``deviations`` field of a Trajectory: the rows it was given, or,
-    given None by a modal run, the node rows of its sine records, built on
+    given None by a modal run, the node rows of its modal records, built on
     first read by one Spectrum.nodal and kept."""
 
     def __get__(self, traj, owner=None):
@@ -122,7 +117,7 @@ class _NodeRows:
             raise AttributeError("deviations")  # no class default: the field stays required
         rows = traj.__dict__["_node_rows"]
         if rows is None:
-            rows = traj.__dict__["_node_rows"] = traj._sines.nodal(slice(None))
+            rows = traj.__dict__["_node_rows"] = traj._modal.nodal(slice(None))
         return rows
 
     def __set__(self, traj, rows):
@@ -140,19 +135,22 @@ class Trajectory:
     state); ``record_holds``, the index into schedule.held_values of the
     value active at each record, the final record carrying the last
     interval's value (left limit); and the grid step ``h``.  A run stepped
-    in the sine eigenbasis passes ``sines``, its records as coordinate
-    rows, and ``deviations=None``: its node rows are built from them on
-    first read (record 0 is the initial deviation itself).
+    in the Spectrum's eigenbasis passes ``modal``, its records as
+    coordinate rows, and ``deviations=None``: its node rows are built from
+    them on first read (record 0 is the initial deviation itself).
 
     Derived on first read, then cached: ``l2_norms`` and ``sobolev_norms``,
     the norm histories of the deviation (never of states minus offset), and
     ``states``, the full node rows (boundary columns included) whose column
-    at x = L is the active held value.  A modal run's norms are read from
-    its coordinates (|c| is the h-norm of the modes' h-orthonormality) and
-    its ``sample_states()`` transform only the sample rows, so neither
-    builds the node rows.  sample_indices locate t = 0, T, 2T, ... in
-    ``times``.  blowup_time is set (and the records end at the last state
-    that passed the guard) when the overflow guard tripped.
+    at x = L is the active held value.  A modal run's L2 norms are read
+    from its coordinates (|c| is the h-norm of the modes'
+    h-orthonormality); its Sobolev norms too when the Spectrum stores a
+    sine table (Spectrum.sine_table: the coordinates are then the
+    Laplacian's sine coordinates), else from its node rows.  Its
+    ``sample_states()`` transform only the sample rows.  sample_indices
+    locate t = 0, T, 2T, ... in ``times``.  blowup_time is set (and the
+    records end at the last state that passed the guard) when the overflow
+    guard tripped.
     """
 
     kind: str
@@ -168,22 +166,22 @@ class Trajectory:
     problem_hash: str
     gains_hash: str
     blowup_time: float | None = None
-    sines: InitVar[_SineRecords | None] = None
+    modal: InitVar[_ModalRecords | None] = None
 
-    def __post_init__(self, sines: _SineRecords | None) -> None:
-        object.__setattr__(self, "_sines", sines)
+    def __post_init__(self, modal: _ModalRecords | None) -> None:
+        object.__setattr__(self, "_modal", modal)
 
     @cached_property
     def l2_norms(self) -> np.ndarray:
         # np.linalg.norm's arithmetic for one row: sqrt(w.w)
-        if self._sines is not None:
-            return np.sqrt([row.dot(row) for row in self._sines.coordinates])
+        if self._modal is not None:
+            return np.sqrt([row.dot(row) for row in self._modal.coordinates])
         return np.sqrt(self.h) * np.sqrt([row.dot(row) for row in self.deviations])
 
     @cached_property
     def sobolev_norms(self) -> np.ndarray:
-        if self._sines is not None:
-            return sobolev_norm(self._sines.coordinates, self.sobolev_order, self.h,
+        if self._modal is not None and self._modal.spectrum.sine_table:
+            return sobolev_norm(self._modal.coordinates, self.sobolev_order, self.h,
                                 coordinates=True)
         return sobolev_norm(self.deviations, self.sobolev_order, self.h)
 
@@ -198,8 +196,8 @@ class Trajectory:
         return self.states[:, 1:-1]
 
     def sample_states(self) -> np.ndarray:
-        if self._sines is not None:
-            return self._interior_of(self._sines.nodal(self.sample_indices))
+        if self._modal is not None:
+            return self._interior_of(self._modal.nodal(self.sample_indices))
         return self._interior_of(self.deviations[self.sample_indices])
 
     def _interior_of(self, rows: np.ndarray) -> np.ndarray:
@@ -326,53 +324,59 @@ class _CNKernel:
 
 
 class _ModalStepper:
-    """The exact zero-order hold of a linear run on a Toeplitz operator, in
-    closed form in its eigen-coordinates c = h Phi^T w, one hold at a time.
+    """The exact zero-order hold of a linear run, in closed form in the
+    eigen-coordinates c = h Phi^T w of its Spectrum, one hold at a time.
 
-    The operator's eigenvectors are the sines sin(i j pi / (M+1)), so c is
-    a scaled DST-I of w and back (Spectrum.modal and Spectrum.nodal).  With
-    u held, the plant dc_i/dt = -lambda_i c_i - flux_i u moves mode i over
-    k substeps dt as
+    It reads the Spectrum alone (lambdas, boundary_flux, modal and nodal),
+    so a sine table (one DST-I each way) and dstevd's matrix (one dense
+    product) serve alike.  With u held, the plant dc_i/dt = -lambda_i c_i
+    - flux_i u moves mode i over k substeps dt as
 
-        c_i -> r_i^k c_i + (1 - r_i^k) s_i u,   s_i = -flux_i / lambda_i,
+        c_i -> r_i^k c_i + I_i(k) u,   I_i(k) = (1 - r_i^k) s_i,   s_i = -flux_i / lambda_i,
 
-    r_i^k = e^{-k dt lambda_i}, 1 - r_i^k = -expm1(-k dt lambda_i): the map
-    the gain is placed against, so the substeps only place the record
+    r_i^k = e^{-k dt lambda_i}, 1 - r_i^k = -expm1(-k dt lambda_i), and
+    I_i(k) = -k dt flux_i, its limit, for a lambda_i that is exactly 0: the
+    map the gain is placed against, so the substeps only place the record
     points and the guard.  A hold writes its R record rows at once, row j
     from the sample c at the record offset k_j of ``stops`` (k_R = K, the
     substeps of a hold, so row R is the next sample), from two (R, M)
-    tables of r^k_j and (1 - r^k_j) s formed once per run.  ``c`` is the
-    state.
+    tables of r^k_j and I(k_j) formed once per run.  ``c`` is the state.
 
     The guard l2_norm(w) = |c| <= BLOWUP_GUARD holds at every substep of a
-    hold when the bound |c_i - s_i u| max(1, r_i^K) + |s_i u| on each |c_i|
-    along it passes: r_i^k is monotone in k.  Otherwise the hold is stepped
-    one substep at a time, written at its record points, and stops at the
-    first substep that fails (a NaN or inf state fails the bound as well).
+    hold when the bound max(|c_i|, |c_i(k_1)|, ..., |c_i(K)|) on each |c_i|
+    along it passes: c_i(k) - s_i u = r_i^k (c_i - s_i u) (c_i + I_i(k) u
+    when lambda_i = 0) is monotone in k, so mode i lies between its values
+    at the hold's ends.  The bound reads every record row as computed, so
+    a row that roundoff has pushed past the guard (e^{|lambda_1| T} eps
+    past the float64 envelope) fails it too.  Otherwise the hold is
+    stepped one substep at a time, written at its record points, and stops
+    at the first substep that fails (a NaN or inf state fails the bound as
+    well).
     """
 
     def __init__(self, spectrum: Spectrum, dt: float, stops: Sequence[int], w0: np.ndarray):
         # log r^k: one row for a single substep, then one per record offset
-        kl = np.array([1, *stops])[:, None] * (-dt * spectrum.lambdas)
+        steps, lam, flux = np.array([1, *stops]), spectrum.lambdas, spectrum.boundary_flux
+        kl = steps[:, None] * (-dt * lam)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            s = -spectrum.boundary_flux / spectrum.lambdas
             powers = np.exp(kl)
-            inputs = -np.expm1(kl) * s
-        self.s, self.stops, self.guard_sq = s, stops, BLOWUP_GUARD**2
+            inputs = -np.expm1(kl) * (-flux / lam)
+        zero = lam == 0.0
+        inputs[:, zero] = np.multiply.outer(steps * dt, -flux[zero])
+        self.stops, self.guard_sq = stops, BLOWUP_GUARD**2
         self.step = powers[0], inputs[0]
         self.powers, self.inputs = powers[1:], inputs[1:]
-        self.grow = np.maximum(1.0, powers[-1])
         self.c = spectrum.modal(w0)
 
     def hold(self, u: float, out: np.ndarray) -> int:
         """Step one hold with u held, writing its record rows into ``out``;
         return the 1-based substep of the first state that fails the
-        overflow guard (rows from there on are left unwritten), else 0."""
-        c, su = self.c, self.s * u
-        bound = np.abs(c - su) * self.grow + np.abs(su)
+        overflow guard (rows from there on are no state of the run), else 0."""
+        c = self.c
+        np.multiply(self.powers, c, out=out)
+        out += self.inputs * u
+        bound = np.maximum(np.abs(c), np.abs(out).max(axis=0))
         if bound.dot(bound) <= self.guard_sq:
-            np.multiply(self.powers, c, out=out)
-            out += self.inputs * u
             self.c = out[-1]
             return 0
         (r_1, input_1), stops, row = self.step, self.stops, 0
@@ -429,7 +433,7 @@ def scale_to_norm(
 
 
 def _check_substeps(period: float, substeps: int, lambda_1: float) -> None:
-    """Refuse, for a run _CNKernel steps, dt = period / substeps with
+    """Refuse, for a semilinear run (_CNKernel), dt = period / substeps with
     1 + dt lambda_1 / 2 <= 0: the CN multiplier (1 - dt lambda_1 / 2) /
     (1 + dt lambda_1 / 2) of mode 1 is then negative (or infinite), not the
     growth e^{-dt lambda_1}.  The smallest count that works is
@@ -528,13 +532,14 @@ def _advance(
     A blow-up is reported through ``blowup_time``; the linear wrappers
     raise it as UnstableStep.
 
-    A run without a tail on a Toeplitz operator (spectral._is_toeplitz) is
-    stepped by _ModalStepper, the exact hold: it records sine coordinate
-    rows, which the Trajectory keeps as the run's state (its node rows are
-    built when read, node row 0 the deviation itself).  Every other run is
-    stepped by _CNKernel, whose node state is projected on the unstable
-    modes for the control, in blocks from one record point to the next; it
-    raises TooFewSubsteps before the first substep if dt*|lambda_1| >= 2.
+    The dynamics alone picks the engine.  A run without a tail is stepped
+    by _ModalStepper, the exact hold, in the Spectrum's basis: it records
+    modal coordinate rows, which the Trajectory keeps as the run's state
+    (its node rows are built when read, node row 0 the deviation itself),
+    and any substep count will do.  A run with a tail is stepped by
+    _CNKernel, whose node state is projected on the unstable modes for the
+    control, in blocks from one record point to the next; it raises
+    TooFewSubsteps before the first substep if dt*|lambda_1| >= 2.
 
     Each hold interval takes problem.spec.substeps_per_hold substeps, the
     one count of the run (validate_spec made it at least 1, and the
@@ -570,7 +575,7 @@ def _advance(
 
     period, substeps = problem.period, problem.spec.substeps_per_hold
     dt = period / substeps
-    modal = not tail and _is_toeplitz(spectrum.operator)
+    modal = not tail
     if not modal:
         _check_substeps(period, substeps, spectrum.lambdas[0])
     n = 0 if gains is None else gains.n
@@ -648,7 +653,7 @@ def _advance(
         problem_hash=problem_fingerprint(problem),
         gains_hash=gains_fingerprint(gains),
         blowup_time=blowup_time,
-        sines=_SineRecords(records, spectrum, w) if modal else None,
+        modal=_ModalRecords(records, spectrum, w) if modal else None,
     )
 
 

@@ -70,8 +70,10 @@ class Spectrum:
 
     Readers take columns(n), last_row, nodal (Phi c) or modal (h Phi^T w),
     gathered from a sine table or one DST-I each, and never ask which basis
-    is stored.  ``modes``, the (M, M) matrix, is built on first read and
-    cached; no other reader falls back on it.
+    is stored.  The one exception is ``sine_table``: sine coordinates are
+    also the pure Laplacian's, which sobolev_norm weights.  ``modes``, the
+    (M, M) matrix, is built on first read and cached; no other reader falls
+    back on it.
     """
 
     lambdas: np.ndarray
@@ -87,6 +89,13 @@ class Spectrum:
     @property
     def m(self) -> int:
         return self.lambdas.shape[0]
+
+    @property
+    def sine_table(self) -> bool:
+        """Whether the modes are stored as a sine table: modal coordinates
+        are then also the coordinates <y, e_j>_h in the pure -Laplacian's
+        sine modes e_j of sobolev_norm (its ``coordinates``)."""
+        return self.basis.ndim == 1
 
     @functools.cached_property
     def modes(self) -> np.ndarray:
@@ -174,8 +183,8 @@ def _is_toeplitz(operator: TridiagonalOperator) -> bool:
     """Whether the operator is Toeplitz with a negative off-diagonal and
     M > 1: one diagonal value, one off-diagonal value e < 0.  Its
     eigenvectors are then the sine modes whatever the two values, so
-    eigendecompose takes them in closed form and the stepping engine
-    steps such a linear run in their coordinates."""
+    _eigenbasis takes them in closed form, as a sine table.  Only the
+    spectrum asks: a reader of the modes asks the Spectrum."""
     diag, offdiag = operator.diag, operator.offdiag
     return bool(offdiag.size and offdiag[0] < 0.0
                 and (diag == diag[0]).all() and (offdiag == offdiag[0]).all())

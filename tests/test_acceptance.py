@@ -9,9 +9,10 @@ criteria run on the single-mode configuration at the working grid M = 200
 (the N = 3 algebra is exact at any conditioning, but its float64 gain
 matrices are documented as untrustworthy past condition 1e12, so stepped
 checks stay on the benign configuration); criterion 11 runs the N = 3
-loop only to see it decay.  The gain is placed against the plant that is
-stepped, so the identities of the stepped loop (criteria 3, 5 and 6) hold
-to stated roundoff bounds, in units of EPS.
+loop only to see it decay, and criterion 12 the single-mode loop about the
+non-constant equilibrium 0.1 sin(pi x).  The gain is placed against the
+plant that is stepped, so the identities of the stepped loop (criteria 3,
+5 and 6) hold to stated roundoff bounds, in units of EPS.
 """
 
 import math
@@ -243,12 +244,13 @@ def test_criterion_9_semilinear_local_stabilization(stack15):
     )
 
 
-def _slowest_hold_rate(a, gammas, period, second_half=False):
+def _slowest_hold_rate(a, gammas, period, second_half=False, equilibrium=0.0):
     """The slowest per-hold rate -ln(|w((i+1)T)| / |w(iT)|) / T of the seeded
     (seed 7) linear closed loop over t = 10 on the default grid (M = 200,
-    64 substeps): from the second hold on, or over the second half."""
+    64 substeps) about ``equilibrium``: from the second hold on, or over
+    the second half."""
     spec = ps.ProblemSpec(nonlinearity=ps.fisher_reaction(a), gammas=gammas,
-                          sampling_period=period)
+                          sampling_period=period, equilibrium=equilibrium)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the N = 3 gain's conditioning warning
         grid = Grid(spec, math.ceil(10.0 / period), 7)
@@ -278,4 +280,19 @@ def test_criterion_11_multimode_linear_loop_decays():
         min(rates) >= 0.75 * 2.0,
         f"N = 3 linear loop decays: slowest per-hold rate over the second half "
         f"{rates[0]:.3f} at T = 0.1, {rates[1]:.3f} at T = 0.2 >= 0.75 gamma_1 = 1.5",
+    )
+
+
+def test_criterion_12_designed_rate_on_a_nonconstant_potential():
+    # about 0.1 sin(pi x) the potential is not constant and the modes are
+    # dstevd's; the linear loop is stepped by the exact hold all the same
+    periods = (0.05, 0.2, 1.0, 2.0, 3.0)
+    rates = [_slowest_hold_rate(15.0, (2.0,), period,
+                                equilibrium=lambda x: 0.1 * np.sin(np.pi * x))
+             for period in periods]
+    report(
+        12,
+        min(rates) >= 0.95 * 2.0,
+        "about 0.1 sin(pi x), slowest per-hold rate from the second hold at T = "
+        + ", ".join(f"{p:g}: {r:.3f}" for p, r in zip(periods, rates)) + " >= 0.95 gamma_1 = 1.9",
     )

@@ -554,20 +554,22 @@ def test_pde_gain_fails_its_window_on_a_first_order_flux(monkeypatch):
     assert [c.name for c in report.failures()] == ["pde-gain"]
 
 
-def test_a_refused_crank_nicolson_run_is_recorded():
-    """On a non-constant potential (an equilibrium -0.1 sin(pi x)) the linear
-    runs are stepped by Crank-Nicolson: at T = 2.0 with 4 substeps it is
-    refused, and verify records the refusal as its trajectory-suite and the
-    T sweep as the row's note."""
+def test_a_linear_run_on_a_nonconstant_potential_is_not_refused():
+    """On a non-constant potential (an equilibrium -0.1 sin(pi x), dstevd's
+    modes) the linear runs take the exact hold too, for which any substep
+    count will do: at T = 2.0 with 4 substeps, refused when Crank-Nicolson
+    stepped them, verify passes every record (none is a trajectory-suite)
+    and both T sweep rows fit a rate near the placed 2.0 (1.99988 and 1.934
+    measured over the whole run).  A semilinear run is still refused:
+    test_cli.test_too_few_substeps_exit_2_or_are_recorded."""
     spec = dataclasses.replace(make_problem(grid_points=64, period=2.0, substeps=4).spec,
                                equilibrium=lambda x: -0.1 * np.sin(np.pi * x))
-    refusal = r"TooFewSubsteps: substeps_per_hold = 4 gives dt\*\|lambda_1\| = .* >= 2"
     report = ps.run_verification(spec)
-    (suite,) = [c for c in report.checks if c.name == "trajectory-suite"]
-    assert re.match(refusal, suite.details["error"])
-    assert [c.name for c in report.failures()] == ["trajectory-suite"]
+    assert report.failures() == []
+    assert "trajectory-suite" not in [c.name for c in report.checks]
     rows = ps.sweep_sampling_period(Grid(spec), [0.2, 2.0], total_time=10.0).rows
-    assert rows[0].note == "" and re.match(refusal, rows[1].note)
+    assert [row.note for row in rows] == ["", ""]
+    assert min(row.fitted_rate for row in rows) > 1.9
 
 
 def test_pde_gain_reads_inf_when_refinement_changes_the_unstable_count():

@@ -590,10 +590,8 @@ def test_too_few_substeps_exit_2_or_are_recorded(tmp_path, capsys):
     (lambda_1 = -5.13), so every run Crank-Nicolson steps, the semilinear
     simulate and amplitude sweep here, is refused, naming the 6 substeps it
     needs.  The linear runs of verify and of the T sweep take the exact
-    hold, for which any count will do: they are stepped and pass (on a
-    non-constant potential, where Crank-Nicolson steps them, the refusal is
-    recorded: test_analysis).  synthesize steps nothing and is
-    unaffected."""
+    hold, for which any count will do, on any potential: they are stepped
+    and pass.  synthesize steps nothing and is unaffected."""
     text = Path(write_config(
         tmp_path, extra="[sweep]\nT = 0.2,2.0\namplitude = 0.01\ntotal_time = 10.0\n"
     )).read_text()

@@ -157,42 +157,127 @@ def _relative_apart(rows, oracle):
 
 
 @pytest.mark.parametrize(
-    "grid_points, period, substeps, horizon, potential",
-    [(16, 0.2, 64, 4, None), (200, 0.2, 64, 4, None), (200, 0.2, 64, 4, sine_potential)],
-    ids=["M16", "M200", "M200-sine-potential"],
+    "grid_points, period, substeps, horizon",
+    [(16, 0.2, 64, 4), (200, 0.2, 64, 4)],
+    ids=["M16", "M200"],
 )
-def test_linear_step_matches_banded_oracle(grid_points, period, substeps, horizon, potential):
-    """At a constant potential the modal engine's rows, every substep, stay
-    within the exact-hold roundoff bound of the 40-digit exact hold's
-    (exact_hold_run; measured 3.5e-15 against 1.5e-14 at M = 16 and
-    1.4e-15 against 1.5e-14 at M = 200); at the sine potential the
-    kernel's rows are the LDL^T (ptsv) Crank-Nicolson oracle's, bit for
-    bit."""
+def test_linear_step_matches_banded_oracle(grid_points, period, substeps, horizon):
+    """The modal engine's rows, every substep, stay within the exact-hold
+    roundoff bound of the 40-digit exact hold's (exact_hold_run; measured
+    3.5e-15 against 1.5e-14 at M = 16 and 1.4e-15 against 1.5e-14 at
+    M = 200).  A linear run on a non-constant potential is held to its own
+    reference (test_linear_loop_on_a_nonconstant_potential_is_the_exact_hold)."""
     prob = make_problem(grid_points=grid_points, period=period, substeps=substeps)
-    if potential is None:
-        spectrum = make_spectrum(prob)
-    else:
-        spectrum = ps.compute_spectrum(prob, potential(grid_points), prob.spec.target_rate)
+    spectrum = make_spectrum(prob)
     gains = quiet_gains(spectrum, (2.0,), period)
     y0 = ps.seeded_initial_state(spectrum, 11)
     traj = ps.run_linear_closed_loop(
         prob, spectrum, gains, y0, horizon, snapshot_stride=1
     )
+    exact = spectrum.nodal(exact_hold_run(prob, spectrum, y0, horizon, gains))
+    bound = exact_hold_roundoff_bound(spectrum, period, horizon, gains)
+    assert _relative_apart(traj.interior, exact).max() <= bound
     feedback = lambda w: ps.apply_feedback(gains, w, spectrum)  # noqa: E731
     oracle = _banded_run(prob, spectrum, y0, horizon, feedback)
     assert oracle.shape[0] - 1 >= 200
-    if potential is None:
-        exact = spectrum.nodal(exact_hold_run(prob, spectrum, y0, horizon, gains))
-        bound = exact_hold_roundoff_bound(spectrum, period, horizon, gains)
-        assert _relative_apart(traj.interior, exact).max() <= bound
-    else:
-        assert np.array_equal(traj.interior, oracle)
     bound = _cn_roundoff_bound(spectrum, period / substeps, oracle.shape[0] - 1)
     # LDL^T and pivoted LU are both backward stable, so their states part
     # by at most the same bound (measured 3.9e-15 at M = 16 and 3.5e-14 at
     # M = 200)
     pivoted = _banded_run(prob, spectrum, y0, horizon, feedback, pivoting=True)
     assert _relative_apart(oracle, pivoted).max() <= bound
+
+
+def _eigsy_hold_run(problem, spectrum, gains, y0, horizon, dps=40):
+    """Samples of the exact zero-order-hold run of the float64 operator, at
+    dps digits in its own eigenpairs (mp.eigsy), rounded to float64, and
+    the flux -phi_i[M] / h of those modes.  The float64 operator, y0 and
+    the gain row are taken as exact; so are the float64 unstable modes that
+    read the control, u = g . h Phi_N^T w, as the engine reads its own."""
+    op, m, h, period = spectrum.operator, spectrum.m, spectrum.h, problem.period
+    cols = spectrum.columns(gains.n)
+    with mpmath.workdps(dps):
+        a = mpmath.zeros(m, m)
+        for i in range(m):
+            a[i, i] = op.diag[i]
+            if i + 1 < m:
+                a[i, i + 1] = a[i + 1, i] = op.offdiag[i]
+        lam, q = mpmath.eigsy(a)
+        order = sorted(range(m), key=lambda i: lam[i])
+        h_mp = mpmath.mpf(h)
+        # h-orthonormal with positive first components, as the float64 modes
+        modes = [[q[r, i] * mpmath.sign(q[0, i]) / mpmath.sqrt(h_mp) for r in range(m)]
+                 for i in order]
+        lam = [lam[i] for i in order]
+        flux = [-phi[-1] / h_mp for phi in modes]
+        # c_i -> r_i c_i - (1 - r_i) / lambda_i flux_i u over one hold
+        powers = [mpmath.exp(-x * period) for x in lam]
+        inputs = [mpmath.expm1(-x * period) / x * f for x, f in zip(lam, flux)]
+        readout = [[h_mp * g * mpmath.mpf(v) for v in cols[:, k]]
+                   for k, g in enumerate(gains.gain_row)]
+        w = [mpmath.mpf(v) for v in y0]
+        rows = [w]
+        for _ in range(horizon):
+            u = mpmath.fsum(mpmath.fdot(row, w) for row in readout)
+            c = [r * h_mp * mpmath.fdot(phi, w) + b * u
+                 for r, phi, b in zip(powers, modes, inputs)]
+            w = [mpmath.fsum(phi[k] * ci for phi, ci in zip(modes, c)) for k in range(m)]
+            rows.append(w)
+        return (np.array([[float(v) for v in row] for row in rows]),
+                np.array([float(x) for x in lam]), np.array([float(f) for f in flux]))
+
+
+def _eigen_residual(spectrum, dps=40):
+    """max_i |A phi_i - lambda_i phi_i| / |phi_i| of the float64 pairs, at
+    dps digits: the backward error of the eigensolver, which bounds each
+    eigenvalue's error (a symmetric matrix has an eigenvalue within it of
+    every computed one) and through which the modes' error enters."""
+    op, modes = spectrum.operator, spectrum.modes
+    with mpmath.workdps(dps):
+        d, e = [mpmath.mpf(v) for v in op.diag], [mpmath.mpf(v) for v in op.offdiag]
+        worst = 0
+        for lam, col in zip(spectrum.lambdas, modes.T):
+            v = [mpmath.mpf(x) for x in col]
+            r = [(d[k] - lam) * v[k] + (e[k - 1] * v[k - 1] if k else 0)
+                 + (e[k] * v[k + 1] if k + 1 < len(v) else 0) for k in range(len(v))]
+            worst = max(worst, mpmath.sqrt(mpmath.fdot(r, r) / mpmath.fdot(v, v)))
+        return float(worst)
+
+
+@pytest.mark.parametrize("grid_points", [16, 32], ids=lambda m: f"M{m}")
+def test_linear_loop_on_a_nonconstant_potential_is_the_exact_hold(grid_points):
+    """A linear loop on the sine potential (dstevd's modes; T = 0.2, ten
+    holds, seed 11) takes the exact hold: its samples stay within
+
+        holds^2 e^{(|lambda_1| + gamma_1) T} (4 eps + T rho + dflux)
+
+    of the 40-digit exact hold of the float64 operator (_eigsy_hold_run),
+    relative to the state.  A hold's relative error is its rounding (a few
+    eps), the error of the modes it steps in, rho (_eigen_residual, which
+    bounds every dlambda) times T, and dflux, the largest relative error of
+    the flux, all amplified by mode 1's e^{|lambda_1| T} while the loop
+    contracts the state by e^{-gamma_1 T}.  The boundary input drives the
+    stable modes, and lambda_2 (2.4) lies close to gamma_1 (2.0), so an
+    error is carried by a transient that grows with the holds: the holds'
+    errors add up to at most holds^2 of one.  Measured 2.5e-10 against
+    2.9e-9 at M = 16 and 1.2e-10 against 1.3e-8 at M = 32; the
+    Crank-Nicolson kernel that stepped these runs before read 7.1e-3 and
+    8.0e-3."""
+    period, horizon = 0.2, 10
+    prob = make_problem(grid_points=grid_points, period=period)
+    spectrum = ps.compute_spectrum(prob, sine_potential(grid_points), prob.spec.target_rate)
+    assert not spectrum.sine_table  # dstevd's matrix
+    gains = quiet_gains(spectrum, (2.0,), period)
+    y0 = ps.seeded_initial_state(spectrum, 11)
+    traj = ps.run_linear_closed_loop(prob, spectrum, gains, y0, horizon)
+    reference, lam, flux = _eigsy_hold_run(prob, spectrum, gains, y0, horizon)
+    rho = _eigen_residual(spectrum)
+    # the reference eigenvalues are rounded to float64: half an ulp more
+    assert np.all(np.abs(spectrum.lambdas - lam) <= rho + 0.5 * np.spacing(np.abs(lam)))
+    dflux = np.max(np.abs(spectrum.boundary_flux - flux) / np.abs(flux))
+    growth = np.exp((-spectrum.lambdas[0] + gains.gammas[0]) * period)
+    bound = horizon**2 * growth * (4 * np.finfo(float).eps + period * rho + dflux)
+    assert _relative_apart(traj.sample_states(), reference).max() <= bound
 
 
 def test_one_substep_at_T2_is_refused_naming_the_count():
@@ -210,12 +295,15 @@ def test_one_substep_at_T2_is_refused_naming_the_count():
     assert ps.run_linear_closed_loop(prob, spectrum, gains, y0, 200).blowup_time is None
 
 
-@pytest.mark.parametrize("run", ["linear", "open-loop", "semilinear"])
+@pytest.mark.parametrize("run", ["sine-potential", "open-loop", "semilinear"])
 def test_substeps_below_dt_lambda_2_are_stepped_and_above_refused(run):
     """dt |lambda_1| = 1.98 is stepped as the LDL^T (ptsv) oracle steps it,
     bit for bit by the kernel; dt |lambda_1| = 2.02 is refused before the
-    first substep.  The linear runs are on the sine potential, where the
-    kernel steps them too (a constant potential's take the exact hold)."""
+    first substep.  Every case is a semilinear run (Fisher's tail), the one
+    the kernel steps: on the linearization's constant potential, and on the
+    sine potential (a varying diagonal) with and without ("open-loop")
+    feedback.  A linear run takes the exact hold at any count
+    (test_one_substep_at_T2_is_refused_naming_the_count)."""
     substeps = 2
 
     def spectrum_of(prob):
@@ -234,10 +322,6 @@ def test_substeps_below_dt_lambda_2_are_stepped_and_above_refused(run):
         return prob, spectrum, gains, y0
 
     def step(prob, spectrum, gains, y0):
-        if run == "linear":
-            return ps.run_linear_closed_loop(prob, spectrum, gains, y0, 2, snapshot_stride=1)
-        if run == "open-loop":
-            return ps.run_open_loop(prob, spectrum, y0, 2, snapshot_stride=1)
         ye = prob.equilibrium_values[1:-1]
         return ps.run_semilinear_closed_loop(prob, spectrum, gains, y0 + ye, 2, snapshot_stride=1)
 
@@ -246,7 +330,7 @@ def test_substeps_below_dt_lambda_2_are_stepped_and_above_refused(run):
     dt = prob.period / substeps
     assert dt * -spectrum.lambdas[0] == pytest.approx(1.98)
     ye = prob.equilibrium_values[1:-1]
-    tail = [dt * q for q in prob.spec.nonlinearity.taylor_tail(ye)] if run == "semilinear" else ()
+    tail = [dt * q for q in prob.spec.nonlinearity.taylor_tail(ye)]
     control = (lambda w: 0.0) if gains is None else (
         lambda w: ps.apply_feedback(gains, w, spectrum))
     oracle = _banded_run(prob, spectrum, y0, 2, control, tail)
@@ -663,8 +747,9 @@ def _poisoning_solver(monkeypatch, poisoned, bad):
 
 @pytest.fixture(scope="module")
 def sine_spectrum15(problem15):
-    """problem15's grid at the sine potential: its linear runs take the
-    Crank-Nicolson kernel, not the modal engine."""
+    """problem15's grid at the sine potential, whose modes are dstevd's:
+    its semilinear runs take the Crank-Nicolson kernel with a varying
+    diagonal, its linear runs the exact hold in dstevd's basis."""
     return ps.compute_spectrum(problem15, sine_potential(problem15.m), problem15.spec.target_rate)
 
 
@@ -673,11 +758,9 @@ def test_guard_trips_on_nonfinite_state(monkeypatch, problem15, sine_spectrum15,
     substeps = problem15.spec.substeps_per_hold
     poisoned = substeps + 6  # hold 1, substep 6
     calls = _poisoning_solver(monkeypatch, poisoned, bad)
-    traj = _advance(
-        problem15, sine_spectrum15, None, ps.seeded_initial_state(sine_spectrum15, 2), 4,
-        control=lambda w: 0.0,
-        kind="semilinear-closed-loop", snapshot_stride=1,
-    )
+    y0 = ps.seeded_initial_state(sine_spectrum15, 2, amplitude=1e-6)
+    traj = ps.run_semilinear_closed_loop(problem15, sine_spectrum15, None, y0, 4,
+                                         snapshot_stride=1)
     dt = problem15.period / substeps
     assert len(calls) == poisoned
     assert traj.blowup_time == 1 * problem15.period + 6 * dt
@@ -691,18 +774,16 @@ def test_guard_trips_on_nonfinite_state(monkeypatch, problem15, sine_spectrum15,
 
 
 def test_guard_trips_inside_a_record_block(monkeypatch, problem15, sine_spectrum15):
-    """The guard is checked after every substep, not once per block of
-    snapshot_stride substeps: a state poisoned at hold 1, substep 6 stops the
-    run there although the next record point is substep 8."""
+    """The kernel checks the guard after every substep, not once per block
+    of snapshot_stride substeps: a state poisoned at hold 1, substep 6 stops
+    the semilinear run there although the next record point is substep 8."""
     substeps = problem15.spec.substeps_per_hold
     period = problem15.period
     dt = period / substeps
     calls = _poisoning_solver(monkeypatch, substeps + 6, np.inf)
-    traj = _advance(
-        problem15, sine_spectrum15, None, ps.seeded_initial_state(sine_spectrum15, 2), 4,
-        control=lambda w: 0.0,
-        kind="semilinear-closed-loop", snapshot_stride=8,
-    )
+    y0 = ps.seeded_initial_state(sine_spectrum15, 2, amplitude=1e-6)
+    traj = ps.run_semilinear_closed_loop(problem15, sine_spectrum15, None, y0, 4,
+                                         snapshot_stride=8)
     assert len(calls) == substeps + 6
     assert traj.blowup_time == 1 * period + 6 * dt
     # the records are t = 0, the eight of hold 0 and nothing of hold 1
@@ -767,12 +848,36 @@ def test_modal_guard_trips_inside_a_record_block(problem15, spectrum15):
     assert traj.l2_norms.max() <= BLOWUP_GUARD
 
 
+def test_a_zero_eigenvalue_is_stepped():
+    """linear_reaction(647.9999999999999) at M = 17 gives lambda_9 = 0.0
+    exactly.  Its mode integrates the held input, k dt (-flux_9) u after k
+    substeps (the limit of (1 - r^k) / lambda), so the open loop is stepped
+    (a 0 * inf input once made its first substep NaN, a false blow-up), and
+    a held u = 1 moves c_9 from 0 to K dt (-flux_9) over a hold."""
+    prob = ps.validate_spec(ps.ProblemSpec(
+        nonlinearity=ps.linear_reaction(647.9999999999999), grid_points=17,
+        sampling_period=0.01, substeps_per_hold=64,
+    ))
+    spectrum = make_spectrum(prob)
+    assert spectrum.lambdas[8] == 0.0
+    y0 = ps.seeded_initial_state(spectrum, 7, amplitude=1e-8)
+    traj = ps.run_open_loop(prob, spectrum, y0, 1)
+    assert traj.blowup_time is None
+    assert np.all(np.isfinite(traj.l2_norms)) and 1e-6 < traj.l2_norms[-1] < 1e-5
+    dt = prob.period / 64
+    stepper = simulate._ModalStepper(spectrum, dt, [64], np.zeros(prob.m))
+    out = np.empty((1, prob.m))
+    assert stepper.hold(1.0, out) == 0
+    assert out[0, 8] == 64 * dt * -spectrum.boundary_flux[8]
+    assert np.all(np.isfinite(out))
+
+
 def test_modal_hold_fallback_matches_the_one_map(monkeypatch, problem15, spectrum15, gains15):
     """A hold whose hold-wide bound fails is stepped one substep at a time:
     with the guard just above the run's largest substep norm, the closed
-    loop's bounds (|c_i - s_i u| max(1, |r_i|^K) + |s_i u| mode by mode,
-    well above |c| when the feedback opposes the sample) fail while no
-    substep trips.  Its rows are those of the one-map holds to within the
+    loop's bounds (max(|c_i|, |c_i(K)|) mode by mode, above |c| along the
+    hold when its modes peak at different ends) fail while no substep
+    trips.  Its rows are those of the one-map holds to within the
     exact-hold roundoff bound, though not bit for bit (the substeps are
     chained), and it reports no blow-up."""
     horizon, stride = 4, 8
@@ -792,6 +897,36 @@ def test_modal_hold_fallback_matches_the_one_map(monkeypatch, problem15, spectru
     assert not np.array_equal(stepped.interior, one_map.interior)
     bound = exact_hold_roundoff_bound(spectrum15, problem15.period, horizon, gains15)
     assert _relative_apart(stepped.interior, one_map.interior).max() <= bound
+
+
+def test_modal_hold_bound_reads_its_rows(monkeypatch, spectrum15):
+    """Each mode moves monotonically along a hold, so a hold is bounded by
+    the rows it computes, max(|c_i|, |c_i(k_1)|, ..., |c_i(K)|), not by
+    r_i^K |c_i| + |I_i(K) u|.  At the fixed point c = s u of a T = 4 hold
+    (r_1^K = 8e8) every state is c: with the guard at 10 |c| the hold takes
+    the one map, bit for bit, where the growth bound would step it substep
+    by substep.  Past the float64 envelope (T = 30, r_1^K = e^{154}) the
+    one map's rows are roundoff; a row past the guard fails the bound, so
+    the hold is stepped and the blow-up is reported, and no record passes
+    the guard (they once reached 9.7e24 at seed 7 with no blow-up)."""
+    dt = 4.0 / 64
+    fixed = -spectrum15.boundary_flux / spectrum15.lambdas
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "BLOWUP_GUARD", 10 * np.linalg.norm(fixed))
+        stepper = simulate._ModalStepper(spectrum15, dt, [32, 64], np.zeros(spectrum15.m))
+    stepper.c = fixed
+    assert np.exp(-64 * dt * spectrum15.lambdas[0]) > 8e8
+    out = np.empty((2, spectrum15.m))
+    assert stepper.hold(1.0, out) == 0
+    assert np.array_equal(out, stepper.powers * fixed + stepper.inputs * 1.0)
+    assert np.allclose(out, fixed, rtol=1e-6, atol=0)
+
+    prob = make_problem(period=30.0)
+    gains = quiet_gains(spectrum15, (2.0,), 30.0)
+    y0 = ps.seeded_initial_state(spectrum15, 7)
+    with pytest.raises(ps.UnstableStep) as info:
+        ps.run_linear_closed_loop(prob, spectrum15, gains, y0, 3, snapshot_stride=8)
+    assert info.value.trajectory.l2_norms.max() <= BLOWUP_GUARD
 
 
 def test_modal_run_transforms_records_only_when_read(monkeypatch, problem15, spectrum15,
@@ -842,6 +977,34 @@ def test_modal_l2_norms_are_the_node_rows_norms(grid_points):
     assert np.max(np.abs(traj.l2_norms - node) / node) <= bound
 
 
+def test_modal_sobolev_norms_are_the_node_rows_norms(problem15, spectrum15, gains15):
+    """A modal run's Sobolev history is sobolev_norm of its node rows.  On
+    a sine table it weights the coordinates themselves, the Laplacian's
+    sine coordinates, bit for bit as sobolev_norm(..., coordinates=True)
+    and within 4 eps sqrt(log M) of the node rows' norms.  On dstevd's
+    modes (the sine potential) the coordinates are not the Laplacian's: the
+    history is the node rows' norms, bit for bit, and weighting the
+    coordinates instead is off by more than 1e-3."""
+    y0 = ps.seeded_initial_state(spectrum15, 23)
+    traj = ps.run_linear_closed_loop(problem15, spectrum15, gains15, y0, 8, snapshot_stride=8)
+    weighted = ps.sobolev_norm(traj._modal.coordinates, 0.25, problem15.h, coordinates=True)
+    assert spectrum15.sine_table and np.array_equal(traj.sobolev_norms, weighted)
+    node = ps.sobolev_norm(traj.deviations, 0.25, problem15.h)
+    bound = 4.0 * np.finfo(float).eps * np.sqrt(np.log(problem15.m))
+    assert np.max(np.abs(traj.sobolev_norms - node) / node) <= bound
+
+    prob = make_problem(grid_points=32)
+    spectrum = ps.compute_spectrum(prob, sine_potential(32), prob.spec.target_rate)
+    gains = quiet_gains(spectrum, (2.0,), prob.period)
+    y0 = ps.seeded_initial_state(spectrum, 23)
+    traj = ps.run_linear_closed_loop(prob, spectrum, gains, y0, 8, snapshot_stride=8)
+    assert not spectrum.sine_table
+    node = ps.sobolev_norm(traj.deviations, 0.25, prob.h)
+    assert np.array_equal(traj.sobolev_norms, node)
+    naive = ps.sobolev_norm(spectrum.modal(traj.deviations), 0.25, prob.h, coordinates=True)
+    assert np.max(np.abs(naive - node) / node) > 1e-3
+
+
 @pytest.mark.parametrize("horizon", [10**12, 10**18], ids=["out-of-memory", "beyond-numpy"])
 def test_unallocatable_record_block_is_typed(problem15, spectrum15, gains15, horizon):
     """1e12 holds x M = 200 doubles is about 1.4 PiB, beyond any address
@@ -872,9 +1035,10 @@ def test_negative_snapshot_stride_rejected(problem15, spectrum15, gains15):
 
 
 def test_nonconstant_offdiagonal_rejected(problem15, spectrum15):
-    """The kernel applies the off-diagonal as one scalar, so an operator
-    whose off-diagonal varies, even by one ulp in one entry, is rejected
-    before any step."""
+    """The kernel applies the off-diagonal as one scalar, so a semilinear
+    run on an operator whose off-diagonal varies, even by one ulp in one
+    entry, is rejected before any step (a linear run reads the Spectrum,
+    not the operator)."""
     op = spectrum15.operator
     offdiag = op.offdiag.copy()
     offdiag[7] = np.nextafter(offdiag[7], 0.0)
@@ -883,7 +1047,7 @@ def test_nonconstant_offdiagonal_rejected(problem15, spectrum15):
     )
     y0 = ps.seeded_initial_state(spectrum15, 4)
     with pytest.raises(ValueError, match="constant off-diagonal"):
-        ps.run_open_loop(problem15, bumped, y0, 2)
+        ps.run_semilinear_closed_loop(problem15, bumped, None, y0, 2)
     with pytest.raises(ValueError, match="constant off-diagonal"):
         _CNKernel(bumped.operator, 0.2 / 64, (), y0)
 

@@ -17,11 +17,12 @@ Crank-Nicolson run with too few substeps per hold (dt*|lambda_1| >= 2),
 refused with exit 2, and cli_default sweep --axis T with 30.0 added to
 its periods (linear runs, which take the exact hold at any substep
 count, far out at that period).
-One more, cli_default simulate --open-loop with dynamics = linear about
-the equilibrium profile 0.1 sin(pi x) read from a file, steps linear runs
-on a non-constant potential: the node-space Crank-Nicolson path, which no
-benchmark config reaches (their constant potentials are stepped in
-closed form in the eigenbasis).
+Two more run about the equilibrium profile 0.1 sin(pi x) read from a
+file, a non-constant potential whose modes are dstevd's matrix rather
+than a sine table, which no benchmark config reaches: cli_default
+simulate --open-loop with dynamics = linear, and cli_default sweep --axis
+T (linear closed loops at T = 0.05 to 2.0).  Their linear runs take the
+exact hold in dstevd's basis.
 Each runs once with each tree's own src/, one BLAS thread, and the script
 prints a Markdown report: a step whose exit code differs, with the last
 unindented line each tree wrote to stdout and to stderr, and for every
@@ -87,6 +88,9 @@ STEPS = {
                               (("T = 0.05,0.2,1.0,2.0\n", "T = 0.05,0.2,1.0,2.0,30.0\n"),)),
     "cli_default/simulate_linear_profile": ("cli_default", ["simulate", "--open-loop"], (
         ("dynamics = semilinear", "dynamics = linear"),
+        ("equilibrium = 0.0", "equilibrium = file:{profile}"),
+    )),
+    "cli_default/sweep_T_profile": ("cli_default", ["sweep", "--axis", "T"], (
         ("equilibrium = 0.0", "equilibrium = file:{profile}"),
     )),
 }
